@@ -147,27 +147,7 @@ let mode_conv =
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Wire.mode_to_string m))
 
 let embed host_file query_file constraint_arg node_constraint algorithm mode timeout
-    path_hops dedupe optimize_cost stats trace_file trace_format domains =
-  (* --trace-format spans (default) streams the global JSONL span log;
-     chrome records a request-scoped span buffer instead and writes one
-     Chrome trace-event JSON document at the end. *)
-  let trace_oc =
-    match (trace_file, trace_format) with
-    | Some path, `Spans ->
-        let oc = open_out path in
-        Telemetry.Span.enable oc;
-        Some oc
-    | _ -> None
-  in
-  let chrome_trace = trace_file <> None && trace_format = `Chrome in
-  let finally_trace () =
-    match trace_oc with
-    | None -> ()
-    | Some oc ->
-        Telemetry.Span.disable ();
-        close_out oc
-  in
-  Fun.protect ~finally:finally_trace @@ fun () ->
+    path_hops dedupe optimize_cost stats trace_file domains =
   let host = Graphml.read_file host_file in
   let host =
     (* --paths K: virtual links may ride host paths of up to K hops
@@ -188,7 +168,7 @@ let embed host_file query_file constraint_arg node_constraint algorithm mode tim
     Request.make ?node_constraint ~algorithm ~mode ?timeout ~query constraint_text
   in
   let service = Service.create ~domains (Model.create host) in
-  match Service.submit ~trace:chrome_trace service request with
+  match Service.submit ~trace:(trace_file <> None) service request with
   | Error e -> `Error (false, e)
   | Ok answer ->
       let answer =
@@ -232,7 +212,7 @@ let embed host_file query_file constraint_arg node_constraint algorithm mode tim
         prerr_endline
           (Telemetry.snapshot_to_json answer.Service.result.Engine.telemetry);
       (match (trace_file, answer.Service.trace) with
-      | Some path, Some buf when chrome_trace ->
+      | Some path, Some buf ->
           let oc = open_out path in
           output_string oc
             (Telemetry.Trace.to_chrome_json ~trace_id:answer.Service.trace_id buf);
@@ -292,16 +272,9 @@ let embed_cmd =
   in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a trace of the run to FILE (see --trace-format).")
-  in
-  let trace_format =
-    Arg.(value
-         & opt (enum [ ("spans", `Spans); ("chrome", `Chrome) ]) `Spans
-         & info [ "trace-format" ] ~docv:"FORMAT"
-             ~doc:"Trace format for --trace: 'spans' (JSONL span log of filter \
-                   build, descent, solutions) or 'chrome' (request-scoped \
-                   Chrome trace-event JSON with per-phase and per-worker-domain \
-                   spans — open in chrome://tracing or Perfetto).")
+           ~doc:"Write the request's Chrome trace-event JSON to FILE: one span \
+                 per request phase plus per-worker-domain search frames — open \
+                 it in chrome://tracing or Perfetto.")
   in
   let domains =
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
@@ -314,7 +287,7 @@ let embed_cmd =
       ret
         (const embed $ host_file $ query_file $ constraint_arg $ node_constraint
         $ algorithm $ mode $ timeout $ path_hops $ dedupe $ optimize_cost $ stats
-        $ trace_file $ trace_format $ domains))
+        $ trace_file $ domains))
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)

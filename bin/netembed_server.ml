@@ -229,13 +229,7 @@ let () =
   (* Reply serialization is a request phase too: stamp it onto the
      windowed series (it cannot appear in its own OK header — the
      header is already built by the time the cost is known). *)
-  let timed_encode f =
-    let t0 = Unix.gettimeofday () in
-    let reply = f () in
-    Service.record_phase service Telemetry.Phase.Encode
-      (Unix.gettimeofday () -. t0);
-    reply
-  in
+  let timed_encode f = Service.timed service Telemetry.Phase.Encode f in
   (* One frame in, one reply out — shared verbatim by the stdio loop
      and every front-end worker domain, so both transports speak the
      same service.  Safe to call concurrently: Service serializes its

@@ -264,15 +264,8 @@ let assemble_certificate ~(problem : Problem.t) ~algorithm ~filter ~blame ~recor
     ~flight:(Explain.Recorder.events recorder)
     ~verdict message
 
-(* Accumulate the wall-clock cost of [f] on the [ph] cell of a
-   phase-timings array (seconds).  Exceptions still charge the time. *)
-let time_phase phases ph f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect f ~finally:(fun () ->
-      let i = Telemetry.Phase.index ph in
-      phases.(i) <- phases.(i) +. (Unix.gettimeofday () -. t0))
-
-let run ?(options = default_options) ?filter ?trace algorithm problem =
+let run ?(options = default_options) ?filter ?trace
+    ?(phases = Telemetry.Phase.make_timings ()) algorithm problem =
   let store =
     Domain_store.create
       ~universe:(Netembed_graph.Graph.node_count problem.Problem.host)
@@ -292,7 +285,6 @@ let run ?(options = default_options) ?filter ?trace algorithm problem =
   let limit = match options.mode with First -> 1 | All -> max_int | At_most k -> max k 0 in
   let on_solution m =
     if !time_to_first = None then time_to_first := Some (Budget.elapsed budget);
-    Telemetry.Span.event "solution";
     (match recorder with
     | None -> ()
     | Some r -> Explain.Recorder.solution r ~depth:nq);
@@ -305,7 +297,6 @@ let run ?(options = default_options) ?filter ?trace algorithm problem =
      deltas. *)
   let evals_before = Problem.constraint_evals problem in
   let filter_used = ref None in
-  let phases = Telemetry.Phase.make_timings () in
   let ran_out =
     try
       if limit = 0 then raise Exit;
@@ -321,14 +312,10 @@ let run ?(options = default_options) ?filter ?trace algorithm problem =
             | None ->
                 (* Forcing specialization + bytecode compilation first
                    splits the compile cost out of the build proper. *)
-                time_phase phases Telemetry.Phase.Compile (fun () ->
-                    Telemetry.Trace.span_opt trace "compile" (fun () ->
-                        Problem.prepare problem));
-                time_phase phases Telemetry.Phase.Filter_build (fun () ->
-                    Telemetry.Trace.span_opt trace "filter_build" (fun () ->
-                        Telemetry.Span.with_span "filter_build" (fun () ->
-                            Filter.build ~prefilter:options.prefilter ?blame
-                              problem)))
+                Telemetry.time_phase phases ?trace Telemetry.Phase.Compile (fun () ->
+                    Problem.prepare problem);
+                Telemetry.time_phase phases ?trace Telemetry.Phase.Filter_build (fun () ->
+                    Filter.build ~prefilter:options.prefilter ?blame problem)
           in
           filter_used := Some filter;
           let candidate_order =
@@ -337,16 +324,12 @@ let run ?(options = default_options) ?filter ?trace algorithm problem =
             | RWB -> Dfs.Random (Rng.make options.seed)
             | LNS -> assert false
           in
-          time_phase phases Telemetry.Phase.Search (fun () ->
-              Telemetry.Trace.span_opt trace "descent" (fun () ->
-                  Telemetry.Span.with_span "descent" (fun () ->
-                      Dfs.search ~store ?blame problem filter ~candidate_order
-                        ~budget ~on_solution)))
+          Telemetry.time_phase phases ?trace Telemetry.Phase.Search (fun () ->
+              Dfs.search ~store ?blame problem filter ~candidate_order ~budget
+                ~on_solution)
       | LNS ->
-          time_phase phases Telemetry.Phase.Search (fun () ->
-              Telemetry.Trace.span_opt trace "descent" (fun () ->
-                  Telemetry.Span.with_span "descent" (fun () ->
-                      Lns.search ~store ?blame problem ~budget ~on_solution))));
+          Telemetry.time_phase phases ?trace Telemetry.Phase.Search (fun () ->
+              Lns.search ~store ?blame problem ~budget ~on_solution));
       false
     with
     | Budget.Exhausted -> true

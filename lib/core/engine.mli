@@ -106,6 +106,7 @@ val run :
   ?options:options ->
   ?filter:Filter.t ->
   ?trace:Netembed_telemetry.Telemetry.Trace.buffer ->
+  ?phases:float array ->
   algorithm ->
   Problem.t ->
   result
@@ -120,12 +121,15 @@ val run :
     certificates on this path attribute only search-time eliminations.
     Ignored by LNS.
 
-    [trace], when given, receives request-scoped complete spans
-    ([compile], [filter_build], [descent]) for Chrome trace export;
-    the plain path pays only a [None] branch per phase boundary.  The
-    run also fills the [compile] / [filter_build] / [search] cells of
-    [telemetry.phases] either way (two clock reads per phase, off the
-    search hot path). *)
+    The run adds its [compile] / [filter_build] / [search] time to
+    the cells of [phases] (default: a fresh
+    {!Netembed_telemetry.Telemetry.Phase.make_timings} array), which
+    is returned as [telemetry.phases] — the service passes its
+    request's own array so one array carries the whole decomposition.
+    [trace], when given, also receives one span per timed phase, named
+    after it, from the same clock reads
+    ({!Netembed_telemetry.Telemetry.time_phase}); the plain path pays
+    only a [None] branch per phase boundary. *)
 
 val find_first : ?timeout:float -> algorithm -> Problem.t -> Mapping.t option
 (** Convenience wrapper: first feasible embedding, if found in time. *)

@@ -10,25 +10,7 @@
 module Attrs = Netembed_attr.Attrs
 module Value = Netembed_attr.Value
 module Ast = Netembed_expr.Ast
-
-let json_escape s =
-  if
-    String.exists
-      (fun c -> c = '"' || c = '\\' || Char.code c < 0x20)
-      s
-  then
-    String.concat ""
-      (List.map
-         (fun c ->
-           match c with
-           | '"' -> "\\\""
-           | '\\' -> "\\\\"
-           | '\n' -> "\\n"
-           | '\t' -> "\\t"
-           | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-           | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  else s
+module Telemetry = Netembed_telemetry.Telemetry
 
 (* ------------------------------------------------------------------ *)
 (* Causes                                                              *)
@@ -321,12 +303,12 @@ let near_miss_to_string m =
 
 let near_miss_to_json m =
   Printf.sprintf "{\"id\":%d,\"label\":\"%s\",\"satisfied\":%d,\"violated\":[%s]}" m.id
-    (json_escape m.label) m.satisfied
+    (Telemetry.json_escape m.label) m.satisfied
     (String.concat ","
        (List.map
           (fun (r, v) ->
             Printf.sprintf "{\"requirement\":\"%s\"%s}"
-              (json_escape (requirement_to_string r))
+              (Telemetry.json_escape (requirement_to_string r))
               (match v with Some v -> Printf.sprintf ",\"actual\":%g" v | None -> ""))
           m.violated))
 
@@ -407,36 +389,36 @@ module Certificate = struct
   let blamed_to_json (b : blamed) =
     Printf.sprintf
       "{\"node\":%d,\"label\":\"%s\",\"causes\":[%s],\"requirements\":[%s],\"near_misses\":[%s]}"
-      b.node (json_escape b.node_label)
+      b.node (Telemetry.json_escape b.node_label)
       (String.concat ","
          (List.map
             (fun (c, n) ->
               Printf.sprintf
                 "{\"cause\":\"%s\",\"detail\":\"%s\",\"eliminated\":%d}" (Cause.label c)
-                (json_escape (Cause.to_string c))
+                (Telemetry.json_escape (Cause.to_string c))
                 n)
             b.causes))
       (String.concat ","
          (List.map
-            (fun r -> Printf.sprintf "\"%s\"" (json_escape (requirement_to_string r)))
+            (fun r -> Printf.sprintf "\"%s\"" (Telemetry.json_escape (requirement_to_string r)))
             b.requirements))
       (String.concat "," (List.map near_miss_to_json b.near))
 
   let to_json t =
     Printf.sprintf
       "{\"verdict\":\"%s\",\"message\":\"%s\",\"blamed\":[%s]%s%s,\"flight\":[%s]}"
-      (json_escape t.verdict) (json_escape t.message)
+      (Telemetry.json_escape t.verdict) (Telemetry.json_escape t.message)
       (String.concat "," (List.map blamed_to_json t.blamed))
       (match t.hot_spot with
       | None -> ""
       | Some h ->
           Printf.sprintf
             ",\"hot_spot\":{\"depth\":%d,\"node\":%d,\"label\":\"%s\",\"backtracks\":%d,\"wipeouts\":%d}"
-            h.depth h.node (json_escape h.node_label) h.backtracks h.wipeouts)
+            h.depth h.node (Telemetry.json_escape h.node_label) h.backtracks h.wipeouts)
       (if t.notes = [] then ""
        else
          Printf.sprintf ",\"notes\":[%s]"
            (String.concat ","
-              (List.map (fun n -> Printf.sprintf "\"%s\"" (json_escape n)) t.notes)))
+              (List.map (fun n -> Printf.sprintf "\"%s\"" (Telemetry.json_escape n)) t.notes)))
       (String.concat "," (List.map Recorder.event_to_json t.flight))
 end

@@ -211,4 +211,3 @@ module Certificate : sig
   val to_json : t -> string
 end
 
-val json_escape : string -> string

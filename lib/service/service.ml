@@ -258,6 +258,16 @@ let record_phase_unlocked t phase seconds =
 let record_phase t phase seconds =
   with_state t (fun () -> record_phase_unlocked t phase seconds)
 
+(* Work outside any request (commit/release verbs, reply encoding)
+   still lands on its phase's series: time it into a scratch cell
+   array and record the cell. *)
+let timed t phase f =
+  let cells = Telemetry.Phase.make_timings () in
+  Fun.protect
+    (fun () -> Telemetry.time_phase cells phase f)
+    ~finally:(fun () ->
+      record_phase t phase cells.(Telemetry.Phase.index phase))
+
 (* Feed a request's filled timings array into the per-phase series.
    Phases the request never exercised (0.0 cells) are skipped, so each
    phase's window quantiles cover only requests that paid for it. *)
@@ -473,32 +483,21 @@ let reservation_guard = Expr.parse_exn "!rSource.reserved"
    everything else — verdict, telemetry snapshot, filter for the cache
    — is assembled to the engine's contract.  The per-domain registries
    are merged into [t.registry] by the scheduler itself. *)
-let submit_parallel t ?trace ~cached_filter ~(request : Request.t) problem =
+let submit_parallel t ?trace ~phases ~cached_filter ~(request : Request.t) problem =
   let evals_before = Problem.constraint_evals problem in
-  let phases = Telemetry.Phase.make_timings () in
-  let time_phase ph f =
-    let t0 = Unix.gettimeofday () in
-    Fun.protect f ~finally:(fun () ->
-        let i = Telemetry.Phase.index ph in
-        phases.(i) <- phases.(i) +. (Unix.gettimeofday () -. t0))
-  in
   let filter =
     match cached_filter with
     | Some f -> f
     | None ->
-        time_phase Telemetry.Phase.Compile (fun () ->
-            Telemetry.Trace.span_opt trace "compile" (fun () ->
-                Problem.prepare problem));
-        time_phase Telemetry.Phase.Filter_build (fun () ->
-            Telemetry.Trace.span_opt trace "filter_build" (fun () ->
-                Filter.build problem))
+        Telemetry.time_phase phases ?trace Telemetry.Phase.Compile (fun () ->
+            Problem.prepare problem);
+        Telemetry.time_phase phases ?trace Telemetry.Phase.Filter_build (fun () ->
+            Filter.build problem)
   in
   let stats =
-    time_phase Telemetry.Phase.Search (fun () ->
-        Telemetry.Trace.span_opt trace "descent" (fun () ->
-            Parallel.ecf_all_stats ~strategy:Parallel.Work_stealing
-              ~domains:t.domains ?timeout:request.Request.timeout ~filter
-              ~registry:t.registry ?trace problem))
+    Telemetry.time_phase phases ?trace Telemetry.Phase.Search (fun () ->
+        Parallel.ecf_all_stats ~strategy:Parallel.Work_stealing ~domains:t.domains
+          ?timeout:request.Request.timeout ~filter ~registry:t.registry ?trace problem)
   in
   let found = List.length stats.Parallel.mappings in
   let visited = Parallel.visited_total stats in
@@ -569,27 +568,22 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
      itself exists only for traced requests. *)
   let trace_id = Telemetry.Trace.fresh_id () in
   let tbuf = if trace then Some (Telemetry.Trace.create ~tid:0 ()) else None in
-  (* Service-side phase cells (parse / admission / cache_lookup /
-     ledger_commit); the engine fills its own cells on the snapshot and
-     the two sets are folded together once a result exists.  The
-     front-end's admission-queue wait is handed in ready-made: it was
-     over before this call began. *)
+  (* The request's phase cells: the service times parse / admission /
+     cache_lookup / ledger_commit into them and hands the same array to
+     the engine for compile / filter_build / search, so it comes back
+     as the result's [telemetry.phases] with the full decomposition.
+     The front-end's admission-queue wait is handed in ready-made: it
+     was over before this call began. *)
   let phases = Telemetry.Phase.make_timings () in
   if queue_wait > 0.0 then
     phases.(Telemetry.Phase.index Telemetry.Phase.Queue_wait) <- queue_wait;
-  let time_phase ph f =
-    let s0 = Unix.gettimeofday () in
-    Fun.protect f ~finally:(fun () ->
-        let i = Telemetry.Phase.index ph in
-        phases.(i) <- phases.(i) +. (Unix.gettimeofday () -. s0))
-  in
-  let finish ~phases:ph outcome =
+  let finish outcome =
     let dt_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
     let error = match outcome with Error _ -> true | Ok _ -> false in
     with_state t (fun () ->
         Telemetry.Histogram.observe t.latency_us dt_us;
         Telemetry.Windowed.observe t.request_seconds.(Telemetry.Phase.count) dt_us;
-        record_phases_unlocked t ph;
+        record_phases_unlocked t phases;
         if error then Telemetry.Counter.incr t.request_errors);
     Health.observe_request t.health
       ~latency_s:(float_of_int dt_us *. 1e-6)
@@ -612,11 +606,12 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
       }
   in
   match
-    time_phase Telemetry.Phase.Parse (fun () -> Request.parse_constraints request)
+    Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Parse (fun () ->
+        Request.parse_constraints request)
   with
   | Error m ->
       log_failure "error" m;
-      finish ~phases (Error m)
+      finish (Error m)
   | Ok (edge_constraint, node_constraint) -> (
       let node_constraint =
         match node_constraint with
@@ -627,7 +622,7 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
          total residual capacity cannot commit under any mapping —
          reject it before paying for a search. *)
       match
-        time_phase Telemetry.Phase.Admission (fun () ->
+        Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Admission (fun () ->
             with_model t (fun () ->
                 Ledger.admissible (Model.ledger t.model) ~query:request.Request.query))
       with
@@ -637,7 +632,7 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
               count_unsat t "admission");
           log_failure ~certificate:(admission_certificate t f) "admission"
             (Ledger.failure_to_string f);
-          finish ~phases (Error ("admission: " ^ Ledger.failure_to_string f))
+          finish (Error ("admission: " ^ Ledger.failure_to_string f))
       | Ok () -> (
           (* Embed against residual capacities: co-located tenants have
              already eaten into what constraints like
@@ -646,7 +641,8 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
              Snapshot and revision are read under one critical section
              so a concurrent allocation cannot slip between them. *)
           let host, revision =
-            time_phase Telemetry.Phase.Ledger_commit (fun () ->
+            Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Ledger_commit
+              (fun () ->
                 with_model t (fun () ->
                     (Model.residual_snapshot t.model, Model.revision t.model)))
           in
@@ -661,7 +657,8 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
              attribution) and the built filter + programs are stored
              afterwards; LNS filters lazily and bypasses the cache. *)
           let cache_key =
-            time_phase Telemetry.Phase.Cache_lookup (fun () ->
+            Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Cache_lookup
+              (fun () ->
                 match request.Request.algorithm with
                 | Engine.LNS -> None
                 | Engine.ECF | Engine.RWB ->
@@ -680,7 +677,8 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
              hits + misses = lookups holds exactly under concurrent
              submits. *)
           let cache_hit =
-            time_phase Telemetry.Phase.Cache_lookup (fun () ->
+            Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Cache_lookup
+              (fun () ->
                 match cache_key with
                 | None -> None
                 | Some key ->
@@ -703,7 +701,7 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
           with
           | exception Invalid_argument m ->
               log_failure "error" m;
-              finish ~phases (Error m)
+              finish (Error m)
           | problem ->
               let options =
                 {
@@ -718,17 +716,20 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
                 }
               in
               let result =
-                Telemetry.Span.with_span "service_submit" (fun () ->
-                    if
-                      t.domains > 1
-                      && request.Request.algorithm = Engine.ECF
-                      && request.Request.mode = Engine.All
-                    then submit_parallel t ?trace:tbuf ~cached_filter ~request problem
-                    else
-                      Engine.run ~options ?filter:cached_filter ?trace:tbuf
-                        request.Request.algorithm problem)
+                if
+                  t.domains > 1
+                  && request.Request.algorithm = Engine.ECF
+                  && request.Request.mode = Engine.All
+                then
+                  submit_parallel t ?trace:tbuf ~phases ~cached_filter ~request
+                    problem
+                else
+                  Engine.run ~options ?filter:cached_filter ?trace:tbuf ~phases
+                    request.Request.algorithm problem
               in
-              time_phase Telemetry.Phase.Ledger_commit (fun () ->
+              (* Storing the built filter is cache work, like the probe. *)
+              Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Cache_lookup
+                (fun () ->
                   match (cache_key, result.Engine.filter) with
                   | Some key, Some f ->
                       with_cache t (fun () ->
@@ -742,12 +743,6 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
                     (List.length result.Engine.mappings)
                     (Engine.outcome_name result.Engine.outcome));
               let verdict = Engine.verdict result in
-              (* Fold the service-side cells into the snapshot's array:
-                 from here on [result.telemetry.phases] is the
-                 request's full decomposition (the wire header, the
-                 exemplar entry and the windowed series all read it). *)
-              let rp = result.Engine.telemetry.Telemetry.phases in
-              Array.iteri (fun i v -> if v > 0.0 then rp.(i) <- rp.(i) +. v) phases;
               let slow = result.Engine.elapsed >= t.slow_threshold in
               (* A cache-warm request can be fast on the wall clock yet
                  spend nearly everything in the search; flag it when the
@@ -756,7 +751,7 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
                  don't flood the ring. *)
               let slow_search =
                 result.Engine.elapsed >= 0.1 *. t.slow_threshold
-                && rp.(Telemetry.Phase.index Telemetry.Phase.Search)
+                && phases.(Telemetry.Phase.index Telemetry.Phase.Search)
                    >= t.slow_search_share *. result.Engine.elapsed
               in
               (match tbuf with
@@ -793,14 +788,14 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
                           request_summary request verdict result.Engine.elapsed;
                         verdict;
                         elapsed = result.Engine.elapsed;
-                        phases = rp;
+                        phases;
                         slow_search;
                         certificate = result.Engine.report;
                       }
                   end);
               let revision = Model.revision t.model in
               Telemetry.Gauge.set t.model_revision (float_of_int revision);
-              finish ~phases:rp
+              finish
                 (Ok { id; trace_id; request; result; model_revision = revision; trace = tbuf })))
 
 let submit_with_relaxation t request ~steps ~factor =
@@ -819,20 +814,13 @@ let submit_with_relaxation t request ~steps ~factor =
 
 let stale_answer_error = "model changed since the answer was computed; re-submit the query"
 
-(* Commit/release work arriving as separate wire requests still lands
-   on the ledger_commit latency series. *)
-let timed_ledger_commit t f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect f ~finally:(fun () ->
-      record_phase t Telemetry.Phase.Ledger_commit (Unix.gettimeofday () -. t0))
-
 (* The stale-answer revision check and the commit/release must be one
    critical section: otherwise a monitor tick between check and commit
    books capacity against a model the answer never saw.  The allocation
    counters ride along under [model_lock] so the hammer test can assert
    accepted + rejected = attempts exactly. *)
 let allocate t answer mapping =
-  timed_ledger_commit t @@ fun () ->
+  timed t Telemetry.Phase.Ledger_commit @@ fun () ->
   with_model t @@ fun () ->
   if Model.revision t.model <> answer.model_revision then begin
     Telemetry.Counter.incr t.allocations_rejected;
@@ -851,7 +839,7 @@ let allocate t answer mapping =
   end
 
 let allocate_shared t answer mapping =
-  timed_ledger_commit t @@ fun () ->
+  timed t Telemetry.Phase.Ledger_commit @@ fun () ->
   with_model t @@ fun () ->
   if Model.revision t.model <> answer.model_revision then begin
     Telemetry.Counter.incr t.allocations_rejected;
@@ -868,7 +856,7 @@ let allocate_shared t answer mapping =
         Error m
 
 let free t id =
-  timed_ledger_commit t @@ fun () ->
+  timed t Telemetry.Phase.Ledger_commit @@ fun () ->
   with_model t @@ fun () ->
   let ok = Model.release_charge t.model id in
   if ok then refresh_utilization t;
@@ -886,7 +874,7 @@ let allocation_ids t =
    section with the counters, so migrations + failures = attempts holds
    exactly under concurrent callers. *)
 let migrate t id ~query mapping =
-  timed_ledger_commit t @@ fun () ->
+  timed t Telemetry.Phase.Ledger_commit @@ fun () ->
   with_model t @@ fun () ->
   match Model.migrate_charge t.model id ~query mapping with
   | Ok id' ->

@@ -166,14 +166,22 @@ val submit :
     [queue_wait] (default 0), the seconds the frame already spent in
     the front-end admission queue, is folded in as the [queue_wait]
     phase.  With [trace] (default false) the request additionally
-    records request-scoped spans — including per-frame spans from
-    parallel worker domains — into [answer.trace] for Chrome trace
-    export. *)
+    records request-scoped spans into [answer.trace] for Chrome trace
+    export: one per timed phase, named after it and read off the same
+    clock as its phase cell, plus the enclosing [request] span and the
+    per-frame spans of parallel worker domains. *)
 
 val record_phase : t -> Netembed_telemetry.Telemetry.Phase.t -> float -> unit
 (** Feed [seconds] into a phase's windowed summary and lifetime total —
-    the hook the wire server uses to stamp the [encode] phase, which
-    only exists after [submit] returns. *)
+    the hook the wire server uses to stamp the [queue_wait] of
+    body-less verbs, which never reach [submit]. *)
+
+val timed : t -> Netembed_telemetry.Telemetry.Phase.t -> (unit -> 'a) -> 'a
+(** [timed t phase f] runs [f] outside any request, times it with
+    {!Netembed_telemetry.Telemetry.time_phase} and {!record_phase}s the
+    seconds, exceptions included — how commit/release verbs land on
+    [ledger_commit] and the wire server stamps [encode], which only
+    exists after [submit] returns. *)
 
 val explain : t -> int -> entry option
 (** Look up a retained diagnostic entry by request id ([None] when the

@@ -1,7 +1,7 @@
-(* Metrics kernel.  Everything here is allocation-free after creation:
-   counters and gauges are single mutable cells, histogram observation
-   is a table lookup plus a few stores, span enter/exit writes into a
-   preallocated stack.  See telemetry.mli for the contract. *)
+(* Metrics kernel.  Metric updates are allocation-free after
+   creation: counters and gauges are single mutable cells, histogram
+   observation is a table lookup plus a few stores.  See telemetry.mli
+   for the contract. *)
 
 module Counter = struct
   type t = { mutable v : int }
@@ -159,109 +159,21 @@ module Histogram = struct
     !acc
 end
 
-module Span = struct
-  let max_depth = 64
-
-  (* Entries past the preallocated stack are not recorded; they must
-     not vanish silently either, so the overflow branch counts them
-     here and the default registry exposes the cell below. *)
-  let drops = Counter.make ()
-  let dropped () = Counter.value drops
-
-  type state = {
-    mutable out : out_channel option;
-    mutable t0 : float;
-    mutable depth : int;
-    mutable sample_every : int;
-    mutable events : int;
-    names : string array;
-    starts : float array;
-  }
-
-  let st =
-    {
-      out = None;
-      t0 = 0.0;
-      depth = 0;
-      sample_every = 1;
-      events = 0;
-      names = Array.make max_depth "";
-      starts = Array.make max_depth 0.0;
-    }
-
-  let enable oc =
-    st.out <- Some oc;
-    st.t0 <- Unix.gettimeofday ();
-    st.depth <- 0;
-    st.events <- 0
-
-  let disable () =
-    (match st.out with Some oc -> flush oc | None -> ());
-    st.out <- None;
-    st.depth <- 0
-
-  let enabled () = st.out <> None
-
-  let set_sample_every n =
-    if n < 1 then invalid_arg "Telemetry.Span.set_sample_every";
-    st.sample_every <- n
-
-  let now_us () = (Unix.gettimeofday () -. st.t0) *. 1e6
-
-  (* Span names come from code, not user input, but escape the two JSON
-     metacharacters anyway so a stray quote cannot corrupt the log. *)
-  let escape s =
-    if String.exists (fun c -> c = '"' || c = '\\') s then
-      String.concat ""
-        (List.map
-           (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-           (List.init (String.length s) (String.get s)))
-    else s
-
-  let enter name =
-    match st.out with
-    | None -> ()
-    | Some oc ->
-        let d = st.depth in
-        st.depth <- d + 1;
-        if d < max_depth then begin
-          let t = now_us () in
-          st.names.(d) <- name;
-          st.starts.(d) <- t;
-          Printf.fprintf oc "{\"ev\":\"enter\",\"span\":\"%s\",\"depth\":%d,\"t_us\":%.0f}\n"
-            (escape name) d t
-        end
-        else Counter.incr drops
-
-  let exit () =
-    match st.out with
-    | None -> ()
-    | Some oc ->
-        if st.depth > 0 then begin
-          let d = st.depth - 1 in
-          st.depth <- d;
-          if d < max_depth then begin
-            let t = now_us () in
-            Printf.fprintf oc
-              "{\"ev\":\"exit\",\"span\":\"%s\",\"depth\":%d,\"t_us\":%.0f,\"dur_us\":%.0f}\n"
-              (escape st.names.(d)) d t
-              (t -. st.starts.(d))
-          end
-        end
-
-  let event name =
-    match st.out with
-    | None -> ()
-    | Some oc ->
-        st.events <- st.events + 1;
-        if st.events mod st.sample_every = 0 then
-          Printf.fprintf oc "{\"ev\":\"event\",\"name\":\"%s\",\"t_us\":%.0f}\n"
-            (escape name) (now_us ())
-
-  let with_span name f =
-    enter name;
-    Fun.protect ~finally:exit f
-end
+(* The one JSON string escaper: quotes, backslashes and every control
+   character, so names and labels from any source stay valid JSON. *)
+let json_escape s =
+  if String.exists (fun c -> c = '"' || c = '\\' || Char.code c < 0x20) s then
+    String.concat ""
+      (List.map
+         (function
+           | '"' -> "\\\""
+           | '\\' -> "\\\\"
+           | '\n' -> "\\n"
+           | '\t' -> "\\t"
+           | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+           | c -> String.make 1 c)
+         (List.init (String.length s) (String.get s)))
+  else s
 
 module Phase = struct
   (* The fixed decomposition of one mapping request.  Indices are the
@@ -318,13 +230,12 @@ module Phase = struct
 end
 
 module Trace = struct
-  (* Request-scoped tracing.  Unlike [Span] (one process-global JSONL
-     stream), a trace buffer belongs to one request: the service
-     allocates it at submit, the engine and every parallel worker
-     append complete spans, and the merged buffer serializes to Chrome
-     trace_event JSON.  Buffers are single-writer; workers record into
-     their own buffer (tid = worker index) and the owner merges at
-     join, so no synchronization is needed. *)
+  (* Request-scoped tracing.  A trace buffer belongs to one request:
+     the service allocates it at submit, the engine and every parallel
+     worker append complete spans, and the merged buffer serializes to
+     Chrome trace_event JSON.  Buffers are single-writer; workers
+     record into their own buffer (tid = worker index) and the owner
+     merges at join, so no synchronization is needed. *)
 
   (* Trace ids are process-global and handed out with one atomic
      fetch-and-add so concurrent dispatchers can stamp requests without
@@ -398,13 +309,29 @@ module Trace = struct
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"netembed\",\"ph\":\"X\",\"ts\":%.1f,\"dur\":%.1f,\"pid\":%d,\"tid\":%d,\"args\":{\"trace_id\":%d}}"
-           (Span.escape e.name)
+           (json_escape e.name)
            (e.start_us -. t0)
            e.dur_us trace_id e.tid trace_id)
     done;
     Buffer.add_string buf "]}";
     Buffer.contents buf
 end
+
+(* The one request clock: a single pair of clock reads feeds both the
+   phase cell and, when the request is traced, a span with the same
+   start and duration — so the two views of a request cannot drift.
+   Exceptions still charge the time. *)
+let time_phase cells ?trace phase f =
+  let t0 = Unix.gettimeofday () in
+  Fun.protect f ~finally:(fun () ->
+      let dt = Unix.gettimeofday () -. t0 in
+      let i = Phase.index phase in
+      cells.(i) <- cells.(i) +. dt;
+      match trace with
+      | None -> ()
+      | Some b ->
+          Trace.add b ~name:(Phase.name phase) ~start_us:(t0 *. 1e6)
+            ~dur_us:(dt *. 1e6))
 
 module Windowed = struct
   (* A sliding-window histogram: a ring of [Histogram.t] slices, each
@@ -786,7 +713,7 @@ module Registry = struct
     let fields =
       List.map
         (fun e ->
-          let k = escape_label (key e.name e.labels) in
+          let k = json_escape (key e.name e.labels) in
           match e.metric with
           | Counter c -> Printf.sprintf "\"%s\":%d" k (Counter.value c)
           | Gauge g -> Printf.sprintf "\"%s\":%.17g" k (Gauge.value g)
@@ -798,13 +725,6 @@ module Registry = struct
 end
 
 let default_registry = Registry.create ()
-
-let () =
-  Registry.register default_registry
-    ~help:"Span-stack entries dropped past the preallocated depth limit"
-    "netembed_spans_dropped_total"
-    (fun () -> Registry.Counter Span.drops)
-    (fun _ -> ())
 
 type snapshot = {
   algorithm : string;

@@ -12,9 +12,10 @@
       value histograms backed by one preallocated int array per
       histogram; [observe] is a table lookup plus a handful of stores,
       so it is safe on the search hot path.
-    - {!Span}: lightweight span tracing ([enter]/[exit] over a
-      preallocated span stack) emitting a structured JSONL event log
-      when enabled, and collapsing to a single branch when disabled.
+    - {!Phase} / {!Trace} / {!time_phase}: the fixed request-phase
+      decomposition, request-scoped span buffers with Chrome
+      [trace_event] export, and the one clock that times a phase into
+      both.
     - {!Registry}: named, optionally labeled metrics with Prometheus
       text ({!Registry.to_prometheus}) and JSON ({!Registry.to_json})
       expositions, and cross-domain aggregation
@@ -127,50 +128,6 @@ module Histogram : sig
       non-empty buckets in ascending order. *)
 end
 
-(** {1 Span tracing} *)
-
-module Span : sig
-  val enable : out_channel -> unit
-  (** Start emitting JSONL events to the channel.  Each line is one of
-      [{"ev":"enter","span":S,"depth":D,"t_us":T}],
-      [{"ev":"exit","span":S,"depth":D,"t_us":T,"dur_us":US}] or
-      [{"ev":"event","name":S,"t_us":T}], with [t_us] microseconds
-      since [enable]. *)
-
-  val disable : unit -> unit
-  (** Stop emitting and flush.  The channel is not closed. *)
-
-  val enabled : unit -> bool
-
-  val set_sample_every : int -> unit
-  (** Emit only every [n]-th {!event} (spans are always emitted while
-      enabled) — the throttle for event storms such as all-matches
-      enumerations.  Default 1; [n < 1] is rejected. *)
-
-  val enter : string -> unit
-  (** Push a span.  A single branch when disabled; no allocation either
-      way (the span stack is preallocated, 64 levels deep; deeper
-      nesting is counted but not recorded — each unrecorded level
-      bumps {!dropped} and the [netembed_spans_dropped_total] counter
-      of {!val-default_registry}). *)
-
-  val exit : unit -> unit
-  (** Pop the current span, emitting its duration.  Unbalanced [exit]s
-      are ignored. *)
-
-  val event : string -> unit
-  (** Emit an instantaneous event (subject to the sampling rate). *)
-
-  val with_span : string -> (unit -> 'a) -> 'a
-  (** [with_span name f] = [enter name; f ()] with a guaranteed [exit]
-      on both return and exception. *)
-
-  val dropped : unit -> int
-  (** Spans entered past the preallocated stack depth and therefore not
-      recorded, since process start.  Also exposed as
-      [netembed_spans_dropped_total] in {!val-default_registry}. *)
-end
-
 (** {1 Request phases} *)
 
 module Phase : sig
@@ -180,7 +137,7 @@ module Phase : sig
   type t =
     | Parse  (** constraint parsing ([Request.parse_constraints]) *)
     | Admission  (** ledger admission check *)
-    | Cache_lookup  (** filter-cache invalidate + probe *)
+    | Cache_lookup  (** filter-cache invalidate, probe and insert *)
     | Filter_build  (** candidate-domain filter matrix build *)
     | Compile  (** constraint specialization + bytecode compilation *)
     | Search  (** the descent proper (sequential or work-stealing) *)
@@ -207,11 +164,10 @@ end
 (** {1 Request-scoped trace buffers} *)
 
 module Trace : sig
-  (** Per-request tracing.  Unlike {!Span} (one process-global JSONL
-      stream), a trace buffer belongs to a single request: the service
-      allocates it at submit, the engine and every parallel worker
-      append complete spans, and the merged buffer serializes to
-      Chrome [trace_event] JSON (open it in [chrome://tracing] or
+  (** Per-request tracing.  A trace buffer belongs to a single
+      request: the service allocates it at submit, the engine and
+      every parallel worker append complete spans, and the merged
+      buffer serializes to Chrome [trace_event] JSON (open it in [chrome://tracing] or
       Perfetto).  Buffers are single-writer: each worker domain
       records into its own buffer (tid = worker index) and the owner
       merges at join. *)
@@ -258,8 +214,18 @@ module Trace : sig
   (** Chrome [trace_event] JSON (object format, ["traceEvents"] array
       of ["ph":"X"] complete events).  [pid] and [args.trace_id] carry
       [trace_id], [tid] the recording worker; timestamps are shifted
-      to the earliest event. *)
+      to the earliest event.  Names go through {!json_escape}. *)
 end
+
+val time_phase :
+  float array -> ?trace:Trace.buffer -> Phase.t -> (unit -> 'a) -> 'a
+(** [time_phase cells ?trace phase f] runs [f] and adds its wall-clock
+    seconds to [cells.(Phase.index phase)]; with [trace] it also
+    appends a span named [Phase.name phase] with the same start and
+    duration (one pair of clock reads feeds both, so span durations
+    equal cell increments x 1e6).  Exceptions from [f] still charge
+    the time.  The only phase timer: the engine, the service and the
+    server all time their phases through it. *)
 
 (** {1 Sliding-window histograms} *)
 
@@ -310,6 +276,12 @@ module Windowed : sig
 end
 
 (** {1 Registries and exposition} *)
+
+val json_escape : string -> string
+(** Escape a string for embedding in a JSON string literal: double
+    quote, backslash, newline and tab get their two-character escapes,
+    the other control characters (below 0x20) a [\u00XX] escape, and
+    every other byte passes through unchanged. *)
 
 (** Registries are safe to use from multiple domains: registration,
     enumeration (the expositions) and {!Registry.merge_into} are

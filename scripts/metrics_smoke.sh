@@ -291,6 +291,9 @@ grep -q '"traceEvents"' "$WORK/chrome.json" \
   || { echo "FAIL: Chrome trace lacks traceEvents"; cat "$WORK/chrome.json"; exit 1; }
 grep -q '"trace_id"' "$WORK/chrome.json" \
   || { echo "FAIL: Chrome trace spans carry no trace id"; exit 1; }
+# Phases are timed into the trace under their own names.
+grep -q '"name":"search"' "$WORK/chrome.json" \
+  || { echo "FAIL: Chrome trace has no search phase span"; cat "$WORK/chrome.json"; exit 1; }
 cp "$WORK/chrome.json" "${CHROME_TRACE_OUT:-/dev/null}" 2>/dev/null || true
 
 exec 3>&-

@@ -815,13 +815,46 @@ let test_tracing_and_phases () =
         (fun ~name ~tid:_ ~start_us:_ ~dur_us:_ -> names := name :: !names)
         buf;
       check Alcotest.bool "request span present" true (List.mem "request" !names);
-      check Alcotest.bool "descent span present" true (List.mem "descent" !names);
-      match Wire.decode_answer (Wire.encode_answer a) with
+      check Alcotest.bool "search span present" true (List.mem "search" !names);
+      (match Wire.decode_answer (Wire.encode_answer a) with
       | Error m -> Alcotest.fail m
       | Ok d ->
           check (Alcotest.option Alcotest.int) "trace id on the wire"
             (Some a.Service.trace_id) d.Wire.trace_id;
-          check Alcotest.bool "phases on the wire" true (d.Wire.phases_ms <> []))
+          check Alcotest.bool "phases on the wire" true (d.Wire.phases_ms <> []));
+      (* Spans and phase cells come off one clock: on a cold cache the
+         compile / filter_build / search spans each last exactly their
+         cell's seconds x 1e6, sequentially and on the work-stealing
+         path alike. *)
+      List.iter
+        (fun domains ->
+          let svc =
+            Service.create ~domains
+              ~registry:(Telemetry.Registry.create ())
+              (Model.create (host ()))
+          in
+          match Service.submit ~trace:true svc request with
+          | Error m -> Alcotest.fail m
+          | Ok a ->
+              let buf = Option.get a.Service.trace in
+              let phases = a.Service.result.Engine.telemetry.Telemetry.phases in
+              List.iter
+                (fun phase ->
+                  let name = Telemetry.Phase.name phase in
+                  let durs = ref [] in
+                  Telemetry.Trace.iter
+                    (fun ~name:n ~tid:_ ~start_us:_ ~dur_us ->
+                      if n = name then durs := dur_us :: !durs)
+                    buf;
+                  let label = Printf.sprintf "domains=%d %s" domains name in
+                  match !durs with
+                  | [ dur_us ] ->
+                      check (Alcotest.float 1e-6) (label ^ " span = cell x 1e6")
+                        (phases.(Telemetry.Phase.index phase) *. 1e6)
+                        dur_us
+                  | l -> Alcotest.failf "%s: %d spans, expected 1" label (List.length l))
+                Telemetry.Phase.[ Compile; Filter_build; Search ])
+        [ 1; 2 ])
 
 let test_top_report_and_wire () =
   let module Telemetry = Netembed_telemetry.Telemetry in

@@ -3,7 +3,6 @@ module Counter = Telemetry.Counter
 module Gauge = Telemetry.Gauge
 module Histogram = Telemetry.Histogram
 module Registry = Telemetry.Registry
-module Span = Telemetry.Span
 module Stats = Netembed_workload.Stats
 module Graph = Netembed_graph.Graph
 module Attrs = Netembed_attr.Attrs
@@ -224,95 +223,25 @@ let test_json_exposition () =
     (json.[0] = '{' && json.[String.length json - 1] = '}')
 
 (* ------------------------------------------------------------------ *)
-(* Span tracing                                                        *)
+(* JSON string escaping                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_span_jsonl () =
-  let path = Filename.temp_file "netembed" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      Span.enable oc;
-      check Alcotest.bool "enabled" true (Span.enabled ());
-      Span.set_sample_every 2;
-      Span.with_span "outer" (fun () ->
-          Span.with_span "inner" (fun () -> ());
-          Span.event "solution";
-          (* sampled out *)
-          Span.event "solution" (* emitted *));
-      (* Exceptions still pop the span. *)
-      (try Span.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
-      Span.disable ();
-      Span.set_sample_every 1;
-      close_out oc;
-      check Alcotest.bool "disabled" false (Span.enabled ());
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
-      let count sub =
-        List.length
-          (List.filter
-             (fun l ->
-               let n = String.length sub in
-               let rec find i =
-                 i + n <= String.length l && (String.sub l i n = sub || find (i + 1))
-               in
-               find 0)
-             lines)
-      in
-      check Alcotest.int "enters" 3 (count "\"ev\":\"enter\"");
-      check Alcotest.int "exits" 3 (count "\"ev\":\"exit\"");
-      check Alcotest.int "events sampled 1-in-2" 1 (count "\"ev\":\"event\"");
-      check Alcotest.int "outer span named" 2 (count "\"span\":\"outer\"");
-      List.iter
-        (fun l ->
-          if String.length l < 2 || l.[0] <> '{' || l.[String.length l - 1] <> '}'
-          then Alcotest.failf "not a JSON object line: %s" l)
-        lines)
-
-(* Nesting past the preallocated 64-deep span stack must not crash or
-   corrupt — the overflow is counted on the drops counter (and the
-   default registry's netembed_spans_dropped_total). *)
-let test_span_stack_overflow_counted () =
-  let path = Filename.temp_file "netembed" ".jsonl" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () ->
-      Span.disable ();
-      close_out oc;
-      Sys.remove path)
-    (fun () ->
-      Span.enable oc;
-      let before = Span.dropped () in
-      let depth = 80 in
-      let rec descend n =
-        if n > 0 then Span.with_span "deep" (fun () -> descend (n - 1))
-      in
-      descend depth;
-      check Alcotest.int "levels past 64 counted as dropped" (depth - 64)
-        (Span.dropped () - before);
-      (* Balanced exits: a second run drops exactly the same amount, so
-         the stack pointer did not drift. *)
-      descend depth;
-      check Alcotest.int "no stack-pointer drift" (2 * (depth - 64))
-        (Span.dropped () - before));
-  let prometheus = Registry.to_prometheus Telemetry.default_registry in
-  let contains sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length prometheus
-      && (String.sub prometheus i n = sub || go (i + 1))
-    in
-    go 0
+let test_json_escape () =
+  let table =
+    [ "", ""
+    ; "plain ascii 42", "plain ascii 42"
+    ; "say \"hi\"", "say \\\"hi\\\""
+    ; "a\\b", "a\\\\b"
+    ; "line\nbreak", "line\\nbreak"
+    ; "tab\there", "tab\\there"
+    ; "ctl\x01", "ctl\\u0001"
+    ] [@ocamlformat "disable"]
   in
-  check Alcotest.bool "exposed in the default registry" true
-    (contains "netembed_spans_dropped_total")
+  List.iter
+    (fun (input, expected) ->
+      check Alcotest.string (String.escaped input) expected
+        (Telemetry.json_escape input))
+    table
 
 (* ------------------------------------------------------------------ *)
 (* Gauge merge (the parallel-join step)                                *)
@@ -652,12 +581,8 @@ let () =
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "json exposition" `Quick test_json_exposition;
         ] );
-      ( "span",
-        [
-          Alcotest.test_case "jsonl trace" `Quick test_span_jsonl;
-          Alcotest.test_case "stack overflow counted" `Quick
-            test_span_stack_overflow_counted;
-        ] );
+      ( "json",
+        [ Alcotest.test_case "json_escape table" `Quick test_json_escape ] );
       ( "gauge merge",
         [ Alcotest.test_case "takes source value" `Quick test_gauge_merge ] );
       ( "windowed",
