@@ -30,6 +30,7 @@ module Filter = Netembed_core.Filter
 module Query_gen = Netembed_workload.Query_gen
 module Figures = Netembed_workload.Figures
 module Ledger = Netembed_ledger.Ledger
+module Json = Netembed_telemetry.Json
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures (built once; the staged closures only search)       *)
@@ -292,79 +293,36 @@ let engine_gc_row name alg mode problem =
    breakdown and an estimated makespan — the critical path a multi-core
    run would pay, priced at this run's measured per-visit cost
    (makespan_est = wall_ms / visited_total * visited_max_domain). *)
-type sched_row = {
-  sched_name : string;
-  sched_strategy : string;
-  sched_domains : int;
-  sched_wall_ms : float;
-  sched_visited : int array;
-  sched_makespan_ms : float;
-  sched_steals : int;
-  sched_frames : int;
-  sched_found : int;
-}
-
-let sched_rows : sched_row list ref = ref []
+let sched_rows : Json.t list ref = ref []
 
 let bench_json_file = "BENCH_RESULTS.json"
 
+(* Rewrites only the keys this harness owns; the sections other tools
+   write into the same file (service_load, online_churn, the
+   hand-recorded runtime_ablation) are kept as data. *)
 let write_gc_json () =
-  let rows = List.rev !gc_rows in
-  (* Other tools own sections of the same file (the load generator
-     writes "service_load" and "runtime_ablation", the churn simulator
-     writes "online_churn"); carry them across our rewrite so the
-     tools can be run in any order without clobbering each other. *)
-  let foreign =
-    match Netembed_workload.Bench_io.read_file bench_json_file with
-    | None -> []
-    | Some doc ->
-        List.filter_map
-          (fun key ->
-            match Netembed_workload.Bench_io.extract_section doc ~key with
-            | None -> None
-            | Some text -> Some (key, text))
-          [ "service_load"; "runtime_ablation"; "online_churn" ]
+  let ms x = Json.Float (Json.round 3 x) in
+  let words x = Json.Int (Float.to_int (Float.round x)) in
+  let gc_row r =
+    Json.(Obj [ ("name", String r.row_name); ("ms", ms r.row_ms);
+                ("minor_words", words r.row_minor_words);
+                ("promoted_words", words r.row_promoted_words);
+                ("visited", Int r.row_visited); ("found", Int r.row_found);
+                ("minor_words_per_visit", Float (round 2 (words_per_visit r))) ])
   in
-  let oc = open_out bench_json_file in
-  Printf.fprintf oc "{\n  \"benches\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"ms\": %.3f, \"minor_words\": %.0f, \"promoted_words\": \
-         %.0f, \"visited\": %d, \"found\": %d, \"minor_words_per_visit\": %.2f}%s\n"
-        r.row_name r.row_ms r.row_minor_words r.row_promoted_words r.row_visited
-        r.row_found (words_per_visit r)
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  let srows = List.rev !sched_rows in
-  Printf.fprintf oc
-    "  \"scheduler_ablation_note\": \"wall_ms is measured on this machine (domains \
-     time-slice when cores are scarce); makespan_est_ms = wall_ms / visited_total * \
-     max(visited_by_domain) prices the critical path an unshared-core run would pay\",\n";
-  Printf.fprintf oc "  \"scheduler_ablation\": [\n";
-  let ns = List.length srows in
-  List.iteri
-    (fun i r ->
-      let total = Array.fold_left ( + ) 0 r.sched_visited in
-      let maxv = Array.fold_left max 0 r.sched_visited in
-      Printf.fprintf oc
-        "    {\"name\": %S, \"strategy\": %S, \"domains\": %d, \"wall_ms\": %.3f, \
-         \"visited_total\": %d, \"visited_max_domain\": %d, \"visited_by_domain\": [%s], \
-         \"makespan_est_ms\": %.3f, \"steals\": %d, \"frames\": %d, \"found\": %d}%s\n"
-        r.sched_name r.sched_strategy r.sched_domains r.sched_wall_ms total maxv
-        (String.concat ", " (Array.to_list (Array.map string_of_int r.sched_visited)))
-        r.sched_makespan_ms r.sched_steals r.sched_frames r.sched_found
-        (if i = ns - 1 then "" else ","))
-    srows;
-  Printf.fprintf oc "  ]";
-  List.iter
-    (fun (key, text) -> Printf.fprintf oc ",\n  %S: %s" key text)
-    foreign;
-  Printf.fprintf oc "\n}\n";
-  close_out oc;
-  Printf.printf "# Gc-aware rows written to %s\n\n" bench_json_file
+  let note =
+    "wall_ms is measured on this machine (domains time-slice when cores are scarce); \
+     makespan_est_ms = wall_ms / visited_total * max(visited_by_domain) prices the critical \
+     path an unshared-core run would pay"
+  in
+  match
+    Json.update_file bench_json_file
+      [ ("benches", Json.List (List.rev_map gc_row !gc_rows));
+        ("scheduler_ablation_note", Json.String note);
+        ("scheduler_ablation", Json.List (List.rev !sched_rows)) ]
+  with
+  | Ok () -> Printf.printf "# Gc-aware rows written to %s\n\n" bench_json_file
+  | Error e -> prerr_endline ("bench: " ^ e); exit 1
 
 (* The representation ablation proper: old sorted-array candidate sets
    vs bitset scratch domains on the same all-matches ECF enumeration.
@@ -670,17 +628,15 @@ let scheduling_ablation () =
           in
           Hashtbl.replace makespans (sname, domains) makespan;
           sched_rows :=
-            {
-              sched_name = "scheduler/skewed_star5";
-              sched_strategy = sname;
-              sched_domains = domains;
-              sched_wall_ms = wall_ms;
-              sched_visited = visited;
-              sched_makespan_ms = makespan;
-              sched_steals = st.Netembed_parallel.Parallel.steals;
-              sched_frames = st.Netembed_parallel.Parallel.frames;
-              sched_found = List.length st.Netembed_parallel.Parallel.mappings;
-            }
+            Json.(Obj [ ("name", String "scheduler/skewed_star5"); ("strategy", String sname);
+                        ("domains", Int domains); ("wall_ms", Float (round 3 wall_ms));
+                        ("visited_total", Int total); ("visited_max_domain", Int maxv);
+                        ("visited_by_domain",
+                         List (Array.to_list (Array.map (fun v -> Int v) visited)));
+                        ("makespan_est_ms", Float (round 3 makespan));
+                        ("steals", Int st.Netembed_parallel.Parallel.steals);
+                        ("frames", Int st.Netembed_parallel.Parallel.frames);
+                        ("found", Int (List.length st.Netembed_parallel.Parallel.mappings)) ])
             :: !sched_rows;
           Printf.printf
             "  %-14s domains=%d  wall %8.1f ms  visited %7d (max share %7d)  \
@@ -836,6 +792,24 @@ let ledger_churn () =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The representation ablation, the Gc-aware engine rows, ledger
+   churn, the scheduler ablation and the filter cache, then the
+   BENCH_RESULTS.json rewrite: Part 1a of the full run, and all of
+   --ablation-only. *)
+let ablation_suite () =
+  representation_ablation ();
+  evaluator_ablation ();
+  explain_ablation ();
+  trace_ablation ();
+  ignore (engine_gc_row "fig8/ecf_all_n20+gc" Engine.ECF Engine.All (Lazy.force pl_subgraph_problem));
+  ignore (engine_gc_row "fig8/rwb_first_n20+gc" Engine.RWB Engine.First (Lazy.force pl_subgraph_problem));
+  ignore (engine_gc_row "fig8/lns_first_n20+gc" Engine.LNS Engine.First (Lazy.force pl_subgraph_problem));
+  ignore (engine_gc_row "fig13/ecf_all_clique6+gc" Engine.ECF Engine.All (Lazy.force clique_problem));
+  ledger_churn ();
+  scheduling_ablation ();
+  filter_cache_bench ();
+  write_gc_json ()
+
 let () =
   let micro_only = Array.exists (fun a -> a = "--micro-only") Sys.argv in
   (* --ablation-only: the representation ablation, Gc-aware rows and
@@ -845,18 +819,7 @@ let () =
   let ablation_only = Array.exists (fun a -> a = "--ablation-only") Sys.argv in
   let t0 = Unix.gettimeofday () in
   if ablation_only then begin
-    representation_ablation ();
-    evaluator_ablation ();
-    explain_ablation ();
-    trace_ablation ();
-    ignore (engine_gc_row "fig8/ecf_all_n20+gc" Engine.ECF Engine.All (Lazy.force pl_subgraph_problem));
-    ignore (engine_gc_row "fig8/rwb_first_n20+gc" Engine.RWB Engine.First (Lazy.force pl_subgraph_problem));
-    ignore (engine_gc_row "fig8/lns_first_n20+gc" Engine.LNS Engine.First (Lazy.force pl_subgraph_problem));
-    ignore (engine_gc_row "fig13/ecf_all_clique6+gc" Engine.ECF Engine.All (Lazy.force clique_problem));
-    ledger_churn ();
-    scheduling_ablation ();
-    filter_cache_bench ();
-    write_gc_json ();
+    ablation_suite ();
     Printf.printf "# bench complete in %.1f s\n" (Unix.gettimeofday () -. t0);
     exit 0
   end;
@@ -881,18 +844,7 @@ let () =
     tests;
   Printf.printf "\n";
   (* Part 1a: the representation ablation and Gc-aware engine rows. *)
-  representation_ablation ();
-  evaluator_ablation ();
-  explain_ablation ();
-  trace_ablation ();
-  ignore (engine_gc_row "fig8/ecf_all_n20+gc" Engine.ECF Engine.All (Lazy.force pl_subgraph_problem));
-  ignore (engine_gc_row "fig8/rwb_first_n20+gc" Engine.RWB Engine.First (Lazy.force pl_subgraph_problem));
-  ignore (engine_gc_row "fig8/lns_first_n20+gc" Engine.LNS Engine.First (Lazy.force pl_subgraph_problem));
-  ignore (engine_gc_row "fig13/ecf_all_clique6+gc" Engine.ECF Engine.All (Lazy.force clique_problem));
-  ledger_churn ();
-  scheduling_ablation ();
-  filter_cache_bench ();
-  write_gc_json ();
+  ablation_suite ();
   (* Part 1b: multicore speedup table.  The instance must be
      search-dominated for root partitioning to pay: a clique's
      all-matches enumeration is, a subgraph query's filter-heavy run

@@ -19,11 +19,11 @@
 
    Each (workers, rate) trial reports sent/completed/rejected/errors,
    sustained req/s and p50/p95/p99 reply latency; rows are printed as
-   JSON and, with --json FILE, spliced into the file's top-level
-   "service_load" section (the bench harness preserves it).  --strict
+   JSON and, with --json FILE, written as the file's top-level
+   "service_load" section (other sections are kept).  --strict
    exits nonzero on any protocol error — the CI smoke gate. *)
 
-module Bench_io = Netembed_workload.Bench_io
+module Json = Netembed_telemetry.Json
 
 (* ------------------------------------------------------------------ *)
 (* Seeded query mix                                                    *)
@@ -368,19 +368,14 @@ let run_trial ~host ~port ~workers ~rate ~connections ~duration =
   }
 
 let row_json r =
-  let phases =
-    String.concat ", "
-      (List.map
-         (fun (name, v) -> Printf.sprintf "\"%s\": %.3f" name v)
-         r.phase_mean_ms)
-  in
-  Printf.sprintf
-    "{\"workers\": %d, \"rate\": %.1f, \"connections\": %d, \"duration_s\": %.1f, \
-     \"sent\": %d, \"completed\": %d, \"rejected\": %d, \"errors\": %d, \
-     \"sustained_rps\": %.1f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, \
-     \"phase_mean_ms\": {%s}}"
-    r.workers r.rate r.connections r.duration_s r.sent r.completed r.rejected
-    r.errors r.sustained_rps r.p50_ms r.p95_ms r.p99_ms phases
+  let ms x = Json.Float (Json.round 3 x) in
+  Json.(Obj [ ("workers", Int r.workers); ("rate", Float r.rate);
+              ("connections", Int r.connections); ("duration_s", Float r.duration_s);
+              ("sent", Int r.sent); ("completed", Int r.completed);
+              ("rejected", Int r.rejected); ("errors", Int r.errors);
+              ("sustained_rps", Float (round 1 r.sustained_rps));
+              ("p50_ms", ms r.p50_ms); ("p95_ms", ms r.p95_ms); ("p99_ms", ms r.p99_ms);
+              ("phase_mean_ms", Obj (List.map (fun (name, v) -> (name, ms v)) r.phase_mean_ms)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Spawning the server under test                                      *)
@@ -455,7 +450,7 @@ let () =
        "SEC GC sampler interval for spawned servers, 0 disables (default 1; \
         the runtime-ablation knob)");
       ("--json", Arg.Set_string json_file,
-       "FILE splice the rows into FILE's top-level service_load section");
+       "FILE write the rows as FILE's top-level service_load section");
       ("--strict", Arg.Set strict, " exit 1 on any protocol error (CI gate)");
     ]
   in
@@ -480,7 +475,8 @@ let () =
           run_trial ~host ~port ~workers ~rate ~connections:!connections
             ~duration:!duration
         in
-        Printf.printf "%s\n%!" (row_json row);
+        print_string (Json.to_document (row_json row));
+        flush stdout;
         rows := row :: !rows)
       rate_list
   in
@@ -504,23 +500,18 @@ let () =
           prerr_endline "netembed_loadgen: --connect expects HOST:PORT";
           exit 2));
   let rows = List.rev !rows in
-  let section =
-    Printf.sprintf
-      "{\n\
-      \    \"note\": \"open-loop fixed-arrival-rate trials over the TCP \
-       front-end; rejected counts backpressure sheds, not failures; the \
-       saturation knee is where p99 departs p50 across the rate sweep\",\n\
-      \    \"rows\": [\n%s\n    ]\n  }"
-      (String.concat ",\n"
-         (List.map (fun r -> "      " ^ row_json r) rows))
-  in
   if !json_file <> "" then begin
-    let doc =
-      match Bench_io.read_file !json_file with Some d -> d | None -> "{\n}\n"
+    let note =
+      "open-loop fixed-arrival-rate trials over the TCP front-end; rejected counts \
+       backpressure sheds, not failures; the saturation knee is where p99 departs p50 \
+       across the rate sweep"
     in
-    Bench_io.write_file !json_file
-      (Bench_io.splice_section doc ~key:"service_load" ~value:section);
-    Printf.printf "# service_load section written to %s\n%!" !json_file
+    let section = Json.(Obj [ ("note", String note); ("rows", List (List.map row_json rows)) ]) in
+    match Json.update_file !json_file [ ("service_load", section) ] with
+    | Ok () -> Printf.printf "# service_load section written to %s\n%!" !json_file
+    | Error e ->
+        prerr_endline ("netembed_loadgen: " ^ e);
+        exit 1
   end;
   let total_errors = List.fold_left (fun a r -> a + r.errors) 0 rows in
   let total_completed = List.fold_left (fun a r -> a + r.completed) 0 rows in

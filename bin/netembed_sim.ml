@@ -16,7 +16,7 @@
 
 module Sim = Netembed_simulate.Sim
 module Regular = Netembed_topology.Regular
-module Bench_io = Netembed_workload.Bench_io
+module Json = Netembed_telemetry.Json
 
 let substrate_of_spec spec nodes =
   let shape =
@@ -36,47 +36,46 @@ let substrate_of_spec spec nodes =
 
 let float_list s = List.map float_of_string (String.split_on_char ',' s)
 
-let curve_json stats =
-  String.concat ", "
-    (List.map
-       (fun s ->
-         let cpu =
-           match
-             List.find_opt
-               (fun (r, k, _) -> r = "cpuMhz" && k = "node")
-               s.Sim.s_utilization
-           with
-           | Some (_, _, u) -> u
-           | None -> 0.0
-         in
-         Printf.sprintf
-           "{\"t\": %g, \"arrivals\": %d, \"accepts\": %d, \"rejects\": %d, \
-            \"active\": %d, \"acceptance_rate\": %.4f, \"fragmentation\": \
-            %.4f, \"cpu_utilization\": %.4f}"
-           s.Sim.s_time s.Sim.s_arrivals s.Sim.s_accepts s.Sim.s_rejects
-           s.Sim.s_active
-           (if s.Sim.s_arrivals = 0 then 0.0
-            else float_of_int s.Sim.s_accepts /. float_of_int s.Sim.s_arrivals)
-           s.Sim.s_fragmentation cpu)
-       stats.Sim.samples)
+(* Rates and fractions mean nothing past four decimals. *)
+let ratio x = Json.Float (Json.round 4 x)
 
-let row_json cfg (stats : Sim.stats) =
-  Printf.sprintf
-    "{\"policy\": \"%s\", \"rate\": %g, \"seed\": %d, \"arrivals\": %d, \
-     \"accepts\": %d, \"rejects\": %d, \"retry_accepts\": %d, \"departures\": \
-     %d, \"migrations\": %d, \"migration_failures\": %d, \"defrag_passes\": \
-     %d, \"acceptance_rate\": %.4f, \"revenue_acceptance\": %.4f, \
-     \"mean_cpu_utilization\": %.4f, \"peak_fragmentation\": %.4f, \
-     \"mean_fragmentation\": %.4f, \"final_fragmentation\": %.4f, \
-     \"invariant_violations\": %d, \"acceptance_curve\": [%s]}"
-    (Sim.policy_name cfg.Sim.policy)
-    cfg.Sim.arrival_rate cfg.Sim.seed stats.Sim.arrivals stats.Sim.accepts
-    stats.Sim.rejects stats.Sim.retry_accepts stats.Sim.departures
-    stats.Sim.migrations stats.Sim.migration_failures stats.Sim.defrag_passes
-    stats.Sim.acceptance_rate stats.Sim.revenue_acceptance
-    stats.Sim.mean_cpu_utilization stats.Sim.peak_fragmentation
-    stats.Sim.mean_fragmentation stats.Sim.final_fragmentation
-    stats.Sim.invariant_violations (curve_json stats)
+let curve_json stats =
+  List.map
+    (fun s ->
+      let cpu =
+        match
+          List.find_opt (fun (r, k, _) -> r = "cpuMhz" && k = "node") s.Sim.s_utilization
+        with
+        | Some (_, _, u) -> u
+        | None -> 0.0
+      in
+      let accepted =
+        if s.Sim.s_arrivals = 0 then 0.0
+        else float_of_int s.Sim.s_accepts /. float_of_int s.Sim.s_arrivals
+      in
+      Json.(Obj [ ("t", Float s.Sim.s_time); ("arrivals", Int s.Sim.s_arrivals);
+                  ("accepts", Int s.Sim.s_accepts); ("rejects", Int s.Sim.s_rejects);
+                  ("active", Int s.Sim.s_active); ("acceptance_rate", ratio accepted);
+                  ("fragmentation", ratio s.Sim.s_fragmentation);
+                  ("cpu_utilization", ratio cpu) ]))
+    stats.Sim.samples
+
+let row_json cfg (st : Sim.stats) =
+  Json.(Obj [ ("policy", String (Sim.policy_name cfg.Sim.policy));
+              ("rate", Float cfg.Sim.arrival_rate); ("seed", Int cfg.Sim.seed);
+              ("arrivals", Int st.arrivals); ("accepts", Int st.accepts);
+              ("rejects", Int st.rejects); ("retry_accepts", Int st.retry_accepts);
+              ("departures", Int st.departures); ("migrations", Int st.migrations);
+              ("migration_failures", Int st.migration_failures);
+              ("defrag_passes", Int st.defrag_passes);
+              ("acceptance_rate", ratio st.acceptance_rate);
+              ("revenue_acceptance", ratio st.revenue_acceptance);
+              ("mean_cpu_utilization", ratio st.mean_cpu_utilization);
+              ("peak_fragmentation", ratio st.peak_fragmentation);
+              ("mean_fragmentation", ratio st.mean_fragmentation);
+              ("final_fragmentation", ratio st.final_fragmentation);
+              ("invariant_violations", Int st.invariant_violations);
+              ("acceptance_curve", List (curve_json st)) ])
 
 let main () =
   let d = Sim.default_config in
@@ -155,7 +154,7 @@ let main () =
        "N service worker domains (default 1; results are domain-count \
         independent)");
       ("--json", Arg.Set_string json_file,
-       "FILE splice the rows into FILE's top-level online_churn section");
+       "FILE write the rows as FILE's top-level online_churn section");
       ("--events", Arg.Set events, " print the full deterministic event log");
       ("--quiet", Arg.Set quiet, " suppress the per-run summary blocks");
       ("--strict", Arg.Set strict,
@@ -229,28 +228,22 @@ let main () =
     rate_list;
   let rows = List.rev !rows in
   if !json_file <> "" then begin
-    let section =
+    let note =
       Printf.sprintf
-        "{\n\
-        \    \"note\": \"seeded online churn: Poisson arrivals, Zipf sizes, \
-         bounded-Pareto holds over a capacitated %s-%d substrate; \
-         acceptance_curve samples every %gs of virtual time; \
-         defrag_threshold re-homes victims through atomic ledger \
-         migration\",\n\
-        \    \"substrate\": \"%s-%d\",\n\
-        \    \"horizon_s\": %g,\n\
-        \    \"seed\": %d,\n\
-        \    \"rows\": [\n%s\n    ]\n  }"
-        !substrate !nodes !sample_every !substrate !nodes !horizon !seed
-        (String.concat ",\n"
-           (List.map (fun (cfg, stats) -> "      " ^ row_json cfg stats) rows))
+        "seeded online churn: Poisson arrivals, Zipf sizes, bounded-Pareto holds over a \
+         capacitated %s-%d substrate; acceptance_curve samples every %gs of virtual time; \
+         defrag_threshold re-homes victims through atomic ledger migration"
+        !substrate !nodes !sample_every
     in
-    let doc =
-      match Bench_io.read_file !json_file with Some c -> c | None -> "{\n}\n"
+    let section =
+      Json.(Obj [ ("note", String note);
+                  ("substrate", String (Printf.sprintf "%s-%d" !substrate !nodes));
+                  ("horizon_s", Float !horizon); ("seed", Int !seed);
+                  ("rows", List (List.map (fun (cfg, st) -> row_json cfg st) rows)) ])
     in
-    Bench_io.write_file !json_file
-      (Bench_io.splice_section doc ~key:"online_churn" ~value:section);
-    Printf.printf "# online_churn section written to %s\n%!" !json_file
+    match Json.update_file !json_file [ ("online_churn", section) ] with
+    | Ok () -> Printf.printf "# online_churn section written to %s\n%!" !json_file
+    | Error e -> failwith e
   end;
   if !strict && !failed then exit 1
 

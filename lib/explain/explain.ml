@@ -10,7 +10,7 @@
 module Attrs = Netembed_attr.Attrs
 module Value = Netembed_attr.Value
 module Ast = Netembed_expr.Ast
-module Telemetry = Netembed_telemetry.Telemetry
+module Json = Netembed_telemetry.Json
 
 (* ------------------------------------------------------------------ *)
 (* Causes                                                              *)
@@ -175,19 +175,10 @@ module Recorder = struct
           size = t.sizes.(i);
         })
 
-  let event_to_json e =
-    Printf.sprintf "{\"seq\":%d,\"ev\":\"%s\",\"depth\":%d%s%s}" e.seq
-      (kind_name e.kind) e.depth
-      (if e.host >= 0 then Printf.sprintf ",\"host\":%d" e.host else "")
-      (match e.kind with
-      | Visit -> Printf.sprintf ",\"domain_size\":%d" e.size
-      | Wipeout | Backtrack | Solution -> "")
-
-  let to_json t =
-    Printf.sprintf
-      "{\"recorded\":%d,\"capacity\":%d,\"sample_every\":%d,\"events\":[%s]}"
-      t.recorded t.capacity t.sample_every
-      (String.concat "," (List.map event_to_json (events t)))
+  let event_json e =
+    Json.(Obj ([ ("seq", Int e.seq); ("ev", String (kind_name e.kind)); ("depth", Int e.depth) ]
+               @ (if e.host >= 0 then [ ("host", Int e.host) ] else [])
+               @ if e.kind = Visit then [ ("domain_size", Int e.size) ] else []))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -301,16 +292,13 @@ let near_miss_to_string m =
             | None -> Printf.sprintf "needs %s, attribute missing" (requirement_to_string r))
           m.violated))
 
-let near_miss_to_json m =
-  Printf.sprintf "{\"id\":%d,\"label\":\"%s\",\"satisfied\":%d,\"violated\":[%s]}" m.id
-    (Telemetry.json_escape m.label) m.satisfied
-    (String.concat ","
-       (List.map
-          (fun (r, v) ->
-            Printf.sprintf "{\"requirement\":\"%s\"%s}"
-              (Telemetry.json_escape (requirement_to_string r))
-              (match v with Some v -> Printf.sprintf ",\"actual\":%g" v | None -> ""))
-          m.violated))
+let near_miss_json m =
+  let violated (r, v) =
+    Json.(Obj (("requirement", String (requirement_to_string r))
+               :: Option.to_list (Option.map (fun v -> ("actual", Float v)) v)))
+  in
+  Json.(Obj [ ("id", Int m.id); ("label", String m.label); ("satisfied", Int m.satisfied);
+              ("violated", List (List.map violated m.violated)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Certificates                                                        *)
@@ -386,39 +374,27 @@ module Certificate = struct
            (List.length t.flight));
     Buffer.contents buf
 
-  let blamed_to_json (b : blamed) =
-    Printf.sprintf
-      "{\"node\":%d,\"label\":\"%s\",\"causes\":[%s],\"requirements\":[%s],\"near_misses\":[%s]}"
-      b.node (Telemetry.json_escape b.node_label)
-      (String.concat ","
-         (List.map
-            (fun (c, n) ->
-              Printf.sprintf
-                "{\"cause\":\"%s\",\"detail\":\"%s\",\"eliminated\":%d}" (Cause.label c)
-                (Telemetry.json_escape (Cause.to_string c))
-                n)
-            b.causes))
-      (String.concat ","
-         (List.map
-            (fun r -> Printf.sprintf "\"%s\"" (Telemetry.json_escape (requirement_to_string r)))
-            b.requirements))
-      (String.concat "," (List.map near_miss_to_json b.near))
+  let blamed_json (b : blamed) =
+    let cause (c, n) =
+      Json.(Obj [ ("cause", String (Cause.label c)); ("detail", String (Cause.to_string c));
+                  ("eliminated", Int n) ])
+    in
+    Json.(Obj [ ("node", Int b.node); ("label", String b.node_label);
+                ("causes", List (List.map cause b.causes));
+                ("requirements",
+                 List (List.map (fun r -> String (requirement_to_string r)) b.requirements));
+                ("near_misses", List (List.map near_miss_json b.near)) ])
+
+  let hot_spot_json h =
+    Json.(Obj [ ("depth", Int h.depth); ("node", Int h.node); ("label", String h.node_label);
+                ("backtracks", Int h.backtracks); ("wipeouts", Int h.wipeouts) ])
 
   let to_json t =
-    Printf.sprintf
-      "{\"verdict\":\"%s\",\"message\":\"%s\",\"blamed\":[%s]%s%s,\"flight\":[%s]}"
-      (Telemetry.json_escape t.verdict) (Telemetry.json_escape t.message)
-      (String.concat "," (List.map blamed_to_json t.blamed))
-      (match t.hot_spot with
-      | None -> ""
-      | Some h ->
-          Printf.sprintf
-            ",\"hot_spot\":{\"depth\":%d,\"node\":%d,\"label\":\"%s\",\"backtracks\":%d,\"wipeouts\":%d}"
-            h.depth h.node (Telemetry.json_escape h.node_label) h.backtracks h.wipeouts)
-      (if t.notes = [] then ""
-       else
-         Printf.sprintf ",\"notes\":[%s]"
-           (String.concat ","
-              (List.map (fun n -> Printf.sprintf "\"%s\"" (Telemetry.json_escape n)) t.notes)))
-      (String.concat "," (List.map Recorder.event_to_json t.flight))
+    let hot_spot = Option.map (fun h -> ("hot_spot", hot_spot_json h)) t.hot_spot in
+    Json.(to_string (Obj ([ ("verdict", String t.verdict); ("message", String t.message);
+                            ("blamed", List (List.map blamed_json t.blamed)) ]
+                          @ Option.to_list hot_spot
+                          @ (if t.notes = [] then []
+                             else [ ("notes", List (List.map (fun n -> String n) t.notes)) ])
+                          @ [ ("flight", List (List.map Recorder.event_json t.flight)) ])))
 end

@@ -112,9 +112,6 @@ module Recorder : sig
 
   val events : t -> event list
   (** Retained events, oldest first. *)
-
-  val event_to_json : event -> string
-  val to_json : t -> string
 end
 
 (** {1 Requirements and near misses} *)
@@ -160,7 +157,6 @@ val near_misses :
     lines of a certificate. *)
 
 val near_miss_to_string : near_miss -> string
-val near_miss_to_json : near_miss -> string
 
 (** {1 Failure certificates} *)
 

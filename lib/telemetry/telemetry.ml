@@ -159,22 +159,6 @@ module Histogram = struct
     !acc
 end
 
-(* The one JSON string escaper: quotes, backslashes and every control
-   character, so names and labels from any source stay valid JSON. *)
-let json_escape s =
-  if String.exists (fun c -> c = '"' || c = '\\' || Char.code c < 0x20) s then
-    String.concat ""
-      (List.map
-         (function
-           | '"' -> "\\\""
-           | '\\' -> "\\\\"
-           | '\n' -> "\\n"
-           | '\t' -> "\\t"
-           | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-           | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  else s
-
 module Phase = struct
   (* The fixed decomposition of one mapping request.  Indices are the
      layout of [snapshot.phases] and of the service's per-phase
@@ -301,20 +285,13 @@ module Trace = struct
       if b.events.(i).start_us < !t0 then t0 := b.events.(i).start_us
     done;
     let t0 = if b.len = 0 then 0.0 else !t0 in
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf "{\"traceEvents\":[";
-    for i = 0 to b.len - 1 do
-      let e = b.events.(i) in
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"netembed\",\"ph\":\"X\",\"ts\":%.1f,\"dur\":%.1f,\"pid\":%d,\"tid\":%d,\"args\":{\"trace_id\":%d}}"
-           (json_escape e.name)
-           (e.start_us -. t0)
-           e.dur_us trace_id e.tid trace_id)
-    done;
-    Buffer.add_string buf "]}";
-    Buffer.contents buf
+    let event e =
+      Json.(Obj [ ("name", String e.name); ("cat", String "netembed"); ("ph", String "X");
+                  ("ts", Float (round 1 (e.start_us -. t0))); ("dur", Float (round 1 e.dur_us));
+                  ("pid", Int trace_id); ("tid", Int e.tid);
+                  ("args", Obj [ ("trace_id", Int trace_id) ]) ])
+    in
+    Json.(to_string (Obj [ ("traceEvents", List (List.init b.len (fun i -> event b.events.(i)))) ]))
 end
 
 (* The one request clock: a single pair of clock reads feeds both the
@@ -669,59 +646,34 @@ module Registry = struct
       grouped;
     Buffer.contents buf
 
+  let quantiles quantile =
+    Array.to_list (Array.map (fun (q, key) -> (key, Json.Float (quantile q))) report_quantiles)
+
   let histogram_json h =
-    let buckets =
-      List.rev
-        (Histogram.fold_nonzero
-           (fun upper occupancy acc ->
-             Printf.sprintf "[%s,%d]"
-               (if upper = max_int then "\"+Inf\"" else string_of_int upper)
-               occupancy
-             :: acc)
-           h [])
+    let bucket upper occupancy acc =
+      Json.(List [ (if upper = max_int then String "+Inf" else Int upper); Int occupancy ]) :: acc
     in
-    let quantiles =
-      String.concat ","
-        (Array.to_list
-           (Array.map
-              (fun (q, key) ->
-                Printf.sprintf "\"%s\":%.0f" key (Histogram.quantile h q))
-              report_quantiles))
-    in
-    Printf.sprintf "{\"count\":%d,\"sum\":%d,\"max\":%d,%s,\"buckets\":[%s]}"
-      (Histogram.count h) (Histogram.sum h) (Histogram.max_observed h)
-      quantiles
-      (String.concat "," buckets)
+    Json.(Obj ([ ("count", Int (Histogram.count h)); ("sum", Int (Histogram.sum h));
+                 ("max", Int (Histogram.max_observed h)) ]
+               @ quantiles (Histogram.quantile h)
+               @ [ ("buckets", List (List.rev (Histogram.fold_nonzero bucket h []))) ]))
 
   let windowed_json w =
-    let m = Windowed.merged w in
-    let sc = Windowed.scale w in
-    let quantiles =
-      String.concat ","
-        (Array.to_list
-           (Array.map
-              (fun (q, key) ->
-                Printf.sprintf "\"%s\":%.9g" key (Histogram.quantile m q *. sc))
-              report_quantiles))
-    in
-    Printf.sprintf "{\"count\":%d,\"sum\":%.9g,%s,\"window_s\":%g}"
-      (Histogram.count m)
-      (float_of_int (Histogram.sum m) *. sc)
-      quantiles (Windowed.window w)
+    let m = Windowed.merged w and sc = Windowed.scale w in
+    Json.(Obj ([ ("count", Int (Histogram.count m));
+                 ("sum", Float (float_of_int (Histogram.sum m) *. sc)) ]
+               @ quantiles (fun q -> Histogram.quantile m q *. sc)
+               @ [ ("window_s", Float (Windowed.window w)) ]))
 
   let to_json t =
-    let fields =
-      List.map
-        (fun e ->
-          let k = json_escape (key e.name e.labels) in
-          match e.metric with
-          | Counter c -> Printf.sprintf "\"%s\":%d" k (Counter.value c)
-          | Gauge g -> Printf.sprintf "\"%s\":%.17g" k (Gauge.value g)
-          | Histogram h -> Printf.sprintf "\"%s\":%s" k (histogram_json h)
-          | Windowed w -> Printf.sprintf "\"%s\":%s" k (windowed_json w))
-        (entries t)
+    let value e =
+      match e.metric with
+      | Counter c -> Json.Int (Counter.value c)
+      | Gauge g -> Json.Float (Gauge.value g)
+      | Histogram h -> histogram_json h
+      | Windowed w -> windowed_json w
     in
-    "{" ^ String.concat "," fields ^ "}"
+    Json.to_string (Json.Obj (List.map (fun e -> (key e.name e.labels, value e)) (entries t)))
 end
 
 let default_registry = Registry.create ()
@@ -746,31 +698,29 @@ type snapshot = {
   phases : float array;
 }
 
-(* Render a [Phase.count]-length timings array as one JSON object,
-   phases in canonical order.  Tolerates shorter arrays (missing
-   phases read as absent, not 0) so partially-filled snapshots from
-   lower layers stay valid. *)
-let phases_to_json phases =
-  let fields = ref [] in
-  for i = Array.length phases - 1 downto 0 do
-    if i < Phase.count then
-      fields :=
-        Printf.sprintf "\"%s\":%.6f" (Phase.name (Phase.of_index i)) phases.(i)
-        :: !fields
-  done;
-  "{" ^ String.concat "," !fields ^ "}"
-
 let snapshot_to_json s =
-  Printf.sprintf
-    "{\"algorithm\":\"%s\",\"outcome\":\"%s\",\"visited\":%d,\"found\":%d,\"elapsed_s\":%.6f,%s\"constraint_evals\":%d,\"domains_built\":%d,\"intersections\":%d,\"backtracks\":%d,\"max_depth\":%d,\"phases\":%s,\"depth_histogram\":%s,\"domain_size_histogram\":%s}"
-    s.algorithm s.outcome s.visited s.found s.elapsed_s
-    (match s.time_to_first_s with
-    | None -> ""
-    | Some t -> Printf.sprintf "\"time_to_first_s\":%.6f," t)
-    s.constraint_evals s.domains_built s.intersections s.backtracks s.max_depth
-    (phases_to_json s.phases)
-    (Registry.histogram_json s.depth_histogram)
-    (Registry.histogram_json s.domain_size_histogram)
+  (* Phases in canonical order; an array shorter than [Phase.count]
+     (a partially-filled snapshot from a lower layer) renders only the
+     phases it carries. *)
+  let phases =
+    List.init (min (Array.length s.phases) Phase.count) (fun i ->
+        (Phase.name (Phase.of_index i), Json.Float s.phases.(i)))
+  in
+  let time_to_first =
+    Option.to_list (Option.map (fun t -> ("time_to_first_s", Json.Float t)) s.time_to_first_s)
+  in
+  Json.(to_string (Obj ([ ("algorithm", String s.algorithm); ("outcome", String s.outcome);
+                          ("visited", Int s.visited); ("found", Int s.found);
+                          ("elapsed_s", Float s.elapsed_s) ]
+                        @ time_to_first
+                        @ [ ("constraint_evals", Int s.constraint_evals);
+                            ("domains_built", Int s.domains_built);
+                            ("intersections", Int s.intersections);
+                            ("backtracks", Int s.backtracks); ("max_depth", Int s.max_depth);
+                            ("phases", Obj phases);
+                            ("depth_histogram", Registry.histogram_json s.depth_histogram);
+                            ("domain_size_histogram",
+                             Registry.histogram_json s.domain_size_histogram) ])))
 
 let pp_snapshot ppf s =
   Format.fprintf ppf

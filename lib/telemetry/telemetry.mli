@@ -214,7 +214,8 @@ module Trace : sig
   (** Chrome [trace_event] JSON (object format, ["traceEvents"] array
       of ["ph":"X"] complete events).  [pid] and [args.trace_id] carry
       [trace_id], [tid] the recording worker; timestamps are shifted
-      to the earliest event.  Names go through {!json_escape}. *)
+      to the earliest event and, like durations, rounded to 0.1 µs.
+      Printed by {!Json}. *)
 end
 
 val time_phase :
@@ -276,12 +277,6 @@ module Windowed : sig
 end
 
 (** {1 Registries and exposition} *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal: double
-    quote, backslash, newline and tab get their two-character escapes,
-    the other control characters (below 0x20) a [\u00XX] escape, and
-    every other byte passes through unchanged. *)
 
 (** Registries are safe to use from multiple domains: registration,
     enumeration (the expositions) and {!Registry.merge_into} are
@@ -381,12 +376,10 @@ type snapshot = {
           building the reply. *)
 }
 
-val phases_to_json : float array -> string
-(** One JSON object mapping {!Phase.name}s to seconds, canonical
-    order.  Arrays shorter than {!Phase.count} render only the phases
-    they carry. *)
-
 val snapshot_to_json : snapshot -> string
-(** Single-line JSON object — the [--stats] output of the CLI. *)
+(** Single-line JSON object — the [--stats] output of the CLI.  Its
+    ["phases"] member maps {!Phase.name}s to seconds in canonical
+    order; an array shorter than {!Phase.count} renders only the
+    phases it carries. *)
 
 val pp_snapshot : Format.formatter -> snapshot -> unit

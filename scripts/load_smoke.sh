@@ -26,6 +26,8 @@ trap '[ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null; rm -rf "$WORK"' EX
 
 # The sweep wrote a service_load section with one row per
 # (workers, rate) pair.
+python3 -m json.tool "$WORK/results.json" > /dev/null \
+  || { echo "FAIL: results.json is not valid JSON"; cat "$WORK/results.json"; exit 1; }
 grep -q '"service_load"' "$WORK/results.json" \
   || { echo "FAIL: no service_load section"; cat "$WORK/results.json"; exit 1; }
 ROWS=$(grep -c '"sustained_rps"' "$WORK/results.json" || true)
@@ -43,6 +45,8 @@ ROWS=$(grep -c '"sustained_rps"' "$WORK/results.json" || true)
   --json "$WORK/overload.json" \
   | tee "$WORK/overload.out"
 
+python3 -m json.tool "$WORK/overload.json" > /dev/null \
+  || { echo "FAIL: overload.json is not valid JSON"; cat "$WORK/overload.json"; exit 1; }
 grep -Eq '"rejected": [1-9]' "$WORK/overload.out" \
   || { echo "FAIL: saturated queue produced no backpressure rejects"; cat "$WORK/overload.out"; exit 1; }
 

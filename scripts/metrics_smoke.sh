@@ -85,7 +85,11 @@ echo "$METRICS" \
 echo "$METRICS" | grep -Eq '^netembed_phase_seconds_total\{phase="search"\} ' \
   || fail "no per-phase seconds gauge"
 # JSON exposition and liveness probe answer too.
-curl -sf "http://127.0.0.1:$PORT/metrics.json" | grep -q '"netembed_requests_total"' \
+curl -sf "http://127.0.0.1:$PORT/metrics.json" > "$WORK/metrics.json" \
+  || fail "could not fetch /metrics.json"
+python3 -m json.tool "$WORK/metrics.json" > /dev/null \
+  || fail "/metrics.json is not valid JSON"
+grep -q '"netembed_requests_total"' "$WORK/metrics.json" \
   || fail "/metrics.json missing requests counter"
 curl -sf "http://127.0.0.1:$PORT/healthz" | grep -q '^ok' \
   || fail "/healthz not ok"
@@ -184,6 +188,8 @@ grep -Eq '^JSON \{"verdict":"unsat"' "$WORK/out" \
 # failed request and carries the certificate.
 [ -s "$WORK/flight.json" ] \
   || { echo "FAIL: no flight-recorder dump written"; exit 1; }
+python3 -m json.tool "$WORK/flight.json" > /dev/null \
+  || { echo "FAIL: flight dump is not valid JSON"; cat "$WORK/flight.json"; exit 1; }
 grep -q '"verdict":"unsat"' "$WORK/flight.json" \
   || { echo "FAIL: flight dump lacks the certificate"; cat "$WORK/flight.json"; exit 1; }
 cp "$WORK/flight.json" "${FLIGHT_DUMP_OUT:-/dev/null}" 2>/dev/null || true

@@ -14,8 +14,8 @@ trap 'rm -rf "$WORK"' EXIT
 
 [ -x "$BIN/netembed_sim.exe" ] || { echo "run 'dune build' first" >&2; exit 2; }
 
-# Seed the results file with a neighbour section the splice must
-# byte-preserve.
+# Seed the results file with a neighbour section the rewrite must
+# keep.
 printf '{\n  "benches": [1, 2]\n}\n' > "$WORK/results.json"
 
 # Deterministic short run: 30 virtual seconds, well under 30 s of wall

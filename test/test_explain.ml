@@ -13,6 +13,7 @@ module Model = Netembed_service.Model
 module Service = Netembed_service.Service
 module Request = Netembed_service.Request
 module Wire = Netembed_service.Wire
+module Json = Netembed_telemetry.Json
 open Netembed_core
 
 let check = Alcotest.check
@@ -138,6 +139,54 @@ let test_near_misses () =
          in
          has "2400")
   | [] -> Alcotest.fail "expected a near miss"
+
+(* A near miss's actual value reaches the certificate JSON at full
+   precision: PlanetLab delays carry more than six significant digits. *)
+let test_certificate_actual_precision () =
+  let req =
+    List.hd
+      (Explain.requirements ~on:[ Netembed_expr.Ast.R_edge ]
+         (Expr.parse_exn "rEdge.avgDelay <= 100"))
+  in
+  let table =
+    [ 123.456789
+    ; 1234567.0
+    ; 0.1
+    ; 1e-7
+    ; 98765.4321012
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun actual ->
+      let near = { Explain.id = 0; label = "h"; violated = [ (req, Some actual) ]; satisfied = 0 } in
+      let cert =
+        Explain.Certificate.make ~verdict:"unsat" "no mapping"
+          ~blamed:
+            [
+              {
+                Explain.Certificate.node = 0; node_label = "q0"; causes = [];
+                requirements = [ req ]; near = [ near ];
+              };
+            ]
+      in
+      let field k = function
+        | Json.Obj kvs -> List.assoc k kvs
+        | v -> Alcotest.failf "not an object: %s" (Json.to_string v)
+      in
+      let first = function
+        | Json.List (x :: _) -> x
+        | v -> Alcotest.failf "not a non-empty list: %s" (Json.to_string v)
+      in
+      match Json.of_string (Explain.Certificate.to_json cert) with
+      | Error e -> Alcotest.failf "certificate JSON does not parse: %s" e
+      | Ok doc -> (
+          match
+            doc |> field "blamed" |> first |> field "near_misses" |> first
+            |> field "violated" |> first |> field "actual"
+          with
+          | Json.Float f -> check (Alcotest.float 0.0) (Printf.sprintf "%.17g" actual) actual f
+          | v -> Alcotest.failf "actual: %s" (Json.to_string v)))
+    table
 
 (* ------------------------------------------------------------------ *)
 (* Seeded-UNSAT culprits through the engine                            *)
@@ -398,6 +447,8 @@ let () =
           Alcotest.test_case "requirement extraction" `Quick
             test_requirements_extraction;
           Alcotest.test_case "near misses" `Quick test_near_misses;
+          Alcotest.test_case "certificate actual precision" `Quick
+            test_certificate_actual_precision;
         ] );
       ( "culprits",
         [

@@ -10,6 +10,8 @@ module Value = Netembed_attr.Value
 module Engine = Netembed_core.Engine
 module Problem = Netembed_core.Problem
 module Expr = Netembed_expr.Expr
+module Json = Netembed_telemetry.Json
+module Explain = Netembed_explain.Explain
 
 let check = Alcotest.check
 
@@ -223,25 +225,186 @@ let test_json_exposition () =
     (json.[0] = '{' && json.[String.length json - 1] = '}')
 
 (* ------------------------------------------------------------------ *)
-(* JSON string escaping                                                *)
+(* JSON values: printer, reader, and every emitter parses              *)
 (* ------------------------------------------------------------------ *)
 
-let test_json_escape () =
+let json = Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Json.to_string v)) ( = )
+
+let test_json_printer () =
   let table =
-    [ "", ""
-    ; "plain ascii 42", "plain ascii 42"
-    ; "say \"hi\"", "say \\\"hi\\\""
-    ; "a\\b", "a\\\\b"
-    ; "line\nbreak", "line\\nbreak"
-    ; "tab\there", "tab\\there"
-    ; "ctl\x01", "ctl\\u0001"
+    [ Json.String "", {|""|}
+    ; String "plain ascii 42", {|"plain ascii 42"|}
+    ; String "say \"hi\"", {|"say \"hi\""|}
+    ; String "a\\b", {|"a\\b"|}
+    ; String "line\nbreak", {|"line\nbreak"|}
+    ; String "tab\there", {|"tab\there"|}
+    ; String "ctl\x01", {|"ctl\u0001"|}
+    ; Float 0.1, "0.1"
+    ; Float 3.0, "3.0"
+    ; Float 1e-7, "1e-07"
+    ; Float (1.0 /. 3.0), "0.33333333333333331"
+    ; Float nan, "null"
+    ; Float infinity, "null"
+    ; Float neg_infinity, "null"
+    ; Int (-42), "-42"
+    ; Obj [ ("a", List [ Int 1; Null; Bool true ]) ], {|{"a":[1,null,true]}|}
     ] [@ocamlformat "disable"]
   in
   List.iter
-    (fun (input, expected) ->
-      check Alcotest.string (String.escaped input) expected
-        (Telemetry.json_escape input))
+    (fun (v, expected) -> check Alcotest.string expected expected (Json.to_string v))
     table
+
+(* Input the printers never produce but other writers (Python's json
+   module, hand edits) do: every escape, surrogate pairs, exponents,
+   integers past [max_int], whitespace; and malformed documents. *)
+let test_json_reader () =
+  let table =
+    [ {| {"a" : [ 1 , -2.5e3 ] }|}, Ok (Json.Obj [ ("a", List [ Int 1; Float (-2500.0) ]) ])
+    ; {|"\u00e9\ud83d\ude00\/\b\f\r"|}, Ok (String "\xc3\xa9\xf0\x9f\x98\x80/\b\012\r")
+    ; "[1E2, 4611686018427387904, true, false, null]",
+      Ok (List [ Float 100.0; Float 4611686018427387904.0; Bool true; Bool false; Null ])
+    ; "[1,]", Error "offset 3: unexpected character"
+    ; {|{"a":1} x|}, Error "offset 8: trailing characters"
+    ; "\"tab\there\"", Error "offset 4: control character in string"
+    ; "", Error "offset 0: unexpected end of input"
+    ] [@ocamlformat "disable"]
+  in
+  let result = Alcotest.(result json string) in
+  List.iter (fun (text, expected) -> check result text expected (Json.of_string text)) table
+
+(* Finite floats, and strings over all 256 bytes: every control
+   character, the quote, the backslash and bytes >= 0x80. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 8) in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  sized_size (0 -- 3)
+  @@ fix (fun self n ->
+         let scalar =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) finite;
+               map (fun s -> Json.String s) str;
+             ]
+         in
+         if n = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Json.List l) (list_size (0 -- 4) (self (n - 1))));
+               ( 1,
+                 map (fun kvs -> Json.Obj kvs) (list_size (0 -- 4) (pair str (self (n - 1)))) );
+             ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~count:500 ~name:"of_string inverts both printers"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v ->
+      Json.of_string (Json.to_string v) = Ok v
+      && Json.of_string (Json.to_document v) = Ok v)
+
+let members = function
+  | Json.Obj kvs -> kvs
+  | v -> Alcotest.failf "not an object: %s" (Json.to_string v)
+
+let parse text =
+  match Json.of_string text with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s in %s" e text
+
+let keys v = List.map fst (members v)
+let member k v = List.assoc k (members v)
+
+let test_json_parses_emitters () =
+  let strings = Alcotest.(list string) in
+  (* Registry: counter, gauge, a histogram with a +Inf bucket, a
+     windowed series. *)
+  let r = Registry.create () in
+  Counter.add (Registry.counter r "c_total") 2;
+  Gauge.set (Registry.gauge r "g") 0.25;
+  let h = Registry.histogram r ~labels:[ ("k", "v") ] "h" in
+  Histogram.observe h 5;
+  Histogram.observe h (max_int / 2);
+  let w = Registry.windowed r ~scale:1e-6 ~window:10.0 ~slices:5 "w" in
+  Telemetry.Windowed.observe w 1234;
+  let doc = parse (Registry.to_json r) in
+  check strings "registry keys" [ "c_total"; "g"; {|h{k="v"}|}; "w" ] (keys doc);
+  let hist = member {|h{k="v"}|} doc in
+  check strings "histogram keys"
+    [ "count"; "sum"; "max"; "p50"; "p95"; "p99"; "buckets" ]
+    (keys hist);
+  (match member "buckets" hist with
+  | Json.List [ Json.List [ Json.Int 5; Json.Int 1 ]; Json.List [ Json.String "+Inf"; Json.Int 1 ] ] -> ()
+  | b -> Alcotest.failf "buckets: %s" (Json.to_string b));
+  check strings "windowed keys"
+    [ "count"; "sum"; "p50"; "p95"; "p99"; "window_s" ]
+    (keys (member "w" doc));
+  (* Snapshots, with and without time_to_first_s. *)
+  let snapshot time_to_first_s =
+    {
+      Telemetry.algorithm = "ECF"; outcome = "complete"; visited = 3; found = 1;
+      elapsed_s = 0.5; time_to_first_s; constraint_evals = 7; domains_built = 2;
+      intersections = 4; backtracks = 1; max_depth = 2;
+      depth_histogram = Histogram.make (); domain_size_histogram = Histogram.make ();
+      phases = Telemetry.Phase.make_timings ();
+    }
+  in
+  let snapshot_keys ttf =
+    [ "algorithm"; "outcome"; "visited"; "found"; "elapsed_s" ]
+    @ ttf
+    @ [ "constraint_evals"; "domains_built"; "intersections"; "backtracks";
+        "max_depth"; "phases"; "depth_histogram"; "domain_size_histogram" ]
+  in
+  check strings "snapshot keys" (snapshot_keys [])
+    (keys (parse (Telemetry.snapshot_to_json (snapshot None))));
+  let with_ttf = parse (Telemetry.snapshot_to_json (snapshot (Some 0.25))) in
+  check strings "snapshot keys with time_to_first_s"
+    (snapshot_keys [ "time_to_first_s" ]) (keys with_ttf);
+  check strings "phases in canonical order"
+    (Array.to_list (Array.map Telemetry.Phase.name Telemetry.Phase.all))
+    (keys (member "phases" with_ttf));
+  (* A certificate with a hot spot, notes and a flight recording. *)
+  let recorder = Explain.Recorder.create ~sample_every:1 () in
+  Explain.Recorder.visit recorder ~depth:0 ~host:3 ~size:4;
+  Explain.Recorder.wipeout recorder ~depth:1 ~host:2;
+  Explain.Recorder.backtrack recorder ~depth:1;
+  let cert =
+    Explain.Certificate.make
+      ~blamed:
+        [
+          {
+            Explain.Certificate.node = 0; node_label = "a\"b";
+            causes = [ (Explain.Cause.Node_constraint, 3) ]; requirements = []; near = [];
+          };
+        ]
+      ~hot_spot:
+        { Explain.Certificate.depth = 1; node = 0; node_label = "a"; backtracks = 2; wipeouts = 1 }
+      ~notes:[ "n1" ] ~flight:(Explain.Recorder.events recorder) ~verdict:"unsat"
+      "no mapping"
+  in
+  let c = parse (Explain.Certificate.to_json cert) in
+  check strings "certificate keys"
+    [ "verdict"; "message"; "blamed"; "hot_spot"; "notes"; "flight" ]
+    (keys c);
+  (match member "flight" c with
+  | Json.List [ visit; wipeout; backtrack ] ->
+      check strings "visit event" [ "seq"; "ev"; "depth"; "host"; "domain_size" ] (keys visit);
+      check strings "wipeout event" [ "seq"; "ev"; "depth"; "host" ] (keys wipeout);
+      check strings "backtrack event" [ "seq"; "ev"; "depth" ] (keys backtrack)
+  | f -> Alcotest.failf "flight: %s" (Json.to_string f));
+  (* A Chrome trace. *)
+  let b = Telemetry.Trace.create () in
+  Telemetry.Trace.add b ~name:"search" ~start_us:10.0 ~dur_us:2.5;
+  match member "traceEvents" (parse (Telemetry.Trace.to_chrome_json ~trace_id:7 b)) with
+  | Json.List [ e ] ->
+      check strings "trace event keys"
+        [ "name"; "cat"; "ph"; "ts"; "dur"; "pid"; "tid"; "args" ]
+        (keys e)
+  | t -> Alcotest.failf "traceEvents: %s" (Json.to_string t)
 
 (* ------------------------------------------------------------------ *)
 (* Gauge merge (the parallel-join step)                                *)
@@ -582,7 +745,12 @@ let () =
           Alcotest.test_case "json exposition" `Quick test_json_exposition;
         ] );
       ( "json",
-        [ Alcotest.test_case "json_escape table" `Quick test_json_escape ] );
+        [
+          Alcotest.test_case "printer table" `Quick test_json_printer;
+          Alcotest.test_case "reader table" `Quick test_json_reader;
+          QCheck_alcotest.to_alcotest prop_json_round_trip;
+          Alcotest.test_case "every emitter parses" `Quick test_json_parses_emitters;
+        ] );
       ( "gauge merge",
         [ Alcotest.test_case "takes source value" `Quick test_gauge_merge ] );
       ( "windowed",

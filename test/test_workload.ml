@@ -6,6 +6,7 @@ module Table = Netembed_workload.Table
 module Query_gen = Netembed_workload.Query_gen
 module Figures = Netembed_workload.Figures
 module Trace = Netembed_planetlab.Trace
+module Json = Netembed_telemetry.Json
 open Netembed_core
 
 let check = Alcotest.check
@@ -192,75 +193,117 @@ let test_figures_smoke () =
       Figures.fig14 ~out micro;
       Figures.fig15 ~out micro)
 
-(* Bench_io: textual surgery on one top-level key must leave every
-   other byte of the document alone. *)
-let test_bench_io_splice_extract () =
-  let module B = Netembed_workload.Bench_io in
-  let check = Alcotest.check in
-  let doc =
-    "{\n  \"benches\": [ {\"name\": \"a}b\", \"ms\": 1.5} ],\n  \"note\": \"escaped \\\" brace {\"\n}\n"
-  in
-  check (Alcotest.option Alcotest.string) "array section extracted"
-    (Some "[ {\"name\": \"a}b\", \"ms\": 1.5} ]")
-    (B.extract_section doc ~key:"benches");
-  check (Alcotest.option Alcotest.string) "scalar with tricky escapes"
-    (Some "\"escaped \\\" brace {\"")
-    (B.extract_section doc ~key:"note");
-  check (Alcotest.option Alcotest.string) "absent key" None
-    (B.extract_section doc ~key:"service_load");
-  (* Insert a fresh section, then read it back and confirm the other
-     sections survive byte-for-byte. *)
-  let v = "{\n    \"rows\": [1, 2, 3]\n  }" in
-  let doc' = B.splice_section doc ~key:"service_load" ~value:v in
-  check (Alcotest.option Alcotest.string) "inserted section readable" (Some v)
-    (B.extract_section doc' ~key:"service_load");
-  check (Alcotest.option Alcotest.string) "existing section untouched"
-    (B.extract_section doc ~key:"benches")
-    (B.extract_section doc' ~key:"benches");
-  (* Replace in place. *)
-  let doc'' = B.splice_section doc' ~key:"service_load" ~value:"[]" in
-  check (Alcotest.option Alcotest.string) "replaced in place" (Some "[]")
-    (B.extract_section doc'' ~key:"service_load");
-  check (Alcotest.option Alcotest.string) "note still intact"
-    (B.extract_section doc ~key:"note")
-    (B.extract_section doc'' ~key:"note");
-  (* Degenerate document: becomes a fresh one-key object. *)
-  let fresh = B.splice_section "" ~key:"k" ~value:"42" in
-  check (Alcotest.option Alcotest.string) "fresh doc" (Some "42")
-    (B.extract_section fresh ~key:"k")
+(* Json.update_file: the results file is parsed, the given top-level
+   keys replaced or appended, and every other section kept as data. *)
 
-(* The online_churn section the simulator splices must round-trip next
-   to the bench and loadgen sections without disturbing them — all
-   three owners rewrite the same file wholesale. *)
-let test_bench_io_online_churn_roundtrip () =
-  let module B = Netembed_workload.Bench_io in
-  let check = Alcotest.check in
+let json_testable = Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Json.to_string v)) ( = )
+
+let temp_results contents =
+  let path = Filename.temp_file "results" ".json" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+  path
+
+let read_results path =
+  match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok (Json.Obj kvs) -> kvs
+  | Ok v -> Alcotest.failf "not an object: %s" (Json.to_string v)
+  | Error e -> Alcotest.failf "results file does not parse: %s" e
+
+let update path members =
+  match Json.update_file path members with
+  | Ok () -> read_results path
+  | Error e -> Alcotest.failf "update_file: %s" e
+
+let test_bench_io_update_in_place () =
   let doc =
-    "{\n  \"benches\": [ {\"name\": \"ecf\", \"ms\": 1.5} ],\n\
-    \  \"service_load\": {\n    \"rows\": []\n  }\n}\n"
+    {|{
+  "benches": [ {"name": "a}b", "ms": 1.5} ],
+  "note": "escaped \" brace {",
+  "nested": {"service_load": {"rows": [1]}}
+}
+|}
   in
+  let path = temp_results doc in
+  let before = read_results path in
+  let rows = Json.Obj [ ("rows", Json.List [ Json.Int 1; Json.Int 2; Json.Int 3 ]) ] in
+  let after = update path [ ("service_load", rows) ] in
+  check Alcotest.(list string) "new key appended"
+    [ "benches"; "note"; "nested"; "service_load" ]
+    (List.map fst after);
+  List.iter
+    (fun k ->
+      check json_testable (k ^ " survives") (List.assoc k before) (List.assoc k after))
+    [ "benches"; "note"; "nested" ];
+  check json_testable "inserted section readable" rows (List.assoc "service_load" after);
+  (* A re-run replaces in place. *)
+  let again = update path [ ("service_load", Json.List []); ("benches", Json.Int 0) ] in
+  check Alcotest.(list string) "order kept on replace"
+    [ "benches"; "note"; "nested"; "service_load" ]
+    (List.map fst again);
+  check json_testable "replaced in place" (Json.List []) (List.assoc "service_load" again);
+  check json_testable "nested key of the same name untouched"
+    (List.assoc "nested" before) (List.assoc "nested" again);
+  Sys.remove path;
+  (* Empty and missing files become a one-key object. *)
+  let empty = temp_results "" in
+  check Alcotest.(list (pair string json_testable)) "empty file"
+    [ ("k", Json.Int 42) ]
+    (update empty [ ("k", Json.Int 42) ]);
+  Sys.remove empty;
+  check Alcotest.(list (pair string json_testable)) "missing file"
+    [ ("k", Json.Int 42) ]
+    (update empty [ ("k", Json.Int 42) ]);
+  Sys.remove empty
+
+(* The online_churn section the simulator writes must round-trip next
+   to the bench and loadgen sections without disturbing them — all
+   three owners rewrite the same file. *)
+let test_bench_io_online_churn_roundtrip () =
+  let path =
+    temp_results
+      "{\n  \"benches\": [ {\"name\": \"ecf\", \"ms\": 1.5} ],\n\
+      \  \"service_load\": {\n    \"rows\": []\n  }\n}\n"
+  in
+  let before = read_results path in
   let churn =
-    "{\n    \"substrate\": \"clique-12\",\n    \"rows\": [\n      {\"policy\": \
-     \"defrag_threshold\", \"rate\": 1.8, \"acceptance_curve\": [{\"t\": 10, \
-     \"accepts\": 3}]}\n    ]\n  }"
+    Json.(
+      Obj
+        [
+          ("substrate", String "clique-12");
+          ( "rows",
+            List
+              [
+                Obj
+                  [
+                    ("policy", String "defrag_threshold"); ("rate", Float 1.8);
+                    ( "acceptance_curve",
+                      List [ Obj [ ("t", Float 10.0); ("accepts", Int 3) ] ] );
+                  ];
+              ] );
+        ])
   in
-  let doc' = B.splice_section doc ~key:"online_churn" ~value:churn in
-  check (Alcotest.option Alcotest.string) "online_churn readable" (Some churn)
-    (B.extract_section doc' ~key:"online_churn");
-  check (Alcotest.option Alcotest.string) "benches survive"
-    (B.extract_section doc ~key:"benches")
-    (B.extract_section doc' ~key:"benches");
-  check (Alcotest.option Alcotest.string) "service_load survives"
-    (B.extract_section doc ~key:"service_load")
-    (B.extract_section doc' ~key:"service_load");
-  (* A second splice (a re-run) replaces in place and still leaves the
+  let after = update path [ ("online_churn", churn) ] in
+  check json_testable "online_churn readable" churn (List.assoc "online_churn" after);
+  check json_testable "benches survive" (List.assoc "benches" before)
+    (List.assoc "benches" after);
+  check json_testable "service_load survives" (List.assoc "service_load" before)
+    (List.assoc "service_load" after);
+  (* A second write (a re-run) replaces in place and still leaves the
      neighbours alone. *)
-  let doc'' = B.splice_section doc' ~key:"online_churn" ~value:"{}" in
-  check (Alcotest.option Alcotest.string) "replaced" (Some "{}")
-    (B.extract_section doc'' ~key:"online_churn");
-  check (Alcotest.option Alcotest.string) "benches still survive"
-    (B.extract_section doc ~key:"benches")
-    (B.extract_section doc'' ~key:"benches")
+  let again = update path [ ("online_churn", Json.Obj []) ] in
+  check json_testable "replaced" (Json.Obj []) (List.assoc "online_churn" again);
+  check json_testable "benches still survive" (List.assoc "benches" before)
+    (List.assoc "benches" again);
+  Sys.remove path
+
+let test_bench_io_unparseable_kept () =
+  let text = "{\n  \"benches\": [1, 2\n" in
+  let path = temp_results text in
+  (match Json.update_file path [ ("k", Json.Int 1) ] with
+  | Ok () -> Alcotest.fail "an unparseable file was overwritten"
+  | Error _ -> ());
+  check Alcotest.string "bytes kept" text (In_channel.with_open_bin path In_channel.input_all);
+  Sys.remove path
 
 let () =
   Alcotest.run "workload"
@@ -282,10 +325,11 @@ let () =
         ] );
       ( "bench io",
         [
-          Alcotest.test_case "splice/extract surgery" `Quick
-            test_bench_io_splice_extract;
+          Alcotest.test_case "update in place" `Quick test_bench_io_update_in_place;
           Alcotest.test_case "online_churn round-trip" `Quick
             test_bench_io_online_churn_roundtrip;
+          Alcotest.test_case "unparseable file kept" `Quick
+            test_bench_io_unparseable_kept;
         ] );
       ( "figures", [ Alcotest.test_case "smoke" `Slow test_figures_smoke ] );
     ]
