@@ -395,91 +395,57 @@ let representation_ablation () =
     ~cap:60_000;
   Printf.printf "\n"
 
-(* Evaluator ablation: the filter build of clique7_tight under the
-   seed tree-walking interpreter, the bytecode VM, and the VM with the
-   Bounds pre-filter sweeping sorted attribute columns first.  The
-   build is the evaluation-dominated phase (every (query edge, host
-   edge) pair is tested), so it isolates what the compiler pipeline
-   buys: row "visited" counts constraint evaluations, so minor words
-   per visit is allocation per evaluation.  On the tiny residuals this
-   instance specializes to (~9 instructions) the VM's per-eval wall
-   time is comparable to the tree-walker's — its wins are zero
-   allocation and the Bounds pre-filter, which skips the evaluations
-   wholesale; steady-state rows at the end price both paths on one hot
-   pair with no build structures in the measurement window. *)
-let evaluator_ablation () =
-  Printf.printf
-    "# Evaluator ablation (clique7_tight filter build: interp vs bytecode vs \
-     bytecode+prefilter)\n%!";
+(* Pre-filter ablation: the filter build of clique7_tight with plain
+   interpreter evaluation of every (query edge, host edge) pair, and
+   with the Bounds pre-filter sweeping sorted attribute columns first.
+   The build is the evaluation-dominated phase, so it isolates what the
+   pre-filter buys: row "visited" counts constraint evaluations, so
+   minor words per visit is allocation per evaluation.  The
+   steady-state row at the end prices one evaluation on one hot pair
+   with no build structures in the measurement window.  The rows keep
+   their historical "evaluator/" prefix. *)
+let prefilter_ablation () =
+  Printf.printf "# Pre-filter ablation (clique7_tight filter build: interp vs interp+prefilter)\n%!";
   let host = Lazy.force planetlab in
   let case = Query_gen.clique ~k:7 ~delay_lo:10.0 ~delay_hi:50.0 in
-  let build name evaluator ~prefilter =
+  let build name ~prefilter =
     measure_gc ~name ~repeat:3 (fun () ->
-        let p =
-          Problem.make ~evaluator ~host ~query:case.Query_gen.query
-            case.Query_gen.edge_constraint
-        in
+        let p = Problem.make ~host ~query:case.Query_gen.query case.Query_gen.edge_constraint in
         let before = Problem.constraint_evals p in
         ignore (Filter.build ~prefilter p);
         (Problem.constraint_evals p - before, 0))
   in
-  let interp = build "evaluator/filter_build/interp" Problem.Interp ~prefilter:false in
-  let bytecode =
-    build "evaluator/filter_build/bytecode" Problem.Bytecode ~prefilter:false
-  in
-  let prefiltered =
-    build "evaluator/filter_build/bytecode_prefilter" Problem.Bytecode ~prefilter:true
-  in
+  let interp = build "evaluator/filter_build/interp" ~prefilter:false in
+  let prefiltered = build "evaluator/filter_build/interp_prefilter" ~prefilter:true in
   let vs a b = if b.row_ms > 0.0 then a.row_ms /. b.row_ms else 0.0 in
   Printf.printf
     "  interp    %8.1f ms %10.0f minor w (%7d evals)\n\
-    \  bytecode  %8.1f ms %10.0f minor w (%7d evals)  %.2fx vs interp\n\
-    \  +prefilter%8.1f ms %10.0f minor w (%7d evals)  %.2fx vs interp, %.2fx vs \
-     bytecode\n%!"
-    interp.row_ms interp.row_minor_words interp.row_visited bytecode.row_ms
-    bytecode.row_minor_words bytecode.row_visited (vs interp bytecode)
-    prefiltered.row_ms prefiltered.row_minor_words prefiltered.row_visited
-    (vs interp prefiltered) (vs bytecode prefiltered)
-  ;
-  (* Steady-state per-evaluation cost of each path: one problem, one
-     host edge pair, re-evaluated hot — no build structures in the
-     window.  Warm up first so lazy residual/program state is built
-     outside it.  The bytecode row's minor-words column must read 0
-     (the VM evaluates on a preallocated scratch; the zero is also
-     pinned by a unit test). *)
+    \  +prefilter%8.1f ms %10.0f minor w (%7d evals)  %.2fx vs interp\n%!"
+    interp.row_ms interp.row_minor_words interp.row_visited prefiltered.row_ms
+    prefiltered.row_minor_words prefiltered.row_visited (vs interp prefiltered);
+  (* Steady-state per-evaluation cost: one problem, one host edge pair,
+     re-evaluated hot.  Warm up first so the lazy residual is built
+     outside the window. *)
   let evals = 100_000 in
-  let steady name evaluator =
-    let p =
-      Problem.make ~evaluator ~host ~query:case.Query_gen.query
-        case.Query_gen.edge_constraint
-    in
-    let qe, q_src, q_dst =
-      let e, u, v = (Graph.edges p.Problem.query).(0) in
-      (e, u, v)
-    in
-    let he, r_src, r_dst =
-      let e, u, v = (Graph.edges p.Problem.host).(0) in
-      (e, u, v)
-    in
-    let eval () = Problem.edge_pair_ok p ~qe ~q_src ~q_dst ~he ~r_src ~r_dst in
-    for _ = 1 to 1000 do
-      ignore (eval ())
-    done;
-    measure_gc ~name (fun () ->
+  let p = Problem.make ~host ~query:case.Query_gen.query case.Query_gen.edge_constraint in
+  let qe, q_src, q_dst = (Graph.edges p.Problem.query).(0) in
+  let he, r_src, r_dst = (Graph.edges p.Problem.host).(0) in
+  let eval () = Problem.edge_pair_ok p ~qe ~q_src ~q_dst ~he ~r_src ~r_dst in
+  for _ = 1 to 1000 do
+    ignore (eval ())
+  done;
+  let hot =
+    measure_gc ~name:"evaluator/steady_state_interp+gc" (fun () ->
         for _ = 1 to evals do
           ignore (eval ())
         done;
         (evals, 0))
   in
-  let hot_interp = steady "evaluator/steady_state_interp+gc" Problem.Interp in
-  let hot_vm = steady "evaluator/steady_state_bytecode+gc" Problem.Bytecode in
-  let per r = r.row_ms *. 1e6 /. float_of_int evals in
   Printf.printf
-    "  steady state (%d evals of one residual):\n\
-    \    interp    %8.1f ms (%4.0f ns/eval) %9.0f minor words\n\
-    \    bytecode  %8.1f ms (%4.0f ns/eval) %9.0f minor words\n\n%!"
-    evals hot_interp.row_ms (per hot_interp) hot_interp.row_minor_words hot_vm.row_ms
-    (per hot_vm) hot_vm.row_minor_words
+    "  steady state (%d evals of one residual): %8.1f ms (%4.0f ns/eval) %9.0f minor words\n\n%!"
+    evals hot.row_ms
+    (hot.row_ms *. 1e6 /. float_of_int evals)
+    hot.row_minor_words
 
 (* Explain-mode ablation: the same capped clique7_tight enumeration
    with the blame/flight-recorder instrumentation off vs on.  The off
@@ -798,7 +764,7 @@ let ledger_churn () =
    --ablation-only. *)
 let ablation_suite () =
   representation_ablation ();
-  evaluator_ablation ();
+  prefilter_ablation ();
   explain_ablation ();
   trace_ablation ();
   ignore (engine_gc_row "fig8/ecf_all_n20+gc" Engine.ECF Engine.All (Lazy.force pl_subgraph_problem));

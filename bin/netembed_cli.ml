@@ -299,34 +299,8 @@ let embed_cmd =
    closest.  Successful runs still print a certificate (hot spot,
    flight-recorder tail) — slow_threshold 0 forces every request into
    the diagnostics log. *)
-(* --dump-bytecode: print the compiled form of what the search will
-   actually evaluate — one program per query edge (the constraint
-   specialized against that edge's attributes, constant-folded, then
-   compiled) plus the node-constraint program — before running the
-   diagnosis.  The disassembly shows the slot table the Bounds
-   pre-filter reads its atoms from, so "why did the filter drop this
-   host" questions can be answered against the real instruction
-   stream. *)
-let dump_bytecode_programs ~query ~constraint_text ~node_constraint problem =
-  let module Compile = Netembed_expr.Compile in
-  let module Expr = Netembed_expr.Expr in
-  let module Problem = Netembed_core.Problem in
-  Printf.printf "constraint: %s\n" constraint_text;
-  Array.iter
-    (fun (e, u, v) ->
-      Printf.printf "; query edge %d (%d -> %d), specialized and compiled:\n%s"
-        e u v
-        (Compile.disassemble (Problem.program problem e ~q_src:u ~q_dst:v)))
-    (Graph.edges query);
-  (match node_constraint with
-  | None -> ()
-  | Some text ->
-      Printf.printf "node constraint: %s\n; compiled:\n%s" text
-        (Compile.disassemble (Compile.compile (Expr.parse_exn text))));
-  print_newline ()
-
 let explain_run host_file query_file constraint_arg node_constraint algorithm mode
-    timeout json dump_bytecode =
+    timeout json =
   let host = Graphml.read_file host_file in
   let query = Graphml.read_file query_file in
   let constraint_text =
@@ -338,16 +312,6 @@ let explain_run host_file query_file constraint_arg node_constraint algorithm mo
   let request =
     Request.make ?node_constraint ~algorithm ~mode ?timeout ~query constraint_text
   in
-  (if dump_bytecode then
-     (* Parse failures fall through silently: the submit below reports
-        them on the normal error path. *)
-     match Netembed_expr.Expr.parse constraint_text with
-     | Error _ -> ()
-     | Ok edge_c -> (
-         match Netembed_core.Problem.make ~host ~query edge_c with
-         | exception Invalid_argument _ -> ()
-         | problem ->
-             dump_bytecode_programs ~query ~constraint_text ~node_constraint problem));
   let service =
     Service.create
       ~registry:(Netembed_telemetry.Telemetry.Registry.create ())
@@ -410,12 +374,6 @@ let explain_cmd =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Print the failure certificate as one JSON document instead of text.")
   in
-  let dump_bytecode =
-    Arg.(value & flag & info [ "dump-bytecode" ]
-           ~doc:"Before the diagnosis, disassemble the compiled bytecode of each \
-                 per-query-edge specialized constraint (and the node constraint) — \
-                 the programs the filter and search actually evaluate.")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Diagnose an embedding request: constraint blame, near-miss hosts and \
@@ -423,7 +381,7 @@ let explain_cmd =
     Term.(
       ret
         (const explain_run $ host_file $ query_file $ constraint_arg
-        $ node_constraint $ algorithm $ mode $ timeout $ json $ dump_bytecode))
+        $ node_constraint $ algorithm $ mode $ timeout $ json))
 
 (* ------------------------------------------------------------------ *)
 (* top                                                                 *)

@@ -318,7 +318,7 @@ let () =
     let request_quit _ = Atomic.set quit true in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle request_quit);
     Sys.set_signal Sys.sigint (Sys.Signal_handle request_quit);
-    (* The wait loop doubles as the health evaluator: every 250 ms the
+    (* The wait loop doubles as the health check: every 250 ms the
        machine reclassifies against the live admission-queue depth, so
        /readyz and the netembed_health_state gauge track overload with
        bounded staleness. *)

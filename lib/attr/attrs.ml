@@ -9,7 +9,6 @@ let add name v t = M.add name v t
 let remove = M.remove
 let find name t = M.find_opt name t
 let find_exn name t = match M.find_opt name t with Some v -> v | None -> raise Not_found
-let get name t = M.find name t
 let mem = M.mem
 
 let float name t =

@@ -20,12 +20,6 @@ val find : string -> t -> Value.t option
 val find_exn : string -> t -> Value.t
 (** @raise Not_found if the attribute is absent. *)
 
-val get : string -> t -> Value.t
-(** Allocation-free lookup: unlike {!find} it builds no [Some] box, so
-    the constraint VM can resolve attribute slots on the hot path
-    without touching the minor heap.
-    @raise Not_found if the attribute is absent. *)
-
 val mem : string -> t -> bool
 
 val float : string -> t -> float option

@@ -5,7 +5,7 @@
     numeric values or ranges, and categorical classes such as
     ["Link (n1,n2) is 802.11g"].  This module is the value universe shared
     by the graph substrate, GraphML I/O and the constraint expression
-    evaluator. *)
+    interpreter. *)
 
 type t =
   | Bool of bool

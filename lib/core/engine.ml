@@ -310,8 +310,8 @@ let run ?(options = default_options) ?filter ?trace
             match filter with
             | Some f -> f
             | None ->
-                (* Forcing specialization + bytecode compilation first
-                   splits the compile cost out of the build proper. *)
+                (* Forcing specialization first splits its cost (the
+                   "compile" phase) out of the build proper. *)
                 Telemetry.time_phase phases ?trace Telemetry.Phase.Compile (fun () ->
                     Problem.prepare problem);
                 Telemetry.time_phase phases ?trace Telemetry.Phase.Filter_build (fun () ->

@@ -47,8 +47,8 @@ type options = {
           atoms over sorted host attribute columns so decidable
           (query edge, host edge) pairs skip constraint evaluation.
           Identical filter either way; [constraint_evals] drops.
-          Default true; the bench ablation turns it off to isolate the
-          bytecode-VM gain from the pre-filter gain. *)
+          Default true; the bench ablation turns it off to price the
+          pre-filter against plain evaluation. *)
 }
 
 val default_options : options

@@ -1,17 +1,9 @@
 open Netembed_graph
 module Eval = Netembed_expr.Eval
 module Ast = Netembed_expr.Ast
-module Compile = Netembed_expr.Compile
-module Vm = Netembed_expr.Vm
 module Telemetry = Netembed_telemetry.Telemetry
 
-type evaluator = Interp | Bytecode
-
-type compiled = {
-  c_residuals : Ast.t option array;
-  c_programs : Compile.program option array;
-  mutable c_node_program : Compile.program option;
-}
+type compiled = Ast.t option array
 
 type t = {
   host : Graph.t;
@@ -24,35 +16,32 @@ type t = {
   host_in_degree : int array;
   query_in_degree : int array;
   (* Specialized residuals per (query edge, orientation); index 2*qe for
-     the stored orientation, 2*qe+1 for the reverse.  Filled lazily.
-     [compiled] carries the same table plus the bytecode programs, so a
-     service-level cache can hand the whole bundle to the next problem
-     over the same query and constraint. *)
+     the stored orientation, 2*qe+1 for the reverse.  Filled lazily.  A
+     service-level cache hands the same table to the next problem over
+     the same query and constraint (see [compiled]). *)
   residuals : Ast.t option array;
-  compiled : compiled;
-  evaluator : evaluator;
-  scratch : Vm.scratch;
   evals : Telemetry.Counter.t;
 }
 
-let fresh_compiled n =
-  {
-    c_residuals = Array.make n None;
-    c_programs = Array.make n None;
-    c_node_program = None;
-  }
+(* Process-wide count of residual specializations ([residual] cache
+   misses).  The metric keeps its historical name. *)
+let specializations_counter =
+  Telemetry.Registry.counter Telemetry.default_registry
+    ~help:"Constraint residuals specialized (per-query-edge residual cache misses)"
+    "netembed_expr_compiles_total"
 
-let make ?node_constraint ?(degree_filter = true) ?(evaluator = Bytecode) ?compiled
-    ~host ~query edge_constraint =
+let specializations_total () = Telemetry.Counter.value specializations_counter
+
+let make ?node_constraint ?(degree_filter = true) ?compiled ~host ~query edge_constraint =
   if Graph.kind host <> Graph.kind query then
     invalid_arg "Problem.make: host and query must share directedness";
   if Graph.node_count query > Graph.node_count host then
     invalid_arg "Problem.make: query larger than host";
   let n = max 1 (2 * Graph.edge_count query) in
-  let compiled =
+  let residuals =
     match compiled with
-    | Some c when Array.length c.c_residuals = n -> c
-    | Some _ | None -> fresh_compiled n
+    | Some c when Array.length c = n -> c
+    | Some _ | None -> Array.make n None
   in
   {
     host;
@@ -64,17 +53,13 @@ let make ?node_constraint ?(degree_filter = true) ?(evaluator = Bytecode) ?compi
     query_degree = Array.init (Graph.node_count query) (Graph.degree query);
     host_in_degree = Array.init (Graph.node_count host) (Graph.in_degree host);
     query_in_degree = Array.init (Graph.node_count query) (Graph.in_degree query);
-    residuals = compiled.c_residuals;
-    compiled;
-    evaluator;
-    scratch = Vm.scratch ();
+    residuals;
     evals = Telemetry.Counter.make ();
   }
 
 let eval_counter t = t.evals
 let constraint_evals t = Telemetry.Counter.value t.evals
-let evaluator t = t.evaluator
-let compiled_programs t = t.compiled
+let compiled_residuals t = t.residuals
 
 let residual_idx t qe ~q_src =
   (2 * qe) + if Graph.edge_source t.query qe = q_src then 0 else 1
@@ -84,6 +69,7 @@ let residual t qe ~q_src ~q_dst =
   match t.residuals.(idx) with
   | Some r -> r
   | None ->
+      Telemetry.Counter.incr specializations_counter;
       let r =
         Eval.specialize
           ~v_edge:(Graph.edge_attrs t.query qe)
@@ -94,44 +80,17 @@ let residual t qe ~q_src ~q_dst =
       t.residuals.(idx) <- Some r;
       r
 
-let program t qe ~q_src ~q_dst =
-  let idx = residual_idx t qe ~q_src in
-  match t.compiled.c_programs.(idx) with
-  | Some p -> p
-  | None ->
-      let p = Compile.compile (residual t qe ~q_src ~q_dst) in
-      t.compiled.c_programs.(idx) <- Some p;
-      p
-
-let node_program t c =
-  match t.compiled.c_node_program with
-  | Some p -> p
-  | None ->
-      let p = Compile.compile c in
-      t.compiled.c_node_program <- Some p;
-      p
-
 let edge_pair_ok t ~qe ~q_src ~q_dst ~he ~r_src ~r_dst =
   Telemetry.Counter.incr t.evals;
-  match t.evaluator with
-  | Interp ->
-      let residual = residual t qe ~q_src ~q_dst in
-      let env =
-        Eval.env ~v_edge:Netembed_attr.Attrs.empty
-          ~r_edge:(Graph.edge_attrs t.host he)
-          ~v_source:Netembed_attr.Attrs.empty ~v_target:Netembed_attr.Attrs.empty
-          ~r_source:(Graph.node_attrs t.host r_src)
-          ~r_target:(Graph.node_attrs t.host r_dst)
-      in
-      Eval.accepts env residual
-  | Bytecode ->
-      let p = program t qe ~q_src ~q_dst in
-      Vm.set_env t.scratch ~v_edge:Netembed_attr.Attrs.empty
-        ~r_edge:(Graph.edge_attrs t.host he)
-        ~v_source:Netembed_attr.Attrs.empty ~v_target:Netembed_attr.Attrs.empty
-        ~r_source:(Graph.node_attrs t.host r_src)
-        ~r_target:(Graph.node_attrs t.host r_dst);
-      Vm.accepts t.scratch p
+  let residual = residual t qe ~q_src ~q_dst in
+  let env =
+    Eval.env ~v_edge:Netembed_attr.Attrs.empty
+      ~r_edge:(Graph.edge_attrs t.host he)
+      ~v_source:Netembed_attr.Attrs.empty ~v_target:Netembed_attr.Attrs.empty
+      ~r_source:(Graph.node_attrs t.host r_src)
+      ~r_target:(Graph.node_attrs t.host r_dst)
+  in
+  Eval.accepts env residual
 
 let degree_ok t ~q ~r =
   (not t.degree_filter)
@@ -144,19 +103,11 @@ let node_constraint_ok t ~q ~r =
   | Some c -> (
       Telemetry.Counter.incr t.evals;
       let attrs_q = Graph.node_attrs t.query q and attrs_r = Graph.node_attrs t.host r in
-      match t.evaluator with
-      | Interp ->
-          let env =
-            Eval.env ~v_edge:Netembed_attr.Attrs.empty ~r_edge:Netembed_attr.Attrs.empty
-              ~v_source:attrs_q ~v_target:attrs_q ~r_source:attrs_r ~r_target:attrs_r
-          in
-          Eval.accepts env c
-      | Bytecode ->
-          let p = node_program t c in
-          Vm.set_env t.scratch ~v_edge:Netembed_attr.Attrs.empty
-            ~r_edge:Netembed_attr.Attrs.empty ~v_source:attrs_q ~v_target:attrs_q
-            ~r_source:attrs_r ~r_target:attrs_r;
-          Vm.accepts t.scratch p)
+      let env =
+        Eval.env ~v_edge:Netembed_attr.Attrs.empty ~r_edge:Netembed_attr.Attrs.empty
+          ~v_source:attrs_q ~v_target:attrs_q ~r_source:attrs_r ~r_target:attrs_r
+      in
+      Eval.accepts env c)
 
 let node_ok t ~q ~r = degree_ok t ~q ~r && node_constraint_ok t ~q ~r
 
@@ -184,18 +135,10 @@ let query_edges_between t u v =
 
 let prepare t =
   (* Force every lazy cache so the structure can be shared read-only
-     across domains: residuals, compiled programs and the host pair
-     index. *)
+     across domains: residuals and the host pair index. *)
   Graph.iter_edges
     (fun qe q_src q_dst ->
       ignore (residual t qe ~q_src ~q_dst);
-      ignore (residual t qe ~q_src:q_dst ~q_dst:q_src);
-      if t.evaluator = Bytecode then begin
-        ignore (program t qe ~q_src ~q_dst);
-        ignore (program t qe ~q_src:q_dst ~q_dst:q_src)
-      end)
+      ignore (residual t qe ~q_src:q_dst ~q_dst:q_src))
     t.query;
-  (match (t.evaluator, t.node_constraint) with
-  | Bytecode, Some c -> ignore (node_program t c)
-  | _ -> ());
   if Graph.node_count t.host > 0 then ignore (Graph.edges_between t.host 0 0)

@@ -7,26 +7,20 @@
     expression via [vSource]/[vTarget]) is evaluated per (query node,
     host node) pair with the node tables bound to both source slots.
 
-    Evaluation goes through the bytecode VM by default
-    ({!Netembed_expr.Compile} / {!Netembed_expr.Vm}): each residual is
-    compiled once per (query edge, orientation) and the program is
-    shared by the filter build, DFS, LNS and the parallel searchers.
-    The seed tree-walking interpreter remains available as
-    [~evaluator:Interp] — it is the differential oracle the conformance
-    suite runs both modes against. *)
+    Every evaluation goes through the interpreter
+    ({!Netembed_expr.Eval}).  The edge constraint is specialized once
+    per (query edge, orientation) against the query-side attributes
+    ({!Netembed_expr.Eval.specialize}); the residual is shared by the
+    filter build, DFS, LNS and the parallel searchers. *)
 
 open Netembed_graph
 
-type evaluator =
-  | Interp  (** the seed tree-walking interpreter ({!Netembed_expr.Eval}) *)
-  | Bytecode  (** compiled programs on the allocation-free VM (default) *)
-
 type compiled
-(** The cached compilation state of a problem: specialized residuals,
-    their bytecode programs and the node-constraint program.  Opaque;
-    obtained from {!compiled_programs} and fed back to {!make} by the
-    service's filter cache so a warm submit over the same query and
-    constraint skips specialization and compilation entirely. *)
+(** The cached specialization state of a problem: the residual of each
+    (query edge, orientation).  Opaque; obtained from
+    {!compiled_residuals} and fed back to {!make} by the service's
+    filter cache so a warm submit over the same query and constraint
+    skips specialization entirely. *)
 
 type t = private {
   host : Graph.t;
@@ -42,10 +36,6 @@ type t = private {
   query_in_degree : int array;
   residuals : Netembed_expr.Ast.t option array;
       (** lazy per-(query edge, orientation) specialized constraints *)
-  compiled : compiled;
-  evaluator : evaluator;
-  scratch : Netembed_expr.Vm.scratch;
-      (** the problem's one VM scratch — single-writer, like [evals] *)
   evals : Netembed_telemetry.Telemetry.Counter.t;
       (** the shared constraint-evaluation counter: every
           constraint-expression evaluation against this problem — the
@@ -57,7 +47,6 @@ type t = private {
 val make :
   ?node_constraint:Netembed_expr.Ast.t ->
   ?degree_filter:bool ->
-  ?evaluator:evaluator ->
   ?compiled:compiled ->
   host:Graph.t ->
   query:Graph.t ->
@@ -75,8 +64,7 @@ val edge_pair_ok :
 (** Does mapping query edge [qe] (oriented [q_src]->[q_dst]) onto host
     edge [he] (oriented [r_src]->[r_dst]) satisfy the constraint?  The
     orientation of [he] as stored is irrelevant: the caller chooses
-    which endpoint plays source.  Under [Bytecode] this runs the
-    compiled residual on the problem's scratch without allocating. *)
+    which endpoint plays source. *)
 
 val node_ok : t -> q:Graph.node -> r:Graph.node -> bool
 (** Node-level acceptability: degree filter plus the node constraint. *)
@@ -95,32 +83,27 @@ val eval_counter : t -> Netembed_telemetry.Telemetry.Counter.t
 (** The shared constraint-evaluation counter (see the [evals] field).
     Single-writer: concurrent searchers must not share one problem's
     lazy evaluation path (the parallel searchers only read prebuilt
-    filter state, so this holds — and the same discipline covers the VM
-    [scratch]). *)
+    filter state, so this holds). *)
 
 val constraint_evals : t -> int
 (** [Counter.value (eval_counter t)] — cumulative over the problem's
     lifetime; the engine reports per-run deltas. *)
 
-val evaluator : t -> evaluator
+val compiled_residuals : t -> compiled
+(** The problem's residual table, shared structure included — cache it
+    alongside the filter and pass it to the next {!make} over the same
+    query and constraint to skip specialization. *)
 
-val compiled_programs : t -> compiled
-(** The problem's compilation bundle, shared structure included —
-    cache it alongside the filter and pass it to the next {!make} over
-    the same query and constraint to skip recompilation. *)
+val specializations_total : unit -> int
+(** Residuals specialized by this process so far: {!residual} cache
+    misses, summed over every problem.  The value of the
+    [netembed_expr_compiles_total] counter. *)
 
 val residual :
   t -> Graph.edge -> q_src:Graph.node -> q_dst:Graph.node ->
   Netembed_expr.Ast.t
 (** The edge constraint specialized to query edge [qe] in the given
     orientation, cached per (edge, orientation). *)
-
-val program :
-  t -> Graph.edge -> q_src:Graph.node -> q_dst:Graph.node ->
-  Netembed_expr.Compile.program
-(** The compiled form of {!residual}, cached likewise.  Available in
-    both evaluator modes (the filter's pre-filter derives its bounds
-    from the folded source). *)
 
 val residual_for_edge :
   t -> q_src:Graph.node -> q_dst:Graph.node -> Netembed_expr.Ast.t
@@ -138,7 +121,6 @@ val query_edges_between :
     for asymmetric constraints on undirected ones). *)
 
 val prepare : t -> unit
-(** Force the lazy caches (orientation residuals, compiled programs,
-    host edge index) so the problem can afterwards be shared read-only
+(** Force the lazy caches (orientation residuals, host edge index) so the problem can afterwards be shared read-only
     across domains.  Called by the parallel searchers before
     spawning. *)

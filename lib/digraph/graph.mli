@@ -48,7 +48,7 @@ val endpoints : t -> edge -> node * node
 
 val edge_source : t -> edge -> node
 (** [fst (endpoints t e)] without allocating the pair — for per-pair
-    hot paths (the constraint evaluator resolves a residual's
+    hot paths (constraint evaluation resolves a residual's
     orientation on every evaluation). *)
 
 val succ : t -> node -> (node * edge) list

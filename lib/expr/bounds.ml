@@ -81,8 +81,6 @@ let of_ast (e : Ast.t) : t =
   let atoms, complete = spine e ([], true) in
   { atoms = List.rev atoms; complete }
 
-let of_program (p : Compile.program) = of_ast p.Compile.source
-
 let atom_subject = function
   | Cmp { subject; attr; _ } | Eq { subject; attr; _ } | Has_bool { subject; attr; _ }
     ->

@@ -10,7 +10,7 @@
     object this way, so the candidate can be dropped without running
     the constraint.  The filter layer exploits this by sweeping
     pre-sorted attribute columns with bitsets before falling back to
-    generic VM evaluation on the survivors, and the explain path blames
+    generic {!Eval} evaluation on the survivors, and the explain path blames
     near-misses through the same atoms (one extraction, two users —
     this replaces the ad-hoc numeric-requirement walk {!Explain} used
     to carry).
@@ -52,9 +52,6 @@ val of_ast : Ast.t -> t
 (** Extract from a (typically residual/specialized) expression.
     Conjuncts that are not recognizable atoms contribute nothing and
     clear [complete]; the result is always sound, sometimes empty. *)
-
-val of_program : Compile.program -> t
-(** Extract from the constant-folded source of a compiled program. *)
 
 val atom_subject : atom -> Ast.obj * string
 

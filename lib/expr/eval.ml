@@ -103,7 +103,7 @@ let rec eval env (e : Ast.t) : Value.t =
       fail "isBoundTo expects 2 arguments, got %d" (List.length args)
   | Ast.Call (f, args) ->
       (* Arguments evaluate left to right, before arity or name checks
-         (matching the bytecode VM, which compiles them in that order). *)
+         (the documented evaluation order; see eval.mli). *)
       let vals = List.rev (List.fold_left (fun acc a -> eval env a :: acc) [] args) in
       eval_call env f vals
 

@@ -22,11 +22,11 @@
     evaluated; comparison operands are both evaluated before the
     (type-checking) comparison; division checks for a zero divisor after
     evaluating both sides; call arguments evaluate left to right before
-    the arity or function-name check.  The bytecode compiler ({!Compile}
-    / {!Vm}) emits instructions in exactly this order, so interpreter
-    and VM raise the same class of error ([Eval_error] vs
-    [Missing_attr]) on the same input — the property the differential
-    test suite pins. *)
+    the arity or function-name check, except that [isBoundTo] checks its
+    arity before touching either argument.  The order decides which
+    class of error ([Eval_error] vs [Missing_attr]) an input raises, and
+    so whether {!accepts} rejects it or raises; the evaluation-order
+    table in the expression tests pins it. *)
 
 type env = {
   v_edge : Netembed_attr.Attrs.t;

@@ -6,9 +6,9 @@
     pattern the paper's interactive scenario implies — rebuild an
     identical matrix every time.  This cache keys built filters by
     [(model revision, query signature)] so a repeat skips the build
-    entirely.  Each entry also carries the problem's compiled-constraint
-    bundle ({!Netembed_core.Problem.compiled}), so a warm submit skips
-    bytecode compilation as well — observable as a flat
+    entirely.  Each entry also carries the problem's specialized-residual
+    table ({!Netembed_core.Problem.compiled}), so a warm submit skips
+    constraint specialization as well — observable as a flat
     [netembed_expr_compiles_total] counter across repeats.
 
     Correctness rests on the key covering every input of the build:
@@ -49,9 +49,9 @@ val find :
   signature:string ->
   (Netembed_core.Filter.t * Netembed_core.Problem.compiled) option
 (** Cache lookup; a hit refreshes the entry's recency and returns both
-    the filter matrix and the compiled-constraint bundle, so a warm
-    submit skips the filter build {e and} the bytecode compilation
-    (fed back into {!Netembed_core.Problem.make} via [?compiled]). *)
+    the filter matrix and the residual table, so a warm submit skips
+    the filter build {e and} the specialization (fed back into
+    {!Netembed_core.Problem.make} via [?compiled]). *)
 
 val add :
   t ->
@@ -60,8 +60,8 @@ val add :
   compiled:Netembed_core.Problem.compiled ->
   Netembed_core.Filter.t ->
   unit
-(** Insert a freshly built filter together with the problem's compiled
-    programs, evicting LRU entries as needed.  No-op if the key is
+(** Insert a freshly built filter together with the problem's residual
+    table, evicting LRU entries as needed.  No-op if the key is
     already present. *)
 
 val invalidate : t -> current_revision:int -> unit

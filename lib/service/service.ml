@@ -649,13 +649,13 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
           (* Cross-request filter cache: ECF/RWB requests key their
              filter matrix on (model revision, query signature) and
              skip the build — the dominant sequential phase — on a
-             repeat.  A hit also hands back the compiled-constraint
-             bundle, threaded into [Problem.make] below so a warm
-             submit skips specialization and bytecode compilation too.
-             A miss builds inside the engine as before (with blame, so
-             cold unsat requests still get full filter-phase
-             attribution) and the built filter + programs are stored
-             afterwards; LNS filters lazily and bypasses the cache. *)
+             repeat.  A hit also hands back the specialized-residual
+             table, threaded into [Problem.make] below so a warm
+             submit skips specialization too.  A miss builds inside
+             the engine as before (with blame, so cold unsat requests
+             still get full filter-phase attribution) and the built
+             filter + residuals are stored afterwards; LNS filters
+             lazily and bypasses the cache. *)
           let cache_key =
             Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Cache_lookup
               (fun () ->
@@ -734,7 +734,7 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
                   | Some key, Some f ->
                       with_cache t (fun () ->
                           Filter_cache.add t.filter_cache ~revision ~signature:key
-                            ~compiled:(Problem.compiled_programs problem) f)
+                            ~compiled:(Problem.compiled_residuals problem) f)
                   | _ -> ());
               Log.debug (fun m ->
                   m "query %d nodes via %s: %d mapping(s), %s"
@@ -793,7 +793,9 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
                         certificate = result.Engine.report;
                       }
                   end);
-              let revision = Model.revision t.model in
+              (* Stamp the revision the snapshot was taken at, not the
+                 model's current one: a commit or monitor update that
+                 landed during the search must make this answer stale. *)
               Telemetry.Gauge.set t.model_revision (float_of_int revision);
               finish
                 (Ok { id; trace_id; request; result; model_revision = revision; trace = tbuf })))

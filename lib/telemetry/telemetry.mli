@@ -139,7 +139,7 @@ module Phase : sig
     | Admission  (** ledger admission check *)
     | Cache_lookup  (** filter-cache invalidate, probe and insert *)
     | Filter_build  (** candidate-domain filter matrix build *)
-    | Compile  (** constraint specialization + bytecode compilation *)
+    | Compile  (** constraint specialization: forcing the per-edge residuals *)
     | Search  (** the descent proper (sequential or work-stealing) *)
     | Ledger_commit  (** allocation commit / release bookkeeping *)
     | Encode  (** wire-frame encoding of the answer *)

@@ -239,7 +239,7 @@ GRAPHML
 TXT
 # The identical frame twice: the second submit must hit the filter
 # cache (same model revision, same query signature).  Scrape between
-# the two so the warm submit's effect on the bytecode-compile counter
+# the two so the warm submit's effect on the specialization counter
 # is observable in isolation.
 cat "$WORK/par.txt" >&4
 
@@ -253,9 +253,9 @@ for _ in $(seq 50); do
   sleep 0.2
 done
 [ -n "$COLD" ] || { echo "FAIL: could not scrape two-domain /metrics"; exit 1; }
-# The cold submit compiled its constraints to bytecode.
+# The cold submit specialized its constraint per query edge.
 echo "$COLD" | grep -Eq '^netembed_expr_compiles_total [1-9]' \
-  || { echo "FAIL: no bytecode compiles after the cold submit"; echo "$COLD"; exit 1; }
+  || { echo "FAIL: no constraint specializations after the cold submit"; echo "$COLD"; exit 1; }
 COMPILES_COLD=$(echo "$COLD" | sed -nE 's/^netembed_expr_compiles_total ([0-9]+).*/\1/p')
 
 cat "$WORK/par.txt" >&4
@@ -273,11 +273,11 @@ echo "$METRICS" | grep -Eq '^netembed_filter_cache_misses_total [1-9]' \
   || fail "no filter-cache miss on the cold submit"
 echo "$METRICS" | grep -Eq '^netembed_filter_cache_hits_total [1-9]' \
   || fail "no filter-cache hit on the warm submit"
-# The cache entry carries the compiled programs: the warm submit must
-# not have compiled anything.
+# The cache entry carries the specialized residuals: the warm submit
+# must not have specialized anything.
 COMPILES_WARM=$(echo "$METRICS" | sed -nE 's/^netembed_expr_compiles_total ([0-9]+).*/\1/p')
 [ "$COMPILES_WARM" = "$COMPILES_COLD" ] \
-  || fail "warm submit recompiled bytecode ($COMPILES_COLD -> $COMPILES_WARM)"
+  || fail "warm submit re-specialized constraints ($COMPILES_COLD -> $COMPILES_WARM)"
 # The steal counter series is exposed (pre-registered; its value
 # depends on scheduling, so only presence is asserted).
 echo "$METRICS" | grep -Eq '^netembed_steals_total [0-9]' \

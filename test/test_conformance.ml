@@ -174,17 +174,17 @@ let test_split_depth_invariance () =
     [ 0; 1; 2; 3; 100 ]
 
 (* ------------------------------------------------------------------ *)
-(* Evaluator / prefilter differential                                  *)
+(* Pre-filter differential                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Interp (the seed tree-walking interpreter), Bytecode (the VM) and
-   Bytecode+prefilter (Bounds atoms swept over sorted attribute
-   columns before any evaluation) must return identical mapping sets
-   and verdicts on every instance.  The instances deliberately mix
-   numeric bands, string equalities, booleans, disjunctions (which the
-   Bounds extraction cannot decide — survivors fall back to the VM)
-   and missing attributes, so all three paths through the filter are
-   exercised: decide-accept, decide-drop and dirty-fallback. *)
+(* The interpreter with and without the Bounds pre-filter (atoms swept
+   over sorted attribute columns before any evaluation) must return
+   identical mapping sets and verdicts on every instance.  The
+   instances deliberately mix numeric bands, string equalities,
+   booleans, disjunctions (which the Bounds extraction cannot decide —
+   survivors fall back to evaluation) and missing attributes, so all
+   three paths through the pre-filter are exercised: decide-accept,
+   decide-drop and dirty-fallback. *)
 
 let os_names = [| "linux"; "bsd"; "plan9" |]
 
@@ -240,7 +240,7 @@ let node_constraints =
     Some "rSource.osType == \"linux\"";
   |]
 
-let rich_instance ~evaluator seed =
+let rich_instance seed =
   let rng = Rng.make (seed * 7919) in
   let host = rich_host rng (8 + Rng.int rng 8) in
   let query_n = 3 + Rng.int rng 3 in
@@ -270,40 +270,33 @@ let rich_instance ~evaluator seed =
     Option.map Expr.parse_exn
       node_constraints.(Rng.int rng (Array.length node_constraints))
   in
-  Problem.make ?node_constraint:node_c ~evaluator ~host ~query edge_c
+  Problem.make ?node_constraint:node_c ~host ~query edge_c
 
-let evaluator_prop seed =
-  let run ~evaluator ~prefilter =
-    let p = rich_instance ~evaluator seed in
+let prefilter_prop seed =
+  let run ~prefilter =
+    let p = rich_instance seed in
     let options =
       { Engine.default_options with Engine.mode = Engine.All; prefilter }
     in
     let r = Engine.run ~options Engine.ECF p in
     (canon r.Engine.mappings, Engine.verdict r)
   in
-  let oracle, oracle_verdict = run ~evaluator:Problem.Interp ~prefilter:false in
-  List.iter
-    (fun (name, evaluator, prefilter) ->
-      let got, verdict = run ~evaluator ~prefilter in
-      if verdict <> oracle_verdict then
-        QCheck.Test.fail_reportf "seed %d, %s: verdict %s, interpreter says %s"
-          seed name verdict oracle_verdict;
-      if not (equal_sets oracle got) then
-        QCheck.Test.fail_reportf
-          "seed %d, %s: %d mappings, interpreter found %d" seed name
-          (List.length got) (List.length oracle))
-    [
-      ("interp+prefilter", Problem.Interp, true);
-      ("bytecode", Problem.Bytecode, false);
-      ("bytecode+prefilter", Problem.Bytecode, true);
-    ];
+  let oracle, oracle_verdict = run ~prefilter:false in
+  let got, verdict = run ~prefilter:true in
+  if verdict <> oracle_verdict then
+    QCheck.Test.fail_reportf "seed %d, interp+prefilter: verdict %s, interpreter says %s"
+      seed verdict oracle_verdict;
+  if not (equal_sets oracle got) then
+    QCheck.Test.fail_reportf
+      "seed %d, interp+prefilter: %d mappings, interpreter found %d" seed
+      (List.length got) (List.length oracle);
   true
 
-let evaluator_conformance_test =
+let prefilter_conformance_test =
   QCheck.Test.make ~count:60
-    ~name:"interp = bytecode = bytecode+prefilter (mapping sets + verdicts)"
+    ~name:"interp = interp+prefilter (mapping sets + verdicts)"
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
-    evaluator_prop
+    prefilter_prop
 
 let () =
   Alcotest.run "conformance"
@@ -314,6 +307,6 @@ let () =
           Alcotest.test_case "pinned shapes" `Quick test_pinned_shapes;
           Alcotest.test_case "split-depth invariance" `Quick test_split_depth_invariance;
         ] );
-      ( "evaluator",
-        [ QCheck_alcotest.to_alcotest evaluator_conformance_test ] );
+      ( "prefilter",
+        [ QCheck_alcotest.to_alcotest prefilter_conformance_test ] );
     ]

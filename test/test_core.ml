@@ -102,6 +102,28 @@ let test_node_constraint () =
   check Alcotest.bool "node 2 passes" true (Problem.node_ok p ~q:0 ~r:2);
   check Alcotest.bool "node 0 lacks attr" false (Problem.node_ok p ~q:0 ~r:0)
 
+(* netembed_expr_compiles_total counts residual specializations: a
+   cache miss bumps it once, a hit and a problem built over a handed-on
+   residual table ([?compiled]) leave it flat. *)
+let test_compiles_counter () =
+  let p = path_problem () in
+  let before = Problem.specializations_total () in
+  ignore (Problem.residual p 0 ~q_src:0 ~q_dst:1);
+  ignore (Problem.residual p 1 ~q_src:1 ~q_dst:2);
+  check Alcotest.int "two misses" (before + 2) (Problem.specializations_total ());
+  ignore (Problem.residual p 0 ~q_src:0 ~q_dst:1);
+  check Alcotest.int "a hit is free" (before + 2) (Problem.specializations_total ());
+  Problem.prepare p;
+  check Alcotest.int "prepare forces the reverse orientations" (before + 4)
+    (Problem.specializations_total ());
+  let warm =
+    Problem.make ~compiled:(Problem.compiled_residuals p) ~host:p.Problem.host
+      ~query:p.Problem.query Expr.avg_delay_within
+  in
+  Problem.prepare warm;
+  check Alcotest.int "handed-on table needs no specialization" (before + 4)
+    (Problem.specializations_total ())
+
 (* ------------------------------------------------------------------ *)
 (* Filter                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -497,6 +519,7 @@ let () =
           Alcotest.test_case "degree filter" `Quick test_node_ok_degree;
           Alcotest.test_case "node constraint" `Quick test_node_constraint;
         ] );
+      ("compile", [ Alcotest.test_case "compiles counter" `Quick test_compiles_counter ]);
       ( "filter",
         [
           Alcotest.test_case "cells" `Quick test_filter_cells;

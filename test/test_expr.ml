@@ -3,6 +3,7 @@ module Lexer = Netembed_expr.Lexer
 module Parser = Netembed_expr.Parser
 module Eval = Netembed_expr.Eval
 module Expr = Netembed_expr.Expr
+module Bounds = Netembed_expr.Bounds
 module Attrs = Netembed_attr.Attrs
 module Value = Netembed_attr.Value
 
@@ -318,6 +319,440 @@ let test_stock_constraints () =
   check Alcotest.bool "10%% tolerance ok" true (Expr.accepts tol (Expr.delay_tolerance 0.10));
   check Alcotest.bool "3%% tolerance fails" false (Expr.accepts tol (Expr.delay_tolerance 0.03))
 
+(* ------------------------------------------------------------------ *)
+(* Evaluation order                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [eval.mli] defines the order operands, conversions and checks run
+   in; it decides whether an input raises [Eval_error] (a malformed
+   query) or [Missing_attr] (the pair cannot be certified, so [accepts]
+   rejects it).  Each row is (source, expected [eval] outcome, expected
+   [accepts] result), once against an environment carrying most
+   attributes and once against an empty one. *)
+
+type outcome = V of Value.t | Error_eval | Missing of Ast.obj * string
+
+let outcome_to_string = function
+  | V v -> "value " ^ Value.to_string v
+  | Error_eval -> "Eval_error"
+  | Missing (o, n) -> Printf.sprintf "Missing_attr %s.%s" (Ast.obj_name o) n
+
+let outcome =
+  Alcotest.testable
+    (fun fmt o -> Format.pp_print_string fmt (outcome_to_string o))
+    (fun a b ->
+      match (a, b) with
+      | V x, V y -> Value.equal x y
+      | Error_eval, Error_eval -> true
+      | Missing (o1, n1), Missing (o2, n2) -> o1 = o2 && String.equal n1 n2
+      | _ -> false)
+
+type accepted = A of bool | A_error
+
+let accepted =
+  Alcotest.testable
+    (fun fmt a ->
+      Format.pp_print_string fmt
+        (match a with A b -> string_of_bool b | A_error -> "Eval_error"))
+    ( = )
+
+let rich_env =
+  env
+    ~v_edge:[ ("bw", Value.Float 10.0); ("delay", Value.Float 4.0); ("os", Value.String "linux") ]
+    ~r_edge:
+      [
+        ("bw", Value.Float 25.0); ("delay", Value.Float 3.0); ("os", Value.String "linux");
+        ("hops", Value.Int 2); ("up", Value.Bool true);
+      ]
+    ~v_source:[ ("osType", Value.String "bsd"); ("cpu", Value.Float 500.0) ]
+    ~v_target:[ ("cpu", Value.Float 800.0) ]
+    ~r_source:
+      [ ("osType", Value.String "bsd"); ("cpu", Value.Float 900.0); ("reserved", Value.Bool false) ]
+    ~r_target:[ ("cpu", Value.Float 1200.0) ]
+    ()
+
+let rich_env_table =
+  let open Value in
+  [
+    ("rEdge.bw >= vEdge.bw", V (Bool true), A true);
+    ("rEdge.delay <= vEdge.delay", V (Bool true), A true);
+    ("rEdge.bw - vEdge.bw >= 10 && rEdge.up", V (Bool true), A true);
+    ("rEdge.bw * 2 + rEdge.hops / 2 - 1", V (Float 50.0), A_error);
+    ( "min(rEdge.bw, vEdge.bw) == 10 && max(rEdge.cpuMissing, 1) == 1 || true",
+      Missing (Ast.R_edge, "cpuMissing"), A false );
+    ("abs(vEdge.delay - rEdge.delay) <= 1", V (Bool true), A true);
+    ("sqrt(rEdge.bw * 4) == 10", V (Bool true), A true);
+    ("floor(rEdge.delay / 2) == 1 && ceil(rEdge.delay / 2) == 2", V (Bool true), A true);
+    ("-rEdge.delay < 0", V (Bool true), A true);
+    ("rEdge.os == 'linux' && vSource.osType != 'solaris'", V (Bool true), A true);
+    ("rEdge.os < 'windows'", V (Bool true), A true);
+    ("rEdge.os == 5", V (Bool false), A false);
+    ("rEdge.up != 7", V (Bool true), A true);
+    ("isBoundTo(vSource.osType, rSource.osType)", V (Bool true), A true);
+    ("isBoundTo(vSource.missing, rSource.osType)", V (Bool true), A true);
+    ("isBoundTo(vSource.osType, rSource.missing)", V (Bool false), A false);
+    ("isBoundTo(vSource.cpu, rSource.cpu)", V (Bool false), A false);
+    ("rEdge.hops == 2 && rEdge.hops < 2.5", V (Bool true), A true);
+    ("rEdge.missing < 5", Missing (Ast.R_edge, "missing"), A false);
+    ("vEdge.bw < 5 || vEdge.absent", Missing (Ast.V_edge, "absent"), A false);
+    ("rEdge.bw > 0 || rEdge.missing < 5", V (Bool true), A true);
+    ("rEdge.bw < 0 && rEdge.missing < 5", V (Bool false), A false);
+    ("1 + 1", V (Float 2.0), A_error);
+    ("rEdge.bw", V (Float 25.0), A_error);
+    ("'a' + 1 == 2", Error_eval, A_error);
+    ("!5 == true", Error_eval, A_error);
+    ("true < false", Error_eval, A_error);
+    ("rEdge.os + 1 > 0", Error_eval, A_error);
+    ("!rEdge.bw", Error_eval, A_error);
+    ("rEdge.bw / 0 > 1", Error_eval, A_error);
+    ("rEdge.missing / 0 > 1", Missing (Ast.R_edge, "missing"), A false);
+    ("unknownFun(rEdge.bw) == 1", Error_eval, A_error);
+    ("unknownFun(rEdge.missing) == 1", Missing (Ast.R_edge, "missing"), A false);
+    ("abs(1, 2) == 1", Error_eval, A_error);
+    ("min(3) == 3", Error_eval, A_error);
+    ("sqrt(0 - 4) == 2", Error_eval, A_error);
+    ("isBoundTo(rEdge.missing)", Error_eval, A_error);
+    ("isBoundTo(vSource.osType, rSource.osType, 1)", Error_eval, A_error);
+    ("rEdge.bw + 5", V (Float 30.0), A_error);
+  ] [@ocamlformat "disable"]
+
+(* Everything missing: the first attribute reached decides, and
+   isBoundTo with an absent query side is unconstrained. *)
+let empty_env_table =
+  let open Value in
+  [
+    ("rEdge.bw >= vEdge.bw", Missing (Ast.R_edge, "bw"), A false);
+    ("rEdge.delay <= vEdge.delay", Missing (Ast.R_edge, "delay"), A false);
+    ("rEdge.bw - vEdge.bw >= 10 && rEdge.up", Missing (Ast.R_edge, "bw"), A false);
+    ("rEdge.bw * 2 + rEdge.hops / 2 - 1", Missing (Ast.R_edge, "bw"), A false);
+    ( "min(rEdge.bw, vEdge.bw) == 10 && max(rEdge.cpuMissing, 1) == 1 || true",
+      Missing (Ast.R_edge, "bw"), A false );
+    ("abs(vEdge.delay - rEdge.delay) <= 1", Missing (Ast.V_edge, "delay"), A false);
+    ("sqrt(rEdge.bw * 4) == 10", Missing (Ast.R_edge, "bw"), A false);
+    ( "floor(rEdge.delay / 2) == 1 && ceil(rEdge.delay / 2) == 2",
+      Missing (Ast.R_edge, "delay"), A false );
+    ("-rEdge.delay < 0", Missing (Ast.R_edge, "delay"), A false);
+    ( "rEdge.os == 'linux' && vSource.osType != 'solaris'",
+      Missing (Ast.R_edge, "os"), A false );
+    ("rEdge.os < 'windows'", Missing (Ast.R_edge, "os"), A false);
+    ("rEdge.os == 5", Missing (Ast.R_edge, "os"), A false);
+    ("rEdge.up != 7", Missing (Ast.R_edge, "up"), A false);
+    ("isBoundTo(vSource.osType, rSource.osType)", V (Bool true), A true);
+    ("isBoundTo(vSource.missing, rSource.osType)", V (Bool true), A true);
+    ("isBoundTo(vSource.osType, rSource.missing)", V (Bool true), A true);
+    ("isBoundTo(vSource.cpu, rSource.cpu)", V (Bool true), A true);
+    ("rEdge.hops == 2 && rEdge.hops < 2.5", Missing (Ast.R_edge, "hops"), A false);
+    ("rEdge.missing < 5", Missing (Ast.R_edge, "missing"), A false);
+    ("vEdge.bw < 5 || vEdge.absent", Missing (Ast.V_edge, "bw"), A false);
+    ("rEdge.bw > 0 || rEdge.missing < 5", Missing (Ast.R_edge, "bw"), A false);
+    ("rEdge.bw < 0 && rEdge.missing < 5", Missing (Ast.R_edge, "bw"), A false);
+    ("1 + 1", V (Float 2.0), A_error);
+    ("rEdge.bw", Missing (Ast.R_edge, "bw"), A false);
+    ("'a' + 1 == 2", Error_eval, A_error);
+    ("!5 == true", Error_eval, A_error);
+    ("true < false", Error_eval, A_error);
+    ("rEdge.os + 1 > 0", Missing (Ast.R_edge, "os"), A false);
+    ("!rEdge.bw", Missing (Ast.R_edge, "bw"), A false);
+    ("rEdge.bw / 0 > 1", Missing (Ast.R_edge, "bw"), A false);
+    ("rEdge.missing / 0 > 1", Missing (Ast.R_edge, "missing"), A false);
+    ("unknownFun(rEdge.bw) == 1", Missing (Ast.R_edge, "bw"), A false);
+    ("unknownFun(rEdge.missing) == 1", Missing (Ast.R_edge, "missing"), A false);
+    ("abs(1, 2) == 1", Error_eval, A_error);
+    ("min(3) == 3", Error_eval, A_error);
+    ("sqrt(0 - 4) == 2", Error_eval, A_error);
+    ("isBoundTo(rEdge.missing)", Error_eval, A_error);
+    ("isBoundTo(vSource.osType, rSource.osType, 1)", Error_eval, A_error);
+    ("rEdge.bw + 5", Missing (Ast.R_edge, "bw"), A false);
+  ] [@ocamlformat "disable"]
+
+let check_order_table name envv table =
+  List.iter
+    (fun (src, expected, expected_accepts) ->
+      let e = parse src in
+      let got =
+        match Eval.eval envv e with
+        | v -> V v
+        | exception Eval.Eval_error _ -> Error_eval
+        | exception Eval.Missing_attr (o, n) -> Missing (o, n)
+      in
+      Alcotest.check outcome (name ^ ": eval " ^ src) expected got;
+      let got_accepts =
+        match Eval.accepts envv e with b -> A b | exception Eval.Eval_error _ -> A_error
+      in
+      Alcotest.check accepted (name ^ ": accepts " ^ src) expected_accepts got_accepts)
+    table
+
+let test_evaluation_order () =
+  check_order_table "rich" rich_env rich_env_table;
+  check_order_table "empty" (env ()) empty_env_table
+
+(* ------------------------------------------------------------------ *)
+(* Bounds extraction                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let vnum f = Value.Float f
+let vint i = Value.Int i
+let vstr s = Value.String s
+let vbool b = Value.Bool b
+
+let atoms_to_string atoms =
+  String.concat "; "
+    (List.map (fun a -> Format.asprintf "%a" Bounds.pp_atom a) atoms)
+
+let test_bounds_extraction () =
+  let b =
+    Bounds.of_ast
+      (parse
+         "rSource.cpuMhz >= 900 && rSource.os == 'linux' && !rSource.reserved \
+          && rEdge.avgDelay < 20")
+  in
+  Alcotest.(check bool) "complete" true b.Bounds.complete;
+  Alcotest.(check string) "atoms"
+    "rSource.cpuMhz >= 900; rSource.os == 'linux'; !rSource.reserved; \
+     rEdge.avgDelay < 20"
+    (atoms_to_string b.Bounds.atoms);
+  (* flipped operands and the specialized isBoundTo shape *)
+  let b = Bounds.of_ast (parse "900 <= rSource.cpuMhz && isBoundTo('linux', rSource.os)") in
+  Alcotest.(check bool) "complete (flipped)" true b.Bounds.complete;
+  Alcotest.(check string) "atoms (flipped)"
+    "rSource.cpuMhz >= 900; rSource.os == 'linux'"
+    (atoms_to_string b.Bounds.atoms);
+  (* a disjunction yields nothing and clears completeness *)
+  let b = Bounds.of_ast (parse "rSource.cpuMhz >= 900 || rSource.x < 1") in
+  Alcotest.(check bool) "incomplete (or)" false b.Bounds.complete;
+  Alcotest.(check int) "no atoms (or)" 0 (List.length b.Bounds.atoms);
+  (* partial recognition: the sound atom is kept, completeness cleared *)
+  let b = Bounds.of_ast (parse "rEdge.a > 5 && rEdge.b * 2 < 10") in
+  Alcotest.(check bool) "incomplete (arith)" false b.Bounds.complete;
+  Alcotest.(check string) "atoms (arith)" "rEdge.a > 5" (atoms_to_string b.Bounds.atoms);
+  (* the filter extracts from the specialized residual, whose closed
+     subtrees are folded, so folded constants extract *)
+  let b =
+    Bounds.of_ast
+      (Eval.specialize ~v_edge:Attrs.empty ~v_source:Attrs.empty ~v_target:Attrs.empty
+         (parse "rEdge.bw >= 2 * 50"))
+  in
+  Alcotest.(check string) "atoms (folded)" "rEdge.bw >= 100"
+    (atoms_to_string b.Bounds.atoms);
+  Alcotest.(check bool) "complete (folded)" true b.Bounds.complete
+
+let test_bounds_satisfied () =
+  let cmp =
+    Bounds.Cmp { subject = Ast.R_edge; attr = "d"; cmp = Bounds.Lt; bound = 20.0 }
+  in
+  let check msg expected got =
+    Alcotest.(check string) msg expected
+      (match got with `Pass -> "pass" | `Fail -> "fail" | `Unknown -> "unknown")
+  in
+  check "cmp pass" "pass" (Bounds.satisfied cmp (vnum 10.0));
+  check "cmp int pass" "pass" (Bounds.satisfied cmp (vint 19));
+  check "cmp fail" "fail" (Bounds.satisfied cmp (vnum 20.0));
+  check "cmp non-numeric" "unknown" (Bounds.satisfied cmp (vstr "x"));
+  check "cmp bool" "unknown" (Bounds.satisfied cmp (vbool true));
+  let eq = Bounds.Eq { subject = Ast.R_edge; attr = "os"; value = vstr "linux" } in
+  check "eq pass" "pass" (Bounds.satisfied eq (vstr "linux"));
+  check "eq fail" "fail" (Bounds.satisfied eq (vstr "bsd"));
+  (* eval_eq semantics: mixed types are unequal, never unknown *)
+  check "eq mixed" "fail" (Bounds.satisfied eq (vnum 1.0));
+  (* numeric equality crosses Int/Float *)
+  let eqn = Bounds.Eq { subject = Ast.R_edge; attr = "hops"; value = vnum 2.0 } in
+  check "eq int/float" "pass" (Bounds.satisfied eqn (vint 2));
+  let hb = Bounds.Has_bool { subject = Ast.R_source; attr = "up"; value = true } in
+  check "has_bool pass" "pass" (Bounds.satisfied hb (vbool true));
+  check "has_bool fail" "fail" (Bounds.satisfied hb (vbool false));
+  check "has_bool non-bool" "unknown" (Bounds.satisfied hb (vnum 1.0))
+
+let test_bounds_interval () =
+  let b = Bounds.of_ast (parse "rEdge.d >= 5 && rEdge.d < 20 && rEdge.x == 7") in
+  let lo, hi = Bounds.interval b Ast.R_edge "d" in
+  Alcotest.(check (float 0.0)) "lo" 5.0 lo;
+  Alcotest.(check (float 0.0)) "hi" 20.0 hi;
+  let lo, hi = Bounds.interval b Ast.R_edge "x" in
+  Alcotest.(check (float 0.0)) "eq lo" 7.0 lo;
+  Alcotest.(check (float 0.0)) "eq hi" 7.0 hi;
+  let lo, hi = Bounds.interval b Ast.R_edge "unconstrained" in
+  Alcotest.(check bool) "open interval" true
+    (lo = Float.neg_infinity && hi = Float.infinity)
+
+(* Random environments for the soundness property: up to four
+   attributes per object, of every value type. *)
+
+let objects =
+  [| Ast.V_edge; Ast.R_edge; Ast.V_source; Ast.V_target; Ast.R_source; Ast.R_target |]
+
+let attr_names = [| "a"; "b"; "c"; "d" |]
+
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> vnum (float_of_int i)) (int_range (-20) 20));
+        (2, map (fun i -> vint i) (int_range (-20) 20));
+        (2, map vstr (oneofl [ "linux"; "bsd"; "solaris" ]));
+        (2, map vbool bool);
+      ])
+
+let gen_table =
+  QCheck.Gen.(
+    let* n = int_range 0 (Array.length attr_names) in
+    let* vals = list_size (return n) gen_value in
+    return
+      (List.fold_left2
+         (fun t name v -> Attrs.add name v t)
+         Attrs.empty
+         (Array.to_list (Array.sub attr_names 0 n))
+         vals))
+
+let gen_env =
+  QCheck.Gen.(
+    let* v_edge = gen_table in
+    let* r_edge = gen_table in
+    let* v_source = gen_table in
+    let* v_target = gen_table in
+    let* r_source = gen_table in
+    let* r_target = gen_table in
+    return (Eval.env ~v_edge ~r_edge ~v_source ~v_target ~r_source ~r_target))
+
+let gen_attr =
+  QCheck.Gen.(
+    let* o = oneofa objects in
+    let* n = oneofa attr_names in
+    return (Ast.Attr (o, n)))
+
+(* Mostly well-typed expressions with a deliberate sprinkling of
+   ill-typed and erroring shapes, so the error classes are covered too. *)
+let rec gen_num_expr depth =
+  QCheck.Gen.(
+    if depth = 0 then
+      frequency
+        [
+          (3, map (fun i -> Ast.Num (float_of_int i)) (int_range (-9) 9));
+          (3, gen_attr);
+          (1, return (Ast.Num 0.0));
+        ]
+    else
+      frequency
+        [
+          (2, gen_num_expr 0);
+          ( 3,
+            let* op = oneofl [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div ] in
+            let* a = gen_num_expr (depth - 1) in
+            let* b = gen_num_expr (depth - 1) in
+            return (Ast.Binop (op, a, b)) );
+          ( 1,
+            let* a = gen_num_expr (depth - 1) in
+            return (Ast.Unop (Ast.Neg, a)) );
+          ( 1,
+            let* f = oneofl [ "abs"; "sqrt"; "floor"; "ceil" ] in
+            let* a = gen_num_expr (depth - 1) in
+            return (Ast.Call (f, [ a ])) );
+          ( 1,
+            let* f = oneofl [ "min"; "max" ] in
+            let* a = gen_num_expr (depth - 1) in
+            let* b = gen_num_expr (depth - 1) in
+            return (Ast.Call (f, [ a; b ])) );
+        ])
+
+let rec gen_bool_expr depth =
+  QCheck.Gen.(
+    if depth = 0 then
+      frequency [ (2, map (fun b -> Ast.Bool b) bool); (3, gen_attr) ]
+    else
+      frequency
+        [
+          (1, gen_bool_expr 0);
+          ( 3,
+            let* op = oneofl [ Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ] in
+            let* a = gen_num_expr (depth - 1) in
+            let* b = gen_num_expr (depth - 1) in
+            return (Ast.Binop (op, a, b)) );
+          ( 2,
+            let* op = oneofl [ Ast.Eq; Ast.Neq ] in
+            let* a =
+              oneof [ gen_num_expr (depth - 1); gen_attr; map (fun s -> Ast.Str s) (oneofl [ "linux"; "bsd" ]) ]
+            in
+            let* b =
+              oneof [ gen_num_expr (depth - 1); gen_attr; map (fun s -> Ast.Str s) (oneofl [ "linux"; "bsd" ]) ]
+            in
+            return (Ast.Binop (op, a, b)) );
+          ( 2,
+            let* op = oneofl [ Ast.And; Ast.Or ] in
+            let* a = gen_bool_expr (depth - 1) in
+            let* b = gen_bool_expr (depth - 1) in
+            return (Ast.Binop (op, a, b)) );
+          ( 1,
+            let* a = gen_bool_expr (depth - 1) in
+            return (Ast.Unop (Ast.Not, a)) );
+          ( 1,
+            let* a = oneof [ gen_attr; map (fun s -> Ast.Str s) (oneofl [ "linux"; "bsd" ]) ] in
+            let* b = gen_attr in
+            return (Ast.Call ("isBoundTo", [ a; b ])) );
+          (* deliberately ill-formed: wrong arity / unknown function *)
+          ( 1,
+            oneofl
+              [
+                Ast.Call ("isBoundTo", [ Ast.Num 1.0 ]);
+                Ast.Call ("abs", [ Ast.Num 1.0; Ast.Num 2.0 ]);
+                Ast.Call ("frobnicate", [ Ast.Num 1.0 ]);
+                Ast.Binop (Ast.Add, Ast.Str "a", Ast.Num 1.0);
+              ] );
+        ])
+
+let gen_case =
+  QCheck.Gen.(
+    let* e = gen_bool_expr 3 in
+    let* envv = gen_env in
+    return (e, envv))
+
+let arb_case =
+  QCheck.make gen_case ~print:(fun (e, _) -> Ast.to_string e)
+
+
+(* Soundness of atoms against the interpreter: a Fail verdict on a
+   candidate value implies accepts is false whenever that object carries
+   that value. *)
+let bounds_sound_prop (e, envv) =
+  let b = Bounds.of_ast e in
+  let lookup (obj : Ast.obj) name =
+    let t =
+      match obj with
+      | Ast.V_edge -> envv.Eval.v_edge
+      | Ast.R_edge -> envv.Eval.r_edge
+      | Ast.V_source -> envv.Eval.v_source
+      | Ast.V_target -> envv.Eval.v_target
+      | Ast.R_source -> envv.Eval.r_source
+      | Ast.R_target -> envv.Eval.r_target
+    in
+    Attrs.find name t
+  in
+  let verdict =
+    List.fold_left
+      (fun acc atom ->
+        if acc = `Drop then `Drop
+        else
+          let obj, name = Bounds.atom_subject atom in
+          match lookup obj name with
+          | None -> `Drop (* absent attribute: always a safe drop *)
+          | Some v -> (
+              match Bounds.satisfied atom v with
+              | `Fail -> `Drop
+              | `Pass | `Unknown -> acc))
+      `Keep b.Bounds.atoms
+  in
+  match verdict with
+  | `Keep -> true
+  | `Drop -> (
+      (* dropping is only sound if accepts would have said false (or
+         raised a type error that early dropping is allowed to hide) *)
+      match Eval.accepts envv e with
+      | true -> QCheck.Test.fail_reportf "bounds dropped an accepted candidate"
+      | false -> true
+      | exception Eval.Eval_error _ -> true)
+
+let qcheck_bounds_sound =
+  QCheck.Test.make ~count:2000 ~name:"bounds Fail verdicts are sound" arb_case
+    bounds_sound_prop
+
 (* Random-expression property: printing and reparsing preserves meaning. *)
 
 let gen_expr =
@@ -445,6 +880,7 @@ let () =
           Alcotest.test_case "isBoundTo" `Quick test_is_bound_to;
           Alcotest.test_case "errors" `Quick test_eval_errors;
           Alcotest.test_case "orientation swap" `Quick test_swap_orientation;
+          Alcotest.test_case "evaluation order" `Quick test_evaluation_order;
         ] );
       ( "specialize",
         [
@@ -452,4 +888,11 @@ let () =
           Alcotest.test_case "constant folding" `Quick test_specialize_folds;
         ] );
       ( "stock", [ Alcotest.test_case "constraints" `Quick test_stock_constraints ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "extraction" `Quick test_bounds_extraction;
+          Alcotest.test_case "satisfied" `Quick test_bounds_satisfied;
+          Alcotest.test_case "interval" `Quick test_bounds_interval;
+        ] );
+      ("qcheck", [ QCheck_alcotest.to_alcotest qcheck_bounds_sound ]);
     ]

@@ -158,6 +158,78 @@ let test_allocate_and_conflict () =
           | Error _ -> Service.release_mapping svc m
           | Ok () -> Alcotest.fail "expected stale-revision failure"))
 
+(* An answer must carry the revision of the residual snapshot it was
+   computed against, or [allocate] would accept a mapping the current
+   model no longer admits.  One domain submits in a loop while another,
+   under the model lock, moves every host link's delay outside the
+   query band and back.  At an out-of-band revision no mapping exists,
+   so an answer stamped with one must carry none — and an answer stamped
+   with an in-band revision must carry one. *)
+let test_answer_stamped_with_snapshot_revision () =
+  let model = Model.create (host ()) in
+  let svc = Service.create model in
+  let original =
+    let g = Model.snapshot model in
+    Array.init (Graph.edge_count g) (Graph.edge_attrs g)
+  in
+  let request = Request.make ~query:(path_query 5.0 15.0) standard_constraint in
+  let set_links attrs_of =
+    Service.exclusively svc (fun () ->
+        Array.iteri (fun e _ -> Model.update_edge_attrs model e (attrs_of e)) original;
+        Model.revision model)
+  in
+  let cycles = 30 in
+  let answers = Atomic.make 0 and stop = Atomic.make false in
+  (* Let at least two more answers complete: the second one's snapshot
+     postdates the last change. *)
+  let await_answers () =
+    let target = Atomic.get answers + 2 in
+    while Atomic.get answers < target do
+      Domain.cpu_relax ()
+    done
+  in
+  let flipper () =
+    let out_of_band =
+      List.init cycles (fun _ ->
+          await_answers ();
+          let bad = set_links (fun _ -> delay 999.0) in
+          await_answers ();
+          ignore (set_links (fun e -> original.(e)));
+          bad)
+    in
+    Atomic.set stop true;
+    out_of_band
+  in
+  let submitter () =
+    let rec go acc =
+      if Atomic.get stop then acc
+      else
+        (* Errors are counted as answers too, so the flipper never
+           waits on a submitter that has stopped producing them. *)
+        let stamp =
+          match Service.submit svc request with
+          | Error m -> Error m
+          | Ok a -> Ok (a.Service.model_revision, a.Service.result.Engine.mappings <> [])
+        in
+        Atomic.incr answers;
+        go (stamp :: acc)
+    in
+    go []
+  in
+  let d = Domain.spawn flipper in
+  let results = submitter () in
+  let out_of_band = Domain.join d in
+  let stamps = List.map (function Ok s -> s | Error m -> Alcotest.fail m) results in
+  List.iter
+    (fun (revision, mapped) ->
+      let feasible = not (List.mem revision out_of_band) in
+      if mapped <> feasible then
+        Alcotest.failf "answer stamped at revision %d %s a mapping" revision
+          (if mapped then "carries" else "lacks"))
+    stamps;
+  check Alcotest.bool "answers stamped at every out-of-band revision" true
+    (List.for_all (fun r -> List.mem_assoc r stamps) out_of_band)
+
 let test_relaxation () =
   let svc = Service.create (Model.create (host ())) in
   (* Band [1,2] matches nothing; three 20% relaxations widen it
@@ -601,7 +673,7 @@ let add_built cache ~revision ~signature query =
       (Netembed_expr.Expr.parse_exn standard_constraint)
   in
   Filter_cache.add cache ~revision ~signature
-    ~compiled:(Problem.compiled_programs p)
+    ~compiled:(Problem.compiled_residuals p)
     (Netembed_core.Filter.build p)
 
 let sig_of ?node_constraint_text lo hi =
@@ -687,16 +759,16 @@ let test_service_cache_warm_vs_cold () =
   let cold = submit () in
   check Alcotest.int "cold run misses" 1 (value "netembed_filter_cache_misses_total");
   check Alcotest.int "cold run cannot hit" 0 (value "netembed_filter_cache_hits_total");
-  (* The cache entry carries the compiled-constraint bundle: a warm
-     submit must not compile any bytecode, so the global compile
-     counter stays flat across it. *)
-  let compiles_before_warm = Netembed_expr.Compile.compiles_total () in
+  (* The cache entry carries the specialized-residual table: a warm
+     submit must not specialize anything, so the global
+     netembed_expr_compiles_total counter stays flat across it. *)
+  let compiles_before_warm = Problem.specializations_total () in
   let warm = submit () in
   check Alcotest.int "warm run hits" 1 (value "netembed_filter_cache_hits_total");
   check Alcotest.int "warm run skips the build" 1
     (value "netembed_filter_cache_misses_total");
   check Alcotest.int "warm run skips compilation" compiles_before_warm
-    (Netembed_expr.Compile.compiles_total ());
+    (Problem.specializations_total ());
   check Alcotest.string "byte-identical modulo id/elapsed"
     (normalize_answer (Wire.encode_answer cold))
     (normalize_answer (Wire.encode_answer warm))
@@ -1225,6 +1297,8 @@ let () =
           Alcotest.test_case "bad constraint" `Quick test_submit_bad_constraint;
           Alcotest.test_case "reservation excludes" `Quick test_reservation_excludes;
           Alcotest.test_case "allocate + stale" `Quick test_allocate_and_conflict;
+          Alcotest.test_case "answer stamped with snapshot revision" `Quick
+            test_answer_stamped_with_snapshot_revision;
           Alcotest.test_case "relaxation loop" `Quick test_relaxation;
           Alcotest.test_case "request relax" `Quick test_request_relax;
           Alcotest.test_case "constraint file" `Quick test_constraint_file;
