@@ -397,32 +397,46 @@ let representation_ablation () =
 
 (* Pre-filter ablation: the filter build of clique7_tight with plain
    interpreter evaluation of every (query edge, host edge) pair, and
-   with the Bounds pre-filter sweeping sorted attribute columns first.
-   The build is the evaluation-dominated phase, so it isolates what the
+   with the Bounds pre-filter's linear column sweeps first.  The build
+   is the evaluation-dominated phase, so it isolates what the
    pre-filter buys: row "visited" counts constraint evaluations, so
-   minor words per visit is allocation per evaluation.  The
-   steady-state row at the end prices one evaluation on one hot pair
-   with no build structures in the measurement window.  The rows keep
-   their historical "evaluator/" prefix. *)
+   minor words per visit is allocation per evaluation.  The [_node]
+   rows build the same problem with a node constraint over the
+   PlanetLab site attributes, which the pre-filter decides per query
+   node over the host node columns instead of evaluating it per (query
+   node, host node) pair.  The steady-state row at the end prices one
+   evaluation on one hot pair with no build structures in the
+   measurement window.  The rows keep their historical "evaluator/"
+   prefix. *)
 let prefilter_ablation () =
   Printf.printf "# Pre-filter ablation (clique7_tight filter build: interp vs interp+prefilter)\n%!";
   let host = Lazy.force planetlab in
   let case = Query_gen.clique ~k:7 ~delay_lo:10.0 ~delay_hi:50.0 in
-  let build name ~prefilter =
+  let node_constraint = Expr.parse_exn "rSource.cpuMhz >= 1400 && rSource.osType == 'linux-2.6'" in
+  let build ?node_constraint name ~prefilter =
     measure_gc ~name ~repeat:3 (fun () ->
-        let p = Problem.make ~host ~query:case.Query_gen.query case.Query_gen.edge_constraint in
+        let p =
+          Problem.make ?node_constraint ~host ~query:case.Query_gen.query
+            case.Query_gen.edge_constraint
+        in
         let before = Problem.constraint_evals p in
         ignore (Filter.build ~prefilter p);
         (Problem.constraint_evals p - before, 0))
   in
-  let interp = build "evaluator/filter_build/interp" ~prefilter:false in
-  let prefiltered = build "evaluator/filter_build/interp_prefilter" ~prefilter:true in
   let vs a b = if b.row_ms > 0.0 then a.row_ms /. b.row_ms else 0.0 in
-  Printf.printf
-    "  interp    %8.1f ms %10.0f minor w (%7d evals)\n\
-    \  +prefilter%8.1f ms %10.0f minor w (%7d evals)  %.2fx vs interp\n%!"
-    interp.row_ms interp.row_minor_words interp.row_visited prefiltered.row_ms
-    prefiltered.row_minor_words prefiltered.row_visited (vs interp prefiltered);
+  List.iter
+    (fun (suffix, node_constraint) ->
+      let interp = build ?node_constraint ("evaluator/filter_build/interp" ^ suffix) ~prefilter:false in
+      let prefiltered =
+        build ?node_constraint ("evaluator/filter_build/interp_prefilter" ^ suffix) ~prefilter:true
+      in
+      Printf.printf
+        "  %-16s%8.1f ms %10.0f minor w (%7d evals)\n\
+        \  %-16s%8.1f ms %10.0f minor w (%7d evals)  %.2fx vs interp\n%!"
+        ("interp" ^ suffix) interp.row_ms interp.row_minor_words interp.row_visited
+        ("+prefilter" ^ suffix) prefiltered.row_ms prefiltered.row_minor_words
+        prefiltered.row_visited (vs interp prefiltered))
+    [ ("", None); ("_node", Some node_constraint) ];
   (* Steady-state per-evaluation cost: one problem, one host edge pair,
      re-evaluated hot.  Warm up first so the lazy residual is built
      outside the window. *)

@@ -45,19 +45,7 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
       nonempty_cells = 0;
     }
   in
-  let host_edges = Graph.edges p.host in
   let undirected = Graph.kind p.host = Graph.Undirected in
-  (* Per-query-node acceptability over all host nodes, precomputed once:
-     the per-host-edge loop below would otherwise re-evaluate the node
-     constraint for the same (q, r) pair once per incident host edge. *)
-  let node_ok_bits =
-    Array.init nq (fun q ->
-        let bits = Bitset.create nr in
-        for r = 0 to nr - 1 do
-          if Problem.node_ok p ~q ~r then Bitset.add bits r
-        done;
-        bits)
-  in
   (* Column stores for the bounds pre-filter, shared by every residual
      of this build; columns materialize on first touch. *)
   let edge_store =
@@ -68,9 +56,54 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
     lazy
       (Prefilter.create ~size:(Graph.node_count p.host) ~attrs:(Graph.node_attrs p.host))
   in
+  let plan_of bounds =
+    Prefilter.plan ~edges:(Lazy.force edge_store) ~nodes:(Lazy.force node_store) bounds
+  in
+  (* The node constraint takes the edge residuals' path: specialized to
+     the query node, its atoms swept over the host node columns, so only
+     hosts the plan leaves undecided reach the evaluator.  A plan with
+     [rEdge] atoms is bypassed (no host edge is in scope of a node
+     constraint), as is the whole path without the pre-filter. *)
+  let node_plan q =
+    if not prefilter then None
+    else
+      match Problem.node_residual p q with
+      | None -> None
+      | Some residual ->
+          let bounds = Bounds.of_ast residual in
+          if
+            List.exists
+              (fun atom -> fst (Bounds.atom_subject atom) = Ast.R_edge)
+              bounds.Bounds.atoms
+          then None
+          else Some (residual, plan_of bounds)
+  in
+  (* Per-query-node acceptability over all host nodes, precomputed once:
+     the per-host-edge loop below would otherwise re-decide the node
+     constraint for the same (q, r) pair once per incident host edge.
+     A node plan has no [rEdge] restriction, so [~he] is never read. *)
+  let node_ok_bits =
+    Array.init nq (fun q ->
+        let ok =
+          match node_plan q with
+          | None -> fun r -> Problem.node_ok p ~q ~r
+          | Some (residual, plan) ->
+              fun r ->
+                Problem.degree_ok p ~q ~r
+                && Prefilter.admits_pair plan ~he:0 ~r_src:r ~r_dst:r
+                && (Prefilter.decides_pair plan ~he:0 ~r_src:r ~r_dst:r
+                   || Problem.node_residual_ok p ~q ~r residual)
+        in
+        let bits = Bitset.create nr in
+        for r = 0 to nr - 1 do
+          if ok r then Bitset.add bits r
+        done;
+        bits)
+  in
   (* Per query edge: evaluate the specialized residual against every host
-     edge (both host orientations when undirected), collecting, for both
-     lookup directions, r_assigned -> candidate bitset. *)
+     edge the plan admits (both host orientations when undirected),
+     collecting, for both lookup directions, one row per r_assigned: the
+     candidate bitset of its partner. *)
   let add_edge_cells qe a b =
     let residual = Problem.residual p qe ~q_src:a ~q_dst:b in
     let plan =
@@ -78,23 +111,20 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
       else
         let bounds = Bounds.of_ast residual in
         if bounds.Bounds.atoms = [] && not bounds.Bounds.complete then None
-        else
-          Some
-            (Prefilter.plan ~edges:(Lazy.force edge_store)
-               ~nodes:(Lazy.force node_store) bounds)
+        else Some (plan_of bounds)
     in
-    let fwd : (int, Bitset.t) Hashtbl.t = Hashtbl.create 64 in
-    let bwd : (int, Bitset.t) Hashtbl.t = Hashtbl.create 64 in
-    let record tbl r partner =
-      let inner =
-        match Hashtbl.find_opt tbl r with
-        | Some i -> i
+    let fwd : Bitset.t option array = Array.make nr None in
+    let bwd : Bitset.t option array = Array.make nr None in
+    let record rows r partner =
+      let row =
+        match rows.(r) with
+        | Some row -> row
         | None ->
-            let i = Bitset.create nr in
-            Hashtbl.replace tbl r i;
-            i
+            let row = Bitset.create nr in
+            rows.(r) <- Some row;
+            row
       in
-      Bitset.add inner partner
+      Bitset.add row partner
     in
     (* All real evaluations flow through [Problem.edge_pair_ok] and its
        shared telemetry counter; pairs the pre-filter decides never
@@ -121,37 +151,46 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
           | Ast.R_edge | Ast.V_edge | Ast.V_source | Ast.V_target -> false)
         residual false
     in
-    Array.iter
-      (fun (he, u, v) ->
-        let fwd_nodes_ok =
-          Bitset.mem node_ok_bits.(a) u && Bitset.mem node_ok_bits.(b) v
-        in
-        let bwd_nodes_ok =
-          undirected && Bitset.mem node_ok_bits.(a) v && Bitset.mem node_ok_bits.(b) u
-        in
-        if orientation_sensitive then begin
-          (* Orientation a->u, b->v. *)
-          if fwd_nodes_ok && test he u v then begin
-            record fwd u v;
-            record bwd v u
-          end;
-          (* Orientation a->v, b->u (undirected hosts only). *)
-          if bwd_nodes_ok && test he v u then begin
-            record fwd v u;
-            record bwd u v
-          end
+    let visit he u v =
+      let fwd_nodes_ok =
+        Bitset.mem node_ok_bits.(a) u && Bitset.mem node_ok_bits.(b) v
+      in
+      let bwd_nodes_ok =
+        undirected && Bitset.mem node_ok_bits.(a) v && Bitset.mem node_ok_bits.(b) u
+      in
+      if orientation_sensitive then begin
+        (* Orientation a->u, b->v. *)
+        if fwd_nodes_ok && test he u v then begin
+          record fwd u v;
+          record bwd v u
+        end;
+        (* Orientation a->v, b->u (undirected hosts only). *)
+        if bwd_nodes_ok && test he v u then begin
+          record fwd v u;
+          record bwd u v
         end
-        else if (fwd_nodes_ok || bwd_nodes_ok) && test he u v then begin
-          if fwd_nodes_ok then begin
-            record fwd u v;
-            record bwd v u
-          end;
-          if bwd_nodes_ok then begin
-            record fwd v u;
-            record bwd u v
-          end
-        end)
-      host_edges;
+      end
+      else if (fwd_nodes_ok || bwd_nodes_ok) && test he u v then begin
+        if fwd_nodes_ok then begin
+          record fwd u v;
+          record bwd v u
+        end;
+        if bwd_nodes_ok then begin
+          record fwd v u;
+          record bwd u v
+        end
+      end
+    in
+    (* A host edge outside the plan's admissible set fails [test], so
+       only admissible edges are walked; an infeasible plan admits
+       none. *)
+    (match plan with
+    | Some { Prefilter.infeasible = true; _ } -> ()
+    | Some { Prefilter.edge = Some { Prefilter.admissible; _ }; _ } ->
+        Bitset.iter
+          (fun he -> visit he (Graph.edge_source p.host he) (Graph.edge_target p.host he))
+          admissible
+    | Some _ | None -> Graph.iter_edges visit p.host);
     (fwd, bwd)
   in
   (* Group query edges by unordered endpoint pair to intersect parallel
@@ -161,14 +200,17 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
   Graph.iter_edges
     (fun qe a b ->
       let fwd, bwd = add_edge_cells qe a b in
-      let apply dir_a dir_b tbl =
-        Hashtbl.iter
-          (fun r partners ->
-            let key = cell_key t dir_a dir_b r in
-            match Hashtbl.find_opt pending key with
-            | None -> Hashtbl.replace pending key partners
-            | Some prior -> Bitset.inter_into ~dst:prior partners)
-          tbl
+      let apply dir_a dir_b rows =
+        Array.iteri
+          (fun r row ->
+            match row with
+            | None -> ()
+            | Some partners -> (
+                let key = cell_key t dir_a dir_b r in
+                match Hashtbl.find_opt pending key with
+                | None -> Hashtbl.replace pending key partners
+                | Some prior -> Bitset.inter_into ~dst:prior partners))
+          rows
       in
       (* If this pair was seen before (parallel edge), cells not re-hit by
          this edge must drop to empty: handled by intersecting only hit
@@ -249,9 +291,9 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
   (* Explain mode: attribute every host excluded from a node's
      expression-(1) candidate set to the filter stage that removed it.
      Precedence mirrors the build: the degree filter fires before the
-     node constraint, which fires before edge-compatibility.  Re-testing
-     node constraints here re-counts their evaluations — acceptable,
-     since blame is only threaded through diagnostic runs. *)
+     node constraint, which fires before edge-compatibility.  The node
+     constraint's verdict is read back from [node_ok_bits] (degree and
+     node constraint together), so blame evaluates nothing. *)
   (match blame with
   | None -> ()
   | Some bl ->
@@ -261,7 +303,7 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
           if not (Bitset.mem t.node_cands.(q) r) then
             if not (Problem.degree_ok p ~q ~r) then
               Explain.Blame.eliminate bl ~q Explain.Cause.Degree_filter
-            else if not (Problem.node_constraint_ok p ~q ~r) then
+            else if not (Bitset.mem node_ok_bits.(q) r) then
               Explain.Blame.eliminate bl ~q Explain.Cause.Node_constraint
             else (
               match

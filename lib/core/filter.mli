@@ -40,21 +40,26 @@ val build :
   t
 (** [prefilter] (default [true]) short-circuits the per-pair constraint
     evaluations through {!Prefilter}: atoms extracted from each residual
-    by {!Netembed_expr.Bounds} are swept over pre-sorted host attribute
-    columns, so pairs a single attribute comparison already rejects (or,
-    for fully-extracted constraints, accepts) never reach the evaluator.
-    The resulting matrix is identical either way — only the number of
-    constraint evaluations changes, which is what the bench ablation
-    reports.  Per-query-node [node_ok] verdicts are likewise precomputed
-    once over the host universe instead of per incident host edge.
+    by {!Netembed_expr.Bounds} are decided by a linear sweep over an
+    unboxed host attribute column, so pairs a single attribute
+    comparison already rejects (or, for fully-extracted constraints,
+    accepts) never reach the evaluator, and a residual that restricts
+    [rEdge] walks only the host edges it admits.  The node constraint
+    takes the same path once per query node: specialized
+    ({!Problem.node_residual}), its atoms swept over the host node
+    columns, and only the hosts left undecided evaluated (per host, as
+    without the pre-filter, when it has [rEdge] atoms).  The resulting
+    matrix is identical either way — only the number of constraint
+    evaluations changes, which is what the bench ablation reports.
+    Per-query-node [node_ok] verdicts are precomputed once over the host
+    universe instead of per incident host edge.
 
     [blame], when given, receives one elimination per (query node, host)
     pair excluded from the node's expression-(1) candidate set,
     attributed to the first filter stage that rejected it (degree
     filter, node constraint, then the incident query edge with no
-    compatible host edge).  Diagnostic runs only: the attribution pass
-    re-evaluates node constraints, so constraint-evaluation counts are
-    higher than an unblamed build. *)
+    compatible host edge).  The attribution reads the build's own node
+    verdicts, so it evaluates no constraint. *)
 
 val universe : t -> int
 (** Host-node universe size — the width of every cell bitset. *)

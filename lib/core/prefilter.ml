@@ -4,13 +4,14 @@ module Ast = Netembed_expr.Ast
 module Bounds = Netembed_expr.Bounds
 module Bitset = Netembed_bitset.Bitset
 
-(* One attribute's values across the whole universe, organized for
-   range sweeps: numeric values in one sorted column, booleans and
-   strings bucketed, the rare range-valued entries listed. *)
+(* One attribute's values across the whole universe: numeric values in
+   an unboxed column indexed by member (meaningful where [num_set]
+   holds), booleans and strings bucketed, the rare range-valued entries
+   listed.  Nothing is sorted: an atom's pass set is one linear sweep. *)
 type column = {
   present : Bitset.t;
   num_set : Bitset.t;
-  num_sorted : (float * int) array;  (* ascending by value *)
+  num : float array;
   true_set : Bitset.t;
   false_set : Bitset.t;
   strings : (string, Bitset.t) Hashtbl.t;
@@ -37,10 +38,10 @@ let column t name =
   | None ->
       let present = Bitset.create t.size in
       let num_set = Bitset.create t.size in
+      let num = Array.make t.size 0.0 in
       let true_set = Bitset.create t.size in
       let false_set = Bitset.create t.size in
       let strings = Hashtbl.create 8 in
-      let nums = ref [] in
       let others = ref [] in
       for i = 0 to t.size - 1 do
         match Attrs.find name (t.attrs i) with
@@ -50,10 +51,10 @@ let column t name =
             match v with
             | Value.Int n ->
                 Bitset.add num_set i;
-                nums := (float_of_int n, i) :: !nums
+                num.(i) <- float_of_int n
             | Value.Float f ->
                 Bitset.add num_set i;
-                nums := (f, i) :: !nums
+                num.(i) <- f
             | Value.Bool true -> Bitset.add true_set i
             | Value.Bool false -> Bitset.add false_set i
             | Value.String s ->
@@ -68,42 +69,16 @@ let column t name =
                 Bitset.add bucket i
             | Value.Range _ -> others := (v, i) :: !others)
       done;
-      let num_sorted = Array.of_list !nums in
-      Array.sort (fun (a, _) (b, _) -> Float.compare a b) num_sorted;
-      let c =
-        { present; num_set; num_sorted; true_set; false_set; strings;
-          others = !others }
-      in
+      let c = { present; num_set; num; true_set; false_set; strings; others = !others } in
       Hashtbl.replace t.columns name c;
       c
 
-(* First index in [col] whose value is >= [x] under Float.compare's
-   total order (so NaN sorts above every real). *)
-let lower_bound col x =
-  let lo = ref 0 and hi = ref (Array.length col) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v, _ = col.(mid) in
-    if Float.compare v x < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* First index whose value is > [x]. *)
-let upper_bound col x =
-  let lo = ref 0 and hi = ref (Array.length col) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v, _ = col.(mid) in
-    if Float.compare v x <= 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let sweep size col lo hi =
+(* The numeric members whose value [v] satisfies [keep (Float.compare v
+   x)] — Float.compare's total order, the one Eval.compare_values uses
+   (NaN below every other float, equal to itself). *)
+let sweep size c x keep =
   let out = Bitset.create size in
-  for k = lo to hi - 1 do
-    let _, i = col.(k) in
-    Bitset.add out i
-  done;
+  Bitset.iter (fun i -> if keep (Float.compare c.num.(i) x) then Bitset.add out i) c.num_set;
   out
 
 let empty_set size = Bitset.create size
@@ -112,15 +87,14 @@ let compute_sets t atom =
   match atom with
   | Bounds.Cmp { cmp; bound; attr; _ } ->
       let c = column t attr in
-      let n = Array.length c.num_sorted in
-      let lo, hi =
+      let keep =
         match cmp with
-        | Bounds.Lt -> (0, lower_bound c.num_sorted bound)
-        | Bounds.Le -> (0, upper_bound c.num_sorted bound)
-        | Bounds.Gt -> (upper_bound c.num_sorted bound, n)
-        | Bounds.Ge -> (lower_bound c.num_sorted bound, n)
+        | Bounds.Lt -> fun s -> s < 0
+        | Bounds.Le -> fun s -> s <= 0
+        | Bounds.Gt -> fun s -> s > 0
+        | Bounds.Ge -> fun s -> s >= 0
       in
-      let pass = sweep t.size c.num_sorted lo hi in
+      let pass = sweep t.size c bound keep in
       (* present but non-numeric: generic evaluation must decide (it
          will raise, matching the interpreter) *)
       let dirty = Bitset.diff c.present c.num_set in
@@ -130,9 +104,7 @@ let compute_sets t atom =
       let dirty = empty_set t.size in
       match value with
       | Value.Int _ | Value.Float _ ->
-          let f = Value.to_float value in
-          let lo = lower_bound c.num_sorted f and hi = upper_bound c.num_sorted f in
-          { pass = sweep t.size c.num_sorted lo hi; dirty }
+          { pass = sweep t.size c (Value.to_float value) (fun s -> s = 0); dirty }
       | Value.Bool true -> { pass = Bitset.copy c.true_set; dirty }
       | Value.Bool false -> { pass = Bitset.copy c.false_set; dirty }
       | Value.String s ->

@@ -9,9 +9,10 @@
     edges, or host nodes):
 
     - [pass]: carriers whose attribute value definitely satisfies the
-      atom — computed by a binary-searched range sweep over the
-      attribute's pre-sorted numeric column (or a bucket lookup for
-      strings and booleans);
+      atom — computed by one linear sweep over the attribute's unboxed,
+      unsorted numeric column under [Float.compare], the order
+      {!Netembed_expr.Eval} compares by (or a bucket lookup for strings
+      and booleans);
     - [dirty]: carriers whose value the atom cannot classify (a
       non-numeric value under an ordering atom, say) — generic
       evaluation must run and will surface the interpreter's error.
@@ -20,7 +21,9 @@
     the constraint; a candidate in every atom's [pass] under a
     {e complete} extraction is accepted without evaluating it.  Columns
     and per-atom sets are cached, so a constraint mentioning the same
-    attribute across many residuals sorts each column once per build. *)
+    attribute across many residuals builds each column once per build.
+    The filter build runs edge residuals and node-constraint residuals
+    through the same plans. *)
 
 type t
 (** A column store over one universe (host edges or host nodes). *)

@@ -97,19 +97,29 @@ let degree_ok t ~q ~r =
   || (t.query_degree.(q) <= t.host_degree.(r)
      && t.query_in_degree.(q) <= t.host_in_degree.(r))
 
-let node_constraint_ok t ~q ~r =
-  match t.node_constraint with
-  | None -> true
-  | Some c -> (
-      Telemetry.Counter.incr t.evals;
-      let attrs_q = Graph.node_attrs t.query q and attrs_r = Graph.node_attrs t.host r in
-      let env =
-        Eval.env ~v_edge:Netembed_attr.Attrs.empty ~r_edge:Netembed_attr.Attrs.empty
-          ~v_source:attrs_q ~v_target:attrs_q ~r_source:attrs_r ~r_target:attrs_r
-      in
-      Eval.accepts env c)
+(* A node constraint sees the query node's table in both v-source
+   slots and the host node's in both r-source slots; no edge is in
+   scope. *)
+let node_residual_ok t ~q ~r c =
+  Telemetry.Counter.incr t.evals;
+  let attrs_q = Graph.node_attrs t.query q and attrs_r = Graph.node_attrs t.host r in
+  let env =
+    Eval.env ~v_edge:Netembed_attr.Attrs.empty ~r_edge:Netembed_attr.Attrs.empty
+      ~v_source:attrs_q ~v_target:attrs_q ~r_source:attrs_r ~r_target:attrs_r
+  in
+  Eval.accepts env c
 
-let node_ok t ~q ~r = degree_ok t ~q ~r && node_constraint_ok t ~q ~r
+let node_residual t q =
+  Option.map
+    (fun c ->
+      let attrs_q = Graph.node_attrs t.query q in
+      Eval.specialize ~v_edge:Netembed_attr.Attrs.empty ~v_source:attrs_q
+        ~v_target:attrs_q c)
+    t.node_constraint
+
+let node_ok t ~q ~r =
+  degree_ok t ~q ~r
+  && match t.node_constraint with None -> true | Some c -> node_residual_ok t ~q ~r c
 
 let residual_for_edge t ~q_src ~q_dst =
   match Graph.find_edge t.query q_src q_dst with

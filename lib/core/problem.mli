@@ -5,7 +5,11 @@
     the six Table-I objects in scope.  An optional node constraint (an
     extension over the paper, which folds node conditions into the edge
     expression via [vSource]/[vTarget]) is evaluated per (query node,
-    host node) pair with the node tables bound to both source slots.
+    host node) pair with the node tables bound to both source slots:
+    the filter build specializes it per query node
+    ({!node_residual}) and evaluates only the hosts its pre-filter plan
+    leaves undecided; LNS, [Verify] and the baselines evaluate it
+    unspecialized ({!node_ok}).
 
     Every evaluation goes through the interpreter
     ({!Netembed_expr.Eval}).  The edge constraint is specialized once
@@ -72,12 +76,22 @@ val node_ok : t -> q:Graph.node -> r:Graph.node -> bool
 val degree_ok : t -> q:Graph.node -> r:Graph.node -> bool
 (** The degree-filter half of {!node_ok} alone (always [true] when the
     problem was built with [~degree_filter:false]).  Split out so the
-    explain path can attribute an elimination to the degree filter vs
-    the node constraint. *)
+    filter build can decide the node constraint through its pre-filter
+    plan, and the explain path can attribute an elimination to the
+    degree filter vs the node constraint. *)
 
-val node_constraint_ok : t -> q:Graph.node -> r:Graph.node -> bool
-(** The node-constraint half of {!node_ok} alone (counts one constraint
-    evaluation when a node constraint is present). *)
+val node_residual : t -> Graph.node -> Netembed_expr.Ast.t option
+(** The node constraint specialized to query node [q] (its table bound
+    to [vSource] and [vTarget], [vEdge] empty), or [None] without a
+    node constraint.  Not cached: the filter build specializes once per
+    query node and hands the residual to {!node_residual_ok}. *)
+
+val node_residual_ok :
+  t -> q:Graph.node -> r:Graph.node -> Netembed_expr.Ast.t -> bool
+(** [node_residual_ok t ~q ~r c] evaluates [c] — {!node_residual}[ t q]
+    or the node constraint itself — for query node [q] on host node [r],
+    counting one constraint evaluation.  With [degree_ok], agrees with
+    {!node_ok}. *)
 
 val eval_counter : t -> Netembed_telemetry.Telemetry.Counter.t
 (** The shared constraint-evaluation counter (see the [evals] field).

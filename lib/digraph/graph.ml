@@ -96,6 +96,10 @@ let edge_source t e =
   if e < 0 || e >= edge_count t then invalid_arg "Graph.edge_source: unknown edge";
   Vec.get t.edge_src e
 
+let edge_target t e =
+  if e < 0 || e >= edge_count t then invalid_arg "Graph.edge_target: unknown edge";
+  Vec.get t.edge_dst e
+
 let succ t v =
   check_node t v "Graph.succ";
   Vec.get t.out_adj v

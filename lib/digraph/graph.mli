@@ -51,6 +51,11 @@ val edge_source : t -> edge -> node
     hot paths (constraint evaluation resolves a residual's
     orientation on every evaluation). *)
 
+val edge_target : t -> edge -> node
+(** [snd (endpoints t e)] without allocating the pair — for loops that
+    visit host edges by id (the filter build's walk over a plan's
+    admissible edges). *)
+
 val succ : t -> node -> (node * edge) list
 (** Out-neighbours with the connecting edge.  For undirected graphs this
     is the full neighbourhood. *)

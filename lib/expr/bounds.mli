@@ -9,7 +9,7 @@
     then {!Eval.accepts} is false for every environment binding that
     object this way, so the candidate can be dropped without running
     the constraint.  The filter layer exploits this by sweeping
-    pre-sorted attribute columns with bitsets before falling back to
+    unboxed attribute columns into bitsets before falling back to
     generic {!Eval} evaluation on the survivors, and the explain path blames
     near-misses through the same atoms (one extraction, two users —
     this replaces the ad-hoc numeric-requirement walk {!Explain} used

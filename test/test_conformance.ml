@@ -16,6 +16,7 @@ module Value = Netembed_attr.Value
 module Expr = Netembed_expr.Expr
 module Rng = Netembed_rng.Rng
 module Parallel = Netembed_parallel.Parallel
+module Explain = Netembed_explain.Explain
 open Netembed_core
 
 let delay d = Attrs.of_list [ ("avgDelay", Value.Float d) ]
@@ -178,7 +179,7 @@ let test_split_depth_invariance () =
 (* ------------------------------------------------------------------ *)
 
 (* The interpreter with and without the Bounds pre-filter (atoms swept
-   over sorted attribute columns before any evaluation) must return
+   over unboxed attribute columns before any evaluation) must return
    identical mapping sets and verdicts on every instance.  The
    instances deliberately mix numeric bands, string equalities,
    booleans, disjunctions (which the Bounds extraction cannot decide —
@@ -232,12 +233,22 @@ let edge_constraints =
     "rEdge.avgDelay * 2 <= vEdge.maxDelay + vEdge.maxDelay";
   |]
 
+(* Node constraints reach every path of the node plan: decided by
+   atoms alone, a negated boolean ([Has_bool false]), a disjunction (no
+   atoms: every host is dirty and evaluates), a query-side attribute
+   that half the query nodes lack (the plan is infeasible for those),
+   and an [rEdge] atom (the plan is bypassed for per-host evaluation;
+   with no edge in scope it rejects every host). *)
 let node_constraints =
   [|
     None;
     Some "rSource.cpuMhz >= 900";
     Some "rSource.up && rSource.cpuMhz >= vSource.cpuMhz";
     Some "rSource.osType == \"linux\"";
+    Some "!rSource.up && rSource.cpuMhz >= 700";
+    Some "rSource.cpuMhz >= 2000 || rSource.osType == \"bsd\"";
+    Some "rSource.osType == vSource.osType";
+    Some "rEdge.avgDelay < 100 && rSource.cpuMhz >= 900";
   |]
 
 let rich_instance seed =
@@ -298,6 +309,45 @@ let prefilter_conformance_test =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
     prefilter_prop
 
+(* Stronger than equal mapping sets: the filter itself.  Prefilter on
+   and off must build the same expression-(1) candidate set for every
+   query node, the same cell for every (query node, query node, host
+   node) triple and the same blame tallies. *)
+let filter_prop seed =
+  let build ~prefilter =
+    let p = rich_instance seed in
+    let blame = Explain.Blame.create () in
+    (p, Filter.build ~prefilter ~blame p, blame)
+  in
+  let p, oracle, oracle_blame = build ~prefilter:false in
+  let _, got, blame = build ~prefilter:true in
+  let nq = Graph.node_count p.Problem.query and nr = Graph.node_count p.Problem.host in
+  let elements = Option.map Netembed_bitset.Bitset.elements in
+  for a = 0 to nq - 1 do
+    if not
+         (Netembed_bitset.Bitset.equal
+            (Filter.node_candidates_bits oracle a)
+            (Filter.node_candidates_bits got a))
+    then QCheck.Test.fail_reportf "seed %d: node candidates of q%d differ" seed a;
+    let tallies b = List.sort compare (Explain.Blame.by_node b a) in
+    if tallies oracle_blame <> tallies blame then
+      QCheck.Test.fail_reportf "seed %d: blame tallies of q%d differ" seed a;
+    for b = 0 to nq - 1 do
+      for r = 0 to nr - 1 do
+        let cell f = elements (Filter.cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b) in
+        if cell oracle <> cell got then
+          QCheck.Test.fail_reportf "seed %d: cell (q%d, r%d, q%d) differs" seed a r b
+      done
+    done
+  done;
+  true
+
+let filter_conformance_test =
+  QCheck.Test.make ~count:60
+    ~name:"interp = interp+prefilter (filter cells + node candidates + blame)"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
+    filter_prop
+
 let () =
   Alcotest.run "conformance"
     [
@@ -308,5 +358,8 @@ let () =
           Alcotest.test_case "split-depth invariance" `Quick test_split_depth_invariance;
         ] );
       ( "prefilter",
-        [ QCheck_alcotest.to_alcotest prefilter_conformance_test ] );
+        [
+          QCheck_alcotest.to_alcotest prefilter_conformance_test;
+          QCheck_alcotest.to_alcotest filter_conformance_test;
+        ] );
     ]

@@ -102,6 +102,85 @@ let test_node_constraint () =
   check Alcotest.bool "node 2 passes" true (Problem.node_ok p ~q:0 ~r:2);
   check Alcotest.bool "node 0 lacks attr" false (Problem.node_ok p ~q:0 ~r:0)
 
+(* ------------------------------------------------------------------ *)
+(* Prefilter classification                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One attribute, [x], across a universe that holds every value shape
+   a column can meet.  Ordering atoms follow Float.compare's total
+   order, as Eval.compare_values does (NaN below every other float,
+   equal to itself); equality follows Value.equal (Int 5 = Float 5.0);
+   non-numeric values are dirty under an ordering atom and non-boolean
+   ones under a bare-attribute atom; the member without [x] is never in
+   either set. *)
+let prefilter_universe =
+  [|
+    Some (Value.Int 5);
+    Some (Value.Float 2.5);
+    Some (Value.Float Float.nan);
+    Some (Value.Float Float.infinity);
+    Some (Value.Float Float.neg_infinity);
+    Some (Value.Bool true);
+    Some (Value.Bool false);
+    Some (Value.String "linux");
+    Some (Value.String "bsd");
+    Some (Value.Range (1.0, 3.0));
+    None;
+    Some (Value.Float 5.0);
+  |]
+
+let test_prefilter_sets () =
+  let module Bounds = Netembed_expr.Bounds in
+  let store =
+    Prefilter.create ~size:(Array.length prefilter_universe) ~attrs:(fun i ->
+        match prefilter_universe.(i) with
+        | None -> Attrs.of_list [ ("y", Value.Int 0) ]
+        | Some v -> Attrs.of_list [ ("x", v) ])
+  in
+  let cmp cmp bound = Bounds.Cmp { subject = Ast.R_source; attr = "x"; cmp; bound } in
+  let eq value = Bounds.Eq { subject = Ast.R_source; attr = "x"; value } in
+  let has value = Bounds.Has_bool { subject = Ast.R_source; attr = "x"; value } in
+  let numeric = [ 0; 1; 2; 3; 4; 11 ] and non_numeric = [ 5; 6; 7; 8; 9 ] in
+  let non_bool = [ 0; 1; 2; 3; 4; 7; 8; 9; 11 ] in
+  let table =
+    [ "x < 5",          cmp Bounds.Lt 5.0,              [ 1; 2; 4 ],        non_numeric
+    ; "x <= 5",         cmp Bounds.Le 5.0,              [ 0; 1; 2; 4; 11 ], non_numeric
+    ; "x > 5",          cmp Bounds.Gt 5.0,              [ 3 ],              non_numeric
+    ; "x >= 5",         cmp Bounds.Ge 5.0,              [ 0; 3; 11 ],       non_numeric
+    ; "x < 2.5",        cmp Bounds.Lt 2.5,              [ 2; 4 ],           non_numeric
+    ; "x <= inf",       cmp Bounds.Le Float.infinity,   numeric,            non_numeric
+    ; "x > inf",        cmp Bounds.Gt Float.infinity,   [],                 non_numeric
+    ; "x >= -inf",      cmp Bounds.Ge Float.neg_infinity, [ 0; 1; 3; 4; 11 ], non_numeric
+    ; "x > -inf",       cmp Bounds.Gt Float.neg_infinity, [ 0; 1; 3; 11 ],  non_numeric
+    ; "x < nan",        cmp Bounds.Lt Float.nan,        [],                 non_numeric
+    ; "x <= nan",       cmp Bounds.Le Float.nan,        [ 2 ],              non_numeric
+    ; "x >= nan",       cmp Bounds.Ge Float.nan,        numeric,            non_numeric
+    ; "x == 5",         eq (Value.Int 5),               [ 0; 11 ],          []
+    ; "x == 2.5",       eq (Value.Float 2.5),           [ 1 ],              []
+    ; "x == nan",       eq (Value.Float Float.nan),     [ 2 ],              []
+    ; "x == 7",         eq (Value.Int 7),               [],                 []
+    ; "x == 'linux'",   eq (Value.String "linux"),      [ 7 ],              []
+    ; "x == 'plan9'",   eq (Value.String "plan9"),      [],                 []
+    ; "x == true",      eq (Value.Bool true),           [ 5 ],              []
+    ; "x == false",     eq (Value.Bool false),          [ 6 ],              []
+    ; "x == [1,3]",     eq (Value.Range (1.0, 3.0)),    [ 9 ],              []
+    ; "x == [1,4]",     eq (Value.Range (1.0, 4.0)),    [],                 []
+    ; "x",              has true,                       [ 5 ],              non_bool
+    ; "!x",             has false,                      [ 6 ],              non_bool
+    ; "absent >= 0",
+      Bounds.Cmp { subject = Ast.R_source; attr = "z"; cmp = Bounds.Ge; bound = 0.0 },
+                                                        [],                 []
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (name, atom, pass, dirty) ->
+      let s = Prefilter.sets store atom in
+      check Alcotest.(list int) (name ^ ": pass") pass
+        (Netembed_bitset.Bitset.elements s.Prefilter.pass);
+      check Alcotest.(list int) (name ^ ": dirty") dirty
+        (Netembed_bitset.Bitset.elements s.Prefilter.dirty))
+    table
+
 (* netembed_expr_compiles_total counts residual specializations: a
    cache miss bumps it once, a hit and a problem built over a handed-on
    residual table ([?compiled]) leave it flat. *)
@@ -520,6 +599,7 @@ let () =
           Alcotest.test_case "node constraint" `Quick test_node_constraint;
         ] );
       ("compile", [ Alcotest.test_case "compiles counter" `Quick test_compiles_counter ]);
+      ("prefilter", [ Alcotest.test_case "sets classification" `Quick test_prefilter_sets ]);
       ( "filter",
         [
           Alcotest.test_case "cells" `Quick test_filter_cells;
