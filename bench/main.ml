@@ -31,6 +31,7 @@ module Query_gen = Netembed_workload.Query_gen
 module Figures = Netembed_workload.Figures
 module Ledger = Netembed_ledger.Ledger
 module Json = Netembed_telemetry.Json
+module Explain = Netembed_explain.Explain
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures (built once; the staged closures only search)       *)
@@ -493,9 +494,45 @@ let explain_ablation () =
   in
   Printf.printf
     "  clique7_tight          off %8.1f ms %10.0f minor w | on %8.1f ms %10.0f \
-     minor w | explain-on overhead %+.1f%% (%d visited)\n\n%!"
+     minor w | explain-on overhead %+.1f%% (%d visited)\n%!"
     off.row_ms off.row_minor_words on.row_ms on.row_minor_words overhead
-    off.row_visited
+    off.row_visited;
+  (* The failure certificate: an infeasible 20-node PlanetLab subgraph
+     query (negative delay bands on a quarter of its edges), so the
+     certificate blames edge constraints and ranks every host edge for
+     each blamed node.  The off row is the same run without explain;
+     the difference prices blame plus certificate. *)
+  let p = Lazy.force pl_infeasible_problem in
+  let run explain () =
+    let r =
+      Engine.run
+        ~options:{ Engine.default_options with Engine.mode = Engine.First; explain }
+        Engine.ECF p
+    in
+    (r.Engine.visited, r.Engine.found)
+  in
+  let off = measure_gc ~name:"explain/certificate/pl_infeasible_n20/off" ~repeat:5 (run false) in
+  let on = measure_gc ~name:"explain/certificate/pl_infeasible_n20/on" ~repeat:5 (run true) in
+  let blamed_edges =
+    match
+      (Engine.run ~options:{ Engine.default_options with Engine.explain = true } Engine.ECF p)
+        .Engine.report
+    with
+    | None -> 0
+    | Some cert ->
+        List.length
+          (List.filter
+             (fun (b : Explain.Certificate.blamed) ->
+               match b.Explain.Certificate.causes with
+               | (Explain.Cause.Edge_constraint _, _) :: _ -> true
+               | _ -> false)
+             cert.Explain.Certificate.blamed)
+  in
+  Printf.printf
+    "  certificate pl_inf_n20 off %8.1f ms %10.0f minor w | on %8.1f ms %10.0f \
+     minor w | certificate cost %+.1f ms (%d node(s) blame edges)\n\n%!"
+    off.row_ms off.row_minor_words on.row_ms on.row_minor_words (on.row_ms -. off.row_ms)
+    blamed_edges
 
 (* Trace ablation: the same capped clique7_tight enumeration with
    request-scoped span tracing off vs on.  The filter is prebuilt and

@@ -105,13 +105,6 @@ let node_label g n fallback_prefix =
 let host_label (p : Problem.t) r = node_label p.host r "r"
 let query_label (p : Problem.t) q = node_label p.query q "q"
 
-let host_node_items (p : Problem.t) =
-  List.init (Graph.node_count p.host) (fun r ->
-      (* Synthesize the degree as an attribute so the degree-filter
-         requirement is checkable like any numeric one. *)
-      let attrs = Attrs.add "degree" (Value.Int p.host_degree.(r)) (Graph.node_attrs p.host r) in
-      (r, host_label p r, attrs))
-
 (* Per blamed query node: turn the dominant cause into concrete
    attribute requirements and rank the hosts (or host edges) that almost
    meet them — the "needs cpuMhz >= 3000; best host has 2400" lines. *)
@@ -143,7 +136,14 @@ let blamed_entry (p : Problem.t) q causes =
           else []
         in
         let reqs = degree_req @ from_constraint in
-        (reqs, Explain.near_misses ~reqs ~items:(host_node_items p) ~limit:3)
+        (* Synthesize the degree as an attribute so the degree-filter
+           requirement is checkable like any numeric one. *)
+        let attrs r =
+          Attrs.add "degree" (Value.Int p.host_degree.(r)) (Graph.node_attrs p.host r)
+        in
+        ( reqs,
+          Explain.near_misses ~reqs ~count:(Graph.node_count p.host) ~attrs
+            ~label:(host_label p) ~limit:3 )
     | Some (Explain.Cause.Edge_constraint (a, b)) -> (
         match Problem.query_edges_between p a b with
         | [] -> ([], [])
@@ -157,14 +157,13 @@ let blamed_entry (p : Problem.t) q causes =
                 p.edge_constraint
             in
             let reqs = Explain.requirements ~on:[ Ast.R_edge ] residual in
-            let items =
-              Array.to_list (Graph.edges p.host)
-              |> List.map (fun (he, u, v) ->
-                     ( he,
-                       Printf.sprintf "%s-%s" (host_label p u) (host_label p v),
-                       Graph.edge_attrs p.host he ))
+            let label he =
+              let u, v = Graph.endpoints p.host he in
+              Printf.sprintf "%s-%s" (host_label p u) (host_label p v)
             in
-            (reqs, Explain.near_misses ~reqs ~items ~limit:3))
+            ( reqs,
+              Explain.near_misses ~reqs ~count:(Graph.edge_count p.host)
+                ~attrs:(Graph.edge_attrs p.host) ~label ~limit:3 ))
     | _ -> ([], [])
   in
   {

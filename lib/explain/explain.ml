@@ -264,23 +264,48 @@ let check_item reqs attrs =
     ([], 0) reqs
   |> fun (viol, sat) -> (List.rev viol, sat)
 
-let near_misses ~reqs ~items ~limit =
-  if reqs = [] then []
-  else
-    items
-    |> List.map (fun (id, label, attrs) ->
-           let violated, satisfied = check_item reqs attrs in
-           { id; label; violated; satisfied })
-    |> List.filter (fun m -> m.violated <> [])
-    |> List.sort (fun a b ->
-           let c = compare (List.length a.violated) (List.length b.violated) in
-           if c <> 0 then c
-           else
-             let total m =
-               List.fold_left (fun acc (r, v) -> acc +. gap r v) 0.0 m.violated
-             in
-             compare (total a) (total b))
-    |> List.filteri (fun i _ -> i < limit)
+(* [(n, g)] ranks strictly before the kept entry: fewer violations,
+   then the smaller summed gap, under [Float.compare]'s order (NaN
+   first). *)
+let precedes n g (n', g', _) =
+  let c = Int.compare n n' in
+  if c <> 0 then c < 0 else Float.compare g g' < 0
+
+(* One pass keeps the best [limit] (violations, summed gap, id) keys in
+   a small array, best first, by stable insertion, so equal keys stay
+   in id order; only the winners are labelled and get their violation
+   lists built. *)
+let near_misses ~reqs ~count ~attrs ~label ~limit =
+  let reqs_a = Array.of_list reqs in
+  let cap = if reqs = [] then 0 else max 0 (min limit count) in
+  let best = Array.make cap (0, 0.0, 0) and kept = ref 0 in
+  if cap > 0 then
+    for i = 0 to count - 1 do
+      let a = attrs i in
+      let n = ref 0 and g = ref 0.0 in
+      for k = 0 to Array.length reqs_a - 1 do
+        let r = reqs_a.(k) in
+        match Attrs.float r.attr a with
+        | Some v when satisfies r v -> ()
+        | v ->
+            incr n;
+            g := !g +. gap r v
+      done;
+      let n = !n and g = !g in
+      if n > 0 && (!kept < cap || precedes n g best.(cap - 1)) then begin
+        let j = ref (min !kept (cap - 1)) in
+        while !j > 0 && precedes n g best.(!j - 1) do
+          best.(!j) <- best.(!j - 1);
+          decr j
+        done;
+        best.(!j) <- (n, g, i);
+        if !kept < cap then incr kept
+      end
+    done;
+  List.init !kept (fun k ->
+      let _, _, id = best.(k) in
+      let violated, satisfied = check_item reqs (attrs id) in
+      { id; label = label id; violated; satisfied })
 
 let near_miss_to_string m =
   Printf.sprintf "%s: %s" m.label

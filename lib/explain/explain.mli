@@ -148,13 +148,21 @@ type near_miss = {
 
 val near_misses :
   reqs:requirement list ->
-  items:(int * string * Netembed_attr.Attrs.t) list ->
+  count:int ->
+  attrs:(int -> Netembed_attr.Attrs.t) ->
+  label:(int -> string) ->
   limit:int ->
   near_miss list
-(** Rank the items that violate at least one requirement by (fewest
-    violations, smallest relative shortfall) and return the first
-    [limit] — the "best host has 2400 of the 3000 MHz you asked for"
-    lines of a certificate. *)
+(** The items [0 .. count - 1] that violate at least one requirement,
+    best first, at most [limit] of them — the "best host has 2400 of
+    the 3000 MHz you asked for" lines of a certificate.  An item's id
+    is its index.  The key is the number of violated requirements
+    (fewest first), then the summed relative shortfall over the
+    violated ones (smallest first; a missing attribute counts 1.0, and
+    a NaN sum ranks ahead of every number, as under [Float.compare]).
+    Equal keys keep id order.  One pass reads [attrs] of every item and
+    keeps the best [limit] keys; only those are labelled, so [label] is
+    called at most [limit] times.  [[]] when [reqs] is empty. *)
 
 val near_miss_to_string : near_miss -> string
 

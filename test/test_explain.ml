@@ -115,14 +115,12 @@ let test_near_misses () =
     Explain.requirements ~on:[ Netembed_expr.Ast.R_source ]
       (Expr.parse_exn "rSource.cpuMhz >= 3000")
   in
-  let items =
-    [
-      (0, "slow", Attrs.of_list [ ("cpuMhz", Value.Float 1000.0) ]);
-      (1, "close", Attrs.of_list [ ("cpuMhz", Value.Float 2400.0) ]);
-      (2, "fits", Attrs.of_list [ ("cpuMhz", Value.Float 4000.0) ]);
-    ]
-  in
-  match Explain.near_misses ~reqs ~items ~limit:2 with
+  let labels = [| "slow"; "close"; "fits" |] in
+  let cpus = [| 1000.0; 2400.0; 4000.0 |] in
+  let attrs i = Attrs.of_list [ ("cpuMhz", Value.Float cpus.(i)) ] in
+  match
+    Explain.near_misses ~reqs ~count:3 ~attrs ~label:(Array.get labels) ~limit:2
+  with
   | best :: _ ->
       check Alcotest.string "smallest shortfall ranks first" "close"
         best.Explain.label;
@@ -139,6 +137,171 @@ let test_near_misses () =
          in
          has "2400")
   | [] -> Alcotest.fail "expected a near miss"
+
+(* The ranking under test over items given as an attribute array: ids
+   are the indices and labels are "h<id>". *)
+let rank ~reqs ~limit attrs =
+  Explain.near_misses ~reqs ~count:(Array.length attrs) ~attrs:(Array.get attrs)
+    ~label:(Printf.sprintf "h%d") ~limit
+
+(* A near miss as (label, [requirement, actual], satisfied); equality
+   goes through [compare] so that NaN actuals compare equal. *)
+let near_miss_summary (m : Explain.near_miss) =
+  ( m.Explain.label,
+    List.map (fun (r, v) -> (Explain.requirement_to_string r, v)) m.Explain.violated,
+    m.Explain.satisfied )
+
+let near_miss_summaries =
+  let pp_actual ppf = function
+    | Some v -> Format.fprintf ppf "%g" v
+    | None -> Format.pp_print_string ppf "missing"
+  in
+  let pp_one ppf (label, violated, sat) =
+    Format.fprintf ppf "%s{%a; sat=%d}" label
+      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+         (fun ppf (r, v) -> Format.fprintf ppf "%s has %a" r pp_actual v))
+      violated sat
+  in
+  Alcotest.testable
+    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ") pp_one)
+    (fun a b -> compare a b = 0)
+
+let test_near_miss_ranking () =
+  let source s = Explain.requirements ~on:[ Netembed_expr.Ast.R_source ] (Expr.parse_exn s) in
+  let cpu = source "rSource.cpu >= 1000" in
+  let cpu_mem = source "rSource.cpu >= 1000 && rSource.mem >= 1000" in
+  let host l = Attrs.of_list l in
+  let c v = host [ ("cpu", Value.Float v) ] in
+  let cm v w = host [ ("cpu", Value.Float v); ("mem", Value.Float w) ] in
+  let cpu_req = "rSource.cpu >= 1000" and mem_req = "rSource.mem >= 1000" in
+  let table =
+    [ "fewer violations beat a smaller gap", cpu_mem, 3,
+        [| cm 999.0 999.0; cm 0.0 2000.0 |],
+        [ ("h1", [ (cpu_req, Some 0.0) ], 1);
+          ("h0", [ (cpu_req, Some 999.0); (mem_req, Some 999.0) ], 0) ]
+    ; "equal keys keep input order", cpu, 4,
+        [| c 500.0; c 800.0; c 500.0; c 800.0 |],
+        [ ("h1", [ (cpu_req, Some 800.0) ], 0); ("h3", [ (cpu_req, Some 800.0) ], 0);
+          ("h0", [ (cpu_req, Some 500.0) ], 0); ("h2", [ (cpu_req, Some 500.0) ], 0) ]
+    ; "a missing attribute has gap 1.0 and no actual", cpu, 5,
+        [| Attrs.empty; c 0.0; c 500.0; c (-1.0); host [ ("cpu", Value.String "fast") ] |],
+        [ ("h2", [ (cpu_req, Some 500.0) ], 0); ("h0", [ (cpu_req, None) ], 0);
+          ("h1", [ (cpu_req, Some 0.0) ], 0); ("h4", [ (cpu_req, None) ], 0);
+          ("h3", [ (cpu_req, Some (-1.0)) ], 0) ]
+    ; "a NaN actual ranks before every finite gap", cpu, 3,
+        [| c 500.0; c Float.nan; Attrs.empty |],
+        [ ("h1", [ (cpu_req, Some Float.nan) ], 0); ("h0", [ (cpu_req, Some 500.0) ], 0);
+          ("h2", [ (cpu_req, None) ], 0) ]
+    ; "items that satisfy every requirement are excluded", cpu_mem, 3,
+        [| cm 2000.0 1000.0; cm 900.0 1500.0; cm 1000.0 1000.0 |],
+        [ ("h1", [ (cpu_req, Some 900.0) ], 1) ]
+    ; "limit 0", cpu, 0, [| c 500.0; c 800.0 |], []
+    ; "limit 1", cpu, 1, [| c 500.0; c 800.0 |], [ ("h1", [ (cpu_req, Some 800.0) ], 0) ]
+    ; "limit above the number of violators", cpu, 10,
+        [| c 500.0; c 1200.0; c 800.0 |],
+        [ ("h2", [ (cpu_req, Some 800.0) ], 0); ("h0", [ (cpu_req, Some 500.0) ], 0) ]
+    ; "empty requirements", [], 3, [| c 500.0; Attrs.empty |], []
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (name, reqs, limit, attrs, expected) ->
+      check near_miss_summaries name expected
+        (List.map near_miss_summary (rank ~reqs ~limit attrs)))
+    table
+
+(* The list-sort ranking [Explain.near_misses] replaced, kept verbatim
+   as the oracle of the one-pass ranking: it builds a record per item
+   and stable-sorts them all. *)
+module Oracle = struct
+  open Explain
+
+  let gap r = function
+    | None -> 1.0
+    | Some v -> Float.abs (v -. r.bound) /. Float.max 1.0 (Float.abs r.bound)
+
+  let check_item reqs attrs =
+    List.fold_left
+      (fun (viol, sat) r ->
+        match Attrs.float r.attr attrs with
+        | Some v when satisfies r v -> (viol, sat + 1)
+        | Some v -> ((r, Some v) :: viol, sat)
+        | None -> ((r, None) :: viol, sat))
+      ([], 0) reqs
+    |> fun (viol, sat) -> (List.rev viol, sat)
+
+  let near_misses ~reqs ~items ~limit =
+    if reqs = [] then []
+    else
+      items
+      |> List.map (fun (id, label, attrs) ->
+             let violated, satisfied = check_item reqs attrs in
+             { id; label; violated; satisfied })
+      |> List.filter (fun m -> m.violated <> [])
+      |> List.sort (fun a b ->
+             let c = compare (List.length a.violated) (List.length b.violated) in
+             if c <> 0 then c
+             else
+               let total m =
+                 List.fold_left (fun acc (r, v) -> acc +. gap r v) 0.0 m.violated
+               in
+               compare (total a) (total b))
+      |> List.filteri (fun i _ -> i < limit)
+end
+
+(* Random items over three attributes, each missing, a string, or a
+   value from a small pool (NaN included) so that keys tie often, and
+   1-3 random requirements on them. *)
+let prop_near_misses_match_oracle =
+  let pool = [| 0.0; 1.0; 2.0; 5.0; -3.0; 1000.0; Float.nan |] in
+  let bounds = [| 0.0; 1.0; 2.0; 2.5; -3.0; 1000.0 |] in
+  let names = [| "a"; "b"; "c" |] in
+  let ops = [| `Eq; `Ge; `Gt; `Le; `Lt |] in
+  let value code =
+    if code = 0 then None
+    else if code = 1 then Some (Value.String "x")
+    else if code = 2 then Some (Value.Int 2)
+    else Some (Value.Float pool.(code - 3))
+  in
+  let item codes =
+    Attrs.of_list
+      (List.concat
+         (List.mapi
+            (fun k code -> match value code with Some v -> [ (names.(k), v) ] | None -> [])
+            codes))
+  in
+  let requirement (attr, op, bound) =
+    { Explain.subject = Netembed_expr.Ast.R_source; attr = names.(attr); op = ops.(op);
+      bound = bounds.(bound) }
+  in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 12) (list_repeat 3 (int_range 0 (Array.length pool + 2))))
+        (list_size (int_range 1 3) (triple (int_range 0 2) (int_range 0 4) (int_range 0 5)))
+        (int_range 0 5))
+  in
+  let print =
+    QCheck.Print.(triple (list (list int)) (list (triple int int int)) int)
+  in
+  QCheck.Test.make ~count:500 ~name:"near-miss ranking equals the list-sort oracle"
+    (QCheck.make ~print gen)
+    (fun (items, reqs, limit) ->
+      let attrs = Array.of_list (List.map item items) in
+      let reqs = List.map requirement reqs in
+      let labelled = ref 0 in
+      let label i =
+        incr labelled;
+        Printf.sprintf "h%d" i
+      in
+      let got =
+        Explain.near_misses ~reqs ~count:(Array.length attrs) ~attrs:(Array.get attrs) ~label
+          ~limit
+      in
+      let want =
+        Oracle.near_misses ~reqs ~limit
+          ~items:(List.mapi (fun i a -> (i, Printf.sprintf "h%d" i, a)) (Array.to_list attrs))
+      in
+      !labelled <= limit && compare got want = 0)
 
 (* A near miss's actual value reaches the certificate JSON at full
    precision: PlanetLab delays carry more than six significant digits. *)
@@ -447,6 +610,7 @@ let () =
           Alcotest.test_case "requirement extraction" `Quick
             test_requirements_extraction;
           Alcotest.test_case "near misses" `Quick test_near_misses;
+          Alcotest.test_case "near-miss ranking" `Quick test_near_miss_ranking;
           Alcotest.test_case "certificate actual precision" `Quick
             test_certificate_actual_precision;
         ] );
@@ -459,7 +623,10 @@ let () =
           Alcotest.test_case "exhausted vs unsat" `Quick test_exhausted_vs_unsat;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_certificate_domains_empty ] );
+        [
+          QCheck_alcotest.to_alcotest prop_certificate_domains_empty;
+          QCheck_alcotest.to_alcotest prop_near_misses_match_oracle;
+        ] );
       ( "service",
         [
           Alcotest.test_case "explain round-trip" `Quick
