@@ -108,6 +108,121 @@ let test_density () =
   check (Alcotest.float 1e-9) "density" (4.0 /. 6.0) (Graph.density g)
 
 (* ------------------------------------------------------------------ *)
+(* Pair index: edges_between / find_edge                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Build a graph of [n] nodes whose edge ids are the positions in
+   [edges]. *)
+let graph_of kind n edges =
+  let g = Graph.create ~kind () in
+  for _ = 1 to n do
+    ignore (Graph.add_node g Attrs.empty)
+  done;
+  List.iter (fun (u, v) -> ignore (Graph.add_edge g u v Attrs.empty)) edges;
+  g
+
+type mutation = Add_node | Add_edge of int * int
+
+let mutate g = function
+  | Add_node -> ignore (Graph.add_node g Attrs.empty)
+  | Add_edge (u, v) -> ignore (Graph.add_edge g u v Attrs.empty)
+
+(* Each row: a graph, mutations applied after the index is built, the
+   queried pair and the expected edge ids (ascending). *)
+let test_edges_between_table () =
+  let open Graph in
+  let table =
+    [ "undirected pair",             Undirected, 3, [ (0, 1); (1, 2) ], [], (0, 1), [ 0 ]
+    ; "undirected reversed",         Undirected, 3, [ (0, 1); (1, 2) ], [], (2, 1), [ 1 ]
+    ; "undirected absent",           Undirected, 3, [ (0, 1); (1, 2) ], [], (0, 2), []
+    ; "undirected parallel",         Undirected, 3, [ (0, 1); (1, 2); (1, 0); (0, 1) ], [], (0, 1), [ 0; 2; 3 ]
+    ; "undirected parallel, v-u",    Undirected, 3, [ (0, 1); (1, 2); (1, 0); (0, 1) ], [], (1, 0), [ 0; 2; 3 ]
+    ; "directed forward",            Directed, 2, [ (0, 1) ], [], (0, 1), [ 0 ]
+    ; "directed backward",           Directed, 2, [ (0, 1) ], [], (1, 0), []
+    ; "directed parallel",           Directed, 3, [ (0, 1); (0, 2); (0, 1) ], [], (0, 1), [ 0; 2 ]
+    ; "antiparallel forward",        Directed, 2, [ (0, 1); (1, 0); (0, 1) ], [], (0, 1), [ 0; 2 ]
+    ; "antiparallel backward",       Directed, 2, [ (0, 1); (1, 0); (0, 1) ], [], (1, 0), [ 1 ]
+    ; "u = v undirected",            Undirected, 3, [ (0, 1); (1, 2) ], [], (1, 1), []
+    ; "u = v directed",              Directed, 3, [ (0, 1); (1, 2) ], [], (1, 1), []
+    ; "isolated node",               Undirected, 4, [ (0, 1); (1, 2) ], [], (3, 1), []
+    ; "isolated node, reversed",     Directed, 4, [ (0, 1); (1, 2) ], [], (1, 3), []
+    ; "node added after index",      Undirected, 3, [ (0, 1); (1, 2) ], [ Add_node ], (3, 0), []
+    ; "node added, queried as v",    Directed, 3, [ (0, 1); (1, 2) ], [ Add_node ], (0, 3), []
+    ; "node added, then linked",     Undirected, 3, [ (0, 1) ], [ Add_node; Add_edge (3, 0) ], (0, 3), [ 1 ]
+    ; "lookup after add_edge",       Undirected, 3, [ (0, 1) ], [ Add_edge (1, 2) ], (2, 1), [ 1 ]
+    ; "parallel added after index",  Undirected, 2, [ (0, 1) ], [ Add_edge (1, 0) ], (0, 1), [ 0; 1 ]
+    ; "directed add_edge after index", Directed, 2, [ (0, 1) ], [ Add_edge (1, 0) ], (1, 0), [ 1 ]
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (name, kind, n, edges, mutations, (u, v), expected) ->
+      let g = graph_of kind n edges in
+      ignore (Graph.edges_between g 0 0);
+      List.iter (mutate g) mutations;
+      check Alcotest.(list int) name expected (Graph.edges_between g u v);
+      check (Alcotest.option Alcotest.int) (name ^ " (find_edge)")
+        (match expected with [] -> None | e :: _ -> Some e)
+        (Graph.find_edge g u v))
+    table
+
+(* A naive oracle over an edge list in id order. *)
+let oracle kind edges u v =
+  List.concat
+    (List.mapi
+       (fun e (a, b) ->
+         if (a = u && b = v) || (kind = Graph.Undirected && a = v && b = u) then [ e ]
+         else [])
+       edges)
+
+let agrees_with_oracle g kind n edges =
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      let want = oracle kind edges u v in
+      if Graph.edges_between g u v <> want then ok := false;
+      if Graph.find_edge g u v <> (match want with [] -> None | e :: _ -> Some e) then
+        ok := false
+    done
+  done;
+  !ok
+
+let random_edges rng n m =
+  List.filter
+    (fun (u, v) -> u <> v)
+    (List.init m (fun _ -> (Rng.int rng n, Rng.int rng n)))
+
+(* Random multigraphs (few nodes, so parallel and antiparallel edges are
+   common): the index, a copy's shared index and a copy's index after
+   its own mutations all agree with the oracle, and mutating the copy
+   leaves the source's answers alone. *)
+let prop_pair_index_oracle =
+  QCheck.Test.make ~count:300 ~name:"edges_between/find_edge = naive scan, on copies too"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
+    (fun seed ->
+      let rng = Rng.make seed in
+      let kind = if Rng.bool rng then Graph.Directed else Graph.Undirected in
+      let n = 1 + Rng.int rng 7 in
+      let edges = if n < 2 then [] else random_edges rng n (Rng.int rng 20) in
+      let g = graph_of kind n edges in
+      let force_first = Rng.bool rng in
+      if force_first && not (agrees_with_oracle g kind n edges) then
+        QCheck.Test.fail_reportf "seed %d: source disagrees" seed;
+      let h = Graph.copy g in
+      if not (agrees_with_oracle h kind n edges) then
+        QCheck.Test.fail_reportf "seed %d: fresh copy disagrees" seed;
+      let n' = n + Rng.int rng 3 in
+      for _ = n + 1 to n' do
+        ignore (Graph.add_node h Attrs.empty)
+      done;
+      let extra = if n' < 2 then [] else random_edges rng n' (Rng.int rng 6) in
+      List.iter (fun (u, v) -> ignore (Graph.add_edge h u v Attrs.empty)) extra;
+      if not (agrees_with_oracle h kind n' (edges @ extra)) then
+        QCheck.Test.fail_reportf "seed %d: mutated copy disagrees" seed;
+      if not (agrees_with_oracle g kind n edges) then
+        QCheck.Test.fail_reportf "seed %d: source changed by copy's mutation" seed;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Traversal                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -268,6 +383,11 @@ let () =
           Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "induced subgraph" `Quick test_induced_subgraph;
           Alcotest.test_case "density" `Quick test_density;
+        ] );
+      ( "pair index",
+        [
+          Alcotest.test_case "edges_between table" `Quick test_edges_between_table;
+          QCheck_alcotest.to_alcotest prop_pair_index_oracle;
         ] );
       ( "traversal",
         [
