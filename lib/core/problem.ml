@@ -151,4 +151,4 @@ let prepare t =
       ignore (residual t qe ~q_src ~q_dst);
       ignore (residual t qe ~q_src:q_dst ~q_dst:q_src))
     t.query;
-  if Graph.node_count t.host > 0 then ignore (Graph.edges_between t.host 0 0)
+  Graph.build_pair_index t.host

@@ -135,6 +135,11 @@ val query_edges_between :
     for asymmetric constraints on undirected ones). *)
 
 val prepare : t -> unit
-(** Force the lazy caches (orientation residuals, host edge index) so the problem can afterwards be shared read-only
-    across domains.  Called by the parallel searchers before
-    spawning. *)
+(** Force the lazy caches so the problem can afterwards be shared
+    read-only across domains: the orientation residuals (the constraint
+    specialized per query edge) and the host pair index
+    ({!Graph.build_pair_index}).  A host taken from
+    [Model.residual_snapshot] (lib/service) already carries the
+    model's index, so there only the residuals are built.  Called by
+    the parallel searchers before spawning and by the service before
+    the filter build. *)

@@ -16,10 +16,16 @@ type t = {
      order; undirected graphs record each edge in both lists. *)
   out_adj : (int * int) list Vec.t;
   in_adj : (int * int) list Vec.t;
-  (* Lazy (u, v) -> edge-list index for O(1) amortized lookup; built on
-     first use and invalidated by later mutation. *)
-  mutable pair_index : (int * int, int list) Hashtbl.t option;
+  (* Lazy pair index, built on first use, dropped by [add_node] and
+     [add_edge], and shared by [copy] (its arrays are never written). *)
+  mutable pair_index : pair_index option;
 }
+
+(* CSR over node pairs: row [u] is [off.(u) .. off.(u+1) - 1]; [nbr]
+   holds the row's neighbours in ascending order and [eid] the edge
+   ids, ascending within one neighbour.  Undirected graphs store both
+   orientations. *)
+and pair_index = { off : int array; nbr : int array; eid : int array }
 
 let create ?(kind = Undirected) ?(name = "") () =
   {
@@ -42,6 +48,7 @@ let edge_count t = Vec.length t.edge_attrs
 
 let add_node t attrs =
   let id = node_count t in
+  t.pair_index <- None;
   Vec.push t.node_attrs attrs;
   Vec.push t.out_adj [];
   Vec.push t.in_adj [];
@@ -115,27 +122,81 @@ let in_degree t v =
   check_node t v "Graph.in_degree";
   List.length (Vec.get t.in_adj v)
 
+(* Two stable counting sorts of the half-edges, taken in edge-id order:
+   by target, then by source.  Each row comes out sorted by neighbour
+   and, within one neighbour, by edge id. *)
+let build_csr t =
+  let n = node_count t in
+  let iter_half f =
+    for e = 0 to edge_count t - 1 do
+      let u = Vec.get t.edge_src e and v = Vec.get t.edge_dst e in
+      f u v e;
+      match t.kind with Undirected -> f v u e | Directed -> ()
+    done
+  in
+  let offsets count =
+    let off = Array.make (n + 1) 0 in
+    count (fun k -> off.(k + 1) <- off.(k + 1) + 1);
+    for k = 1 to n do
+      off.(k) <- off.(k) + off.(k - 1)
+    done;
+    off
+  in
+  let by_dst = offsets (fun bump -> iter_half (fun _ v _ -> bump v)) in
+  let h = by_dst.(n) in
+  let src = Array.make h 0 and ids = Array.make h 0 in
+  let fill = Array.sub by_dst 0 n in
+  iter_half (fun u v e ->
+      let i = fill.(v) in
+      src.(i) <- u;
+      ids.(i) <- e;
+      fill.(v) <- i + 1);
+  let off = offsets (fun bump -> Array.iter bump src) in
+  let nbr = Array.make h 0 and eid = Array.make h 0 in
+  let fill = Array.sub off 0 n in
+  for v = 0 to n - 1 do
+    for i = by_dst.(v) to by_dst.(v + 1) - 1 do
+      let j = fill.(src.(i)) in
+      nbr.(j) <- v;
+      eid.(j) <- ids.(i);
+      fill.(src.(i)) <- j + 1
+    done
+  done;
+  { off; nbr; eid }
+
 let pair_index t =
   match t.pair_index with
   | Some idx -> idx
   | None ->
-      let idx = Hashtbl.create (max 16 (2 * edge_count t)) in
-      let record u v e =
-        Hashtbl.replace idx (u, v)
-          (e :: Option.value ~default:[] (Hashtbl.find_opt idx (u, v)))
-      in
-      for e = edge_count t - 1 downto 0 do
-        let u = Vec.get t.edge_src e and v = Vec.get t.edge_dst e in
-        record u v e;
-        match t.kind with Undirected -> record v u e | Directed -> ()
-      done;
+      let idx = build_csr t in
       t.pair_index <- Some idx;
       idx
+
+let build_pair_index t = ignore (pair_index t)
+
+(* The first slot of row [u] whose neighbour is not below [v]. *)
+let lower_bound { off; nbr; _ } u v =
+  let lo = ref off.(u) and hi = ref off.(u + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if nbr.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let edges_between t u v =
   check_node t u "Graph.edges_between";
   check_node t v "Graph.edges_between";
-  Option.value ~default:[] (Hashtbl.find_opt (pair_index t) (u, v))
+  let idx = pair_index t in
+  let first = lower_bound idx u v and stop = idx.off.(u + 1) in
+  let last = ref first in
+  while !last < stop && idx.nbr.(!last) = v do
+    incr last
+  done;
+  let acc = ref [] in
+  for i = !last - 1 downto first do
+    acc := idx.eid.(i) :: !acc
+  done;
+  !acc
 
 let find_edge t u v =
   match edges_between t u v with [] -> None | e :: _ -> Some e
@@ -172,6 +233,7 @@ let copy t =
   g.graph_attrs <- t.graph_attrs;
   iter_nodes (fun v -> ignore (add_node g (node_attrs t v))) t;
   iter_edges (fun e u v -> ignore (add_edge g u v (edge_attrs t e))) t;
+  g.pair_index <- t.pair_index;
   g
 
 let induced_subgraph t sel =

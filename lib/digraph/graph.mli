@@ -24,8 +24,12 @@ val create : ?kind:kind -> ?name:string -> unit -> t
 (** A fresh empty graph; [kind] defaults to [Undirected]. *)
 
 val add_node : t -> Netembed_attr.Attrs.t -> node
+(** Drops this graph's pair index (see {!edges_between}); copies that
+    share it keep theirs. *)
+
 val add_edge : t -> node -> node -> Netembed_attr.Attrs.t -> edge
-(** @raise Invalid_argument on self-loops or unknown endpoints. *)
+(** Drops this graph's pair index, like {!add_node}.
+    @raise Invalid_argument on self-loops or unknown endpoints. *)
 
 val set_node_attrs : t -> node -> Netembed_attr.Attrs.t -> unit
 val set_edge_attrs : t -> edge -> Netembed_attr.Attrs.t -> unit
@@ -72,11 +76,20 @@ val in_degree : t -> node -> int
 
 val find_edge : t -> node -> node -> edge option
 (** First edge from [u] to [v] ([u]–[v] in either stored orientation for
-    undirected graphs). *)
+    undirected graphs): the lowest id in {!edges_between}. *)
 
 val edges_between : t -> node -> node -> edge list
-(** All edges from [u] to [v], via a lazily-built hash index (O(1)
-    amortized; the index is rebuilt after any [add_edge]). *)
+(** All edges from [u] to [v] ([u]–[v] in either stored orientation for
+    undirected graphs), in ascending id order.  Served by the pair
+    index, a CSR (compressed sparse row) table of each node's
+    neighbours, sorted, with their edge ids: O(log degree) per lookup.
+    The index is built in O(|V| + |E|) on the first lookup after a
+    mutation ({!add_node}, {!add_edge}); attribute updates keep it. *)
+
+val build_pair_index : t -> unit
+(** Build the pair index now if it is not built.  After this, lookups
+    only read immutable arrays, so the graph can be shared across
+    domains; {!copy} hands the built index on. *)
 
 val mem_edge : t -> node -> node -> bool
 
@@ -90,6 +103,10 @@ val edges : t -> (edge * node * node) array
 (** {1 Derived graphs} *)
 
 val copy : t -> t
+(** A graph with the same nodes, edges and attributes, mutable
+    independently of [t].  It shares [t]'s pair index if that is built
+    (the topology is the same), so copies of a graph whose index was
+    built once never build their own until they are mutated. *)
 
 val induced_subgraph : t -> node array -> t * node array
 (** [induced_subgraph g sel] is the subgraph on the nodes of [sel]

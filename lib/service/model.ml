@@ -21,6 +21,10 @@ let create g =
         Graph.set_node_attrs graph v
           (Attrs.add "reserved" (Value.Bool false) (Graph.node_attrs graph v)))
     graph;
+  (* Links never change after this, so every residual snapshot (a
+     [Graph.copy]) shares this one pair index instead of building its
+     own. *)
+  Graph.build_pair_index graph;
   {
     graph;
     rev = 0;

@@ -20,7 +20,9 @@ val create : Graph.t -> t
     do not alias the caller's graph.  A resource ledger is opened over
     the copy with the default capacity attributes
     ({!Netembed_ledger.Ledger.of_graph}): hosts declaring no capacities
-    get an empty ledger and behave exactly as before. *)
+    get an empty ledger and behave exactly as before.  The copy's host
+    pair index ({!Graph.edges_between}) is built here, once per
+    substrate; every {!residual_snapshot} shares it. *)
 
 val of_graphml_file : string -> t
 (** @raise Netembed_graphml.Graphml.Error on malformed input. *)

@@ -384,7 +384,7 @@ let () =
           Alcotest.test_case "induced subgraph" `Quick test_induced_subgraph;
           Alcotest.test_case "density" `Quick test_density;
         ] );
-      ( "pair index",
+      ( "pairs",
         [
           Alcotest.test_case "edges_between table" `Quick test_edges_between_table;
           QCheck_alcotest.to_alcotest prop_pair_index_oracle;

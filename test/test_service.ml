@@ -55,6 +55,32 @@ let test_model_revision () =
   Model.reserve m [ 1; 2 ];
   check Alcotest.bool "bumped again" true (Model.revision m > r0 + 1)
 
+(* Counted, not timed: a residual snapshot shares the pair index built
+   once by [Model.create], so preparing a 1-edge query against it only
+   specializes the query's two orientation residuals.  An index rebuilt
+   per snapshot would allocate a table over every link (about 7k half
+   edges here).  The count includes allocations made directly in the
+   major heap, where large arrays go. *)
+let test_snapshot_shares_pair_index () =
+  let module Trace = Netembed_planetlab.Trace in
+  let host = Trace.generate (Rng.make 7) { Trace.default with Trace.sites = 100 } in
+  check Alcotest.bool "at least 1k links" true (Graph.edge_count host >= 1000);
+  let model = Model.create host in
+  let problem =
+    Netembed_core.Problem.make ~host:(Model.residual_snapshot model)
+      ~query:(path_query 10.0 50.0)
+      (Netembed_expr.Expr.parse_exn standard_constraint)
+  in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  Netembed_core.Problem.prepare problem;
+  let words = allocated () -. before in
+  if words >= 1000.0 then
+    Alcotest.failf "Problem.prepare allocated %.0f words on a residual snapshot" words
+
 let test_model_reserve () =
   let m = Model.create (host ()) in
   Model.reserve m [ 1; 3 ];
@@ -1290,6 +1316,8 @@ let () =
           Alcotest.test_case "reserve/release" `Quick test_model_reserve;
           Alcotest.test_case "reserve duplicate" `Quick test_model_reserve_duplicate;
           Alcotest.test_case "reserved attribute" `Quick test_model_reserved_attr;
+          Alcotest.test_case "snapshots share the pair index" `Quick
+            test_snapshot_shares_pair_index;
         ] );
       ( "service",
         [
