@@ -147,7 +147,7 @@ let mode_conv =
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Wire.mode_to_string m))
 
 let embed host_file query_file constraint_arg node_constraint algorithm mode timeout
-    path_hops dedupe optimize_cost stats trace_file domains =
+    path_hops dedupe optimize_cost stats trace_file =
   let host = Graphml.read_file host_file in
   let host =
     (* --paths K: virtual links may ride host paths of up to K hops
@@ -167,7 +167,7 @@ let embed host_file query_file constraint_arg node_constraint algorithm mode tim
   let request =
     Request.make ?node_constraint ~algorithm ~mode ?timeout ~query constraint_text
   in
-  let service = Service.create ~domains (Model.create host) in
+  let service = Service.create (Model.create host) in
   match Service.submit ~trace:(trace_file <> None) service request with
   | Error e -> `Error (false, e)
   | Ok answer ->
@@ -273,13 +273,8 @@ let embed_cmd =
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
            ~doc:"Write the request's Chrome trace-event JSON to FILE: one span \
-                 per request phase plus per-worker-domain search frames — open \
+                 per request phase inside the enclosing request span — open \
                  it in chrome://tracing or Perfetto.")
-  in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-           ~doc:"Run exhaustive ECF searches (--mode all) on N domains with \
-                 work stealing; 1 (the default) stays sequential.")
   in
   Cmd.v
     (Cmd.info "embed" ~doc:"Embed a query network into a hosting network")
@@ -287,7 +282,7 @@ let embed_cmd =
       ret
         (const embed $ host_file $ query_file $ constraint_arg $ node_constraint
         $ algorithm $ mode $ timeout $ path_hops $ dedupe $ optimize_cost $ stats
-        $ trace_file $ domains))
+        $ trace_file))
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -393,7 +388,7 @@ let explain_cmd =
    retained requests with their per-phase breakdowns — the local twin
    of the TOP wire verb. *)
 let top_run host_file query_file constraint_arg node_constraint algorithm mode
-    timeout repeat worst domains =
+    timeout repeat worst =
   let host = Graphml.read_file host_file in
   let query = Graphml.read_file query_file in
   let constraint_text =
@@ -410,7 +405,7 @@ let top_run host_file query_file constraint_arg node_constraint algorithm mode
        table is populated even for fast runs. *)
     Service.create
       ~registry:(Telemetry.Registry.create ())
-      ~slow_threshold:0.0 ~domains (Model.create host)
+      ~slow_threshold:0.0 (Model.create host)
   in
   let errors = ref [] in
   for _ = 1 to max 1 repeat do
@@ -486,11 +481,6 @@ let top_cmd =
     Arg.(value & opt int 5 & info [ "worst" ] ~docv:"K"
            ~doc:"How many slowest retained requests to list.")
   in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-           ~doc:"Run exhaustive ECF searches (--mode all) on N domains with \
-                 work stealing; 1 (the default) stays sequential.")
-  in
   Cmd.v
     (Cmd.info "top"
        ~doc:"Phase-latency triage: busiest request phases with sliding-window \
@@ -498,7 +488,7 @@ let top_cmd =
     Term.(
       ret
         (const top_run $ host_file $ query_file $ constraint_arg $ node_constraint
-        $ algorithm $ mode $ timeout $ repeat $ worst $ domains))
+        $ algorithm $ mode $ timeout $ repeat $ worst))
 
 (* ------------------------------------------------------------------ *)
 (* allocate / free / utilization                                       *)

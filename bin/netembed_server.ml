@@ -9,8 +9,8 @@
                      [--idle-timeout SEC] [--max-frame-bytes N]
                      [--monitor-every N] [--metrics-port PORT]
                      [--flight-dump FILE] [--chrome-trace FILE]
-                     [--domains N] [--runtime-sample SEC]
-                     [--alloc-profile FILE] [--health-fast-window SEC]
+                     [--runtime-sample SEC] [--alloc-profile FILE]
+                     [--health-fast-window SEC]
 
    Protocol: frames as defined in Netembed_service.Wire — EMBED
    (search), ALLOC (search and commit the first mapping as a fractional
@@ -26,8 +26,9 @@
    TCP on 127.0.0.1:PORT (0 = pick an ephemeral port) through
    Netembed_frontend: an acceptor domain feeds a bounded admission
    queue drained by --workers worker domains (0 = size from the
-   machine); when the queue is saturated new frames are rejected
-   immediately with a backpressure certificate the client can EXPLAIN.
+   machine), each running whole requests sequentially; when the queue
+   is saturated new frames are rejected immediately with a
+   backpressure certificate the client can EXPLAIN.
    The bound port is announced on stdout as "LISTEN port=N".  SIGTERM
    and SIGINT drain gracefully: stop accepting, finish in-flight
    requests, then exit.
@@ -75,7 +76,6 @@ let () =
   let metrics_port = ref 0 in
   let flight_dump = ref "" in
   let chrome_trace = ref "" in
-  let domains = ref 0 in
   let tcp_port = ref (-1) in
   let workers = ref 0 in
   let queue_capacity = ref 64 in
@@ -106,10 +106,6 @@ let () =
        "FILE write the latest failure certificate (JSON) here");
       ("--chrome-trace", Arg.Set_string chrome_trace,
        "FILE trace every request; write the latest request's Chrome trace JSON here");
-      ("--domains", Arg.Set_int domains,
-       "N run exhaustive ECF requests on N domains with work stealing (default: \
-        stdio 1 = sequential; TCP mode sizes from the cores the front end leaves \
-        free)");
       ("--runtime-sample", Arg.Set_float runtime_sample,
        "SEC poll Gc.quick_stat every SEC seconds and export netembed_gc_* gauges \
         (0 = off, default 1)");
@@ -123,30 +119,17 @@ let () =
   Arg.parse speclist (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "netembed_server --host FILE [--tcp-port PORT] [--workers N] [--queue-capacity N] \
      [--idle-timeout SEC] [--max-frame-bytes N] [--monitor-every N] [--metrics-port \
-     PORT] [--flight-dump FILE] [--chrome-trace FILE] [--domains N] [--runtime-sample \
-     SEC] [--alloc-profile FILE] [--health-fast-window SEC]";
+     PORT] [--flight-dump FILE] [--chrome-trace FILE] [--runtime-sample SEC] \
+     [--alloc-profile FILE] [--health-fast-window SEC]";
   if !host_file = "" then begin
     prerr_endline "netembed_server: --host is required";
     exit 2
   end;
-  (* Size the two pools together so TCP mode does not oversubscribe:
-     front-end workers first, search domains from what is left. *)
-  let sizing =
-    Frontend.plan
-      ?workers:(if !workers > 0 then Some !workers else None)
-      ?search_domains:(if !domains > 0 then Some !domains else None)
-      ()
-  in
-  let search_domains =
-    if !tcp_port >= 0 then sizing.Frontend.search_domains
-    else if !domains > 0 then !domains
-    else 1
-  in
   let model = Model.of_graphml_file !host_file in
   let health_config =
     { Health.default_config with Health.fast_window = !health_fast_window }
   in
-  let service = Service.create ~domains:search_domains ~health_config model in
+  let service = Service.create ~health_config model in
   (* Runtime health plane: GC sampler domain and (optional) allocation
      profiler; both torn down via [finish_runtime] on every exit path. *)
   if !runtime_sample > 0.0 then
@@ -303,7 +286,8 @@ let () =
   if !tcp_port >= 0 then begin
     let config =
       {
-        Frontend.workers = sizing.Frontend.workers;
+        Frontend.workers =
+          Frontend.plan ?workers:(if !workers > 0 then Some !workers else None) ();
         queue_capacity = max 1 !queue_capacity;
         idle_timeout = !idle_timeout;
         max_frame_bytes = !max_frame_bytes;

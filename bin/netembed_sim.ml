@@ -102,7 +102,6 @@ let main () =
   let max_migrations = ref d.Sim.max_migrations in
   let victims = ref (Sim.victim_order_name d.Sim.victim_order) in
   let sample_every = ref d.Sim.sample_every in
-  let domains = ref d.Sim.domains in
   let json_file = ref "" in
   let events = ref false in
   let quiet = ref false in
@@ -150,9 +149,6 @@ let main () =
        "ORDER smallest_revenue | highest_blocking (default smallest_revenue)");
       ("--sample-every", Arg.Set_float sample_every,
        "S time-series sampling period (default 10)");
-      ("--domains", Arg.Set_int domains,
-       "N service worker domains (default 1; results are domain-count \
-        independent)");
       ("--json", Arg.Set_string json_file,
        "FILE write the rows as FILE's top-level online_churn section");
       ("--events", Arg.Set events, " print the full deterministic event log");
@@ -204,7 +200,6 @@ let main () =
       max_migrations = !max_migrations;
       victim_order;
       sample_every = !sample_every;
-      domains = !domains;
     }
   in
   let rate_list = float_list !rates in

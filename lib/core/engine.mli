@@ -91,8 +91,8 @@ type result = {
 
 val verdict_of : outcome -> int -> string
 (** [verdict_of outcome found] — the verdict computation on raw parts,
-    for callers that assemble results outside {!run} (the parallel
-    service path). *)
+    for callers that assemble results outside {!run} (a parallel
+    enumeration's outcome and mapping count). *)
 
 val verdict : result -> string
 (** The four-way outcome the service reports: ["unsat"] (complete with

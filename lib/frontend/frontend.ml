@@ -74,19 +74,10 @@ module Bounded_queue = struct
   let capacity t = t.cap
 end
 
-type sizing = { workers : int; search_domains : int }
-
-let plan ?workers ?search_domains () =
-  let cores = Domain.recommended_domain_count () in
-  let workers =
-    match workers with Some w -> max 1 w | None -> max 1 (cores - 1)
-  in
-  let search_domains =
-    match search_domains with
-    | Some d -> max 1 d
-    | None -> max 1 (cores - workers)
-  in
-  { workers; search_domains }
+let plan ?workers () =
+  match workers with
+  | Some w -> max 1 w
+  | None -> max 1 (Domain.recommended_domain_count () - 1)
 
 type config = {
   workers : int;
@@ -97,9 +88,8 @@ type config = {
 }
 
 let default_config () =
-  let sizing = plan () in
   {
-    workers = sizing.workers;
+    workers = plan ();
     queue_capacity = 64;
     idle_timeout = 30.0;
     max_frame_bytes = Wire.default_max_frame_bytes;

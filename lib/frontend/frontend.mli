@@ -2,8 +2,8 @@
 
     The paper's Fig.-1 deployment is a {e service} many distributed
     applications query at once; this module is the front door that
-    lets the concurrency-ready engine underneath (work-stealing
-    search, filter cache, ledger) actually see concurrent traffic:
+    lets the concurrency-ready service underneath (filter cache,
+    ledger) actually see concurrent traffic, one request per worker:
 
     {v
       clients ──TCP──▶ acceptor domain ──▶ reader thread per connection
@@ -63,22 +63,12 @@ module Bounded_queue : sig
   val capacity : 'a t -> int
 end
 
-(** Sizing the two domain pools (front-end workers vs. search domains)
-    from what the machine actually has, so a multi-domain service does
-    not oversubscribe cores it does not own. *)
-type sizing = {
-  workers : int;  (** front-end worker domains *)
-  search_domains : int;
-      (** per-request work-stealing search domains
-          ({!Netembed_service.Service.create}'s [domains]) *)
-}
-
-val plan : ?workers:int -> ?search_domains:int -> unit -> sizing
-(** Defaults: [workers = max 1 (recommended_domain_count - 1)] (one
-    core left for the acceptor/readers), and
-    [search_domains = max 1 (recommended_domain_count - workers)] —
-    the search pool is sized from the cores the front end is {e not}
-    using.  Explicit values are clamped to at least 1. *)
+val plan : ?workers:int -> unit -> int
+(** The front-end worker count, sized from what the machine actually
+    has.  Default [max 1 (recommended_domain_count - 1)] (one core left
+    for the acceptor/readers); an explicit value is clamped to at least
+    1.  Each request runs sequentially on one worker, so this is the
+    server's whole parallelism. *)
 
 type config = {
   workers : int;  (** worker domains draining the admission queue *)

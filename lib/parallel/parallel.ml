@@ -21,11 +21,7 @@ let private_store problem =
     ~universe:(Graph.node_count problem.Problem.host)
     ~depths:(Graph.node_count problem.Problem.query)
 
-(* [reserved] lets a caller that already runs domains of its own (the
-   TCP front-end's acceptor and worker pool) subtract them, so search
-   and serving do not oversubscribe the same cores. *)
-let default_domains ?(reserved = 0) () =
-  max 1 (Domain.recommended_domain_count () - 1 - max 0 reserved)
+let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
 (* The runtime supports at most ~128 live domains; requests beyond that
    would make [Domain.spawn] fail outright. *)

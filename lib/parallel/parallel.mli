@@ -45,11 +45,8 @@ type strategy =
   | Static  (** Round-robin root partitioning, no load balancing. *)
   | Work_stealing  (** Frame deques with stealing (default). *)
 
-val default_domains : ?reserved:int -> unit -> int
-(** [Domain.recommended_domain_count () - 1 - reserved], at least 1.
-    [reserved] (default 0) is the number of domains the caller already
-    dedicates elsewhere (e.g. the front-end's worker pool), so the
-    search pool is sized from the cores actually left over. *)
+val default_domains : unit -> int
+(** [Domain.recommended_domain_count () - 1], at least 1. *)
 
 type stats = {
   mappings : Netembed_core.Mapping.t list;

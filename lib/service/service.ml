@@ -1,8 +1,6 @@
 module Engine = Netembed_core.Engine
 module Problem = Netembed_core.Problem
 module Mapping = Netembed_core.Mapping
-module Filter = Netembed_core.Filter
-module Parallel = Netembed_parallel.Parallel
 module Expr = Netembed_expr.Expr
 module Ast = Netembed_expr.Ast
 module Telemetry = Netembed_telemetry.Telemetry
@@ -21,6 +19,10 @@ type entry = {
 }
 
 let log_capacity = 64
+
+(* Entries in the cross-request filter cache (least recently used
+   evicted first). *)
+let filter_cache_capacity = 32
 
 (* The sliding window the per-phase latency summaries cover:
    [window_seconds] split into [window_slices] ring slices. *)
@@ -63,7 +65,6 @@ type t = {
   utilization_gauges : (string * [ `Node | `Edge ] * Telemetry.Gauge.t) list;
   slow_threshold : float;
   slow_search_share : float;
-  domains : int;
   filter_cache : Filter_cache.t;
   cache_hits : Telemetry.Counter.t;
   cache_misses : Telemetry.Counter.t;
@@ -87,16 +88,8 @@ type t = {
 let kind_label = function `Node -> "node" | `Edge -> "edge"
 
 let create ?(registry = Telemetry.default_registry) ?(slow_threshold = 0.5)
-    ?(slow_search_share = 0.9) ?(domains = 1) ?(filter_cache_capacity = 32)
-    ?health_config model =
+    ?(slow_search_share = 0.9) ?health_config model =
   let ledger = Model.ledger model in
-  (* Pre-register the parallel-search steal counter so the exposition
-     shows the series (at 0) before the first multi-domain request;
-     work-stealing workers merge their counts onto it at join. *)
-  ignore
-    (Telemetry.Registry.counter registry
-       ~help:"Search frames stolen from sibling deques by idle domains"
-       "netembed_steals_total");
   let utilization_gauges =
     List.map
       (fun (resource, kind, _, _) ->
@@ -165,7 +158,6 @@ let create ?(registry = Telemetry.default_registry) ?(slow_threshold = 0.5)
           ~help:"Outstanding ledger allocations" "netembed_active_allocations";
       utilization_gauges;
       slow_threshold;
-      domains = max 1 domains;
       filter_cache = Filter_cache.create ~capacity:filter_cache_capacity ();
       cache_hits =
         Telemetry.Registry.counter registry
@@ -210,7 +202,6 @@ let create ?(registry = Telemetry.default_registry) ?(slow_threshold = 0.5)
 let model t = t.model
 let registry t = t.registry
 let filter_cache t = t.filter_cache
-let domains t = t.domains
 let health t = t.health
 
 let with_lock m f =
@@ -476,89 +467,6 @@ let request_summary (request : Request.t) verdict elapsed =
    the user's node constraint. *)
 let reservation_guard = Expr.parse_exn "!rSource.reserved"
 
-(* Exhaustive ECF requests on a multi-domain service run through the
-   work-stealing scheduler instead of [Engine.run].  The scheduler has
-   no blame/recorder instrumentation (per-domain certificates would
-   have to be merged), so the synthesized result carries no [report];
-   everything else — verdict, telemetry snapshot, filter for the cache
-   — is assembled to the engine's contract.  The per-domain registries
-   are merged into [t.registry] by the scheduler itself. *)
-let submit_parallel t ?trace ~phases ~cached_filter ~(request : Request.t) problem =
-  let evals_before = Problem.constraint_evals problem in
-  let filter =
-    match cached_filter with
-    | Some f -> f
-    | None ->
-        Telemetry.time_phase phases ?trace Telemetry.Phase.Compile (fun () ->
-            Problem.prepare problem);
-        Telemetry.time_phase phases ?trace Telemetry.Phase.Filter_build (fun () ->
-            Filter.build problem)
-  in
-  let stats =
-    Telemetry.time_phase phases ?trace Telemetry.Phase.Search (fun () ->
-        Parallel.ecf_all_stats ~strategy:Parallel.Work_stealing ~domains:t.domains
-          ?timeout:request.Request.timeout ~filter ~registry:t.registry ?trace problem)
-  in
-  let found = List.length stats.Parallel.mappings in
-  let visited = Parallel.visited_total stats in
-  let constraint_evals = Problem.constraint_evals problem - evals_before in
-  with_state t (fun () ->
-      Telemetry.Counter.add
-        (Telemetry.Registry.counter t.registry
-           ~labels:[ ("algorithm", "ECF") ]
-           ~help:"Constraint-expression evaluations (all phases)"
-           "netembed_constraint_evals_total")
-        constraint_evals);
-  let domains_built, intersections, backtracks =
-    List.fold_left
-      (fun (a, b, c) (s : Netembed_core.Domain_store.stats) ->
-        ( a + s.Netembed_core.Domain_store.domains_built,
-          b + s.Netembed_core.Domain_store.intersections,
-          c + s.Netembed_core.Domain_store.backtracks ))
-      (0, 0, 0) stats.Parallel.domain_stats
-  in
-  let depth_hist = Telemetry.Histogram.make () in
-  let size_hist = Telemetry.Histogram.make () in
-  List.iter
-    (fun reg ->
-      let labels = [ ("algorithm", "ECF") ] in
-      Telemetry.Histogram.merge_into ~dst:depth_hist
-        (Telemetry.Registry.histogram reg ~labels "netembed_search_depth");
-      Telemetry.Histogram.merge_into ~dst:size_hist
-        (Telemetry.Registry.histogram reg ~labels "netembed_domain_size"))
-    stats.Parallel.domain_registries;
-  let telemetry =
-    {
-      Telemetry.algorithm = "ECF";
-      outcome = Engine.verdict_of stats.Parallel.outcome found;
-      visited;
-      found;
-      elapsed_s = stats.Parallel.elapsed;
-      time_to_first_s = None;
-      constraint_evals;
-      domains_built;
-      intersections;
-      backtracks;
-      max_depth = Telemetry.Histogram.max_observed depth_hist;
-      depth_histogram = depth_hist;
-      domain_size_histogram = size_hist;
-      phases;
-    }
-  in
-  {
-    Engine.mappings = stats.Parallel.mappings;
-    found;
-    outcome = stats.Parallel.outcome;
-    elapsed = stats.Parallel.elapsed;
-    time_to_first = None;
-    visited;
-    filter_evals = constraint_evals;
-    domain_stats = None;
-    telemetry;
-    report = None;
-    filter = Some filter;
-  }
-
 let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
   let t0 = Unix.gettimeofday () in
   with_state t (fun () -> Telemetry.Counter.incr t.requests);
@@ -716,16 +624,8 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
                 }
               in
               let result =
-                if
-                  t.domains > 1
-                  && request.Request.algorithm = Engine.ECF
-                  && request.Request.mode = Engine.All
-                then
-                  submit_parallel t ?trace:tbuf ~phases ~cached_filter ~request
-                    problem
-                else
-                  Engine.run ~options ?filter:cached_filter ?trace:tbuf ~phases
-                    request.Request.algorithm problem
+                Engine.run ~options ?filter:cached_filter ?trace:tbuf ~phases
+                  request.Request.algorithm problem
               in
               (* Storing the built filter is cache work, like the probe. *)
               Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Cache_lookup

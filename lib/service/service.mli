@@ -41,8 +41,8 @@ type entry = {
       (** the search phase alone exceeded the configured share of the
           request's wall-clock time (see [slow_search_share]) *)
   certificate : Netembed_explain.Explain.Certificate.t option;
-      (** [None] for parse/shape errors and parallel-path requests,
-          where there is no per-run blame instrumentation *)
+      (** [None] only for parse/shape errors, which never reach a
+          search; every searched request runs with blame on *)
 }
 (** One diagnosable request retained in the slow/failed-query log. *)
 
@@ -50,8 +50,6 @@ val create :
   ?registry:Netembed_telemetry.Telemetry.Registry.t ->
   ?slow_threshold:float ->
   ?slow_search_share:float ->
-  ?domains:int ->
-  ?filter_cache_capacity:int ->
   ?health_config:Health.config ->
   Model.t ->
   t
@@ -67,25 +65,21 @@ val create :
     [netembed_blame_eliminations_total{cause}], created lazily on first
     use), the filter-cache counters
     ([netembed_filter_cache_hits_total] /
-    [netembed_filter_cache_misses_total]), the parallel-search
-    [netembed_steals_total] counter and one
+    [netembed_filter_cache_misses_total]) and one
     [netembed_resource_utilization{resource,kind}] gauge per capacity
     resource tracked by the model's ledger, in [registry] —
     {!Netembed_telemetry.Telemetry.default_registry} unless overridden
     (tests pass a private one for isolation).
 
-    [domains] (default 1): exhaustive ECF requests ([All] mode) on a
-    service created with [domains > 1] run through the work-stealing
-    parallel scheduler ({!Netembed_parallel.Parallel.ecf_all_stats});
-    the answer's result then carries no failure certificate
-    ([result.report = None]) since blame instrumentation is
-    per-domain.  All other requests run the sequential engine
-    unchanged.
+    Every request runs the sequential engine
+    ({!Netembed_core.Engine.run}); the server scales by serving
+    requests on several front-end workers, not by splitting one
+    request's search.
 
-    [filter_cache_capacity] (default 32) bounds the cross-request
-    filter cache ({!Filter_cache}): ECF/RWB requests whose (model
-    revision, query signature) was seen before skip the filter build
-    — the dominant sequential phase — and bump the hit counter.
+    The cross-request filter cache ({!Filter_cache}) holds 32 entries:
+    ECF/RWB requests whose (model revision, query signature) was seen
+    before skip the filter build — the dominant sequential phase — and
+    bump the hit counter.
 
     The service also registers the request-latency decomposition: one
     [netembed_request_seconds{phase,window="60s"}] windowed summary per
@@ -114,8 +108,6 @@ val health : t -> Health.t
 val filter_cache : t -> Filter_cache.t
 (** The service's cross-request filter cache (introspection for tests
     and monitoring). *)
-
-val domains : t -> int
 
 val model : t -> Model.t
 
@@ -168,8 +160,7 @@ val submit :
     phase.  With [trace] (default false) the request additionally
     records request-scoped spans into [answer.trace] for Chrome trace
     export: one per timed phase, named after it and read off the same
-    clock as its phase cell, plus the enclosing [request] span and the
-    per-frame spans of parallel worker domains. *)
+    clock as its phase cell, plus the enclosing [request] span. *)
 
 val record_phase : t -> Netembed_telemetry.Telemetry.Phase.t -> float -> unit
 (** Feed [seconds] into a phase's windowed summary and lifetime total —

@@ -57,7 +57,6 @@ type config = {
   max_migrations : int;
   victim_order : victim_order;
   sample_every : float;
-  domains : int;
   inject_migration_failure : (int -> bool) option;
 }
 
@@ -81,7 +80,6 @@ let default_config =
     max_migrations = 4;
     victim_order = Smallest_revenue;
     sample_every = 10.0;
-    domains = 1;
     inject_migration_failure = None;
   }
 
@@ -674,7 +672,7 @@ let run ?registry cfg substrate =
     match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in
   let model = Model.create substrate in
-  let service = Service.create ~registry ~domains:cfg.domains model in
+  let service = Service.create ~registry model in
   let counter name help = Telemetry.Registry.counter registry ~help name in
   let st =
     {

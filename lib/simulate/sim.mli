@@ -67,7 +67,6 @@ type config = {
   max_migrations : int;  (** migration attempts per defrag pass *)
   victim_order : victim_order;
   sample_every : float;  (** time-series sampling period, virtual seconds *)
-  domains : int;  (** forwarded to {!Netembed_service.Service.create} *)
   inject_migration_failure : (int -> bool) option;
       (** test hook: when it returns [true] for the (1-based) global
           migration-attempt ordinal, that re-embed is forced to fail

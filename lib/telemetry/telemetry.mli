@@ -140,7 +140,7 @@ module Phase : sig
     | Cache_lookup  (** filter-cache invalidate, probe and insert *)
     | Filter_build  (** candidate-domain filter matrix build *)
     | Compile  (** constraint specialization: forcing the per-edge residuals *)
-    | Search  (** the descent proper (sequential or work-stealing) *)
+    | Search  (** the descent proper *)
     | Ledger_commit  (** allocation commit / release bookkeeping *)
     | Encode  (** wire-frame encoding of the answer *)
     | Queue_wait

@@ -146,6 +146,45 @@ let test_submit_bad_constraint () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected constraint parse error"
 
+(* Every searched request runs with blame on, whatever the algorithm
+   and mode: an infeasible query (no host link has a delay in
+   [100, 200]) answers with a certificate, and EXPLAIN finds it. *)
+let test_unsat_certificate_every_path () =
+  let table =
+    [ Engine.ECF, Engine.First
+    ; Engine.ECF, Engine.All
+    ; Engine.RWB, Engine.First
+    ; Engine.RWB, Engine.All
+    ; Engine.LNS, Engine.First
+    ; Engine.LNS, Engine.All
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (algorithm, mode) ->
+      let label what =
+        Printf.sprintf "%s %s: %s" (Engine.algorithm_name algorithm)
+          (Wire.mode_to_string mode) what
+      in
+      let svc = Service.create (Model.create (host ())) in
+      let request =
+        Request.make ~algorithm ~mode ~query:(path_query 100.0 200.0)
+          standard_constraint
+      in
+      match Service.submit svc request with
+      | Error m -> Alcotest.fail (label m)
+      | Ok a ->
+          check Alcotest.int (label "no mappings") 0
+            (List.length a.Service.result.Engine.mappings);
+          check Alcotest.bool (label "result carries a report") true
+            (a.Service.result.Engine.report <> None);
+          let certified =
+            match Service.explain svc a.Service.id with
+            | Some e -> e.Service.certificate <> None
+            | None -> false
+          in
+          check Alcotest.bool (label "EXPLAIN has a certificate") true certified)
+    table
+
 let test_reservation_excludes () =
   let model = Model.create (host ()) in
   let svc = Service.create model in
@@ -836,41 +875,6 @@ let test_service_cache_skips_lns () =
   check Alcotest.int "nothing cached for LNS" 0
     (Filter_cache.length (Service.filter_cache svc))
 
-(* Multi-domain service: the work-stealing path must return the same
-   mapping set as the sequential path, report through the same answer
-   shape, and share the filter cache. *)
-let test_service_parallel_path () =
-  let module Telemetry = Netembed_telemetry.Telemetry in
-  let registry = Telemetry.Registry.create () in
-  let par = Service.create ~registry ~domains:3 (Model.create (host ())) in
-  let seq = Service.create (Model.create (host ())) in
-  check Alcotest.int "domains recorded" 3 (Service.domains par);
-  let request =
-    Request.make ~mode:Engine.All ~query:(path_query 5.0 15.0) standard_constraint
-  in
-  let mappings svc =
-    match Service.submit svc request with
-    | Error m -> Alcotest.fail m
-    | Ok a -> List.sort_uniq Mapping.compare a.Service.result.Engine.mappings
-  in
-  let mp = mappings par and ms = mappings seq in
-  check Alcotest.int "same count" (List.length ms) (List.length mp);
-  check Alcotest.bool "same set" true (List.for_all2 Mapping.equal ms mp);
-  (* Second submit on the parallel service hits the shared cache. *)
-  ignore (mappings par);
-  check Alcotest.int "parallel path hits cache" 1
-    (Telemetry.Counter.value
-       (Telemetry.Registry.counter registry "netembed_filter_cache_hits_total"));
-  (* The steal counter is pre-registered so scrapes always see the series. *)
-  let exposition = Telemetry.Registry.to_prometheus registry in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "steals series exposed" true
-    (contains exposition "netembed_steals_total")
-
 (* ------------------------------------------------------------------ *)
 (* Request tracing, phase decomposition and TOP                        *)
 (* ------------------------------------------------------------------ *)
@@ -922,37 +926,32 @@ let test_tracing_and_phases () =
           check Alcotest.bool "phases on the wire" true (d.Wire.phases_ms <> []));
       (* Spans and phase cells come off one clock: on a cold cache the
          compile / filter_build / search spans each last exactly their
-         cell's seconds x 1e6, sequentially and on the work-stealing
-         path alike. *)
-      List.iter
-        (fun domains ->
-          let svc =
-            Service.create ~domains
-              ~registry:(Telemetry.Registry.create ())
-              (Model.create (host ()))
-          in
-          match Service.submit ~trace:true svc request with
-          | Error m -> Alcotest.fail m
-          | Ok a ->
-              let buf = Option.get a.Service.trace in
-              let phases = a.Service.result.Engine.telemetry.Telemetry.phases in
-              List.iter
-                (fun phase ->
-                  let name = Telemetry.Phase.name phase in
-                  let durs = ref [] in
-                  Telemetry.Trace.iter
-                    (fun ~name:n ~tid:_ ~start_us:_ ~dur_us ->
-                      if n = name then durs := dur_us :: !durs)
-                    buf;
-                  let label = Printf.sprintf "domains=%d %s" domains name in
-                  match !durs with
-                  | [ dur_us ] ->
-                      check (Alcotest.float 1e-6) (label ^ " span = cell x 1e6")
-                        (phases.(Telemetry.Phase.index phase) *. 1e6)
-                        dur_us
-                  | l -> Alcotest.failf "%s: %d spans, expected 1" label (List.length l))
-                Telemetry.Phase.[ Compile; Filter_build; Search ])
-        [ 1; 2 ])
+         cell's seconds x 1e6. *)
+      let svc =
+        Service.create
+          ~registry:(Telemetry.Registry.create ())
+          (Model.create (host ()))
+      in
+      match Service.submit ~trace:true svc request with
+      | Error m -> Alcotest.fail m
+      | Ok a ->
+          let buf = Option.get a.Service.trace in
+          let phases = a.Service.result.Engine.telemetry.Telemetry.phases in
+          List.iter
+            (fun phase ->
+              let name = Telemetry.Phase.name phase in
+              let durs = ref [] in
+              Telemetry.Trace.iter
+                (fun ~name:n ~tid:_ ~start_us:_ ~dur_us ->
+                  if n = name then durs := dur_us :: !durs)
+                buf;
+              match !durs with
+              | [ dur_us ] ->
+                  check (Alcotest.float 1e-6) (name ^ " span = cell x 1e6")
+                    (phases.(Telemetry.Phase.index phase) *. 1e6)
+                    dur_us
+              | l -> Alcotest.failf "%s: %d spans, expected 1" name (List.length l))
+            Telemetry.Phase.[ Compile; Filter_build; Search ])
 
 let test_top_report_and_wire () =
   let module Telemetry = Netembed_telemetry.Telemetry in
@@ -1323,6 +1322,8 @@ let () =
         [
           Alcotest.test_case "submit end-to-end" `Quick test_submit_end_to_end;
           Alcotest.test_case "bad constraint" `Quick test_submit_bad_constraint;
+          Alcotest.test_case "unsat certificate per path" `Quick
+            test_unsat_certificate_every_path;
           Alcotest.test_case "reservation excludes" `Quick test_reservation_excludes;
           Alcotest.test_case "allocate + stale" `Quick test_allocate_and_conflict;
           Alcotest.test_case "answer stamped with snapshot revision" `Quick
@@ -1349,7 +1350,6 @@ let () =
           Alcotest.test_case "invalidated on model update" `Quick
             test_service_cache_revision_invalidation;
           Alcotest.test_case "LNS bypasses cache" `Quick test_service_cache_skips_lns;
-          Alcotest.test_case "parallel path" `Quick test_service_parallel_path;
         ] );
       ( "tracing",
         [

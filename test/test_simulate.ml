@@ -15,38 +15,14 @@ let base_cfg =
   }
 
 (* Same seed + policy => byte-identical event log, identical acceptance
-   and final fragmentation — across repeated runs and across service
-   domain counts (the simulator submits sequential-mode requests, which
-   the service never parallelizes).  The domain counts cross-checked
-   are {1, 4} plus DOMAINS when set, so the CI matrix leg feeds in. *)
-let domains_under_test =
-  let base = [ 1; 4 ] in
-  match Sys.getenv_opt "DOMAINS" with
-  | None -> base
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> List.sort_uniq compare (d :: base)
-      | Some _ | None -> base)
-
+   and final fragmentation across repeated runs. *)
 let test_deterministic_replay () =
-  let run domains =
-    Sim.run { base_cfg with Sim.domains } (substrate ())
-  in
-  let a = run 1 and b = run 1 in
+  let run () = Sim.run base_cfg (substrate ()) in
+  let a = run () and b = run () in
   check Alcotest.(list string) "event log replays" a.Sim.event_log b.Sim.event_log;
   check Alcotest.int "accepts replay" a.Sim.accepts b.Sim.accepts;
   check (Alcotest.float 0.0) "final fragmentation replays"
     a.Sim.final_fragmentation b.Sim.final_fragmentation;
-  List.iter
-    (fun d ->
-      let c = run d in
-      let name what = Printf.sprintf "domains=%d replays %s" d what in
-      check Alcotest.(list string) (name "the log") a.Sim.event_log
-        c.Sim.event_log;
-      check Alcotest.int (name "accepts") a.Sim.accepts c.Sim.accepts;
-      check (Alcotest.float 0.0) (name "fragmentation")
-        a.Sim.final_fragmentation c.Sim.final_fragmentation)
-    domains_under_test;
   check Alcotest.bool "the run did something" true (a.Sim.accepts > 0)
 
 (* Every run must drain to a bit-exact ledger: all tenants depart, no
@@ -144,7 +120,7 @@ let () =
     [
       ( "online churn",
         [
-          Alcotest.test_case "deterministic replay (runs and domains)" `Quick
+          Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
           Alcotest.test_case "drains pristine under all policies" `Quick
             test_drains_pristine;
