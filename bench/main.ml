@@ -10,7 +10,8 @@
    (bin/experiments.exe --full runs the paper-scale sweep).
 
    Run with:  dune exec bench/main.exe
-   Skip part 2 with:  dune exec bench/main.exe -- --micro-only *)
+   Skip part 2 with:  dune exec bench/main.exe -- --micro-only
+   Filter-build layer rows only:  dune exec bench/main.exe -- --filter-build-only *)
 
 open Bechamel
 open Toolkit
@@ -398,7 +399,7 @@ let representation_ablation () =
 
 (* Pre-filter ablation: the filter build of clique7_tight with plain
    interpreter evaluation of every (query edge, host edge) pair, and
-   with the Bounds pre-filter's linear column sweeps first.  The build
+   with the Bounds pre-filter's column sweeps first.  The build
    is the evaluation-dominated phase, so it isolates what the
    pre-filter buys: row "visited" counts constraint evaluations, so
    minor words per visit is allocation per evaluation.  The [_node]
@@ -461,6 +462,121 @@ let prefilter_ablation () =
     evals hot.row_ms
     (hot.row_ms *. 1e6 /. float_of_int evals)
     hot.row_minor_words
+
+(* The filter build layer by layer, with its spread: the four
+   pre-filter ablation builds above, timed one build per sample, and
+   one [Cmp] atom's pass set over the 296-site edge column, built by the
+   member-by-member Float.compare sweep the pre-filter used to run (kept
+   here as the reference) and by the word-parallel [Bitset.select].
+   Writes the [filter_build] section of BENCH_RESULTS.json with the
+   commit, core count, OCaml version and repeat count it was measured
+   under.  Run alone with --filter-build-only. *)
+let closure_sweep ~mask (col : float array) keep x =
+  let out = Bitset.create (Bitset.universe_size mask) in
+  Bitset.iter (fun i -> if keep (Float.compare col.(i) x) then Bitset.add out i) mask;
+  out
+
+let filter_build_layers () =
+  Printf.printf "# Filter build per layer (PlanetLab 296-site trace)\n%!";
+  let repeat = 15 in
+  let sample_ms f =
+    let s =
+      Array.init repeat (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          f ();
+          (Unix.gettimeofday () -. t0) *. 1000.0)
+    in
+    Array.sort Float.compare s;
+    s
+  in
+  let row name unit s =
+    let r x = Json.Float (Json.round 4 x) in
+    Printf.printf "  %-46s min %9.4f  median %9.4f  max %9.4f %s\n%!" name s.(0)
+      s.(repeat / 2) s.(repeat - 1) unit;
+    Json.(Obj [ ("name", String name); ("unit", String unit); ("min", r s.(0));
+                ("median", r s.(repeat / 2)); ("max", r s.(repeat - 1)) ])
+  in
+  let host = Lazy.force planetlab in
+  let case = Query_gen.clique ~k:7 ~delay_lo:10.0 ~delay_hi:50.0 in
+  let node_constraint = Expr.parse_exn "rSource.cpuMhz >= 1400 && rSource.osType == 'linux-2.6'" in
+  let build ?node_constraint ~prefilter () =
+    let p =
+      Problem.make ?node_constraint ~host ~query:case.Query_gen.query
+        case.Query_gen.edge_constraint
+    in
+    ignore (Filter.build ~prefilter p)
+  in
+  let builds =
+    List.concat_map
+      (fun (suffix, node_constraint) ->
+        [ row ("evaluator/filter_build/interp" ^ suffix) "ms"
+            (sample_ms (build ?node_constraint ~prefilter:false));
+          row ("evaluator/filter_build/interp_prefilter" ^ suffix) "ms"
+            (sample_ms (build ?node_constraint ~prefilter:true)) ])
+      [ ("", None); ("_node", Some node_constraint) ]
+  in
+  (* [rEdge.avgDelay <= x] at the column's median: half the links pass.
+     Each sample sweeps [sweeps] times; the row is microseconds per
+     sweep. *)
+  let m = Graph.edge_count host in
+  let mask = Bitset.create m and col = Array.make m 0.0 in
+  for e = 0 to m - 1 do
+    match Attrs.float "avgDelay" (Graph.edge_attrs host e) with
+    | Some d ->
+        Bitset.add mask e;
+        col.(e) <- d
+    | None -> ()
+  done;
+  let x =
+    let sorted = Array.copy col in
+    Array.sort Float.compare sorted;
+    sorted.(m / 2)
+  in
+  let sweeps = 1000 in
+  let per_sweep f = Array.map (fun ms -> ms *. 1000.0 /. float_of_int sweeps) (sample_ms f) in
+  let closure =
+    per_sweep (fun () ->
+        for _ = 1 to sweeps do
+          ignore (closure_sweep ~mask col (fun s -> s <= 0) x)
+        done)
+  in
+  let word =
+    per_sweep (fun () ->
+        for _ = 1 to sweeps do
+          ignore (Bitset.select ~mask col Bitset.Le x)
+        done)
+  in
+  if not (Bitset.equal (closure_sweep ~mask col (fun s -> s <= 0) x) (Bitset.select ~mask col Bitset.Le x))
+  then failwith "prefilter/sweep_pl296: word-parallel and reference sweeps disagree";
+  let sweep_rows =
+    [ row "prefilter/sweep_pl296/closure" "us" closure;
+      row "prefilter/sweep_pl296/word" "us" word ]
+  in
+  let commit =
+    match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    | ic ->
+        let c = try input_line ic with End_of_file -> "unknown" in
+        ignore (Unix.close_process_in ic);
+        c
+  in
+  let section =
+    Json.Obj
+      [ ("note", Json.String
+           (Printf.sprintf
+              "per-sample spread over %d samples: each evaluator row times one Problem.make + \
+               Filter.build of clique7_tight (ms); each prefilter row one rEdge.avgDelay <= \
+               median pass set over the %d-link edge column (us, mean of %d sweeps per \
+               sample)" repeat m sweeps));
+        ("commit", Json.String commit);
+        ("nproc", Json.Int (Domain.recommended_domain_count ()));
+        ("ocaml", Json.String Sys.ocaml_version);
+        ("repeats", Json.Int repeat);
+        ("rows", Json.List (builds @ sweep_rows)) ]
+  in
+  (match Json.update_file bench_json_file [ ("filter_build", section) ] with
+  | Ok () -> Printf.printf "# filter_build rows written to %s\n" bench_json_file
+  | Error e -> prerr_endline ("bench: " ^ e); exit 1);
+  Printf.printf "\n%!"
 
 (* Explain-mode ablation: the same capped clique7_tight enumeration
    with the blame/flight-recorder instrumentation off vs on.  The off
@@ -869,6 +985,10 @@ let () =
      instead of the full suite. *)
   let ablation_only = Array.exists (fun a -> a = "--ablation-only") Sys.argv in
   let t0 = Unix.gettimeofday () in
+  if Array.exists (fun a -> a = "--filter-build-only") Sys.argv then begin
+    filter_build_layers ();
+    exit 0
+  end;
   if ablation_only then begin
     ablation_suite ();
     Printf.printf "# bench complete in %.1f s\n" (Unix.gettimeofday () -. t0);

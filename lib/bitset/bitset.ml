@@ -135,6 +135,65 @@ let diff a b =
   diff_into ~dst:r b;
   r
 
+type cmp = Lt | Le | Gt | Ge | Eq
+
+(* The [len] slots of [col] from [base], one result bit per slot, in
+   one branch-free loop per comparison.  For a non-NaN bound [x],
+   [Float.compare v x] agrees with IEEE order except at a NaN [v],
+   which it sorts below every float: so [Lt]/[Le] are written
+   [not (v >= x)]/[not (v > x)], true at NaN, and the other three are
+   the IEEE tests, false at NaN.  Signed zeros compare equal either
+   way. *)
+let word_of_slots (col : float array) base len cmp (x : float) =
+  let acc = ref 0 in
+  (match cmp with
+  | Lt ->
+      for b = 0 to len - 1 do
+        acc := !acc lor (Bool.to_int (not (Array.unsafe_get col (base + b) >= x)) lsl b)
+      done
+  | Le ->
+      for b = 0 to len - 1 do
+        acc := !acc lor (Bool.to_int (not (Array.unsafe_get col (base + b) > x)) lsl b)
+      done
+  | Gt ->
+      for b = 0 to len - 1 do
+        acc := !acc lor (Bool.to_int (Array.unsafe_get col (base + b) > x) lsl b)
+      done
+  | Ge ->
+      for b = 0 to len - 1 do
+        acc := !acc lor (Bool.to_int (Array.unsafe_get col (base + b) >= x) lsl b)
+      done
+  | Eq ->
+      for b = 0 to len - 1 do
+        acc := !acc lor (Bool.to_int (Array.unsafe_get col (base + b) = x) lsl b)
+      done);
+  !acc
+
+let select ~mask (col : float array) cmp x =
+  let n = mask.n in
+  if Array.length col < n then invalid_arg "Bitset.select: column shorter than universe";
+  let out = create n in
+  if Float.is_nan x then begin
+    (* Rare: every non-NaN value sorts above a NaN bound, so keep
+       Float.compare's sign member by member. *)
+    let keep s =
+      match cmp with Lt -> s < 0 | Le -> s <= 0 | Gt -> s > 0 | Ge -> s >= 0 | Eq -> s = 0
+    in
+    for i = 0 to n - 1 do
+      if mem mask i && keep (Float.compare col.(i) x) then add out i
+    done
+  end
+  else
+    for w = 0 to word_count n - 1 do
+      let m = mask.words.(w) in
+      if m <> 0 then begin
+        let base = w * bits_per_word in
+        let len = min bits_per_word (n - base) in
+        out.words.(w) <- word_of_slots col base len cmp x land m
+      end
+    done;
+  out
+
 (* Index of the least significant set bit of a one-bit word: binary
    search over halving masks — six branches, not a 62-step shift loop.
    This sits under every candidate enumerated by the search core. *)

@@ -53,6 +53,20 @@ val inter_cardinal : t -> t -> int
 (** [inter_cardinal a b] is [cardinal (inter a b)] without materializing
     the intersection. *)
 
+(** {1 Building from a numeric column} *)
+
+type cmp = Lt | Le | Gt | Ge | Eq
+
+val select : mask:t -> float array -> cmp -> float -> t
+(** [select ~mask col cmp x] is the set of members [i] of [mask] with
+    [Float.compare col.(i) x] of [cmp]'s sign ([< 0], [<= 0], [> 0],
+    [>= 0], [= 0]) — the order {!Netembed_expr.Eval} compares numbers
+    by, NaN below every other float and equal to itself.  [col] must
+    cover the universe; slots outside [mask] may hold any value.  The
+    set is built one word at a time: for a non-NaN bound each word's
+    bits come from one comparison loop, masked afterwards, with no
+    per-member branch or closure call. *)
+
 (** {1 Iteration} *)
 
 val iter : (int -> unit) -> t -> unit

@@ -5,46 +5,49 @@ module Bitset = Netembed_bitset.Bitset
 module Explain = Netembed_explain.Explain
 
 type t = {
-  cells : (int, Bitset.t) Hashtbl.t;
-      (** key: (q_assigned * nq + q_next) * nr + r_assigned; values are
-          non-empty candidate sets over the host universe *)
-  cell_views : (int, int array) Hashtbl.t;
-      (** lazily materialized sorted-array views of [cells] for the
-          legacy array path (differential tests, bench ablation) *)
+  rows : Bitset.t array array;
+      (** [rows.(a * nq + b)] is the row of the ordered query-edge
+          direction [(a, b)], indexed by host node [r]: the cell
+          [F[a, r, b]], the candidates for [b] when [a] is mapped onto
+          [r].  Empty cells are [empty_cell]; directions the query does
+          not link share [no_row]. *)
+  mutable views : int array array array;
+      (** lazily materialized sorted-array views of the cells, in the
+          shape of [rows], for the legacy array path (differential
+          tests, bench ablation); [[||]] until first used *)
   nq : int;
   nr : int;
   node_cands : Bitset.t array;
   node_cand_views : int array array;
   ls_order : int array;
-  mutable nonempty_cells : int;
+  nonempty_cells : int;
 }
 
-let cell_key t a b r = (((a * t.nq) + b) * t.nr) + r
+(* Shared sentinels, compared physically: one empty cell and one empty
+   row for every filter, so a missing cell costs one pointer in its row
+   and an unlinked direction one pointer in [rows].  With one-partner
+   cells shared too (see [build]), the rows of a sparse matrix hold
+   fewer words than the int-keyed hash table of cells they replace. *)
+let empty_cell = Bitset.create 0
+let no_row : Bitset.t array = [||]
+
+let cell t a r b =
+  let row = t.rows.((a * t.nq) + b) in
+  if r < Array.length row then row.(r) else empty_cell
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Cells accumulate directly into bitsets over the host universe.  With
-   parallel query edges between the same pair, every edge must be
-   satisfiable, so per-edge sets are intersected. *)
+(* Cells accumulate directly into bitsets over the host universe, in
+   one row per query-edge direction.  With parallel query edges between
+   the same pair, every edge must be satisfiable, so their rows are
+   intersected cell by cell. *)
 
 type ordering = Connected_lemma1 | Lemma1 | Input_order
 
 let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem.t) =
   let nq = Graph.node_count p.query and nr = Graph.node_count p.host in
-  let t =
-    {
-      cells = Hashtbl.create 1024;
-      cell_views = Hashtbl.create 64;
-      nq;
-      nr;
-      node_cands = Array.make (max 1 nq) (Bitset.create nr);
-      node_cand_views = Array.make (max 1 nq) [||];
-      ls_order = [||];
-      nonempty_cells = 0;
-    }
-  in
   let undirected = Graph.kind p.host = Graph.Undirected in
   (* Column stores for the bounds pre-filter, shared by every residual
      of this build; columns materialize on first touch. *)
@@ -100,10 +103,18 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
         done;
         bits)
   in
+  (* Most cells hold one partner (tight delay bands on sparse hosts), so
+     one-partner cells share a single bitset per partner, made on first
+     use; a cell gaining a second partner gets its own copy. *)
+  let singletons = Array.make nr empty_cell in
+  let singleton v =
+    if singletons.(v) == empty_cell then singletons.(v) <- Bitset.of_list nr [ v ];
+    singletons.(v)
+  in
   (* Per query edge: evaluate the specialized residual against every host
      edge the plan admits (both host orientations when undirected),
-     collecting, for both lookup directions, one row per r_assigned: the
-     candidate bitset of its partner. *)
+     filling, for both lookup directions, a row indexed by r_assigned:
+     the candidate bitset of its partner. *)
   let add_edge_cells qe a b =
     let residual = Problem.residual p qe ~q_src:a ~q_dst:b in
     let plan =
@@ -113,18 +124,18 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
         if bounds.Bounds.atoms = [] && not bounds.Bounds.complete then None
         else Some (plan_of bounds)
     in
-    let fwd : Bitset.t option array = Array.make nr None in
-    let bwd : Bitset.t option array = Array.make nr None in
-    let record rows r partner =
-      let row =
-        match rows.(r) with
-        | Some row -> row
-        | None ->
-            let row = Bitset.create nr in
-            rows.(r) <- Some row;
-            row
-      in
-      Bitset.add row partner
+    let fwd = Array.make nr empty_cell and bwd = Array.make nr empty_cell in
+    let record row r partner =
+      let cell = row.(r) in
+      if cell == empty_cell then row.(r) <- singleton partner
+      else if not (Bitset.mem cell partner) then
+        if cell == singletons.(Bitset.next_set_bit cell 0) then begin
+          (* shared: copy on write *)
+          let cell = Bitset.copy cell in
+          Bitset.add cell partner;
+          row.(r) <- cell
+        end
+        else Bitset.add cell partner
     in
     (* All real evaluations flow through [Problem.edge_pair_ok] and its
        shared telemetry counter; pairs the pre-filter decides never
@@ -193,101 +204,66 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
     | Some _ | None -> Graph.iter_edges visit p.host);
     (fwd, bwd)
   in
-  (* Group query edges by unordered endpoint pair to intersect parallel
-     edges. *)
-  let pending : (int, Bitset.t) Hashtbl.t = Hashtbl.create 1024 in
-  let touched_pairs = Hashtbl.create 64 in
+  let rows = Array.make (nq * nq) no_row in
+  let merge dir row =
+    let prior = rows.(dir) in
+    if prior == no_row then rows.(dir) <- row
+    else
+      (* A parallel query edge: a cell survives only where every edge
+         between the pair has a partner set, and holds their
+         intersection. *)
+      Array.iteri
+        (fun r partners ->
+          let cell = prior.(r) in
+          if cell != empty_cell then
+            if partners == empty_cell then prior.(r) <- empty_cell
+            else
+              (* a fresh set: [cell] may be a shared singleton *)
+              let both = Bitset.inter cell partners in
+              prior.(r) <- (if Bitset.is_empty both then empty_cell else both))
+        row
+  in
   Graph.iter_edges
     (fun qe a b ->
       let fwd, bwd = add_edge_cells qe a b in
-      let apply dir_a dir_b rows =
-        Array.iteri
-          (fun r row ->
-            match row with
-            | None -> ()
-            | Some partners -> (
-                let key = cell_key t dir_a dir_b r in
-                match Hashtbl.find_opt pending key with
-                | None -> Hashtbl.replace pending key partners
-                | Some prior -> Bitset.inter_into ~dst:prior partners))
-          rows
-      in
-      (* If this pair was seen before (parallel edge), cells not re-hit by
-         this edge must drop to empty: handled by intersecting only hit
-         cells and clearing the rest afterwards. *)
-      (match Hashtbl.find_opt touched_pairs (min a b, max a b) with
-      | None -> Hashtbl.replace touched_pairs (min a b, max a b) 1
-      | Some k ->
-          Hashtbl.replace touched_pairs (min a b, max a b) (k + 1));
-      apply a b fwd;
-      apply b a bwd)
+      merge ((a * nq) + b) fwd;
+      merge ((b * nq) + a) bwd)
     p.query;
-  (* For parallel edges, a cell hit by only some of the edges is not
-     jointly satisfiable; detecting that requires counting hits, which
-     the merge above does not track.  Generators produce simple graphs;
-     for safety, verify parallel pairs the slow way. *)
-  Hashtbl.iter
-    (fun (a, b) hits ->
-      if hits > 1 then begin
-        let edges_ab = Problem.query_edges_between p a b in
-        (* dir_a maps to [r], dir_b maps to [partner]; every parallel
-           query edge needs some satisfying host edge between them. *)
-        let jointly_ok dir_a r partner =
-          List.for_all
-            (fun (qe, forward) ->
-              let q_src, q_dst = if forward then (a, b) else (b, a) in
-              let image q = if q = dir_a then r else partner in
-              let r_src = image q_src and r_dst = image q_dst in
-              List.exists
-                (fun he -> Problem.edge_pair_ok p ~qe ~q_src ~q_dst ~he ~r_src ~r_dst)
-                (Graph.edges_between p.host r_src r_dst))
-            edges_ab
-        in
-        let recheck dir_a dir_b =
-          for r = 0 to t.nr - 1 do
-            match Hashtbl.find_opt pending (cell_key t dir_a dir_b r) with
-            | None -> ()
-            | Some partners ->
-                let drop =
-                  Bitset.fold
-                    (fun partner acc ->
-                      if jointly_ok dir_a r partner then acc else partner :: acc)
-                    partners []
-                in
-                List.iter (Bitset.remove partners) drop
-          done
-        in
-        recheck a b;
-        recheck b a
-      end)
-    touched_pairs;
-  Hashtbl.iter
-    (fun key v -> if not (Bitset.is_empty v) then Hashtbl.replace t.cells key v)
-    pending;
-  t.nonempty_cells <- Hashtbl.length t.cells;
+  let nonempty_cells =
+    Array.fold_left
+      (fun acc row ->
+        Array.fold_left (fun acc c -> if c == empty_cell then acc else acc + 1) acc row)
+      0 rows
+  in
   (* Node-level candidates: intersection over incident edges of the
-     sources present in F, within node_ok. *)
-  for q = 0 to nq - 1 do
-    let incident = Problem.query_neighbours p q in
-    let sets =
-      List.map
-        (fun (w, _) ->
-          (* sources r for which cell (q, w, r) is non-empty *)
-          let out = Bitset.create nr in
-          for r = 0 to t.nr - 1 do
-            if Hashtbl.mem t.cells (cell_key t q w r) then Bitset.add out r
-          done;
-          out)
-        incident
-    in
-    t.node_cands.(q) <-
-      (match sets with
-      | [] -> Bitset.copy node_ok_bits.(q)
-      | first :: rest ->
-          List.iter (fun s -> Bitset.inter_into ~dst:first s) rest;
-          first);
-    t.node_cand_views.(q) <- Bitset.to_array t.node_cands.(q)
-  done;
+     sources with a non-empty cell, within node_ok. *)
+  let node_cands =
+    Array.init (max 1 nq) (fun q ->
+        if q >= nq then Bitset.create nr
+        else
+          let sources (w, _) =
+            let out = Bitset.create nr in
+            Array.iteri (fun r c -> if c != empty_cell then Bitset.add out r) rows.((q * nq) + w);
+            out
+          in
+          match List.map sources (Problem.query_neighbours p q) with
+          | [] -> Bitset.copy node_ok_bits.(q)
+          | first :: rest ->
+              List.iter (fun s -> Bitset.inter_into ~dst:first s) rest;
+              first)
+  in
+  let t =
+    {
+      rows;
+      views = [||];
+      nq;
+      nr;
+      node_cands;
+      node_cand_views = Array.map Bitset.to_array node_cands;
+      ls_order = [||];
+      nonempty_cells;
+    }
+  in
   (* Explain mode: attribute every host excluded from a node's
      expression-(1) candidate set to the filter stage that removed it.
      Precedence mirrors the build: the degree filter fires before the
@@ -306,11 +282,7 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
             else if not (Bitset.mem node_ok_bits.(q) r) then
               Explain.Blame.eliminate bl ~q Explain.Cause.Node_constraint
             else (
-              match
-                List.find_opt
-                  (fun (w, _) -> not (Hashtbl.mem t.cells (cell_key t q w r)))
-                  incident
-              with
+              match List.find_opt (fun (w, _) -> cell t q r w == empty_cell) incident with
               | Some (w, _) ->
                   Explain.Blame.eliminate bl ~q (Explain.Cause.Edge_constraint (q, w))
               | None -> ())
@@ -372,26 +344,28 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
 let universe t = t.nr
 
 let cell_bits t ~q_assigned ~r_assigned ~q_next =
-  Hashtbl.find_opt t.cells (cell_key t q_assigned q_next r_assigned)
+  let c = cell t q_assigned r_assigned q_next in
+  if c == empty_cell then None else Some c
 
-(* Exception variant for the search hot loop: [Hashtbl.find] raises the
-   preallocated [Not_found], so a hit boxes nothing, where [find_opt]
-   allocates a [Some] per lookup — measurable at millions of visited
-   nodes per second. *)
+(* Exception variant for the search hot loop: an array read and a
+   physical comparison, raising the preallocated [Not_found] on a miss,
+   so a hit boxes nothing where [cell_bits] allocates a [Some] per
+   lookup — measurable at millions of visited nodes per second. *)
 let cell_bits_exn t ~q_assigned ~r_assigned ~q_next =
-  Hashtbl.find t.cells (cell_key t q_assigned q_next r_assigned)
+  let c = cell t q_assigned r_assigned q_next in
+  if c == empty_cell then raise Not_found else c
 
 let candidates_from t ~q_assigned ~r_assigned ~q_next =
-  let key = cell_key t q_assigned q_next r_assigned in
-  match Hashtbl.find_opt t.cell_views key with
-  | Some a -> a
-  | None -> (
-      match Hashtbl.find_opt t.cells key with
-      | None -> [||]
-      | Some bits ->
-          let a = Bitset.to_array bits in
-          Hashtbl.replace t.cell_views key a;
-          a)
+  let c = cell t q_assigned r_assigned q_next in
+  if c == empty_cell then [||]
+  else begin
+    if t.views == [||] then t.views <- Array.make (t.nq * t.nq) [||];
+    let dir = (q_assigned * t.nq) + q_next in
+    if t.views.(dir) == [||] then t.views.(dir) <- Array.make t.nr [||];
+    let row = t.views.(dir) in
+    if row.(r_assigned) == [||] then row.(r_assigned) <- Bitset.to_array c;
+    row.(r_assigned)
+  end
 
 let node_candidates_bits t q = t.node_cands.(q)
 let node_candidates t q = t.node_cand_views.(q)

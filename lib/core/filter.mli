@@ -6,12 +6,16 @@
     [(v, r, vs)] holding the candidate set for [vs] when [v] is mapped
     onto [r].
 
-    Representation: cells are keyed by the oriented query pair [(v,vs)]
-    and the host node [r], and hold a {!Netembed_bitset.Bitset.t} over
-    the host-node universe, so the search core intersects them in
-    O(words) ({!Domain_store}).  Sorted-array views of the same cells
-    are materialized lazily for the legacy array path (differential
-    tests and the representation-ablation bench).  The negative filter
+    Representation: one dense row per oriented query pair [(v,vs)]
+    joined by a query edge, indexed by the host node [r]; each cell is
+    a {!Netembed_bitset.Bitset.t} over the host-node universe, so a
+    lookup is two array reads and the search core intersects cells in
+    O(words) ({!Domain_store}).  Empty cells share one sentinel and
+    one-partner cells share one set per partner.  With parallel query
+    edges between a pair, the cell holds the partners that satisfy all
+    of them.  Sorted-array views of the same cells are materialized
+    lazily for the legacy array path (differential tests and the
+    representation-ablation bench).  The negative filter
     F̄ of the paper is implicit: candidate sets are intersected, so
     anything absent from [F] is excluded (equivalent to subtracting the
     union of F̄ for undirected problems; for directed problems both
@@ -40,8 +44,8 @@ val build :
   t
 (** [prefilter] (default [true]) short-circuits the per-pair constraint
     evaluations through {!Prefilter}: atoms extracted from each residual
-    by {!Netembed_expr.Bounds} are decided by a linear sweep over an
-    unboxed host attribute column, so pairs a single attribute
+    by {!Netembed_expr.Bounds} are decided by a word-parallel sweep over
+    an unboxed host attribute column, so pairs a single attribute
     comparison already rejects (or, for fully-extracted constraints,
     accepts) never reach the evaluator, and a residual that restricts
     [rEdge] walks only the host edges it admits.  The node constraint
@@ -69,15 +73,17 @@ val cell_bits :
   Netembed_bitset.Bitset.t option
 (** The cell [F[q_assigned, r_assigned, q_next]] as a bitset over the
     host universe, or [None] when no host edge qualifies.  The returned
-    set is owned by the filter and must not be mutated — searchers copy
-    it into {!Domain_store} scratch before intersecting. *)
+    set is owned by the filter, may be shared with other cells, and must
+    not be mutated — searchers copy it into {!Domain_store} scratch
+    before intersecting. *)
 
 val cell_bits_exn :
   t -> q_assigned:Graph.node -> r_assigned:Graph.node -> q_next:Graph.node ->
   Netembed_bitset.Bitset.t
 (** Like {!cell_bits} but raising [Not_found] for a missing cell instead
-    of boxing an option — the allocation-free lookup the search hot loop
-    uses.  Same ownership rule: the returned set is read-only. *)
+    of boxing an option — the allocation-free lookup (two array reads)
+    the search hot loop uses.  Same ownership rule: the returned set is
+    read-only. *)
 
 val node_candidates_bits : t -> Graph.node -> Netembed_bitset.Bitset.t
 (** Bitset form of {!node_candidates}; owned by the filter, read-only. *)

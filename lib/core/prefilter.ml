@@ -7,7 +7,8 @@ module Bitset = Netembed_bitset.Bitset
 (* One attribute's values across the whole universe: numeric values in
    an unboxed column indexed by member (meaningful where [num_set]
    holds), booleans and strings bucketed, the rare range-valued entries
-   listed.  Nothing is sorted: an atom's pass set is one linear sweep. *)
+   listed.  Nothing is sorted: an atom's pass set is one word-parallel
+   sweep of the column ({!Bitset.select}). *)
 type column = {
   present : Bitset.t;
   num_set : Bitset.t;
@@ -73,28 +74,20 @@ let column t name =
       Hashtbl.replace t.columns name c;
       c
 
-(* The numeric members whose value [v] satisfies [keep (Float.compare v
-   x)] — Float.compare's total order, the one Eval.compare_values uses
-   (NaN below every other float, equal to itself). *)
-let sweep size c x keep =
-  let out = Bitset.create size in
-  Bitset.iter (fun i -> if keep (Float.compare c.num.(i) x) then Bitset.add out i) c.num_set;
-  out
-
 let empty_set size = Bitset.create size
 
 let compute_sets t atom =
   match atom with
   | Bounds.Cmp { cmp; bound; attr; _ } ->
       let c = column t attr in
-      let keep =
+      let cmp =
         match cmp with
-        | Bounds.Lt -> fun s -> s < 0
-        | Bounds.Le -> fun s -> s <= 0
-        | Bounds.Gt -> fun s -> s > 0
-        | Bounds.Ge -> fun s -> s >= 0
+        | Bounds.Lt -> Bitset.Lt
+        | Bounds.Le -> Bitset.Le
+        | Bounds.Gt -> Bitset.Gt
+        | Bounds.Ge -> Bitset.Ge
       in
-      let pass = sweep t.size c bound keep in
+      let pass = Bitset.select ~mask:c.num_set c.num cmp bound in
       (* present but non-numeric: generic evaluation must decide (it
          will raise, matching the interpreter) *)
       let dirty = Bitset.diff c.present c.num_set in
@@ -104,7 +97,7 @@ let compute_sets t atom =
       let dirty = empty_set t.size in
       match value with
       | Value.Int _ | Value.Float _ ->
-          { pass = sweep t.size c (Value.to_float value) (fun s -> s = 0); dirty }
+          { pass = Bitset.select ~mask:c.num_set c.num Bitset.Eq (Value.to_float value); dirty }
       | Value.Bool true -> { pass = Bitset.copy c.true_set; dirty }
       | Value.Bool false -> { pass = Bitset.copy c.false_set; dirty }
       | Value.String s ->

@@ -9,10 +9,10 @@
     edges, or host nodes):
 
     - [pass]: carriers whose attribute value definitely satisfies the
-      atom — computed by one linear sweep over the attribute's unboxed,
-      unsorted numeric column under [Float.compare], the order
-      {!Netembed_expr.Eval} compares by (or a bucket lookup for strings
-      and booleans);
+      atom — computed one 62-bit word at a time over the attribute's
+      unboxed, unsorted numeric column ({!Netembed_bitset.Bitset.select})
+      under [Float.compare], the order {!Netembed_expr.Eval} compares by
+      (or a bucket lookup for strings and booleans);
     - [dirty]: carriers whose value the atom cannot classify (a
       non-numeric value under an ordering atom, say) — generic
       evaluation must run and will surface the interpreter's error.

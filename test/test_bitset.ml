@@ -125,6 +125,47 @@ let test_inter_cardinal_and_blit () =
       check Alcotest.int (Printf.sprintf "blit cardinal n=%d" n) n (Bitset.cardinal dst))
     [ 0; 1; 63; 64; 65 ]
 
+(* [select] edge cases on one column: slots 0-5 are members holding
+   NaN, -0.0, +0.0, +inf, -inf and 1.0; slots 6 and 7 are outside the
+   mask and hold values every comparison below would keep.  The order
+   is Float.compare's: NaN below every float and equal to itself,
+   signed zeros equal. *)
+let test_select_edge_cases () =
+  let col = [| Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity; 1.0; Float.nan; 0.0 |] in
+  let mask = Bitset.of_list 8 [ 0; 1; 2; 3; 4; 5 ] in
+  let nan = Float.nan and inf = Float.infinity and ninf = Float.neg_infinity in
+  let table =
+    [ "< 0",     Bitset.Lt, 0.0,    [ 0; 4 ]
+    ; "<= 0",    Bitset.Le, 0.0,    [ 0; 1; 2; 4 ]
+    ; "> 0",     Bitset.Gt, 0.0,    [ 3; 5 ]
+    ; ">= 0",    Bitset.Ge, 0.0,    [ 1; 2; 3; 5 ]
+    ; "= 0",     Bitset.Eq, 0.0,    [ 1; 2 ]
+    ; "< -0",    Bitset.Lt, -0.0,   [ 0; 4 ]
+    ; "= -0",    Bitset.Eq, -0.0,   [ 1; 2 ]
+    ; "< inf",   Bitset.Lt, inf,    [ 0; 1; 2; 4; 5 ]
+    ; "<= inf",  Bitset.Le, inf,    [ 0; 1; 2; 3; 4; 5 ]
+    ; "> inf",   Bitset.Gt, inf,    []
+    ; "= inf",   Bitset.Eq, inf,    [ 3 ]
+    ; "< -inf",  Bitset.Lt, ninf,   [ 0 ]
+    ; "<= -inf", Bitset.Le, ninf,   [ 0; 4 ]
+    ; "> -inf",  Bitset.Gt, ninf,   [ 1; 2; 3; 5 ]
+    ; ">= -inf", Bitset.Ge, ninf,   [ 1; 2; 3; 4; 5 ]
+    ; "< nan",   Bitset.Lt, nan,    []
+    ; "<= nan",  Bitset.Le, nan,    [ 0 ]
+    ; "> nan",   Bitset.Gt, nan,    [ 1; 2; 3; 4; 5 ]
+    ; ">= nan",  Bitset.Ge, nan,    [ 0; 1; 2; 3; 4; 5 ]
+    ; "= nan",   Bitset.Eq, nan,    [ 0 ]
+    ; "= -nan",  Bitset.Eq, -.nan,  [ 0 ]
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (name, cmp, bound, expected) ->
+      check Alcotest.(list int) name expected (Bitset.elements (Bitset.select ~mask col cmp bound)))
+    table;
+  Alcotest.check_raises "short column"
+    (Invalid_argument "Bitset.select: column shorter than universe") (fun () ->
+      ignore (Bitset.select ~mask [| 0.0 |] Bitset.Lt 0.0))
+
 (* Model-based property tests: compare against sorted-int-list sets. *)
 
 let gen_set n =
@@ -213,6 +254,53 @@ let prop_iter_from_suffix =
       Bitset.iter_from (fun x -> acc := x :: !acc) s i;
       List.rev !acc = List.filter (fun x -> x >= i) l)
 
+(* [select] against the member-by-member Float.compare sweep it
+   replaced, for every comparison: universes straddling word
+   boundaries, columns mixing NaNs of both signs, signed zeros,
+   infinities and near-duplicates of the bound, non-members holding
+   arbitrary values. *)
+let reference_select ~mask col cmp x =
+  let keep s =
+    match cmp with
+    | Bitset.Lt -> s < 0
+    | Bitset.Le -> s <= 0
+    | Bitset.Gt -> s > 0
+    | Bitset.Ge -> s >= 0
+    | Bitset.Eq -> s = 0
+  in
+  let out = Bitset.create (Bitset.universe_size mask) in
+  Bitset.iter (fun i -> if keep (Float.compare col.(i) x) then Bitset.add out i) mask;
+  out
+
+let special_floats =
+  [ Float.nan; -.Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity; 1.0; -1.0;
+    2.5; Float.succ 2.5; Float.pred 2.5; Float.max_float; Float.min_float ]
+
+let gen_select_case =
+  QCheck.Gen.(
+    let value = frequency [ (3, oneofl special_floats); (2, float_range (-3.0) 3.0) ] in
+    oneofl [ 0; 1; 61; 62; 63; 124; 125; 3397 ] >>= fun n ->
+    array_size (return n) value >>= fun col ->
+    array_size (return n) (frequency [ (3, return true); (1, return false) ]) >>= fun members ->
+    value >|= fun bound -> (col, members, bound))
+
+let print_select_case (col, members, bound) =
+  Printf.sprintf "n=%d bound=%h members=%d col=[%s]" (Array.length col) bound
+    (Array.fold_left (fun acc m -> if m then acc + 1 else acc) 0 members)
+    (String.concat ";" (List.map (Printf.sprintf "%h") (Array.to_list col)))
+
+let prop_select_reference =
+  QCheck.Test.make ~name:"select = Float.compare sweep" ~count:300
+    (QCheck.make ~print:print_select_case gen_select_case)
+    (fun (col, members, bound) ->
+      let n = Array.length col in
+      let mask = Bitset.create n in
+      Array.iteri (fun i m -> if m then Bitset.add mask i) members;
+      List.for_all
+        (fun cmp ->
+          Bitset.equal (Bitset.select ~mask col cmp bound) (reference_select ~mask col cmp bound))
+        [ Bitset.Lt; Bitset.Le; Bitset.Gt; Bitset.Ge; Bitset.Eq ])
+
 let () =
   Alcotest.run "bitset"
     [
@@ -227,12 +315,13 @@ let () =
           Alcotest.test_case "next_set_bit" `Quick test_next_set_bit;
           Alcotest.test_case "iter_from" `Quick test_iter_from;
           Alcotest.test_case "inter_cardinal / blit" `Quick test_inter_cardinal_and_blit;
+          Alcotest.test_case "select edge cases" `Quick test_select_edge_cases;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_inter; prop_union; prop_diff; prop_cardinal; prop_inplace_agree;
             prop_nth_total; prop_next_set_bit_walk; prop_inter_cardinal;
-            prop_iter_from_suffix;
+            prop_iter_from_suffix; prop_select_reference;
           ] );
     ]

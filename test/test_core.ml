@@ -250,6 +250,84 @@ let test_filter_node_candidates_sound () =
         (Mapping.to_list m))
     all
 
+(* Parallel query edges between one pair must all be satisfiable: a
+   cell keeps a partner only if every edge of the pair has a qualifying
+   host edge between the two images.  Host 0-1 carries links of delay
+   10 and 30, 0-2 only 30, 1-2 and 2-3 only 10; the query asks for
+   both a [5, 15] and a [25, 35] link between q0 and q1, and the degree
+   filter keeps q1 (degree 3) off host 3 (degree 1). *)
+let test_filter_parallel_edges () =
+  let host = Graph.create () in
+  let h = Array.init 4 (fun _ -> Graph.add_node host Attrs.empty) in
+  List.iter
+    (fun (u, v, d) -> ignore (Graph.add_edge host h.(u) h.(v) (delay d)))
+    [ (0, 1, 10.0); (0, 1, 30.0); (0, 2, 30.0); (1, 2, 10.0); (2, 3, 10.0) ];
+  let query = Graph.create () in
+  let q = Array.init 3 (fun _ -> Graph.add_node query Attrs.empty) in
+  ignore (Graph.add_edge query q.(0) q.(1) (band 5.0 15.0));
+  ignore (Graph.add_edge query q.(1) q.(0) (band 25.0 35.0));
+  ignore (Graph.add_edge query q.(1) q.(2) (band 5.0 15.0));
+  let table =
+    [ 0, 0, 1, [ 1 ]
+    ; 0, 1, 1, [ 0 ]
+    ; 0, 2, 1, []
+    ; 0, 3, 1, []
+    ; 1, 0, 0, [ 1 ]
+    ; 1, 1, 0, [ 0 ]
+    ; 1, 2, 0, []
+    ; 1, 1, 2, [ 0; 2 ]
+    ; 1, 2, 2, [ 1; 3 ]
+    ; 2, 2, 1, [ 1 ]
+    ; 2, 3, 1, [ 2 ]
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun prefilter ->
+      let f =
+        Filter.build ~prefilter (Problem.make ~host ~query Expr.avg_delay_within)
+      in
+      List.iter
+        (fun (a, r, b, expected) ->
+          check Alcotest.(list int)
+            (Printf.sprintf "prefilter=%b cell (q%d,%d,q%d)" prefilter a r b)
+            expected
+            (Array.to_list (Filter.candidates_from f ~q_assigned:a ~r_assigned:r ~q_next:b)))
+        table;
+      check Alcotest.(list int) "q0 candidates" [ 0; 1 ]
+        (Array.to_list (Filter.node_candidates f 0));
+      check Alcotest.int "cells" 11 (Filter.cell_count f))
+    [ false; true ]
+
+(* The service keeps 32 filters cached, so a filter's size is part of
+   its memory.  Filters for query_mix-shaped requests (8-node subgraph
+   queries under delay_range_within on the 100-site PlanetLab trace)
+   must hold no more words than the layout they replaced: cells in an
+   int-keyed hash table, whose [Obj.reachable_words] figures for the
+   same builds (OCaml 5.1, 64-bit) are recorded below. *)
+let test_filter_footprint () =
+  let module Trace = Netembed_planetlab.Trace in
+  let module Query_gen = Netembed_workload.Query_gen in
+  let host = Trace.generate (Rng.make 2008) { Trace.default with Trace.sites = 100 } in
+  let table =
+    [ 1, 3349
+    ; 2, 4373
+    ; 3, 5129
+    ; 4, 5372
+    ; 5, 5100
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (seed, hashtable_words) ->
+      let case = Query_gen.subgraph (Rng.make seed) ~host ~n:8 () in
+      let p = Problem.make ~host ~query:case.Query_gen.query Expr.delay_range_within in
+      let f = Filter.build p in
+      check Alcotest.bool (Printf.sprintf "seed %d: cells" seed) true (Filter.cell_count f > 0);
+      let words = Obj.reachable_words (Obj.repr f) in
+      if words > hashtable_words then
+        Alcotest.failf "seed %d: filter holds %d words, the hash-table layout %d" seed words
+          hashtable_words)
+    table
+
 (* ------------------------------------------------------------------ *)
 (* Algorithms: agreement & correctness                                 *)
 (* ------------------------------------------------------------------ *)
@@ -605,6 +683,8 @@ let () =
           Alcotest.test_case "cells" `Quick test_filter_cells;
           Alcotest.test_case "order covers query" `Quick test_filter_order_covers;
           Alcotest.test_case "node candidates sound" `Quick test_filter_node_candidates_sound;
+          Alcotest.test_case "parallel query edges" `Quick test_filter_parallel_edges;
+          Alcotest.test_case "footprint" `Quick test_filter_footprint;
         ] );
       ( "algorithms",
         [
