@@ -509,8 +509,11 @@ let filter_build_layers () =
   let builds =
     List.concat_map
       (fun (suffix, node_constraint) ->
-        [ row ("evaluator/filter_build/interp" ^ suffix) "ms"
-            (sample_ms (build ?node_constraint ~prefilter:false));
+        let interp =
+          row ("evaluator/filter_build/interp" ^ suffix) "ms"
+            (sample_ms (build ?node_constraint ~prefilter:false))
+        in
+        [ interp;
           row ("evaluator/filter_build/interp_prefilter" ^ suffix) "ms"
             (sample_ms (build ?node_constraint ~prefilter:true)) ])
       [ ("", None); ("_node", Some node_constraint) ]
