@@ -253,15 +253,18 @@ let test_filter_node_candidates_sound () =
 (* Parallel query edges between one pair must all be satisfiable: a
    cell keeps a partner only if every edge of the pair has a qualifying
    host edge between the two images.  Host 0-1 carries links of delay
-   10 and 30, 0-2 only 30, 1-2 and 2-3 only 10; the query asks for
-   both a [5, 15] and a [25, 35] link between q0 and q1, and the degree
-   filter keeps q1 (degree 3) off host 3 (degree 1). *)
+   10 and 30, 0-2 only 30, and 1-2, 1-3, 2-3 and 3-4 only 10; the query
+   asks for both a [5, 15] and a [25, 35] link between q0 and q1, so
+   hosts 2 and 3 keep no q0-q1 cell although the [5, 15] edge alone
+   would give them one.  The degree filter keeps q0 and q1 off host 4
+   (degree 1). *)
 let test_filter_parallel_edges () =
   let host = Graph.create () in
-  let h = Array.init 4 (fun _ -> Graph.add_node host Attrs.empty) in
+  let h = Array.init 5 (fun _ -> Graph.add_node host Attrs.empty) in
   List.iter
     (fun (u, v, d) -> ignore (Graph.add_edge host h.(u) h.(v) (delay d)))
-    [ (0, 1, 10.0); (0, 1, 30.0); (0, 2, 30.0); (1, 2, 10.0); (2, 3, 10.0) ];
+    [ (0, 1, 10.0); (0, 1, 30.0); (0, 2, 30.0); (1, 2, 10.0); (2, 3, 10.0); (1, 3, 10.0);
+      (3, 4, 10.0) ];
   let query = Graph.create () in
   let q = Array.init 3 (fun _ -> Graph.add_node query Attrs.empty) in
   ignore (Graph.add_edge query q.(0) q.(1) (band 5.0 15.0));
@@ -275,10 +278,11 @@ let test_filter_parallel_edges () =
     ; 1, 0, 0, [ 1 ]
     ; 1, 1, 0, [ 0 ]
     ; 1, 2, 0, []
-    ; 1, 1, 2, [ 0; 2 ]
-    ; 1, 2, 2, [ 1; 3 ]
-    ; 2, 2, 1, [ 1 ]
-    ; 2, 3, 1, [ 2 ]
+    ; 1, 3, 0, []
+    ; 1, 1, 2, [ 0; 2; 3 ]
+    ; 1, 3, 2, [ 1; 2; 4 ]
+    ; 2, 3, 1, [ 1; 2 ]
+    ; 2, 4, 1, [ 3 ]
     ] [@ocamlformat "disable"]
   in
   List.iter
@@ -295,7 +299,7 @@ let test_filter_parallel_edges () =
         table;
       check Alcotest.(list int) "q0 candidates" [ 0; 1 ]
         (Array.to_list (Filter.node_candidates f 0));
-      check Alcotest.int "cells" 11 (Filter.cell_count f))
+      check Alcotest.int "cells" 13 (Filter.cell_count f))
     [ false; true ]
 
 (* The service keeps 32 filters cached, so a filter's size is part of
