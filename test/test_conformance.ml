@@ -259,10 +259,10 @@ let node_constraints =
 let edge_floats = [| Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity |]
 
 (* On one seed in three, about a quarter of the host links get an
-   [edge_floats] delay and about a quarter of the hosts an
-   [edge_floats] cpuMhz or, one host in sixteen, the string "n/a",
-   which no ordering atom can classify (the dirty path: evaluation
-   raises, with or without the pre-filter).  On one seed in five the
+   [edge_floats] delay and about a quarter of the hosts a stamped
+   cpuMhz: an [edge_floats] value or, one host in sixteen, the string
+   "n/a", which no ordering atom can classify (the dirty path:
+   evaluation raises, with or without the pre-filter).  On one seed in five the
    host has 63-78 nodes, so node columns span two bitset words and
    edge columns several.  Stamped seeds also give about a quarter of
    the query links a NaN maxDelay, a NaN atom bound.  The choices come
