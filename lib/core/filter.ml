@@ -103,6 +103,16 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
         done;
         bits)
   in
+  (* Most cells hold one partner (tight delay bands on sparse hosts), so
+     one-partner cells share a single bitset per partner, made on first
+     use; a cell gaining a second partner gets its own copy.  Sharing
+     while recording, rather than in a pass after the merge, keeps the
+     build from allocating one short-lived set per cell. *)
+  let singletons = Array.make nr empty_cell in
+  let singleton v =
+    if singletons.(v) == empty_cell then singletons.(v) <- Bitset.of_list nr [ v ];
+    singletons.(v)
+  in
   (* Per query edge: evaluate the specialized residual against every host
      edge the plan admits (both host orientations when undirected),
      filling, for both lookup directions, a row indexed by r_assigned:
@@ -119,12 +129,15 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
     let fwd = Array.make nr empty_cell and bwd = Array.make nr empty_cell in
     let record row r partner =
       let cell = row.(r) in
-      if cell == empty_cell then begin
-        let cell = Bitset.create nr in
-        Bitset.add cell partner;
-        row.(r) <- cell
-      end
-      else Bitset.add cell partner
+      if cell == empty_cell then row.(r) <- singleton partner
+      else if not (Bitset.mem cell partner) then
+        if cell == singletons.(Bitset.next_set_bit cell 0) then begin
+          (* shared: copy on write *)
+          let cell = Bitset.copy cell in
+          Bitset.add cell partner;
+          row.(r) <- cell
+        end
+        else Bitset.add cell partner
     in
     (* All real evaluations flow through [Problem.edge_pair_ok] and its
        shared telemetry counter; pairs the pre-filter decides never
@@ -206,10 +219,10 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
           let cell = prior.(r) in
           if cell != empty_cell then
             if partners == empty_cell then prior.(r) <- empty_cell
-            else begin
-              Bitset.inter_into ~dst:cell partners;
-              if Bitset.is_empty cell then prior.(r) <- empty_cell
-            end)
+            else
+              (* a fresh set: [cell] may be a shared singleton *)
+              let both = Bitset.inter cell partners in
+              prior.(r) <- (if Bitset.is_empty both then empty_cell else both))
         row
   in
   Graph.iter_edges
@@ -218,25 +231,12 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
       merge ((a * nq) + b) fwd;
       merge ((b * nq) + a) bwd)
     p.query;
-  (* Most cells hold one partner (tight delay bands on sparse hosts):
-     those share the first set built for their partner, so a cached
-     filter keeps one set per partner rather than one per cell. *)
-  let singletons = Array.make nr empty_cell in
-  let nonempty_cells = ref 0 in
-  Array.iter
-    (fun row ->
-      Array.iteri
-        (fun r c ->
-          if c != empty_cell then begin
-            incr nonempty_cells;
-            if Bitset.cardinal c = 1 then begin
-              let v = Bitset.next_set_bit c 0 in
-              if singletons.(v) == empty_cell then singletons.(v) <- c
-              else row.(r) <- singletons.(v)
-            end
-          end)
-        row)
-    rows;
+  let nonempty_cells =
+    Array.fold_left
+      (fun acc row ->
+        Array.fold_left (fun acc c -> if c == empty_cell then acc else acc + 1) acc row)
+      0 rows
+  in
   (* Node-level candidates: intersection over incident edges of the
      sources with a non-empty cell, within node_ok. *)
   let node_cands =
@@ -263,7 +263,7 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
       node_cands;
       node_cand_views = Array.map Bitset.to_array node_cands;
       ls_order = [||];
-      nonempty_cells = !nonempty_cells;
+      nonempty_cells;
     }
   in
   (* Explain mode: attribute every host excluded from a node's
