@@ -326,8 +326,8 @@ let explain_run host_file query_file constraint_arg node_constraint algorithm mo
   in
   match Service.submit service request with
   | Error e -> (
-      (* Admission rejections and shape errors still leave a certificate
-         in the diagnostics log; only parse errors have nothing to show. *)
+      (* Every failed submit leaves an entry in the diagnostics log;
+         only an admission rejection's carries a certificate. *)
       match Service.last_entry service with
       | Some entry -> print_entry entry
       | None -> `Error (false, e))

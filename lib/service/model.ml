@@ -6,9 +6,9 @@ module Ledger = Netembed_ledger.Ledger
 type t = {
   graph : Graph.t;
   mutable rev : int;
-  reserved_set : (Graph.node, unit) Hashtbl.t;
   ledger : Ledger.t;
-  locks : (Graph.node, int) Hashtbl.t;  (* reservation -> ledger allocation *)
+  (* The reserved nodes, each with its ledger allocation. *)
+  locks : (Graph.node, int) Hashtbl.t;
 }
 
 let create g =
@@ -25,13 +25,7 @@ let create g =
      [Graph.copy]) shares this one pair index instead of building its
      own. *)
   Graph.build_pair_index graph;
-  {
-    graph;
-    rev = 0;
-    reserved_set = Hashtbl.create 16;
-    ledger = Ledger.of_graph graph;
-    locks = Hashtbl.create 16;
-  }
+  { graph; rev = 0; ledger = Ledger.of_graph graph; locks = Hashtbl.create 16 }
 let of_graphml_file path = create (Netembed_graphml.Graphml.read_file path)
 let snapshot t = t.graph
 let revision t = t.rev
@@ -54,18 +48,20 @@ let set_reserved_attr t v flag =
     (Attrs.add "reserved" (Value.Bool flag) (Graph.node_attrs t.graph v))
 
 let reserve t nodes =
-  (* The pre-scan must catch both conflicts with prior reservations and
-     a node appearing twice in this very call — otherwise a duplicated
-     node double-books silently. *)
+  (* The pre-scan must catch unknown ids, conflicts with prior
+     reservations and a node appearing twice in this very call before
+     anything is locked — otherwise a duplicated node double-books
+     silently and a bad id leaves the nodes before it locked. *)
   let seen = Hashtbl.create (List.length nodes) in
   List.iter
     (fun v ->
-      if Hashtbl.mem t.reserved_set v || Hashtbl.mem seen v then raise (Conflict v);
+      if v < 0 || v >= Graph.node_count t.graph then
+        invalid_arg (Printf.sprintf "Model.reserve: unknown node %d" v);
+      if Hashtbl.mem t.locks v || Hashtbl.mem seen v then raise (Conflict v);
       Hashtbl.replace seen v ())
     nodes;
   List.iter
     (fun v ->
-      Hashtbl.replace t.reserved_set v ();
       (* A boolean reservation is the degenerate full-capacity charge:
          the node's entire residual is debited in the ledger. *)
       Hashtbl.replace t.locks v (Ledger.lock t.ledger v);
@@ -76,20 +72,17 @@ let reserve t nodes =
 let release t nodes =
   List.iter
     (fun v ->
-      if Hashtbl.mem t.reserved_set v then begin
-        Hashtbl.remove t.reserved_set v;
-        (match Hashtbl.find_opt t.locks v with
-        | Some id ->
-            ignore (Ledger.release t.ledger id);
-            Hashtbl.remove t.locks v
-        | None -> ());
-        set_reserved_attr t v false
-      end)
+      match Hashtbl.find_opt t.locks v with
+      | Some id ->
+          ignore (Ledger.release t.ledger id);
+          Hashtbl.remove t.locks v;
+          set_reserved_attr t v false
+      | None -> ())
     nodes;
   if nodes <> [] then t.rev <- t.rev + 1
 
-let reserved t = List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) t.reserved_set [])
-let is_reserved t v = Hashtbl.mem t.reserved_set v
+let reserved t = List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) t.locks [])
+let is_reserved t v = Hashtbl.mem t.locks v
 
 let charge_mapping t ~query mapping =
   match Ledger.charge_of_mapping t.ledger ~query mapping with

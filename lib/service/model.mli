@@ -61,7 +61,9 @@ val reserve : t -> Graph.node list -> unit
 (** Mark the nodes reserved and debit their full residual capacity in
     the ledger.  @raise Conflict (naming the first already-reserved or
     duplicated node) without reserving anything — a node listed twice
-    in one call is a conflict too. *)
+    in one call is a conflict too.
+    @raise Invalid_argument on an id that is not a node of the model,
+    again without reserving anything. *)
 
 val release : t -> Graph.node list -> unit
 val reserved : t -> Graph.node list

@@ -3,7 +3,9 @@ module Problem = Netembed_core.Problem
 module Mapping = Netembed_core.Mapping
 module Expr = Netembed_expr.Expr
 module Ast = Netembed_expr.Ast
+module Eval = Netembed_expr.Eval
 module Telemetry = Netembed_telemetry.Telemetry
+module Phase = Telemetry.Phase
 module Ledger = Netembed_ledger.Ledger
 module Explain = Netembed_explain.Explain
 
@@ -45,6 +47,8 @@ type t = {
        exactly;
      - [state_lock] guards the diagnostics ring, the windowed phase
        series, the latency histogram and the request counters.
+     The newest entry each domain logged sits in a per-domain slot
+     ([last]), so a worker reads back its own request's entry.
      The search itself runs outside all three, against an immutable
      residual snapshot. *)
   model_lock : Mutex.t;
@@ -83,6 +87,7 @@ type t = {
      diagnosable requests, looked up by request id for EXPLAIN. *)
   log : entry option array;
   mutable logged : int;
+  last : entry option Domain.DLS.key;
 }
 
 let kind_label = function `Node -> "node" | `Edge -> "edge"
@@ -113,7 +118,7 @@ let create ?(registry = Telemetry.default_registry) ?(slow_threshold = 0.5)
           ~help:"Requests submitted to the mapping service" "netembed_requests_total";
       request_errors =
         Telemetry.Registry.counter registry
-          ~help:"Requests rejected (malformed constraints, admission control or impossible query)"
+          ~help:"Requests rejected (malformed or ill-typed constraints, admission control or impossible query)"
           "netembed_request_errors_total";
       latency_us =
         Telemetry.Registry.histogram registry
@@ -194,6 +199,7 @@ let create ?(registry = Telemetry.default_registry) ?(slow_threshold = 0.5)
       health = Health.create ?config:health_config ~registry ();
       log = Array.make log_capacity None;
       logged = 0;
+      last = Domain.DLS.new_key (fun () -> None);
     }
   in
   Telemetry.Gauge.set t.model_revision (float_of_int (Model.revision model));
@@ -289,9 +295,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 (* Caller holds [state_lock]. *)
 let log_entry_unlocked t entry =
   t.log.(t.logged mod log_capacity) <- Some entry;
-  t.logged <- t.logged + 1
-
-let log_entry t entry = with_state t (fun () -> log_entry_unlocked t entry)
+  t.logged <- t.logged + 1;
+  Domain.DLS.set t.last (Some entry)
 
 let explain t id =
   with_state t (fun () ->
@@ -304,9 +309,7 @@ let explain t id =
         t.log;
       !found)
 
-let last_entry t =
-  with_state t (fun () ->
-      if t.logged = 0 then None else t.log.((t.logged - 1) mod log_capacity))
+let last_entry t = Domain.DLS.get t.last
 
 (* ------------------------------------------------------------------ *)
 (* Backpressure rejections                                             *)
@@ -467,238 +470,216 @@ let request_summary (request : Request.t) verdict elapsed =
    the user's node constraint. *)
 let reservation_guard = Expr.parse_exn "!rSource.reserved"
 
+(* Cross-request filter cache: ECF/RWB requests key their filter matrix
+   on (model revision, query signature) and skip the build — the
+   dominant sequential phase — on a repeat.  A hit also hands back the
+   specialized-residual table, so a warm submit skips specialization
+   too.  LNS filters lazily and bypasses the cache.  The signature reads
+   only the request; invalidation, probe and counter bump are one
+   critical section, so hits + misses = lookups holds exactly under
+   concurrent submits. *)
+let cache_probe t (request : Request.t) ~revision =
+  match request.Request.algorithm with
+  | Engine.LNS -> (None, None)
+  | Engine.ECF | Engine.RWB ->
+      let key =
+        Filter_cache.signature ~query:request.Request.query
+          ~constraint_text:request.Request.constraint_text
+          ~node_constraint_text:request.Request.node_constraint_text
+      in
+      with_cache t (fun () ->
+          Filter_cache.invalidate t.filter_cache ~current_revision:revision;
+          let hit = Filter_cache.find t.filter_cache ~revision ~signature:key in
+          Telemetry.Counter.incr (if Option.is_some hit then t.cache_hits else t.cache_misses);
+          (Some key, hit))
+
+(* The [netembed_unsat_total] cause a retained entry counts under. *)
+let unsat_cause (e : entry) =
+  match e.verdict with
+  | "admission" -> Some "admission"
+  | "exhausted" -> Some "budget"
+  | "unsat" -> (
+      match Option.bind e.certificate Explain.Certificate.primary_cause with
+      | Some c -> Some (Explain.Cause.label c)
+      | None -> Some "search")
+  | _ -> None
+
+(* A stage that fails ends the request: the error returned to the
+   caller and, for an admission reject, the certificate whose verdict
+   its diagnostics entry takes. *)
+exception Refused of Explain.Certificate.t option * string
+
+let refuse ?certificate message = raise_notrace (Refused (certificate, message))
+
 let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
   let t0 = Unix.gettimeofday () in
-  with_state t (fun () -> Telemetry.Counter.incr t.requests);
   let id = Atomic.fetch_and_add t.next_id 1 in
   (* Every request gets a trace id (one atomic increment) so exemplars
      and answers correlate even when span recording is off; the buffer
      itself exists only for traced requests. *)
   let trace_id = Telemetry.Trace.fresh_id () in
   let tbuf = if trace then Some (Telemetry.Trace.create ~tid:0 ()) else None in
-  (* The request's phase cells: the service times parse / admission /
-     cache_lookup / ledger_commit into them and hands the same array to
-     the engine for compile / filter_build / search, so it comes back
-     as the result's [telemetry.phases] with the full decomposition.
-     The front-end's admission-queue wait is handed in ready-made: it
-     was over before this call began. *)
-  let phases = Telemetry.Phase.make_timings () in
-  if queue_wait > 0.0 then
-    phases.(Telemetry.Phase.index Telemetry.Phase.Queue_wait) <- queue_wait;
+  (* The request's phase cells: each stage below times itself into
+     them and the engine adds compile / filter_build / search, so they
+     come back as the result's [telemetry.phases].  The front-end's
+     admission-queue wait was over before this call began. *)
+  let phases = Phase.make_timings () in
+  phases.(Phase.index Phase.Queue_wait) <- queue_wait;
+  let stage phase f = Telemetry.time_phase phases ?trace:tbuf phase f in
+  (* [Problem.make] rejects a query larger than the host; an ill-typed
+     constraint raises out of the evaluator during the search.  Both
+     end the request as errors. *)
+  let attempt f =
+    try f () with
+    | Invalid_argument m -> refuse m
+    | Eval.Eval_error m -> refuse ("constraint: " ^ m)
+  in
+  (* The single exit: every outcome is counted, timed, fed to the
+     health machine and — when it failed, fell short or was slow —
+     logged, exactly once. *)
   let finish outcome =
-    let dt_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-    let error = match outcome with Error _ -> true | Ok _ -> false in
+    let elapsed = Unix.gettimeofday () -. t0 in
+    let entry, outcome =
+      match outcome with
+      | Error (certificate, message) ->
+          let verdict =
+            match certificate with
+            | Some c -> c.Explain.Certificate.verdict
+            | None -> "error"
+          in
+          let summary =
+            Printf.sprintf "%s — %s" (request_summary request verdict elapsed) message
+          in
+          let entry =
+            { id; trace_id; summary; verdict; elapsed; phases; slow_search = false; certificate }
+          in
+          (Some entry, Error message)
+      | Ok (result, revision) ->
+          let verdict = Engine.verdict result and run = result.Engine.elapsed in
+          (* A cache-warm request can be fast on the wall clock yet
+             spend nearly everything in the search; flag it when the
+             search share crosses the threshold, with a floor at a
+             tenth of [slow_threshold] so microsecond-scale requests
+             don't flood the ring. *)
+          let slow_search =
+            run >= 0.1 *. t.slow_threshold
+            && phases.(Phase.index Phase.Search)
+               >= t.slow_search_share *. run
+          in
+          let entry =
+            if verdict = "complete" && run < t.slow_threshold && not slow_search then None
+            else
+              Some
+                {
+                  id;
+                  trace_id;
+                  summary = request_summary request verdict run;
+                  verdict;
+                  elapsed = run;
+                  phases;
+                  slow_search;
+                  certificate = result.Engine.report;
+                }
+          in
+          Log.debug (fun m ->
+              m "query %d nodes via %s: %d mapping(s), %s"
+                (Netembed_graph.Graph.node_count request.Request.query)
+                (Engine.algorithm_name request.Request.algorithm)
+                (List.length result.Engine.mappings)
+                (Engine.outcome_name result.Engine.outcome));
+          (* Stamp the revision the snapshot was taken at, not the
+             model's current one: a commit or monitor update that
+             landed during the search must make this answer stale. *)
+          Telemetry.Gauge.set t.model_revision (float_of_int revision);
+          (entry, Ok { id; trace_id; request; result; model_revision = revision; trace = tbuf })
+    in
+    (* The enclosing request span (tid 0), recorded last so every other
+       span nests under it. *)
+    Option.iter
+      (fun b ->
+        Telemetry.Trace.add b ~name:"request" ~start_us:(t0 *. 1e6) ~dur_us:(elapsed *. 1e6))
+      tbuf;
+    let error = Result.is_error outcome in
+    let dt_us = int_of_float (elapsed *. 1e6) in
     with_state t (fun () ->
+        Telemetry.Counter.incr t.requests;
+        if error then Telemetry.Counter.incr t.request_errors;
         Telemetry.Histogram.observe t.latency_us dt_us;
-        Telemetry.Windowed.observe t.request_seconds.(Telemetry.Phase.count) dt_us;
+        Telemetry.Windowed.observe t.request_seconds.(Phase.count) dt_us;
         record_phases_unlocked t phases;
-        if error then Telemetry.Counter.incr t.request_errors);
-    Health.observe_request t.health
-      ~latency_s:(float_of_int dt_us *. 1e-6)
-      ~error;
+        Option.iter
+          (fun (e : entry) ->
+            if e.verdict = "admission" then Telemetry.Counter.incr t.admission_rejected;
+            Option.iter (count_unsat t) (unsat_cause e);
+            Option.iter (count_blame t) e.certificate;
+            log_entry_unlocked t e)
+          entry);
+    Health.observe_request t.health ~latency_s:elapsed ~error;
     outcome
   in
-  let log_failure ?certificate verdict message =
-    let elapsed = Unix.gettimeofday () -. t0 in
-    log_entry t
-      {
-        id;
-        trace_id;
-        summary =
-          Printf.sprintf "%s — %s" (request_summary request verdict elapsed) message;
-        verdict;
-        elapsed;
-        phases;
-        slow_search = false;
-        certificate;
-      }
-  in
-  match
-    Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Parse (fun () ->
-        Request.parse_constraints request)
-  with
-  | Error m ->
-      log_failure "error" m;
-      finish (Error m)
-  | Ok (edge_constraint, node_constraint) -> (
-      let node_constraint =
-        match node_constraint with
-        | None -> reservation_guard
-        | Some c -> Ast.Binop (Ast.And, reservation_guard, c)
-      in
-      (* Admission control: a query whose aggregate demand exceeds the
-         total residual capacity cannot commit under any mapping —
-         reject it before paying for a search. *)
-      match
-        Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Admission (fun () ->
-            with_model t (fun () ->
-                Ledger.admissible (Model.ledger t.model) ~query:request.Request.query))
-      with
-      | Error f ->
-          with_state t (fun () ->
-              Telemetry.Counter.incr t.admission_rejected;
-              count_unsat t "admission");
-          log_failure ~certificate:(admission_certificate t f) "admission"
-            (Ledger.failure_to_string f);
-          finish (Error ("admission: " ^ Ledger.failure_to_string f))
-      | Ok () -> (
-          (* Embed against residual capacities: co-located tenants have
-             already eaten into what constraints like
-             rSource.cpuMhz >= vSource.cpuMhz can see.  The snapshot is
-             ledger-side work, so it lands on the ledger_commit cell.
-             Snapshot and revision are read under one critical section
-             so a concurrent allocation cannot slip between them. *)
-          let host, revision =
-            Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Ledger_commit
-              (fun () ->
-                with_model t (fun () ->
-                    (Model.residual_snapshot t.model, Model.revision t.model)))
-          in
-          (* Cross-request filter cache: ECF/RWB requests key their
-             filter matrix on (model revision, query signature) and
-             skip the build — the dominant sequential phase — on a
-             repeat.  A hit also hands back the specialized-residual
-             table, threaded into [Problem.make] below so a warm
-             submit skips specialization too.  A miss builds inside
-             the engine as before (with blame, so cold unsat requests
-             still get full filter-phase attribution) and the built
-             filter + residuals are stored afterwards; LNS filters
-             lazily and bypasses the cache. *)
-          let cache_key =
-            Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Cache_lookup
-              (fun () ->
-                match request.Request.algorithm with
-                | Engine.LNS -> None
-                | Engine.ECF | Engine.RWB ->
-                    (* The signature serialization reads only the
-                       request; only the invalidation sweep needs the
-                       cache lock. *)
-                    with_cache t (fun () ->
-                        Filter_cache.invalidate t.filter_cache
-                          ~current_revision:revision);
-                    Some
-                      (Filter_cache.signature ~query:request.Request.query
-                         ~constraint_text:request.Request.constraint_text
-                         ~node_constraint_text:request.Request.node_constraint_text))
-          in
-          (* Probe and counter bump are one critical section, so
-             hits + misses = lookups holds exactly under concurrent
-             submits. *)
-          let cache_hit =
-            Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Cache_lookup
-              (fun () ->
-                match cache_key with
-                | None -> None
-                | Some key ->
-                    with_cache t (fun () ->
-                        match
-                          Filter_cache.find t.filter_cache ~revision ~signature:key
-                        with
-                        | Some hit ->
-                            Telemetry.Counter.incr t.cache_hits;
-                            Some hit
-                        | None ->
-                            Telemetry.Counter.incr t.cache_misses;
-                            None))
-          in
-          let cached_filter = Option.map fst cache_hit in
-          let compiled = Option.map snd cache_hit in
-          match
-            Problem.make ~node_constraint ?compiled ~host
-              ~query:request.Request.query edge_constraint
-          with
-          | exception Invalid_argument m ->
-              log_failure "error" m;
-              finish (Error m)
-          | problem ->
-              let options =
-                {
-                  Engine.default_options with
-                  Engine.mode = request.Request.mode;
-                  timeout = request.Request.timeout;
-                  (* Every service request runs with blame + flight
-                     recorder on: certificates must exist for EXPLAIN
-                     without a re-run, and service queries are
-                     milliseconds-scale, not the bench hot loop. *)
-                  explain = true;
-                }
-              in
-              let result =
-                Engine.run ~options ?filter:cached_filter ?trace:tbuf ~phases
-                  request.Request.algorithm problem
-              in
-              (* Storing the built filter is cache work, like the probe. *)
-              Telemetry.time_phase phases ?trace:tbuf Telemetry.Phase.Cache_lookup
-                (fun () ->
-                  match (cache_key, result.Engine.filter) with
-                  | Some key, Some f ->
-                      with_cache t (fun () ->
-                          Filter_cache.add t.filter_cache ~revision ~signature:key
-                            ~compiled:(Problem.compiled_residuals problem) f)
-                  | _ -> ());
-              Log.debug (fun m ->
-                  m "query %d nodes via %s: %d mapping(s), %s"
-                    (Netembed_graph.Graph.node_count request.Request.query)
-                    (Engine.algorithm_name request.Request.algorithm)
-                    (List.length result.Engine.mappings)
-                    (Engine.outcome_name result.Engine.outcome));
-              let verdict = Engine.verdict result in
-              let slow = result.Engine.elapsed >= t.slow_threshold in
-              (* A cache-warm request can be fast on the wall clock yet
-                 spend nearly everything in the search; flag it when the
-                 search share crosses the threshold, with a floor at a
-                 tenth of [slow_threshold] so microsecond-scale requests
-                 don't flood the ring. *)
-              let slow_search =
-                result.Engine.elapsed >= 0.1 *. t.slow_threshold
-                && phases.(Telemetry.Phase.index Telemetry.Phase.Search)
-                   >= t.slow_search_share *. result.Engine.elapsed
-              in
-              (match tbuf with
-              | Some b ->
-                  (* The enclosing request span (tid 0) — recorded last,
-                     covering parse through bookkeeping, so every other
-                     span nests under it. *)
-                  Telemetry.Trace.add b ~name:"request" ~start_us:(t0 *. 1e6)
-                    ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6)
-              | None -> ());
-              with_state t (fun () ->
-                  (match verdict with
-                  | "unsat" ->
-                      let cause =
-                        match result.Engine.report with
-                        | Some cert -> (
-                            match Explain.Certificate.primary_cause cert with
-                            | Some c -> Explain.Cause.label c
-                            | None -> "search")
-                        | None -> "search"
-                      in
-                      count_unsat t cause
-                  | "exhausted" -> count_unsat t "budget"
-                  | _ -> ());
-                  if verdict <> "complete" || slow || slow_search then begin
-                    (match result.Engine.report with
-                    | Some cert -> count_blame t cert
-                    | None -> ());
-                    log_entry_unlocked t
-                      {
-                        id;
-                        trace_id;
-                        summary =
-                          request_summary request verdict result.Engine.elapsed;
-                        verdict;
-                        elapsed = result.Engine.elapsed;
-                        phases;
-                        slow_search;
-                        certificate = result.Engine.report;
-                      }
-                  end);
-              (* Stamp the revision the snapshot was taken at, not the
-                 model's current one: a commit or monitor update that
-                 landed during the search must make this answer stale. *)
-              Telemetry.Gauge.set t.model_revision (float_of_int revision);
-              finish
-                (Ok { id; trace_id; request; result; model_revision = revision; trace = tbuf })))
+  (* The stages run in order; the first to fail skips the rest. *)
+  finish
+    (match
+       let edge_constraint, node_constraint =
+         stage Phase.Parse (fun () ->
+             match Request.parse_constraints request with Ok c -> c | Error m -> refuse m)
+       in
+       (* Admission control: a query whose aggregate demand exceeds the
+          total residual capacity cannot commit under any mapping —
+          reject it before paying for a search. *)
+       stage Phase.Admission (fun () ->
+           with_model t (fun () ->
+               match Ledger.admissible (Model.ledger t.model) ~query:request.Request.query with
+               | Ok () -> ()
+               | Error f ->
+                   refuse ~certificate:(admission_certificate t f)
+                     ("admission: " ^ Ledger.failure_to_string f)));
+       (* Embed against residual capacities: co-located tenants have
+          already eaten into what constraints like
+          rSource.cpuMhz >= vSource.cpuMhz can see.  Snapshot and
+          revision are read under one critical section so a concurrent
+          allocation cannot slip between them. *)
+       let host, revision =
+         stage Phase.Snapshot (fun () ->
+             with_model t (fun () -> (Model.residual_snapshot t.model, Model.revision t.model)))
+       in
+       let key, hit = stage Phase.Cache_lookup (fun () -> cache_probe t request ~revision) in
+       let problem =
+         attempt (fun () ->
+             Problem.make
+               ~node_constraint:
+                 (match node_constraint with
+                 | None -> reservation_guard
+                 | Some c -> Ast.Binop (Ast.And, reservation_guard, c))
+               ?compiled:(Option.map snd hit) ~host ~query:request.Request.query edge_constraint)
+       in
+       (* Every service request runs with blame + flight recorder on:
+          certificates must exist for EXPLAIN without a re-run. *)
+       let options =
+         {
+           Engine.default_options with
+           Engine.mode = request.Request.mode;
+           timeout = request.Request.timeout;
+           explain = true;
+         }
+       in
+       let result =
+         attempt (fun () ->
+             Engine.run ~options ?filter:(Option.map fst hit) ?trace:tbuf ~phases
+               request.Request.algorithm problem)
+       in
+       (* Storing the built filter is cache work, like the probe. *)
+       stage Phase.Cache_lookup (fun () ->
+           match (key, result.Engine.filter) with
+           | Some key, Some f ->
+               with_cache t (fun () ->
+                   Filter_cache.add t.filter_cache ~revision ~signature:key
+                     ~compiled:(Problem.compiled_residuals problem) f)
+           | _ -> ());
+       (result, revision)
+     with
+     | answer -> Ok answer
+     | exception Refused (certificate, message) -> Error (certificate, message))
 
 let submit_with_relaxation t request ~steps ~factor =
   let rec go request round =

@@ -27,7 +27,7 @@ type t
 
 type entry = {
   id : int;  (** the request id echoed in wire answers *)
-  trace_id : int;  (** trace id allocated at submit (0 = untraceable parse error) *)
+  trace_id : int;  (** trace id allocated at submit *)
   summary : string;  (** one-line description for log listings *)
   verdict : string;
       (** ["unsat"], ["exhausted"], ["partial"], ["admission"],
@@ -41,8 +41,9 @@ type entry = {
       (** the search phase alone exceeded the configured share of the
           request's wall-clock time (see [slow_search_share]) *)
   certificate : Netembed_explain.Explain.Certificate.t option;
-      (** [None] only for parse/shape errors, which never reach a
-          search; every searched request runs with blame on *)
+      (** [None] for request errors (verdict ["error"]); admission
+          rejections carry one, and every searched request runs with
+          blame on *)
 }
 (** One diagnosable request retained in the slow/failed-query log. *)
 
@@ -138,29 +139,37 @@ type answer = {
 val submit :
   ?trace:bool -> ?queue_wait:float -> t -> Request.t -> (answer, string) result
 (** Run the request against the current {e residual} model snapshot
-    ({!Model.residual_snapshot}).  [Error] is returned for malformed
-    constraint expressions, an impossible query (larger than the
-    hosting network), or an admission rejection — when the query's
-    aggregate capacity demand exceeds the network's total residual, no
-    mapping can commit, so the search is skipped and the error names
-    the exhausted resource.
+    as a pipeline of timed stages: [parse], [admission] (a query whose
+    aggregate capacity demand exceeds the total residual cannot
+    commit, so it is not searched), [snapshot] ({!Model.residual_snapshot}
+    and its revision), [cache_lookup], then the engine's [compile],
+    [filter_build] and [search], and [cache_lookup] again to store the
+    built filter.  The first stage that fails ends the request with an
+    [Error] prefixed ["edge constraint:"]/["node constraint:"]
+    (malformed expression), ["admission:"] (naming the exhausted
+    resource), ["Problem.make:"] (query larger than the host) or
+    ["constraint:"] (an ill-typed constraint, such as a string
+    attribute compared with a number, met during the search).
 
-    Every search runs with explain mode on, so failed answers carry a
-    failure certificate in [result.report].  Requests that end without a
-    complete answer (and admission rejections, parse errors and slow
-    successes) are retained in a bounded ring for later {!explain}
-    lookup; ["unsat"] and ["exhausted"] verdicts and admission
+    Every request leaves through one exit, exactly once: it bumps
+    [netembed_requests_total] (and [netembed_request_errors_total] on
+    [Error]), adds one [netembed_request_latency_us] sample, feeds its
+    phases to the windowed [netembed_request_seconds] summaries and the
+    {!Health} machine, and logs at most one diagnostics entry — always
+    for an [Error] (verdict ["error"] or ["admission"]), and for an
+    answer that is not complete or was slow.  {!explain} finds the
+    entry by request id; {!last_entry} returns it on the calling
+    domain.  ["unsat"] and ["exhausted"] verdicts and admission
     rejections bump [netembed_unsat_total{cause}].
 
-    Every request is decomposed into phases (parse, admission,
-    filter-cache lookup, filter build, compile, search, ledger commit)
-    fed to the windowed [netembed_request_seconds] summaries;
-    [queue_wait] (default 0), the seconds the frame already spent in
-    the front-end admission queue, is folded in as the [queue_wait]
-    phase.  With [trace] (default false) the request additionally
-    records request-scoped spans into [answer.trace] for Chrome trace
-    export: one per timed phase, named after it and read off the same
-    clock as its phase cell, plus the enclosing [request] span. *)
+    Every search runs with explain mode on, so failed answers carry a
+    failure certificate in [result.report].  [queue_wait] (default 0),
+    the seconds the frame already spent in the front-end admission
+    queue, is folded in as the [queue_wait] phase.  With [trace]
+    (default false) the request additionally records request-scoped
+    spans into [answer.trace] for Chrome trace export: one per timed
+    phase, named after it and read off the same clock as its phase
+    cell, plus the enclosing [request] span. *)
 
 val record_phase : t -> Netembed_telemetry.Telemetry.Phase.t -> float -> unit
 (** Feed [seconds] into a phase's windowed summary and lifetime total —
@@ -193,7 +202,9 @@ val exclusively : t -> (unit -> 'a) -> 'a
     with concurrent submits' residual snapshots or allocations. *)
 
 val last_entry : t -> entry option
-(** The most recently logged diagnostic entry. *)
+(** The diagnostic entry most recently logged on the calling domain —
+    right after a failed {!submit}, that request's own entry, even when
+    other domains fail requests concurrently. *)
 
 type phase_stat = {
   phase : Netembed_telemetry.Telemetry.Phase.t;

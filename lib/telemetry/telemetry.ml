@@ -164,7 +164,8 @@ module Phase = struct
      layout of [snapshot.phases] and of the service's per-phase
      accumulators, so the order here is load-bearing: new phases are
      appended (Queue_wait sits after Encode even though it happens
-     first in wall-clock order) so existing indices never move. *)
+     first in wall-clock order; Snapshot after it) so existing indices
+     never move. *)
   type t =
     | Parse
     | Admission
@@ -175,11 +176,12 @@ module Phase = struct
     | Ledger_commit
     | Encode
     | Queue_wait
+    | Snapshot
 
   let all =
     [|
       Parse; Admission; Cache_lookup; Filter_build; Compile; Search;
-      Ledger_commit; Encode; Queue_wait;
+      Ledger_commit; Encode; Queue_wait; Snapshot;
     |]
 
   let count = Array.length all
@@ -194,6 +196,7 @@ module Phase = struct
     | Ledger_commit -> 6
     | Encode -> 7
     | Queue_wait -> 8
+    | Snapshot -> 9
 
   let name = function
     | Parse -> "parse"
@@ -205,6 +208,7 @@ module Phase = struct
     | Ledger_commit -> "ledger_commit"
     | Encode -> "encode"
     | Queue_wait -> "queue_wait"
+    | Snapshot -> "snapshot"
 
   let of_index i =
     if i < 0 || i >= count then invalid_arg "Telemetry.Phase.of_index";

@@ -147,6 +147,9 @@ module Phase : sig
         (** time spent in the front-end admission queue before a worker
             picked the request up (appended after [Encode] so earlier
             indices stay stable; in wall-clock order it happens first) *)
+    | Snapshot
+        (** the residual model snapshot a request searches against
+            (appended after [Queue_wait]; it runs after [admission]) *)
 
   val all : t array
   val count : int

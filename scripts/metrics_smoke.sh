@@ -7,14 +7,16 @@
 # flight-recorder dump.  The request-tracing layer is covered too: the
 # sliding-window netembed_request_seconds summaries must appear on
 # /metrics, the TOP verb must answer with phase stats and exemplars,
-# and --chrome-trace must emit parseable trace_event JSON.  Used by
-# CI; runnable locally from the repo root after `dune build`.
+# and --chrome-trace must emit parseable trace_event JSON.  Last, an
+# ill-typed constraint sent over TCP must come back as a canonical,
+# EXPLAIN-able request error.  Used by CI; runnable locally from the
+# repo root after `dune build`.
 set -euo pipefail
 
 PORT="${METRICS_PORT:-19911}"
 BIN="_build/default/bin"
 WORK="$(mktemp -d)"
-trap 'kill "${SERVER_PID:-0}" "${SERVER2_PID:-0}" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+trap 'kill "${SERVER_PID:-0}" "${SERVER2_PID:-0}" "${SERVER3_PID:-0}" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 [ -x "$BIN/netembed_server.exe" ] || { echo "run 'dune build' first" >&2; exit 2; }
 
@@ -296,6 +298,55 @@ grep -q '"trace_id"' "$WORK/chrome.json" \
 grep -q '"name":"search"' "$WORK/chrome.json" \
   || { echo "FAIL: Chrome trace has no search phase span"; cat "$WORK/chrome.json"; exit 1; }
 cp "$WORK/chrome.json" "${CHROME_TRACE_OUT:-/dev/null}" 2>/dev/null || true
+
+# --- ill-typed constraint over TCP: a request error, not an exception --
+# Every planetlab host carries a string osType, so comparing it with
+# the query link's numeric maxDelay fails in the evaluator.  The reply
+# must be the canonical error naming the request id, that id must
+# EXPLAIN as verdict=error, and the error counter must move.
+PORT3=$((PORT + 2))
+"$BIN/netembed_server.exe" --host "$WORK/host.graphml" --tcp-port 0 --workers 2 \
+  --metrics-port "$PORT3" > "$WORK/out3" 2> "$WORK/err3" &
+SERVER3_PID=$!
+for _ in $(seq 100); do grep -q LISTEN "$WORK/out3" 2>/dev/null && break; sleep 0.1; done
+TCP_PORT=$(sed -n 's/^LISTEN port=//p' "$WORK/out3" | tr -d ' ')
+[ -n "$TCP_PORT" ] || { echo "FAIL: TCP server did not announce a port"; cat "$WORK/err3"; exit 1; }
+exec 5<>"/dev/tcp/127.0.0.1/$TCP_PORT"
+# Send one frame on the connection and print its reply up to the "." line.
+tcp_roundtrip() {
+  cat >&5
+  while IFS= read -r -t 10 line <&5; do
+    [ "$line" = "." ] && return 0
+    printf '%s\n' "$line"
+  done
+  return 1
+}
+ILL=$(tcp_roundtrip <<'TXT'
+EMBED alg=ECF mode=first
+CONSTRAINT rSource.osType <= vEdge.maxDelay
+GRAPHML
+<graphml><key id="maxDelay" for="edge" attr.name="maxDelay" attr.type="double"/>
+<graph edgedefault="undirected">
+<node id="x"/><node id="y"/>
+<edge source="x" target="y"><data key="maxDelay">100</data></edge>
+</graph></graphml>
+.
+TXT
+) || { echo "FAIL: no reply to the ill-typed EMBED"; exit 1; }
+echo "$ILL" | grep -Eq '^ERR id=[0-9]+ constraint:' \
+  || { echo "FAIL: ill-typed EMBED did not get a canonical error"; echo "$ILL"; exit 1; }
+ILL_ID=$(echo "$ILL" | sed -nE 's/^ERR id=([0-9]+) .*/\1/p')
+EXPLAINED=$(printf 'EXPLAIN %s\n.\n' "$ILL_ID" | tcp_roundtrip) \
+  || { echo "FAIL: no reply to EXPLAIN $ILL_ID"; exit 1; }
+echo "$EXPLAINED" | grep -Eq "^OK explain=$ILL_ID trace=[0-9]+ verdict=error" \
+  || { echo "FAIL: EXPLAIN of the ill-typed request is not verdict=error"; echo "$EXPLAINED"; exit 1; }
+exec 5>&-
+METRICS=$(curl -sf "http://127.0.0.1:$PORT3/metrics") \
+  || { echo "FAIL: could not scrape the TCP server's /metrics"; exit 1; }
+echo "$METRICS" | grep -Eq '^netembed_request_errors_total [1-9]' \
+  || fail "the ill-typed request did not count as a request error"
+kill "$SERVER3_PID" 2>/dev/null || true
+wait "$SERVER3_PID" 2>/dev/null || true
 
 exec 3>&-
 exec 4>&-

@@ -108,6 +108,13 @@ let test_model_reserve_duplicate () =
   | exception Model.Conflict 0 -> ()
   | _ -> Alcotest.fail "expected Conflict 0");
   check Alcotest.(list int) "atomic failure" [] (Model.reserved m);
+  (* An unknown id after a valid one: nothing reserved, nothing locked. *)
+  (match Model.reserve m [ 0; 99 ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for node 99");
+  check Alcotest.(list int) "unknown id reserves nothing" [] (Model.reserved m);
+  check Alcotest.int "unknown id locks nothing" 0
+    (Netembed_ledger.Ledger.outstanding (Model.ledger m));
   let r0 = Model.revision m in
   check Alcotest.int "revision untouched by failed calls" r0 (Model.revision m)
 
@@ -572,6 +579,103 @@ let test_admission_rejection () =
   check Alcotest.int "admission counter" 1
     (Telemetry.Counter.value
        (Telemetry.Registry.counter registry "netembed_admission_rejects_total"))
+
+let has_prefix s prefix =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let has_suffix s suffix =
+  let n = String.length s and m = String.length suffix in
+  n >= m && String.sub s (n - m) m = suffix
+
+(* Every failed submit leaves through the one exit: an [Error] with its
+   canonical prefix and a diagnostics entry under the request's own id
+   whose summary ends with that error.  One host serves every row: it
+   has capacities (for the admission row), four nodes (for the
+   oversized query) and a string osType (for the ill-typed constraint).
+   Afterwards every request is counted once and timed once. *)
+let test_single_exit_table () =
+  let module Telemetry = Netembed_telemetry.Telemetry in
+  let registry = Telemetry.Registry.create () in
+  let host = capacitated_host () in
+  Graph.iter_nodes
+    (fun v ->
+      Graph.set_node_attrs host v
+        (Attrs.add "osType" (Value.String "linux") (Graph.node_attrs host v)))
+    host;
+  let svc = Service.create ~registry (Model.create host) in
+  let five_nodes = Graph.create ~name:"q" () in
+  for _ = 1 to 5 do ignore (Graph.add_node five_nodes Attrs.empty) done;
+  let path = path_query 5.0 15.0 in
+  let table =
+    [ "edge parse error", Request.make ~query:path "vEdge.>>>", "edge constraint:", "error"
+    ; "node parse error", Request.make ~node_constraint:"rSource.>>>" ~query:path standard_constraint, "node constraint:", "error"
+    ; "admission reject", Request.make ~query:(demanding_query ~cpu:2500 ~bw:1.0) shared_constraint, "admission:", "admission"
+    ; "query larger than host", Request.make ~query:five_nodes "true", "Problem.make:", "error"
+    ; "ill-typed constraint", Request.make ~query:path "rSource.osType <= vEdge.maxDelay", "constraint: cannot compare", "error"
+    ] [@ocamlformat "disable"]
+  in
+  (match Service.submit svc (Request.make ~query:path standard_constraint) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let ok = 1 in
+  List.iter
+    (fun (row, request, prefix, verdict) ->
+      let label what = Printf.sprintf "%s: %s" row what in
+      match Service.submit svc request with
+      | Ok _ -> Alcotest.fail (label "expected an error")
+      | Error m -> (
+          if not (has_prefix m prefix) then
+            Alcotest.failf "%s: %S lacks the prefix %S" row m prefix;
+          match Service.last_entry svc with
+          | None -> Alcotest.fail (label "no diagnostics entry")
+          | Some e ->
+              check Alcotest.string (label "verdict") verdict e.Service.verdict;
+              check Alcotest.bool (label "entry names the error") true
+                (has_suffix e.Service.summary m);
+              check (Alcotest.option Alcotest.int) (label "retained under its id")
+                (Some e.Service.id)
+                (Option.map (fun (x : Service.entry) -> x.Service.id)
+                   (Service.explain svc e.Service.id))))
+    table;
+  let counter name = Telemetry.Counter.value (Telemetry.Registry.counter registry name) in
+  let requests = counter "netembed_requests_total" in
+  check Alcotest.int "every request counted" (ok + List.length table) requests;
+  check Alcotest.int "requests = ok + errors" requests
+    (ok + counter "netembed_request_errors_total");
+  check Alcotest.int "one latency sample per request" requests
+    (Telemetry.Histogram.count
+       (Telemetry.Registry.histogram registry "netembed_request_latency_us"))
+
+(* [last_entry] answers the calling domain's newest entry: a failure
+   on another domain in between must not replace it. *)
+let test_last_entry_per_domain () =
+  let svc =
+    Service.create
+      ~registry:(Netembed_telemetry.Telemetry.Registry.create ())
+      (Model.create (host ()))
+  in
+  let query = path_query 5.0 15.0 in
+  let fail_here request =
+    match Service.submit svc request with
+    | Ok _ -> Alcotest.fail "expected a parse error"
+    | Error m -> (m, Option.get (Service.last_entry svc))
+  in
+  let edge_error, a = fail_here (Request.make ~query "vEdge.>>>") in
+  let node_error, b =
+    Domain.join
+      (Domain.spawn (fun () ->
+           fail_here (Request.make ~node_constraint:"rSource.>>>" ~query standard_constraint)))
+  in
+  check Alcotest.bool "distinct requests" true (a.Service.id <> b.Service.id);
+  check Alcotest.bool "B's entry names its node constraint" true
+    (has_suffix b.Service.summary node_error);
+  match Service.last_entry svc with
+  | None -> Alcotest.fail "A lost its entry"
+  | Some e ->
+      check Alcotest.int "A still reads its own id" a.Service.id e.Service.id;
+      check Alcotest.bool "A's entry names its edge constraint" true
+        (has_suffix e.Service.summary edge_error)
 
 let test_wire_commands () =
   let request =
@@ -1335,6 +1439,9 @@ let () =
             test_allocate_shared_lifecycle;
           Alcotest.test_case "migrate is atomic" `Quick test_migrate_atomic;
           Alcotest.test_case "admission rejection" `Quick test_admission_rejection;
+          Alcotest.test_case "every failure leaves by one exit" `Quick
+            test_single_exit_table;
+          Alcotest.test_case "last entry is per domain" `Quick test_last_entry_per_domain;
           Alcotest.test_case "backpressure reject is EXPLAIN-able" `Quick
             test_backpressure_reject_explainable;
           Alcotest.test_case "4-domain hammer balances telemetry" `Quick

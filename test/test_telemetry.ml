@@ -364,8 +364,15 @@ let test_json_parses_emitters () =
   let with_ttf = parse (Telemetry.snapshot_to_json (snapshot (Some 0.25))) in
   check strings "snapshot keys with time_to_first_s"
     (snapshot_keys [ "time_to_first_s" ]) (keys with_ttf);
-  check strings "phases in canonical order"
-    (Array.to_list (Array.map Telemetry.Phase.name Telemetry.Phase.all))
+  (* Phase indices are load-bearing (new phases are appended), so the
+     names are pinned literally in index order. *)
+  let phase_names =
+    [ "parse"; "admission"; "cache_lookup"; "filter_build"; "compile"; "search";
+      "ledger_commit"; "encode"; "queue_wait"; "snapshot" ]
+  in
+  check strings "phase names in index order" phase_names
+    (Array.to_list (Array.map Telemetry.Phase.name Telemetry.Phase.all));
+  check strings "phases in canonical order" phase_names
     (keys (member "phases" with_ttf));
   (* A certificate with a hot spot, notes and a flight recording. *)
   let recorder = Explain.Recorder.create ~sample_every:1 () in
