@@ -11,7 +11,8 @@
 
    Run with:  dune exec bench/main.exe
    Skip part 2 with:  dune exec bench/main.exe -- --micro-only
-   Filter-build layer rows only:  dune exec bench/main.exe -- --filter-build-only *)
+   Filter-build layer rows only:  dune exec bench/main.exe -- --filter-build-only
+   GraphML read layer rows only:  dune exec bench/main.exe -- --graphml-only *)
 
 open Bechamel
 open Toolkit
@@ -463,6 +464,51 @@ let prefilter_ablation () =
     (hot.row_ms *. 1e6 /. float_of_int evals)
     hot.row_minor_words
 
+(* Layer rows: [layer_repeat] samples of one operation, reported as
+   min/median/max, in a BENCH_RESULTS.json section that records the
+   commit, core count, OCaml version and repeat count. *)
+let layer_repeat = 15
+
+let sample_ms f =
+  let s =
+    Array.init layer_repeat (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        f ();
+        (Unix.gettimeofday () -. t0) *. 1000.0)
+  in
+  Array.sort Float.compare s;
+  s
+
+let layer_row name unit s =
+  let r x = Json.Float (Json.round 4 x) in
+  let n = Array.length s in
+  Printf.printf "  %-46s min %9.4f  median %9.4f  max %9.4f %s\n%!" name s.(0) s.(n / 2)
+    s.(n - 1) unit;
+  Json.(Obj [ ("name", String name); ("unit", String unit); ("min", r s.(0));
+              ("median", r s.(n / 2)); ("max", r s.(n - 1)) ])
+
+let write_layer_section key ~note rows =
+  let commit =
+    match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    | ic ->
+        let c = try input_line ic with End_of_file -> "unknown" in
+        ignore (Unix.close_process_in ic);
+        c
+  in
+  let section =
+    Json.Obj
+      [ ("note", Json.String note);
+        ("commit", Json.String commit);
+        ("nproc", Json.Int (Domain.recommended_domain_count ()));
+        ("ocaml", Json.String Sys.ocaml_version);
+        ("repeats", Json.Int layer_repeat);
+        ("rows", Json.List rows) ]
+  in
+  (match Json.update_file bench_json_file [ (key, section) ] with
+  | Ok () -> Printf.printf "# %s rows written to %s\n" key bench_json_file
+  | Error e -> prerr_endline ("bench: " ^ e); exit 1);
+  Printf.printf "\n%!"
+
 (* The filter build layer by layer, with its spread: the four
    pre-filter ablation builds above, timed one build per sample, and
    one [Cmp] atom's pass set over the 296-site edge column, built by the
@@ -478,24 +524,6 @@ let closure_sweep ~mask (col : float array) keep x =
 
 let filter_build_layers () =
   Printf.printf "# Filter build per layer (PlanetLab 296-site trace)\n%!";
-  let repeat = 15 in
-  let sample_ms f =
-    let s =
-      Array.init repeat (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          f ();
-          (Unix.gettimeofday () -. t0) *. 1000.0)
-    in
-    Array.sort Float.compare s;
-    s
-  in
-  let row name unit s =
-    let r x = Json.Float (Json.round 4 x) in
-    Printf.printf "  %-46s min %9.4f  median %9.4f  max %9.4f %s\n%!" name s.(0)
-      s.(repeat / 2) s.(repeat - 1) unit;
-    Json.(Obj [ ("name", String name); ("unit", String unit); ("min", r s.(0));
-                ("median", r s.(repeat / 2)); ("max", r s.(repeat - 1)) ])
-  in
   let host = Lazy.force planetlab in
   let case = Query_gen.clique ~k:7 ~delay_lo:10.0 ~delay_hi:50.0 in
   let node_constraint = Expr.parse_exn "rSource.cpuMhz >= 1400 && rSource.osType == 'linux-2.6'" in
@@ -510,11 +538,11 @@ let filter_build_layers () =
     List.concat_map
       (fun (suffix, node_constraint) ->
         let interp =
-          row ("evaluator/filter_build/interp" ^ suffix) "ms"
+          layer_row ("evaluator/filter_build/interp" ^ suffix) "ms"
             (sample_ms (build ?node_constraint ~prefilter:false))
         in
         [ interp;
-          row ("evaluator/filter_build/interp_prefilter" ^ suffix) "ms"
+          layer_row ("evaluator/filter_build/interp_prefilter" ^ suffix) "ms"
             (sample_ms (build ?node_constraint ~prefilter:true)) ])
       [ ("", None); ("_node", Some node_constraint) ]
   in
@@ -552,34 +580,83 @@ let filter_build_layers () =
   if not (Bitset.equal (closure_sweep ~mask col (fun s -> s <= 0) x) (Bitset.select ~mask col Bitset.Le x))
   then failwith "prefilter/sweep_pl296: word-parallel and reference sweeps disagree";
   let sweep_rows =
-    [ row "prefilter/sweep_pl296/closure" "us" closure;
-      row "prefilter/sweep_pl296/word" "us" word ]
+    [ layer_row "prefilter/sweep_pl296/closure" "us" closure;
+      layer_row "prefilter/sweep_pl296/word" "us" word ]
   in
-  let commit =
-    match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-    | ic ->
-        let c = try input_line ic with End_of_file -> "unknown" in
-        ignore (Unix.close_process_in ic);
-        c
+  write_layer_section "filter_build"
+    ~note:
+      (Printf.sprintf
+         "per-sample spread over %d samples: each evaluator row times one Problem.make + \
+          Filter.build of clique7_tight (ms); each prefilter row one rEdge.avgDelay <= \
+          median pass set over the %d-link edge column (us, mean of %d sweeps per sample)"
+         layer_repeat m sweeps)
+    (builds @ sweep_rows)
+
+(* GraphML in, per layer: [Graphml.read_file] of PlanetLab substrates
+   at svcbench's 100 sites and the paper's 296 (svcbench's generator:
+   seed 2008 and a seeded link bandwidth), and [Wire.decode_command]
+   of one 8-node EMBED frame, whose query travels as GraphML.  Writes
+   the [graphml] section of BENCH_RESULTS.json.  Run alone with
+   --graphml-only. *)
+let graphml_layers () =
+  let module Graphml = Netembed_graphml.Graphml in
+  let module Request = Netembed_service.Request in
+  let module Wire = Netembed_service.Wire in
+  Printf.printf "# GraphML read and wire decode\n%!";
+  let substrate sites =
+    let rng = Rng.make 2008 in
+    let g = Trace.generate rng { Trace.default with Trace.sites } in
+    Array.iter
+      (fun (e, _, _) ->
+        let bw = float_of_int (100 + (10 * Rng.int rng 91)) in
+        Graph.set_edge_attrs g e (Attrs.add "bandwidth" (Value.Float bw) (Graph.edge_attrs g e)))
+      (Graph.edges g);
+    g
   in
-  let section =
-    Json.Obj
-      [ ("note", Json.String
-           (Printf.sprintf
-              "per-sample spread over %d samples: each evaluator row times one Problem.make + \
-               Filter.build of clique7_tight (ms); each prefilter row one rEdge.avgDelay <= \
-               median pass set over the %d-link edge column (us, mean of %d sweeps per \
-               sample)" repeat m sweeps));
-        ("commit", Json.String commit);
-        ("nproc", Json.Int (Domain.recommended_domain_count ()));
-        ("ocaml", Json.String Sys.ocaml_version);
-        ("repeats", Json.Int repeat);
-        ("rows", Json.List (builds @ sweep_rows)) ]
+  let read_row sites host =
+    let path = Filename.temp_file "netembed_bench" ".graphml" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Graphml.write_file host path;
+        let bytes = (Unix.stat path).Unix.st_size in
+        if Graph.edge_count (Graphml.read_file path) <> Graph.edge_count host then
+          failwith "graphml: read_file lost edges";
+        ( layer_row (Printf.sprintf "graphml/read_file/pl%d" sites) "ms"
+            (sample_ms (fun () -> ignore (Graphml.read_file path))),
+          Printf.sprintf "pl%d: %d bytes, %d links" sites bytes (Graph.edge_count host) ))
   in
-  (match Json.update_file bench_json_file [ ("filter_build", section) ] with
-  | Ok () -> Printf.printf "# filter_build rows written to %s\n" bench_json_file
-  | Error e -> prerr_endline ("bench: " ^ e); exit 1);
-  Printf.printf "\n%!"
+  let host100 = substrate 100 in
+  let r100 = read_row 100 host100 in
+  let r296 = read_row 296 (substrate 296) in
+  let frame =
+    let case = Query_gen.subgraph (Rng.make 7) ~host:host100 ~n:8 () in
+    Wire.encode_command
+      (Wire.Submit
+         (Request.make ~algorithm:Engine.ECF ~mode:(Engine.At_most 8) ~query:case.Query_gen.query
+            (Expr.to_string case.Query_gen.edge_constraint)))
+  in
+  (match Wire.decode_command frame with
+  | Ok (Wire.Submit _) -> ()
+  | Ok _ | Error _ -> failwith "graphml: the EMBED frame does not decode");
+  let decodes = 100 in
+  let decode =
+    Array.map
+      (fun ms -> ms /. float_of_int decodes)
+      (sample_ms (fun () ->
+           for _ = 1 to decodes do
+             ignore (Wire.decode_command frame)
+           done))
+  in
+  let decode_row = layer_row "wire/decode_command/embed8" "ms" decode in
+  write_layer_section "graphml"
+    ~note:
+      (Printf.sprintf
+         "per-sample spread over %d samples: each read_file row reads one PlanetLab GraphML \
+          file (%s; %s); the decode row is one %d-byte 8-node EMBED frame through \
+          Wire.decode_command (ms, mean of %d decodes per sample)"
+         layer_repeat (snd r100) (snd r296) (String.length frame) decodes)
+    [ fst r100; fst r296; decode_row ]
 
 (* Explain-mode ablation: the same capped clique7_tight enumeration
    with the blame/flight-recorder instrumentation off vs on.  The off
@@ -990,6 +1067,10 @@ let () =
   let t0 = Unix.gettimeofday () in
   if Array.exists (fun a -> a = "--filter-build-only") Sys.argv then begin
     filter_build_layers ();
+    exit 0
+  end;
+  if Array.exists (fun a -> a = "--graphml-only") Sys.argv then begin
+    graphml_layers ();
     exit 0
   end;
   if ablation_only then begin

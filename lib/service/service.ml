@@ -350,9 +350,14 @@ let reject_backpressure t ~queue_depth ~queue_capacity =
       certificate = Some certificate;
     }
   in
+  (* A shed is a request that ended in an error after 0 s: counted and
+     timed like one, so requests = answers + errors and the latency
+     histogram's count equals requests_total under shedding too. *)
   with_state t (fun () ->
       Telemetry.Counter.incr t.queue_rejected;
+      Telemetry.Counter.incr t.requests;
       Telemetry.Counter.incr t.request_errors;
+      Telemetry.Histogram.observe t.latency_us 0;
       log_entry_unlocked t entry);
   (* Sheds count as errors against the SLO budget: sustained shedding
      is exactly what should drive the health machine to Saturated. *)

@@ -190,8 +190,8 @@ val explain : t -> int -> entry option
 val reject_backpressure : t -> queue_depth:int -> queue_capacity:int -> entry
 (** Record a request turned away because the front-end's admission
     queue was saturated: allocates a request id, bumps
-    [netembed_admission_queue_rejects_total] (and the request-error
-    counter), and retains a ["backpressure"]-verdict certificate in the
+    [netembed_admission_queue_rejects_total], counts one request and
+    one request error with a 0 µs latency sample, and retains a ["backpressure"]-verdict certificate in the
     diagnostics ring so the client can [EXPLAIN] the id it was bounced
     with.  Constant-time — no model or ledger work — so the front door
     sheds load instead of queueing unboundedly. *)

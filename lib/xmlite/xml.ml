@@ -5,231 +5,307 @@ type t =
 exception Parse_error of { line : int; message : string }
 
 (* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
+(* Scanning                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type state = { src : string; mutable pos : int; mutable line : int }
+(* The scanner walks [src] by index and tracks no line: an error counts
+   the newlines before the offset it is raised at.  Names and short
+   attribute values repeat (tags, key ids, node ids), so [names], a
+   direct-mapped cache, hands out one string per distinct slice. *)
+type state = { src : string; len : int; mutable pos : int; names : string array }
 
-let error st message = raise (Parse_error { line = st.line; message })
+let error st message =
+  let line = ref 1 in
+  for i = 0 to min st.pos st.len - 1 do
+    if st.src.[i] = '\n' then incr line
+  done;
+  raise (Parse_error { line = !line; message })
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let[@inline] is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
-let advance st =
-  (if st.pos < String.length st.src && st.src.[st.pos] = '\n' then
-     st.line <- st.line + 1);
-  st.pos <- st.pos + 1
+(* The whitespace of [String.trim]: text made only of it is dropped. *)
+let[@inline] is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-let next st =
-  match peek st with
-  | Some c ->
-      advance st;
-      c
-  | None -> error st "unexpected end of input"
-
-let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
-
-let expect st s =
-  if looking_at st s then
-    for _ = 1 to String.length s do
-      advance st
-    done
-  else error st (Printf.sprintf "expected %S" s)
-
-let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-
-let skip_spaces st =
-  while (match peek st with Some c -> is_space c | None -> false) do
-    advance st
-  done
-
-let is_name_char c =
+let[@inline] is_name_char c =
   (c >= 'a' && c <= 'z')
   || (c >= 'A' && c <= 'Z')
   || (c >= '0' && c <= '9')
   || c = '_' || c = '-' || c = '.' || c = ':'
 
+let rec matches src pos s i =
+  i = String.length s || (src.[pos + i] = s.[i] && matches src pos s (i + 1))
+
+(* Does the source continue with [s] at the current position? *)
+let at st s = st.pos + String.length s <= st.len && matches st.src st.pos s 0
+
+let expect st s =
+  if at st s then st.pos <- st.pos + String.length s
+  else error st (Printf.sprintf "expected %S" s)
+
+let expect_char st c =
+  if st.pos < st.len && st.src.[st.pos] = c then st.pos <- st.pos + 1
+  else error st (Printf.sprintf "expected %S" (String.make 1 c))
+
+let skip_spaces st =
+  let i = ref st.pos in
+  while !i < st.len && is_space st.src.[!i] do
+    incr i
+  done;
+  st.pos <- !i
+
+(* Moves past the next occurrence of [s]. *)
+let skip_past st s =
+  while not (at st s) do
+    if st.pos >= st.len then error st "unexpected end of input";
+    st.pos <- st.pos + 1
+  done;
+  st.pos <- st.pos + String.length s
+
+let interned_max = 16
+
+let intern st start n =
+  if n > interned_max then String.sub st.src start n
+  else begin
+    let h = ref n in
+    for i = start to start + n - 1 do
+      h := (!h * 31) + Char.code st.src.[i]
+    done;
+    let slot = !h land (Array.length st.names - 1) in
+    let s = st.names.(slot) in
+    if String.length s = n && matches st.src start s 0 then s
+    else begin
+      let s = String.sub st.src start n in
+      st.names.(slot) <- s;
+      s
+    end
+  end
+
 let read_name st =
   let start = st.pos in
-  while (match peek st with Some c -> is_name_char c | None -> false) do
-    advance st
+  let i = ref start in
+  while !i < st.len && is_name_char st.src.[!i] do
+    incr i
   done;
-  if st.pos = start then error st "expected a name";
-  String.sub st.src start (st.pos - start)
+  st.pos <- !i;
+  if !i = start then error st "expected a name";
+  intern st start (!i - start)
 
-let decode_entity st ent =
+let rec entity_end st start i =
+  if i >= st.len then begin
+    st.pos <- st.len;
+    error st "unexpected end of input"
+  end
+  else if st.src.[i] = ';' then i
+  else if i - start >= 10 then begin
+    st.pos <- i + 1;
+    error st "entity too long"
+  end
+  else entity_end st start (i + 1)
+
+(* Decodes the entity at the current '&' into [buf]. *)
+let add_entity st buf =
+  let start = st.pos + 1 in
+  let semi = entity_end st start start in
+  let ent = String.sub st.src start (semi - start) in
+  st.pos <- semi + 1;
   match ent with
-  | "lt" -> "<"
-  | "gt" -> ">"
-  | "amp" -> "&"
-  | "apos" -> "'"
-  | "quot" -> "\""
-  | _ ->
-      if String.length ent > 1 && ent.[0] = '#' then begin
-        let code =
-          try
-            if ent.[1] = 'x' || ent.[1] = 'X' then
-              int_of_string ("0x" ^ String.sub ent 2 (String.length ent - 2))
-            else int_of_string (String.sub ent 1 (String.length ent - 1))
-          with Failure _ -> error st (Printf.sprintf "bad character reference &%s;" ent)
-        in
-        (* Encode the code point as UTF-8. *)
-        let b = Buffer.create 4 in
-        Buffer.add_utf_8_uchar b (Uchar.of_int code);
-        Buffer.contents b
-      end
-      else error st (Printf.sprintf "unknown entity &%s;" ent)
+  | "lt" -> Buffer.add_char buf '<'
+  | "gt" -> Buffer.add_char buf '>'
+  | "amp" -> Buffer.add_char buf '&'
+  | "apos" -> Buffer.add_char buf '\''
+  | "quot" -> Buffer.add_char buf '"'
+  | _ when String.length ent > 1 && ent.[0] = '#' -> (
+      let digits = String.sub ent 1 (String.length ent - 1) in
+      let hex = digits.[0] = 'x' || digits.[0] = 'X' in
+      match int_of_string_opt (if hex then "0" ^ digits else digits) with
+      | Some code when Uchar.is_valid code -> Buffer.add_utf_8_uchar buf (Uchar.of_int code)
+      | Some _ | None -> error st (Printf.sprintf "bad character reference &%s;" ent))
+  | _ -> error st (Printf.sprintf "unknown entity &%s;" ent)
 
-let read_until st stop =
-  (* Accumulate text until the [stop] character, decoding entities. *)
-  let buf = Buffer.create 32 in
-  let rec go () =
-    match peek st with
-    | None -> error st "unexpected end of input in text"
-    | Some c when c = stop -> Buffer.contents buf
-    | Some '&' ->
-        advance st;
-        let ent = Buffer.create 8 in
-        let rec ent_loop () =
-          match next st with
-          | ';' -> ()
-          | c ->
-              Buffer.add_char ent c;
-              if Buffer.length ent > 10 then error st "entity too long" else ent_loop ()
-        in
-        ent_loop ();
-        Buffer.add_string buf (decode_entity st (Buffer.contents ent));
-        go ()
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ()
+(* Advances to the next [stop] or '&'. *)
+let span st stop =
+  let i = ref st.pos in
+  while
+    !i < st.len
+    &&
+    let c = st.src.[!i] in
+    c <> stop && c <> '&'
+  do
+    incr i
+  done;
+  st.pos <- !i;
+  if !i >= st.len then error st "unexpected end of input in text"
+
+(* The characters from [start] up to the next [stop], with entities
+   decoded; the current position is at the first '&' after [start]. *)
+let decoded st start stop =
+  let buf = Buffer.create (st.pos - start + 16) in
+  Buffer.add_substring buf st.src start (st.pos - start);
+  while
+    if st.pos >= st.len then error st "unexpected end of input in text";
+    st.src.[st.pos] <> stop
+  do
+    if st.src.[st.pos] = '&' then add_entity st buf
+    else begin
+      Buffer.add_char buf st.src.[st.pos];
+      st.pos <- st.pos + 1
+    end
+  done;
+  Buffer.contents buf
 
 let read_attribute st =
   let name = read_name st in
   skip_spaces st;
-  expect st "=";
+  expect_char st '=';
   skip_spaces st;
-  let quote =
-    match next st with
-    | ('"' | '\'') as q -> q
-    | _ -> error st "expected quoted attribute value"
+  if st.pos >= st.len then error st "unexpected end of input";
+  let quote = st.src.[st.pos] in
+  st.pos <- st.pos + 1;
+  if quote <> '"' && quote <> '\'' then error st "expected quoted attribute value";
+  let start = st.pos in
+  span st quote;
+  let value =
+    if st.src.[st.pos] = quote then intern st start (st.pos - start)
+    else decoded st start quote
   in
-  let value = read_until st quote in
-  expect st (String.make 1 quote);
+  st.pos <- st.pos + 1;
   (name, value)
 
+let rec attributes st acc =
+  skip_spaces st;
+  if st.pos >= st.len then error st "unexpected end of input in tag";
+  match st.src.[st.pos] with
+  | '/' | '>' -> List.rev acc
+  | _ -> attributes st (read_attribute st :: acc)
+
+(* At the '<' of a start tag: reads the tag and returns the stack of
+   open tags after it. *)
+let open_element st ~start ~stop stack =
+  st.pos <- st.pos + 1;
+  let tag = read_name st in
+  let attrs = attributes st [] in
+  if st.src.[st.pos] = '/' then begin
+    expect st "/>";
+    start tag attrs;
+    stop tag;
+    stack
+  end
+  else begin
+    st.pos <- st.pos + 1;
+    start tag attrs;
+    tag :: stack
+  end
+
+(* After the "</" of the end tag that must close [tag]. *)
+let close_element st tag =
+  let n = String.length tag in
+  if at st tag && not (st.pos + n < st.len && is_name_char st.src.[st.pos + n]) then
+    st.pos <- st.pos + n
+  else begin
+    let closing = read_name st in
+    error st (Printf.sprintf "mismatched closing tag </%s> for <%s>" closing tag)
+  end;
+  skip_spaces st;
+  expect_char st '>'
+
+let text_run st text =
+  let start = st.pos in
+  let i = ref start in
+  while !i < st.len && is_blank st.src.[!i] do
+    incr i
+  done;
+  let blank = !i in
+  st.pos <- !i;
+  span st '<';
+  if st.src.[st.pos] = '<' then begin
+    if st.pos > blank then text (String.sub st.src start (st.pos - start))
+  end
+  else
+    let s = decoded st start '<' in
+    if String.trim s <> "" then text s
+
+let rec skip_doctype st =
+  if st.pos >= st.len then error st "unexpected end of input";
+  let c = st.src.[st.pos] in
+  st.pos <- st.pos + 1;
+  if c = '[' then error st "DTD internal subsets are not supported"
+  else if c <> '>' then skip_doctype st
+
+(* Whitespace, processing instructions, comments and a doctype, before
+   and after the root element. *)
 let rec skip_misc st =
   skip_spaces st;
-  if looking_at st "<?" then begin
-    while not (looking_at st "?>") do
-      ignore (next st)
-    done;
-    expect st "?>";
+  if at st "<?" then begin
+    skip_past st "?>";
     skip_misc st
   end
-  else if looking_at st "<!--" then begin
-    while not (looking_at st "-->") do
-      ignore (next st)
-    done;
-    expect st "-->";
+  else if at st "<!--" then begin
+    skip_past st "-->";
     skip_misc st
   end
-  else if looking_at st "<!DOCTYPE" then begin
-    (* Skip to the closing '>' of the doctype; internal subsets with
-       brackets are rejected for simplicity. *)
-    let rec go () =
-      match next st with
-      | '[' -> error st "DTD internal subsets are not supported"
-      | '>' -> ()
-      | _ -> go ()
-    in
-    go ();
+  else if at st "<!DOCTYPE" then begin
+    skip_doctype st;
     skip_misc st
   end
 
-let rec parse_element st =
-  expect st "<";
-  let tag = read_name st in
-  let rec attrs acc =
-    skip_spaces st;
-    match peek st with
-    | Some '/' ->
-        expect st "/>";
-        Element (tag, List.rev acc, [])
-    | Some '>' ->
-        advance st;
-        let children = parse_content st tag in
-        Element (tag, List.rev acc, children)
-    | Some _ -> attrs (read_attribute st :: acc)
-    | None -> error st "unexpected end of input in tag"
+let scan ~start ~text ~stop src =
+  let st = { src; len = String.length src; pos = 0; names = Array.make 256 "" } in
+  skip_misc st;
+  if not (at st "<") then error st "expected a root element";
+  let rec content = function
+    | [] -> ()
+    | tag :: rest as stack ->
+        if st.pos >= st.len then error st "unexpected end of input in text"
+        else if st.src.[st.pos] <> '<' then begin
+          text_run st text;
+          content stack
+        end
+        else
+          match if st.pos + 1 < st.len then st.src.[st.pos + 1] else ' ' with
+          | '/' ->
+              st.pos <- st.pos + 2;
+              close_element st tag;
+              stop tag;
+              content rest
+          | '!' when at st "<!--" ->
+              skip_past st "-->";
+              content stack
+          | '!' when at st "<![CDATA[" ->
+              st.pos <- st.pos + 9;
+              let first = st.pos in
+              skip_past st "]]>";
+              text (String.sub src first (st.pos - 3 - first));
+              content stack
+          | '?' ->
+              skip_past st "?>";
+              content stack
+          | _ -> content (open_element st ~start ~stop stack)
   in
-  attrs []
+  content (open_element st ~start ~stop []);
+  skip_misc st
 
-and parse_content st tag =
-  let items = ref [] in
-  let rec go () =
-    if looking_at st "</" then begin
-      expect st "</";
-      let closing = read_name st in
-      if closing <> tag then
-        error st (Printf.sprintf "mismatched closing tag </%s> for <%s>" closing tag);
-      skip_spaces st;
-      expect st ">"
-    end
-    else if looking_at st "<!--" then begin
-      while not (looking_at st "-->") do
-        ignore (next st)
-      done;
-      expect st "-->";
-      go ()
-    end
-    else if looking_at st "<![CDATA[" then begin
-      expect st "<![CDATA[";
-      let buf = Buffer.create 32 in
-      while not (looking_at st "]]>") do
-        Buffer.add_char buf (next st)
-      done;
-      expect st "]]>";
-      items := Text (Buffer.contents buf) :: !items;
-      go ()
-    end
-    else if looking_at st "<?" then begin
-      while not (looking_at st "?>") do
-        ignore (next st)
-      done;
-      expect st "?>";
-      go ()
-    end
-    else if looking_at st "<" then begin
-      items := parse_element st :: !items;
-      go ()
-    end
-    else begin
-      let text = read_until st '<' in
-      if String.trim text <> "" then items := Text text :: !items;
-      go ()
-    end
-  in
-  go ();
-  List.rev !items
+(* ------------------------------------------------------------------ *)
+(* The tree                                                            *)
+(* ------------------------------------------------------------------ *)
 
 let parse_string src =
-  let st = { src; pos = 0; line = 1 } in
-  skip_misc st;
-  if not (looking_at st "<") then error st "expected a root element";
-  let root = parse_element st in
-  skip_misc st;
-  root
+  (* Open elements, innermost first, each with its children reversed. *)
+  let open_ = ref [] and root = ref (Text "") in
+  let add node =
+    match !open_ with (_, _, kids) :: _ -> kids := node :: !kids | [] -> root := node
+  in
+  scan src
+    ~start:(fun tag attrs -> open_ := (tag, attrs, ref []) :: !open_)
+    ~text:(fun s -> add (Text s))
+    ~stop:(fun _ ->
+      match !open_ with
+      | (tag, attrs, kids) :: rest ->
+          open_ := rest;
+          add (Element (tag, attrs, List.rev !kids))
+      | [] -> ());
+  !root
 
-let parse_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> parse_string (really_input_string ic (in_channel_length ic)))
+let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -5,7 +5,11 @@
     captured as text), the five predefined entities and numeric
     character references.  Not supported (rejected): DTDs with internal
     subsets, namespaces beyond treating prefixed names as opaque
-    strings.  This is a substrate, not a general XML library. *)
+    strings.  This is a substrate, not a general XML library.
+
+    Reading has one tokenizer, {!scan}, which reports the document as
+    start, text and end events; {!parse_string} builds the tree from
+    those events. *)
 
 type t =
   | Element of string * (string * string) list * t list
@@ -13,9 +17,35 @@ type t =
   | Text of string
 
 exception Parse_error of { line : int; message : string }
+(** [line] is 1 plus the number of newlines before the byte at which
+    the fault was found: the line of the offending construct, or the
+    last line when the input ends too early. *)
+
+val scan :
+  start:(string -> (string * string) list -> unit) ->
+  text:(string -> unit) ->
+  stop:(string -> unit) ->
+  string ->
+  unit
+(** [scan ~start ~text ~stop src] walks the document in [src] once, in
+    order.  [start tag attrs] opens an element (attributes in document
+    order, entities decoded) and [stop tag] closes it; an empty-element
+    tag [<a/>] gives both.  [text s] is a run of character data between
+    two pieces of markup, entities decoded, or the content of a CDATA
+    section.  Runs that are only whitespace are skipped, except in
+    CDATA.  Comments, processing instructions and a doctype are
+    skipped.  After the root element the scanner skips whitespace,
+    comments, processing instructions and a doctype, and stops: what
+    comes after them is not read.
+
+    The callbacks run as the scanner goes: when a fault is found,
+    those for everything before it have already run.
+    @raise Parse_error on malformed input, including a character
+    reference that is not a Unicode scalar value. *)
 
 val parse_string : string -> t
-(** Parses a document and returns the root element.
+(** Parses a document and returns the root element, built from
+    {!scan}'s events.
     @raise Parse_error on malformed input. *)
 
 val parse_file : string -> t

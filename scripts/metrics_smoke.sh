@@ -9,7 +9,8 @@
 # /metrics, the TOP verb must answer with phase stats and exemplars,
 # and --chrome-trace must emit parseable trace_event JSON.  Last, an
 # ill-typed constraint sent over TCP must come back as a canonical,
-# EXPLAIN-able request error.  Used by CI; runnable locally from the
+# EXPLAIN-able request error, and a query GraphML with a self-loop as
+# a plain error reply on a connection that stays usable.  Used by CI; runnable locally from the
 # repo root after `dune build`.
 set -euo pipefail
 
@@ -340,6 +341,29 @@ EXPLAINED=$(printf 'EXPLAIN %s\n.\n' "$ILL_ID" | tcp_roundtrip) \
   || { echo "FAIL: no reply to EXPLAIN $ILL_ID"; exit 1; }
 echo "$EXPLAINED" | grep -Eq "^OK explain=$ILL_ID trace=[0-9]+ verdict=error" \
   || { echo "FAIL: EXPLAIN of the ill-typed request is not verdict=error"; echo "$EXPLAINED"; exit 1; }
+# A query with a self-loop is malformed GraphML: the decoder answers a
+# plain error (no Invalid_argument escapes), and the connection still
+# serves the next, valid, EMBED.
+LOOP=$(tcp_roundtrip <<'TXT'
+EMBED alg=ECF mode=first
+CONSTRAINT rEdge.avgDelay < 500
+GRAPHML
+<graphml><graph edgedefault="undirected">
+<node id="n0"/><node id="n1"/>
+<edge source="n0" target="n0"/>
+</graph></graphml>
+.
+TXT
+) || { echo "FAIL: no reply to the self-loop EMBED"; exit 1; }
+echo "$LOOP" | grep -Eq '^ERR ' \
+  || { echo "FAIL: self-loop EMBED did not get an error reply"; echo "$LOOP"; exit 1; }
+if echo "$LOOP" | grep -q 'Invalid_argument'; then
+  echo "FAIL: self-loop EMBED leaked an exception"; echo "$LOOP"; exit 1
+fi
+AFTER=$(tcp_roundtrip < "$WORK/frame.txt") \
+  || { echo "FAIL: no reply to the EMBED after the self-loop"; exit 1; }
+echo "$AFTER" | grep -Eq '^OK ' \
+  || { echo "FAIL: the connection did not serve an EMBED after the self-loop"; echo "$AFTER"; exit 1; }
 exec 5>&-
 METRICS=$(curl -sf "http://127.0.0.1:$PORT3/metrics") \
   || { echo "FAIL: could not scrape the TCP server's /metrics"; exit 1; }

@@ -1169,6 +1169,13 @@ let test_backpressure_reject_explainable () =
     (counter "netembed_admission_queue_rejects_total");
   check Alcotest.int "also a request error" 1
     (counter "netembed_request_errors_total");
+  (* Counted and timed as a request, so the exit invariants hold. *)
+  check Alcotest.int "counted as a request" 1 (counter "netembed_requests_total");
+  let latency_count () =
+    Telemetry.Histogram.count
+      (Telemetry.Registry.histogram registry "netembed_request_latency_us")
+  in
+  check Alcotest.int "one latency sample" 1 (latency_count ());
   (* The bounced id is immediately EXPLAIN-able. *)
   (match Service.explain svc entry.Service.id with
   | None -> Alcotest.fail "backpressure reject not retained in the ring"
@@ -1188,7 +1195,19 @@ let test_backpressure_reject_explainable () =
   check Alcotest.bool "rejects get distinct ids" true
     (e2.Service.id <> entry.Service.id);
   check Alcotest.int "counter accumulates" 2
-    (counter "netembed_admission_queue_rejects_total")
+    (counter "netembed_admission_queue_rejects_total");
+  (* Beside answered requests: requests = ok + errors, and the
+     histogram counts every request. *)
+  let ok =
+    match Service.submit svc (Request.make ~query:(path_query 5.0 15.0) standard_constraint) with
+    | Ok _ -> 1
+    | Error e -> Alcotest.fail e
+  in
+  check Alcotest.int "requests = ok + errors"
+    (ok + counter "netembed_request_errors_total")
+    (counter "netembed_requests_total");
+  check Alcotest.int "latency count = requests" (counter "netembed_requests_total")
+    (latency_count ())
 
 (* Four client domains hammer one service through a start barrier:
    EMBEDs (every fifth a parse error), shared allocations freed
@@ -1409,6 +1428,79 @@ let prop_wire_decode_total =
       (match Wire.decode_request s with Ok _ | Error _ -> true)
       && match Wire.decode_answer s with Ok _ | Error _ -> true)
 
+(* Hostile query GraphML in an EMBED frame: the decoder answers Error,
+   it does not raise.  A self-loop and an invalid character reference
+   used to escape as Invalid_argument. *)
+let test_wire_hostile_graphml () =
+  let frame graphml =
+    Printf.sprintf "EMBED alg=ECF mode=first\nCONSTRAINT true\nGRAPHML\n%s\n.\n" graphml
+  in
+  let table =
+    [ "self-loop",
+      {|<graphml><graph><node id="n0"/><edge source="n0" target="n0"/></graph></graphml>|},
+      {|edge from "n0" to itself|};
+      "character reference past U+10FFFF",
+      {|<graphml><graph><node id="&#x110000;"/></graph></graphml>|},
+      "XML parse error at line 1: bad character reference &#x110000;";
+      "surrogate character reference",
+      {|<graphml><graph><node id="&#xD800;"/></graph></graphml>|},
+      "XML parse error at line 1: bad character reference &#xD800;";
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (name, graphml, message) ->
+      match Wire.decode_command (frame graphml) with
+      | Error m -> check Alcotest.string name message m
+      | Ok _ -> Alcotest.failf "%s: decoded" name
+      | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
+    table
+
+(* A valid 8-node EMBED frame, as a client would send it. *)
+let embed8_frame =
+  lazy
+    (let host =
+       Netembed_planetlab.Trace.generate (Rng.make 4)
+         { Netembed_planetlab.Trace.default with sites = 24 }
+     in
+     let case = Netembed_workload.Query_gen.subgraph (Rng.make 5) ~host ~n:8 () in
+     Wire.encode_command
+       (Wire.Submit
+          (Request.make ~mode:(Engine.At_most 8) ~query:case.Netembed_workload.Query_gen.query
+             (Netembed_expr.Expr.to_string case.Netembed_workload.Query_gen.edge_constraint))))
+
+let decodes_or_errs frame =
+  match Wire.decode_command frame with Ok _ | Error _ -> true | exception _ -> false
+
+let test_wire_decode_prefixes () =
+  let frame = Lazy.force embed8_frame in
+  (match Wire.decode_command frame with
+  | Ok (Wire.Submit r) -> check Alcotest.int "query nodes" 8 (Graph.node_count r.Request.query)
+  | Ok _ | Error _ -> Alcotest.fail "the frame does not decode");
+  for n = 0 to String.length frame - 1 do
+    if not (decodes_or_errs (String.sub frame 0 n)) then
+      Alcotest.failf "the %d-byte prefix raised" n
+  done
+
+(* Any prefix of the frame, or the frame with one byte replaced by a
+   character that means something to XML or ends a C string. *)
+let prop_wire_decode_never_raises =
+  let frame = Lazy.force embed8_frame in
+  let n = String.length frame in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun k -> String.sub frame 0 k) (int_bound n);
+          map2
+            (fun i c -> String.mapi (fun j x -> if j = i then c else x) frame)
+            (int_bound (n - 1))
+            (oneofl [ '<'; '>'; '&'; '"'; '\''; '\000' ]);
+        ])
+  in
+  QCheck.Test.make ~name:"EMBED decode never raises on a cut or patched frame" ~count:1500
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    decodes_or_errs
+
 let () =
   Alcotest.run "service"
     [
@@ -1474,6 +1566,10 @@ let () =
           Alcotest.test_case "frame size bound + resync" `Quick
             test_wire_frame_bound;
           QCheck_alcotest.to_alcotest prop_wire_decode_total;
+          Alcotest.test_case "hostile query GraphML" `Quick test_wire_hostile_graphml;
+          Alcotest.test_case "every prefix of an EMBED frame" `Quick test_wire_decode_prefixes;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+            prop_wire_decode_never_raises;
         ] );
       ( "health",
         [
