@@ -742,17 +742,10 @@ let watch_run connect interval once =
                 pos := !pos + Unix.write_substring fd frame !pos (len - !pos)
               done
             in
-            let read_frame ic =
-              let rec go acc =
-                let line = input_line ic in
-                if line = "." then List.rev acc else go (line :: acc)
-              in
-              go []
-            in
-            let drop_ok line =
-              if String.length line >= 3 && String.sub line 0 3 = "OK " then
-                String.sub line 3 (String.length line - 3)
-              else line
+            let drop_ok body =
+              if String.starts_with ~prefix:"OK " body then
+                String.sub body 3 (String.length body - 3)
+              else body
             in
             let snapshot addr =
               let fd =
@@ -763,20 +756,19 @@ let watch_run connect interval once =
                   try Unix.close fd with Unix.Unix_error _ -> ())
               @@ fun () ->
               Unix.connect fd (Unix.ADDR_INET (addr, port));
-              let ic = Unix.in_channel_of_descr fd in
+              let replies = Wire.reader (Unix.read fd) in
               (* Pipelined on one connection; replies come back in
                  order. *)
               ask fd "HEALTH\n.\nTOP\n.\n";
-              (match read_frame ic with
-              | health :: rest ->
-                  Printf.printf "HEALTH %s\n" (drop_ok health);
-                  List.iter print_endline rest
-              | [] -> ());
-              (match read_frame ic with
-              | top :: rest ->
-                  Printf.printf "TOP %s\n" (drop_ok top);
-                  List.iter print_endline rest
-              | [] -> ());
+              let print verb =
+                match Wire.read_frame replies with
+                | None -> raise End_of_file
+                | Some (Error m) -> failwith m
+                | Some (Ok "") -> ()
+                | Some (Ok body) -> Printf.printf "%s %s" verb (drop_ok body)
+              in
+              print "HEALTH";
+              print "TOP";
               flush stdout
             in
             try

@@ -326,8 +326,9 @@ let () =
     finish_runtime ()
   end
   else begin
+    let frames = Wire.reader (input stdin) in
     let rec serve () =
-      match Wire.read_frame ~max_bytes:!max_frame_bytes stdin with
+      match Wire.read_frame ~max_bytes:!max_frame_bytes frames with
       | None -> ()
       | Some frame ->
           let reply =

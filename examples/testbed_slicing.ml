@@ -67,10 +67,13 @@ let () =
         Request.make ~algorithm:Engine.ECF ~mode:Engine.First ~timeout:15.0 ~query
           edge_constraint
       in
-      let frame = Wire.encode_request request in
+      let frame = Wire.encode_command (Wire.Submit request) in
       Format.printf "Wire frame is %d bytes@." (String.length frame);
       let request =
-        match Wire.decode_request frame with Ok r -> r | Error e -> failwith e
+        match Wire.decode_command frame with
+        | Ok (Wire.Submit r) -> r
+        | Ok _ -> failwith "not an EMBED frame"
+        | Error e -> failwith e
       in
 
       (* 3. Submit with negotiation: relax by 20% per round if needed. *)

@@ -72,6 +72,14 @@ let range lo hi =
   if lo > hi then invalid_arg "Value.range: lo > hi";
   Range (lo, hi)
 
+let rec digits s i = i = String.length s || (s.[i] >= '0' && s.[i] <= '9' && digits s (i + 1))
+
+(* An optional sign, then decimal digits: [int_of_string] also takes
+   '_' separators and 0x, 0o and 0b prefixes. *)
+let is_decimal s =
+  let sign = if s <> "" && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
+  String.length s > sign && digits s sign
+
 let of_string_as ty s =
   let fail () = raise (Type_error (Printf.sprintf "cannot parse %S" s)) in
   match ty with
@@ -81,6 +89,10 @@ let of_string_as ty s =
       | "true" | "1" -> Bool true
       | "false" | "0" -> Bool false
       | _ -> fail ())
-  | `Int -> ( match int_of_string_opt (String.trim s) with Some i -> Int i | None -> fail ())
+  | `Int -> (
+      let t = String.trim s in
+      match if is_decimal t then int_of_string_opt t else None with
+      | Some i -> Int i
+      | None -> fail ())
   | `Float -> (
       match float_of_string_opt (String.trim s) with Some f -> Float f | None -> fail ())

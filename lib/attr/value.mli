@@ -54,6 +54,8 @@ val range : float -> float -> t
 
 val of_string_as : [ `Bool | `Int | `Float | `String ] -> string -> t
 (** Parse a GraphML data payload according to the declared key type.
+    Surrounding whitespace is ignored; an [int] payload is an optional
+    sign and decimal digits.
     @raise Type_error if the payload does not parse. *)
 
 val type_name : t -> string

@@ -96,86 +96,16 @@ let default_config () =
     drain_timeout = 5.0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Buffered, timeout-aware line reading straight off a file descriptor *)
-(* (in_channel cannot surface SO_RCVTIMEO's EAGAIN cleanly).           *)
-(* ------------------------------------------------------------------ *)
-
+(* The refill function of a connection's {!Wire.reader}: [Unix.read]
+   straight off the descriptor, because an in_channel cannot surface
+   SO_RCVTIMEO's EAGAIN cleanly. *)
 exception Idle
 
-type line_reader = {
-  rfd : Unix.file_descr;
-  rbuf : Bytes.t;
-  mutable rpos : int;
-  mutable rlen : int;
-  line : Buffer.t;
-}
-
-let make_line_reader fd =
-  { rfd = fd; rbuf = Bytes.create 4096; rpos = 0; rlen = 0; line = Buffer.create 256 }
-
-let rec refill r =
-  match Unix.read r.rfd r.rbuf 0 (Bytes.length r.rbuf) with
-  | 0 -> false
-  | n ->
-      r.rpos <- 0;
-      r.rlen <- n;
-      true
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      raise Idle
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill r
-
-(* input_line semantics over the raw fd: the line without its '\n';
-   [Some partial] at EOF with pending bytes, then [None]. *)
-let read_line r =
-  Buffer.clear r.line;
-  let rec go () =
-    if r.rpos >= r.rlen then
-      if refill r then go ()
-      else if Buffer.length r.line = 0 then None
-      else Some (Buffer.contents r.line)
-    else begin
-      let c = Bytes.get r.rbuf r.rpos in
-      r.rpos <- r.rpos + 1;
-      if c = '\n' then Some (Buffer.contents r.line)
-      else begin
-        Buffer.add_char r.line c;
-        go ()
-      end
-    end
-  in
-  go ()
-
-(* Wire.read_frame's accumulation and resync semantics, over a
-   line_reader instead of an in_channel. *)
-let read_frame_bounded ~max_bytes r =
-  let buf = Buffer.create 1024 in
-  let overflow = ref false in
-  let finish_eof () =
-    if !overflow then Some (Error (Wire.frame_too_large ~limit:max_bytes))
-    else if Buffer.length buf = 0 then None
-    else Some (Ok (Buffer.contents buf))
-  in
-  let rec go () =
-    match read_line r with
-    | None -> finish_eof ()
-    | Some "." ->
-        if !overflow then Some (Error (Wire.frame_too_large ~limit:max_bytes))
-        else Some (Ok (Buffer.contents buf))
-    | Some line ->
-        if !overflow then go ()
-        else if Buffer.length buf + String.length line + 1 > max_bytes then begin
-          overflow := true;
-          Buffer.clear buf;
-          go ()
-        end
-        else begin
-          Buffer.add_string buf line;
-          Buffer.add_char buf '\n';
-          go ()
-        end
-  in
-  go ()
+let rec read_fd fd buf pos len =
+  match Unix.read fd buf pos len with
+  | n -> n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> raise Idle
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_fd fd buf pos len
 
 let write_all fd s =
   let len = String.length s in
@@ -295,7 +225,7 @@ let worker t idx () =
   loop ()
 
 let reader t conn () =
-  let lr = make_line_reader conn.fd in
+  let r = Wire.reader (read_fd conn.fd) in
   let next_seq () =
     let seq = conn.issued in
     conn.issued <- seq + 1;
@@ -304,7 +234,7 @@ let reader t conn () =
   let rec loop () =
     if Atomic.get t.stopping then ()
     else
-      match read_frame_bounded ~max_bytes:t.config.max_frame_bytes lr with
+      match Wire.read_frame ~max_bytes:t.config.max_frame_bytes r with
       | exception Idle -> ()  (* idle timeout: hang up *)
       | exception _ -> conn.broken <- true
       | None -> ()  (* EOF *)
@@ -525,12 +455,12 @@ module Http = struct
        Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout
      with Unix.Unix_error _ -> ());
     (try
-       let lr = make_line_reader fd in
-       let request_line = match read_line lr with Some l -> l | None -> "" in
+       let r = Wire.reader (read_fd fd) in
+       let request_line = Option.value ~default:"" (Wire.read_line r) in
        (* Drain request headers (bounded); scrapes have no body. *)
        let rec drain n =
          if n > 0 then
-           match read_line lr with
+           match Wire.read_line r with
            | None -> ()
            | Some l -> if String.trim l <> "" then drain (n - 1)
        in

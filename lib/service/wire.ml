@@ -42,47 +42,99 @@ let encode_embed keyword (r : Request.t) =
   Buffer.add_string buf ".\n";
   Buffer.contents buf
 
-let encode_request r = encode_embed "EMBED" r
-
 (* ------------------------------------------------------------------ *)
 (* Bounded frame reading                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* A frame is at most [max_bytes] of body (everything before the "."
    terminator).  The bound exists so a malicious or broken client
-   cannot grow an unbounded Buffer in the server: past the limit the
-   reader stops accumulating, keeps consuming lines until the
-   terminator to resynchronize the stream, and hands back a clean wire
-   error — the connection stays usable for the next frame. *)
+   cannot grow an unbounded Buffer in the server: it is counted as the
+   bytes arrive, so past the limit the reader stops accumulating, even
+   inside a line, consumes input up to the terminator and hands back a
+   clean wire error — the connection stays usable for the next frame. *)
 let default_max_frame_bytes = 1 lsl 20
 
 let frame_too_large ~limit =
   Printf.sprintf "frame exceeds the %d-byte limit" limit
 
-let read_frame ?(max_bytes = default_max_frame_bytes) ic =
-  let buf = Buffer.create 1024 in
+type reader = {
+  refill : Bytes.t -> int -> int -> int;
+  chunk : Bytes.t;
+  mutable pos : int;  (* next unread byte of [chunk] *)
+  mutable lim : int;  (* end of the bytes [refill] last stored *)
+}
+
+let reader refill = { refill; chunk = Bytes.create 4096; pos = 0; lim = 0 }
+
+let rec newline r i =
+  if i < r.lim && Bytes.get r.chunk i <> '\n' then newline r (i + 1) else i
+
+(* Hands the next line to [take] chunk by chunk, without its '\n', and
+   says whether there was one: [false] at end of input before any of
+   its bytes.  A last line without a '\n' ends at end of input, as
+   [input_line] reads it. *)
+let rec feed_line r take started =
+  if r.pos < r.lim then begin
+    let i = newline r r.pos in
+    take r.chunk r.pos (i - r.pos);
+    r.pos <- min (i + 1) r.lim;
+    i < r.lim || feed_line r take true
+  end
+  else begin
+    r.pos <- 0;
+    r.lim <- r.refill r.chunk 0 (Bytes.length r.chunk);
+    if r.lim = 0 then started else feed_line r take started
+  end
+
+let read_line ?(max_bytes = default_max_frame_bytes) r =
+  let line = Buffer.create 128 in
+  let take b pos n =
+    Buffer.add_subbytes line b pos (min n (max_bytes - Buffer.length line))
+  in
+  if feed_line r take false then Some (Buffer.contents line) else None
+
+let read_frame ?(max_bytes = default_max_frame_bytes) r =
+  let body = Buffer.create 1024 in
   let overflow = ref false in
+  (* The line being read: where it starts in [body], its length so far
+     and its first byte.  Each line costs its bytes plus its '\n', and
+     only the line "." is free, so [check] trips the bound as soon as
+     the line is known to be another one, while it streams and again
+     at its end (an empty line has no bytes to stream). *)
+  let start = ref 0 and len = ref 0 and first = ref ' ' in
+  let is_dot () = !len = 1 && !first = '.' in
+  let check () =
+    if (not !overflow) && !start + !len + 1 > max_bytes && not (is_dot ()) then begin
+      overflow := true;
+      Buffer.clear body
+    end
+  in
+  let take b pos n =
+    if n > 0 then begin
+      if !len = 0 then first := Bytes.get b pos;
+      len := !len + n;
+      check ();
+      if not !overflow then Buffer.add_subbytes body b pos n
+    end
+  in
+  let finish () =
+    if !overflow then Some (Error (frame_too_large ~limit:max_bytes))
+    else Some (Ok (Buffer.contents body))
+  in
   let rec go () =
-    match input_line ic with
-    | "." ->
-        if !overflow then Some (Error (frame_too_large ~limit:max_bytes))
-        else Some (Ok (Buffer.contents buf))
-    | line ->
-        if !overflow then go ()
-        else if Buffer.length buf + String.length line + 1 > max_bytes then begin
-          overflow := true;
-          Buffer.clear buf;
-          go ()
-        end
-        else begin
-          Buffer.add_string buf line;
-          Buffer.add_char buf '\n';
-          go ()
-        end
-    | exception End_of_file ->
-        if !overflow then Some (Error (frame_too_large ~limit:max_bytes))
-        else if Buffer.length buf = 0 then None
-        else Some (Ok (Buffer.contents buf))
+    start := Buffer.length body;
+    len := 0;
+    if not (feed_line r take false) then
+      if (not !overflow) && Buffer.length body = 0 then None else finish ()
+    else if is_dot () then begin
+      if not !overflow then Buffer.truncate body !start;
+      finish ()
+    end
+    else begin
+      check ();
+      if not !overflow then Buffer.add_char body '\n';
+      go ()
+    end
   in
   go ()
 
@@ -94,19 +146,28 @@ let split_kv token =
 
 let ( let* ) = Result.bind
 
-let frame_lines text =
-  let lines = String.split_on_char '\n' text in
-  let rec drop_terminator acc = function
-    | [] -> List.rev acc
-    | [ "" ] -> List.rev acc
-    | "." :: _ -> List.rev acc
-    | l :: rest -> drop_terminator (l :: acc) rest
-  in
-  drop_terminator [] lines
+(* A frame's lines run up to its first "." line, or to its end, where a
+   final '\n' ends the last line rather than starting an empty one.
+   [line_at text pos] is the end (the '\n', or the end of the text) of
+   the line that starts at [pos], or [None] past the frame's last line. *)
+let line_at text pos =
+  let len = String.length text in
+  if pos >= len then None
+  else
+    let eol = Option.value ~default:len (String.index_from_opt text pos '\n') in
+    if eol = pos + 1 && text.[pos] = '.' then None else Some eol
+
+(* The end of the last line of the section that follows the line
+   ending at [last]; [last] itself when no line follows. *)
+let rec section_end text last =
+  match line_at text (last + 1) with None -> last | Some eol -> section_end text eol
+
+let trimmed_line text pos eol = String.trim (String.sub text pos (eol - pos))
 
 (* Body shared by EMBED and ALLOC: header parameters, then
-   CONSTRAINT/NODECONSTRAINT lines, then the GRAPHML document. *)
-let decode_embed_frame params rest =
+   CONSTRAINT/NODECONSTRAINT lines from [pos] on, then the GRAPHML
+   document. *)
+let decode_embed_frame params text pos =
   let* algorithm, mode, timeout =
     List.fold_left
       (fun acc token ->
@@ -128,43 +189,35 @@ let decode_embed_frame params rest =
   in
   let algorithm = Option.value ~default:Engine.ECF algorithm in
   let mode = Option.value ~default:Engine.First mode in
-  let rec scan lines constraint_text node_constraint =
-    match lines with
-    | [] -> Error "missing GRAPHML section"
-    | line :: rest -> (
-        let line_trim = String.trim line in
-        if line_trim = "GRAPHML" then
+  let rec scan pos constraint_text node_constraint =
+    match line_at text pos with
+    | None -> Error "missing GRAPHML section"
+    | Some eol -> (
+        let line = trimmed_line text pos eol in
+        if line = "GRAPHML" then
           match constraint_text with
           | None -> Error "missing CONSTRAINT line"
-          | Some c -> Ok (c, node_constraint, String.concat "\n" rest)
+          | Some c ->
+              let first = eol + 1 and last = section_end text eol in
+              let graphml = if last < first then "" else String.sub text first (last - first) in
+              Ok (c, node_constraint, graphml)
         else
-          match String.index_opt line_trim ' ' with
-          | None -> Error (Printf.sprintf "malformed line %S" line_trim)
+          match String.index_opt line ' ' with
+          | None -> Error (Printf.sprintf "malformed line %S" line)
           | Some i -> (
-              let keyword = String.sub line_trim 0 i in
-              let payload =
-                String.sub line_trim (i + 1) (String.length line_trim - i - 1)
-              in
-              match keyword with
-              | "CONSTRAINT" -> scan rest (Some payload) node_constraint
-              | "NODECONSTRAINT" -> scan rest constraint_text (Some payload)
+              let payload = String.sub line (i + 1) (String.length line - i - 1) in
+              match String.sub line 0 i with
+              | "CONSTRAINT" -> scan (eol + 1) (Some payload) node_constraint
+              | "NODECONSTRAINT" -> scan (eol + 1) constraint_text (Some payload)
               | k -> Error (Printf.sprintf "unknown keyword %S" k)))
   in
-  let* constraint_text, node_constraint, graphml = scan rest None None in
+  let* constraint_text, node_constraint, graphml = scan pos None None in
   let* query =
     match Netembed_graphml.Graphml.read_string graphml with
     | g -> Ok g
     | exception Netembed_graphml.Graphml.Error m -> Error m
   in
   Ok (Request.make ?node_constraint ~algorithm ~mode ?timeout ~query constraint_text)
-
-let decode_request text =
-  match frame_lines text with
-  | [] -> Error "empty request"
-  | header :: rest -> (
-      match String.split_on_char ' ' (String.trim header) with
-      | "EMBED" :: params -> decode_embed_frame params rest
-      | _ -> Error "request must start with EMBED")
 
 type command =
   | Submit of Request.t
@@ -176,14 +229,14 @@ type command =
   | Health
 
 let decode_command text =
-  match frame_lines text with
-  | [] -> Error "empty request"
-  | header :: rest -> (
-      match String.split_on_char ' ' (String.trim header) with
+  match line_at text 0 with
+  | None -> Error "empty request"
+  | Some eol -> (
+      match String.split_on_char ' ' (trimmed_line text 0 eol) with
       | "EMBED" :: params ->
-          Result.map (fun r -> Submit r) (decode_embed_frame params rest)
+          Result.map (fun r -> Submit r) (decode_embed_frame params text (eol + 1))
       | "ALLOC" :: params ->
-          Result.map (fun r -> Allocate r) (decode_embed_frame params rest)
+          Result.map (fun r -> Allocate r) (decode_embed_frame params text (eol + 1))
       | [ "FREE"; id ] -> (
           match int_of_string_opt id with
           | Some id when id > 0 -> Ok (Free id)
@@ -382,96 +435,77 @@ let outcome_of_string = function
   | "inconclusive" -> Ok Engine.Inconclusive
   | s -> Error (Printf.sprintf "unknown outcome %S" s)
 
-let decode_answer text =
-  let lines =
-    List.filter (fun l -> l <> "" && l <> ".") (String.split_on_char '\n' text)
-  in
-  match lines with
+(* A reply's [OK] header tokens and its other lines, with empty and "."
+   lines dropped; an [ERR] reply is its message. *)
+let decode_reply text =
+  match List.filter (fun l -> l <> "" && l <> ".") (String.split_on_char '\n' text) with
   | [] -> Error "empty answer"
   | header :: rest -> (
       match String.split_on_char ' ' (String.trim header) with
       | "ERR" :: msg -> Error (String.concat " " msg)
-      | "OK" :: params ->
-          let* id, trace_id, outcome, verdict, elapsed, phases, allocation =
-            List.fold_left
-              (fun acc token ->
-                let* id, trace_id, outcome, verdict, elapsed, phases, allocation
-                    =
-                  acc
-                in
-                match split_kv token with
-                | "id", v -> (
-                    match int_of_string_opt v with
-                    | Some i ->
-                        Ok
-                          ( Some i,
-                            trace_id,
-                            outcome,
-                            verdict,
-                            elapsed,
-                            phases,
-                            allocation )
-                    | None -> Error "bad request id")
-                | "trace", v -> (
-                    match int_of_string_opt v with
-                    | Some i ->
-                        Ok (id, Some i, outcome, verdict, elapsed, phases, allocation)
-                    | None -> Error "bad trace id")
-                | "outcome", v ->
-                    let* o = outcome_of_string v in
-                    Ok (id, trace_id, Some o, verdict, elapsed, phases, allocation)
-                | "verdict", v ->
-                    Ok (id, trace_id, outcome, Some v, elapsed, phases, allocation)
-                | "elapsed", v -> (
-                    match float_of_string_opt v with
-                    | Some f ->
-                        Ok (id, trace_id, outcome, verdict, f, phases, allocation)
-                    | None -> Error "bad elapsed")
-                | "phases", v ->
-                    let* p = phases_of_token v in
-                    Ok (id, trace_id, outcome, verdict, elapsed, p, allocation)
-                | "allocation", v -> (
-                    match int_of_string_opt v with
-                    | Some a ->
-                        Ok (id, trace_id, outcome, verdict, elapsed, phases, Some a)
-                    | None -> Error "bad allocation id")
-                | "count", _ -> acc
-                | k, _ -> Error (Printf.sprintf "unknown parameter %S" k))
-              (Ok (None, None, None, None, 0.0, [], None))
-              params
-          in
-          let* outcome =
-            match outcome with Some o -> Ok o | None -> Error "missing outcome"
-          in
-          let parse_mapping line =
-            let pairs = String.split_on_char ' ' (String.trim line) in
-            List.filter_map
-              (fun tok ->
-                match Scanf.sscanf_opt tok "q%d->r%d" (fun q r -> (q, r)) with
-                | Some p -> Some p
-                | None -> None)
-              pairs
-          in
-          let mappings =
-            List.filter_map
-              (fun line ->
-                if String.length line >= 7 && String.sub line 0 7 = "MAPPING" then
-                  Some (parse_mapping (String.sub line 7 (String.length line - 7)))
-                else None)
-              rest
-          in
-          Ok
-            {
-              id;
-              trace_id;
-              outcome;
-              verdict;
-              elapsed_ms = elapsed;
-              phases_ms = phases;
-              mappings;
-              allocation;
-            }
+      | "OK" :: params -> Ok (params, rest)
       | _ -> Error "answer must start with OK or ERR")
+
+let decode_answer text =
+  let* params, rest = decode_reply text in
+  let* id, trace_id, outcome, verdict, elapsed, phases, allocation =
+    List.fold_left
+      (fun acc token ->
+        let* id, trace_id, outcome, verdict, elapsed, phases, allocation = acc in
+        match split_kv token with
+        | "id", v -> (
+            match int_of_string_opt v with
+            | Some i -> Ok (Some i, trace_id, outcome, verdict, elapsed, phases, allocation)
+            | None -> Error "bad request id")
+        | "trace", v -> (
+            match int_of_string_opt v with
+            | Some i -> Ok (id, Some i, outcome, verdict, elapsed, phases, allocation)
+            | None -> Error "bad trace id")
+        | "outcome", v ->
+            let* o = outcome_of_string v in
+            Ok (id, trace_id, Some o, verdict, elapsed, phases, allocation)
+        | "verdict", v -> Ok (id, trace_id, outcome, Some v, elapsed, phases, allocation)
+        | "elapsed", v -> (
+            match float_of_string_opt v with
+            | Some f -> Ok (id, trace_id, outcome, verdict, f, phases, allocation)
+            | None -> Error "bad elapsed")
+        | "phases", v ->
+            let* p = phases_of_token v in
+            Ok (id, trace_id, outcome, verdict, elapsed, p, allocation)
+        | "allocation", v -> (
+            match int_of_string_opt v with
+            | Some a -> Ok (id, trace_id, outcome, verdict, elapsed, phases, Some a)
+            | None -> Error "bad allocation id")
+        | "count", _ -> acc
+        | k, _ -> Error (Printf.sprintf "unknown parameter %S" k))
+      (Ok (None, None, None, None, 0.0, [], None))
+      params
+  in
+  let* outcome = match outcome with Some o -> Ok o | None -> Error "missing outcome" in
+  let parse_mapping line =
+    List.filter_map
+      (fun tok -> Scanf.sscanf_opt tok "q%d->r%d" (fun q r -> (q, r)))
+      (String.split_on_char ' ' (String.trim line))
+  in
+  let mappings =
+    List.filter_map
+      (fun line ->
+        if String.starts_with ~prefix:"MAPPING" line then
+          Some (parse_mapping (String.sub line 7 (String.length line - 7)))
+        else None)
+      rest
+  in
+  Ok
+    {
+      id;
+      trace_id;
+      outcome;
+      verdict;
+      elapsed_ms = elapsed;
+      phases_ms = phases;
+      mappings;
+      allocation;
+    }
 
 type utilization_row = {
   resource : string;
@@ -481,47 +515,33 @@ type utilization_row = {
 }
 
 let decode_utilization text =
-  let lines =
-    List.filter (fun l -> l <> "" && l <> ".") (String.split_on_char '\n' text)
+  let* _, rest = decode_reply text in
+  let parse_row line =
+    List.fold_left
+      (fun acc token ->
+        let* row = acc in
+        match split_kv token with
+        | "resource", v -> Ok { row with resource = v }
+        | "kind", "node" -> Ok { row with kind = `Node }
+        | "kind", "edge" -> Ok { row with kind = `Edge }
+        | "kind", v -> Error (Printf.sprintf "bad kind %S" v)
+        | "used", v -> (
+            match float_of_string_opt v with
+            | Some f -> Ok { row with used = f }
+            | None -> Error "bad used")
+        | "capacity", v -> (
+            match float_of_string_opt v with
+            | Some f -> Ok { row with capacity = f }
+            | None -> Error "bad capacity")
+        | k, _ -> Error (Printf.sprintf "unknown field %S" k))
+      (Ok { resource = ""; kind = `Node; used = 0.0; capacity = 0.0 })
+      (List.filter (fun t -> t <> "") (String.split_on_char ' ' (String.trim line)))
   in
-  match lines with
-  | [] -> Error "empty answer"
-  | header :: rest -> (
-      match String.split_on_char ' ' (String.trim header) with
-      | "ERR" :: msg -> Error (String.concat " " msg)
-      | "OK" :: _ ->
-          let parse_row line =
-            let fields =
-              List.filter (fun t -> t <> "")
-                (String.split_on_char ' ' (String.trim line))
-            in
-            List.fold_left
-              (fun acc token ->
-                let* row = acc in
-                match split_kv token with
-                | "resource", v -> Ok { row with resource = v }
-                | "kind", "node" -> Ok { row with kind = `Node }
-                | "kind", "edge" -> Ok { row with kind = `Edge }
-                | "kind", v -> Error (Printf.sprintf "bad kind %S" v)
-                | "used", v -> (
-                    match float_of_string_opt v with
-                    | Some f -> Ok { row with used = f }
-                    | None -> Error "bad used")
-                | "capacity", v -> (
-                    match float_of_string_opt v with
-                    | Some f -> Ok { row with capacity = f }
-                    | None -> Error "bad capacity")
-                | k, _ -> Error (Printf.sprintf "unknown field %S" k))
-              (Ok { resource = ""; kind = `Node; used = 0.0; capacity = 0.0 })
-              fields
-          in
-          let rec rows acc = function
-            | [] -> Ok (List.rev acc)
-            | line :: rest ->
-                if String.length line >= 5 && String.sub line 0 5 = "UTIL " then
-                  let* row = parse_row (String.sub line 5 (String.length line - 5)) in
-                  rows (row :: acc) rest
-                else rows acc rest
-          in
-          rows [] rest
-      | _ -> Error "answer must start with OK or ERR")
+  let rec rows acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.starts_with ~prefix:"UTIL " line ->
+        let* row = parse_row (String.sub line 5 (String.length line - 5)) in
+        rows (row :: acc) rest
+    | _ :: rest -> rows acc rest
+  in
+  rows [] rest

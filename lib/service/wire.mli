@@ -74,10 +74,6 @@ val mode_to_string : Netembed_core.Engine.mode -> string
 val mode_of_string : string -> (Netembed_core.Engine.mode, string) result
 val algorithm_of_string : string -> (Netembed_core.Engine.algorithm, string) result
 
-val encode_request : Request.t -> string
-val decode_request : string -> (Request.t, string) result
-(** [EMBED] frames only; {!decode_command} accepts the full verb set. *)
-
 val default_max_frame_bytes : int
 (** Default bound on a frame's body (1 MiB) — far above any realistic
     query, far below anything that could pressure the server's heap. *)
@@ -86,14 +82,31 @@ val frame_too_large : limit:int -> string
 (** The canonical oversized-frame error message, shared by every
     transport so clients see one spelling. *)
 
-val read_frame : ?max_bytes:int -> in_channel -> (string, string) result option
-(** Read one frame (lines up to a [.] terminator) from a channel.
-    [None] on EOF before any content; [Some (Ok body)] on a complete
-    frame (EOF after partial content yields the partial body, matching
-    the historical server loop); [Some (Error msg)] when the body
-    exceeded [max_bytes] (default {!default_max_frame_bytes}) — the
-    reader consumes input through the terminator first, so the stream
-    is resynchronized and the next frame parses cleanly. *)
+type reader
+(** A buffered byte source.  Every transport reads frames through one:
+    the stdio loop, the TCP front-end and its metrics listener, the CLI
+    [watch] client.  It reads ahead, so make one per stream. *)
+
+val reader : (Bytes.t -> int -> int -> int) -> reader
+(** [reader refill]: [refill buf pos len] stores at most [len] bytes at
+    [pos] and returns how many, [0] at end of input ([input ic] for a
+    channel).  Its exceptions propagate out of the reads below. *)
+
+val read_line : ?max_bytes:int -> reader -> string option
+(** The next line as [input_line] reads it, [None] at end of input.
+    Bytes past [max_bytes] (default {!default_max_frame_bytes}) are
+    skipped as they arrive. *)
+
+val read_frame : ?max_bytes:int -> reader -> (string, string) result option
+(** Read one frame (lines up to a [.] terminator, each line of the body
+    ending in ['\n']).  [None] on EOF before any content;
+    [Some (Ok body)] on a complete frame (EOF after partial content
+    yields the partial body, matching the historical server loop);
+    [Some (Error msg)] when the body exceeds [max_bytes] (default
+    {!default_max_frame_bytes}).  The bound is counted as the bytes
+    arrive, inside a line too: the reader keeps at most [max_bytes] and
+    consumes the rest through the terminator, so the stream is
+    resynchronized and the next frame parses cleanly. *)
 
 (** One decoded protocol verb. *)
 type command =
@@ -116,6 +129,10 @@ type command =
           line *)
 
 val decode_command : string -> (command, string) result
+(** Decodes a frame as {!read_frame} returns it or as {!encode_command}
+    writes it: the frame ends at its first [.] line or at its end, so
+    the text decodes the same with or without the terminator. *)
+
 val encode_command : command -> string
 
 val encode_answer : ?allocation:int -> Service.answer -> string

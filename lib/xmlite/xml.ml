@@ -26,6 +26,9 @@ let[@inline] is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 (* The whitespace of [String.trim]: text made only of it is dropped. *)
 let[@inline] is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
+let is_digit c = c >= '0' && c <= '9'
+let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+
 let[@inline] is_name_char c =
   (c >= 'a' && c <= 'z')
   || (c >= 'A' && c <= 'Z')
@@ -115,9 +118,16 @@ let add_entity st buf =
   | "apos" -> Buffer.add_char buf '\''
   | "quot" -> Buffer.add_char buf '"'
   | _ when String.length ent > 1 && ent.[0] = '#' -> (
-      let digits = String.sub ent 1 (String.length ent - 1) in
-      let hex = digits.[0] = 'x' || digits.[0] = 'X' in
-      match int_of_string_opt (if hex then "0" ^ digits else digits) with
+      (* [int_of_string] alone would also take a sign, '_' and 0x, 0o
+         or 0b prefixes. *)
+      let hex = ent.[1] = 'x' in
+      let skip = if hex then 2 else 1 in
+      let digits = String.sub ent skip (String.length ent - skip) in
+      match
+        if digits <> "" && String.for_all (if hex then is_hex_digit else is_digit) digits
+        then int_of_string_opt (if hex then "0x" ^ digits else digits)
+        else None
+      with
       | Some code when Uchar.is_valid code -> Buffer.add_utf_8_uchar buf (Uchar.of_int code)
       | Some _ | None -> error st (Printf.sprintf "bad character reference &%s;" ent))
   | _ -> error st (Printf.sprintf "unknown entity &%s;" ent)
@@ -231,8 +241,8 @@ let rec skip_doctype st =
   if c = '[' then error st "DTD internal subsets are not supported"
   else if c <> '>' then skip_doctype st
 
-(* Whitespace, processing instructions, comments and a doctype, before
-   and after the root element. *)
+(* Whitespace, processing instructions and comments around the root
+   element. *)
 let rec skip_misc st =
   skip_spaces st;
   if at st "<?" then begin
@@ -243,14 +253,14 @@ let rec skip_misc st =
     skip_past st "-->";
     skip_misc st
   end
-  else if at st "<!DOCTYPE" then begin
-    skip_doctype st;
-    skip_misc st
-  end
 
 let scan ~start ~text ~stop src =
   let st = { src; len = String.length src; pos = 0; names = Array.make 256 "" } in
   skip_misc st;
+  if at st "<!DOCTYPE" then begin
+    skip_doctype st;
+    skip_misc st
+  end;
   if not (at st "<") then error st "expected a root element";
   let rec content = function
     | [] -> ()
@@ -282,7 +292,8 @@ let scan ~start ~text ~stop src =
           | _ -> content (open_element st ~start ~stop stack)
   in
   content (open_element st ~start ~stop []);
-  skip_misc st
+  skip_misc st;
+  if st.pos < st.len then error st "content after the root element"
 
 (* ------------------------------------------------------------------ *)
 (* The tree                                                            *)

@@ -34,14 +34,15 @@ val scan :
     two pieces of markup, entities decoded, or the content of a CDATA
     section.  Runs that are only whitespace are skipped, except in
     CDATA.  Comments, processing instructions and a doctype are
-    skipped.  After the root element the scanner skips whitespace,
-    comments, processing instructions and a doctype, and stops: what
-    comes after them is not read.
+    skipped.  After the root element only whitespace, comments and
+    processing instructions may follow.
 
     The callbacks run as the scanner goes: when a fault is found,
     those for everything before it have already run.
-    @raise Parse_error on malformed input, including a character
-    reference that is not a Unicode scalar value. *)
+    @raise Parse_error on malformed input, including anything else
+    after the root element, and a character reference that is not
+    [&#] with decimal digits or [&#x] with hex digits, or that is not a
+    Unicode scalar value. *)
 
 val parse_string : string -> t
 (** Parses a document and returns the root element, built from

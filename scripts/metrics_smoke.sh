@@ -10,7 +10,8 @@
 # and --chrome-trace must emit parseable trace_event JSON.  Last, an
 # ill-typed constraint sent over TCP must come back as a canonical,
 # EXPLAIN-able request error, and a query GraphML with a self-loop as
-# a plain error reply on a connection that stays usable.  Used by CI; runnable locally from the
+# a plain error reply on a connection that stays usable, as must a
+# newline-free line past the frame bound.  Used by CI; runnable locally from the
 # repo root after `dune build`.
 set -euo pipefail
 
@@ -307,7 +308,7 @@ cp "$WORK/chrome.json" "${CHROME_TRACE_OUT:-/dev/null}" 2>/dev/null || true
 # EXPLAIN as verdict=error, and the error counter must move.
 PORT3=$((PORT + 2))
 "$BIN/netembed_server.exe" --host "$WORK/host.graphml" --tcp-port 0 --workers 2 \
-  --metrics-port "$PORT3" > "$WORK/out3" 2> "$WORK/err3" &
+  --max-frame-bytes 4096 --metrics-port "$PORT3" > "$WORK/out3" 2> "$WORK/err3" &
 SERVER3_PID=$!
 for _ in $(seq 100); do grep -q LISTEN "$WORK/out3" 2>/dev/null && break; sleep 0.1; done
 TCP_PORT=$(sed -n 's/^LISTEN port=//p' "$WORK/out3" | tr -d ' ')
@@ -364,6 +365,17 @@ AFTER=$(tcp_roundtrip < "$WORK/frame.txt") \
   || { echo "FAIL: no reply to the EMBED after the self-loop"; exit 1; }
 echo "$AFTER" | grep -Eq '^OK ' \
   || { echo "FAIL: the connection did not serve an EMBED after the self-loop"; echo "$AFTER"; exit 1; }
+# One line with no newline, far past the 4096-byte frame bound, then
+# its terminator: the reader skips the line as it streams and answers
+# the canonical error, and the same connection serves the next EMBED.
+LONG=$( { head -c 100000 /dev/zero | tr '\0' 'x'; printf '\n.\n'; } | tcp_roundtrip) \
+  || { echo "FAIL: no reply to the oversized line"; exit 1; }
+[ "$LONG" = "ERR frame exceeds the 4096-byte limit" ] \
+  || { echo "FAIL: oversized line did not get the canonical error"; echo "$LONG"; exit 1; }
+AFTER=$(tcp_roundtrip < "$WORK/frame.txt") \
+  || { echo "FAIL: no reply to the EMBED after the oversized line"; exit 1; }
+echo "$AFTER" | grep -Eq '^OK ' \
+  || { echo "FAIL: the connection did not serve an EMBED after the oversized line"; echo "$AFTER"; exit 1; }
 exec 5>&-
 METRICS=$(curl -sf "http://127.0.0.1:$PORT3/metrics") \
   || { echo "FAIL: could not scrape the TCP server's /metrics"; exit 1; }

@@ -57,7 +57,33 @@ let test_value_parse () =
     (Value.equal (Value.of_string_as `String "x y") (Value.String "x y"));
   (match Value.of_string_as `Int "nope" with
   | exception Value.Type_error _ -> ()
-  | _ -> Alcotest.fail "expected Type_error")
+  | _ -> Alcotest.fail "expected Type_error");
+  (* An int payload is an optional sign and decimal digits. *)
+  let table =
+    [ " 42 ", Some 42;
+      "-7", Some (-7);
+      "+7", Some 7;
+      "007", Some 7;
+      "0x1F", None;
+      "1_000", None;
+      "0o17", None;
+      "0b101", None;
+      "-", None;
+      "", None;
+      "4.0", None;
+      "99999999999999999999", None;
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (payload, expected) ->
+      let got =
+        match Value.of_string_as `Int payload with
+        | Value.Int i -> Some i
+        | _ -> Alcotest.failf "%S: not an Int" payload
+        | exception Value.Type_error _ -> None
+      in
+      check Alcotest.(option int) payload expected got)
+    table
 
 let test_value_pp () =
   check Alcotest.string "int" "7" (Value.to_string (Value.Int 7));

@@ -431,6 +431,57 @@ let hostile =
     "negative character reference",
     "<graphml><graph><node id=\"&#-1;\"/></graph></graphml>",
     "XML parse error at line 1: bad character reference &#-1;";
+    "character reference &#0x41;",
+    "<graphml><graph><node id=\"&#0x41;\"/></graph></graphml>",
+    "XML parse error at line 1: bad character reference &#0x41;";
+    "character reference &#6_5;",
+    "<graphml><graph><node id=\"&#6_5;\"/></graph></graphml>",
+    "XML parse error at line 1: bad character reference &#6_5;";
+    "character reference &#0b1000001;",
+    "<graphml><graph><node id=\"&#0b1000001;\"/></graph></graphml>",
+    "XML parse error at line 1: bad character reference &#0b1000001;";
+    "character reference &#x;",
+    "<graphml><graph><node id=\"&#x;\"/></graph></graphml>",
+    "XML parse error at line 1: bad character reference &#x;";
+    "character reference &#+65;",
+    "<graphml><graph><node id=\"&#+65;\"/></graph></graphml>",
+    "XML parse error at line 1: bad character reference &#+65;";
+    "character reference &#X41;",
+    "<graphml><graph><node id=\"&#X41;\"/></graph></graphml>",
+    "XML parse error at line 1: bad character reference &#X41;";
+    "character reference &#x-41;",
+    "<graphml><graph><node id=\"&#x-41;\"/></graph></graphml>",
+    "XML parse error at line 1: bad character reference &#x-41;";
+    "content after the root element",
+    "<graphml><graph/></graphml>\n<!-- fine --> trailing junk <b>",
+    "XML parse error at line 2: content after the root element";
+    "a second root element",
+    "<graphml><graph/></graphml><graphml/>",
+    "XML parse error at line 1: content after the root element";
+    "a doctype after the root element",
+    "<graphml><graph/></graphml><!DOCTYPE graphml>",
+    "XML parse error at line 1: content after the root element";
+    "int payload 0x1F",
+    {|<graphml><key id="c" for="node" attr.name="cpu" attr.type="int"/><graph><node id="a"><data key="c">0x1F</data></node></graph></graphml>|},
+    {|bad <data> for key cpu: cannot parse "0x1F"|};
+    "int payload 1_000",
+    {|<graphml><key id="c" for="node" attr.name="cpu" attr.type="int"/><graph><node id="a"><data key="c">1_000</data></node></graph></graphml>|},
+    {|bad <data> for key cpu: cannot parse "1_000"|};
+    "int payload 0o17",
+    {|<graphml><key id="c" for="node" attr.name="cpu" attr.type="int"/><graph><node id="a"><data key="c">0o17</data></node></graph></graphml>|},
+    {|bad <data> for key cpu: cannot parse "0o17"|};
+    "int payload 0b101",
+    {|<graphml><key id="c" for="node" attr.name="cpu" attr.type="int"/><graph><node id="a"><data key="c">0b101</data></node></graph></graphml>|},
+    {|bad <data> for key cpu: cannot parse "0b101"|};
+    "int payload --1",
+    {|<graphml><key id="c" for="node" attr.name="cpu" attr.type="int"/><graph><node id="a"><data key="c">--1</data></node></graph></graphml>|},
+    {|bad <data> for key cpu: cannot parse "--1"|};
+    "int payload +",
+    {|<graphml><key id="c" for="node" attr.name="cpu" attr.type="int"/><graph><node id="a"><data key="c">+</data></node></graph></graphml>|},
+    {|bad <data> for key cpu: cannot parse "+"|};
+    "int payload 1 2",
+    {|<graphml><key id="c" for="node" attr.name="cpu" attr.type="int"/><graph><node id="a"><data key="c"> 1 2 </data></node></graph></graphml>|},
+    {|bad <data> for key cpu: cannot parse "1 2"|};
     "key redeclared after use",
     {|<graphml><key id="d" attr.type="int"/><graph><node id="a"><data key="d">1</data></node>
       </graph><key id="d" attr.type="string"/></graphml>|},

@@ -354,14 +354,15 @@ let test_wire_request_roundtrip () =
     Request.make ~algorithm:Engine.LNS ~mode:(Engine.At_most 7) ~timeout:2.5
       ~query:(path_query 5.0 15.0) standard_constraint
   in
-  match Wire.decode_request (Wire.encode_request request) with
+  match Wire.decode_command (Wire.encode_command (Wire.Submit request)) with
   | Error m -> Alcotest.fail m
-  | Ok r ->
+  | Ok (Wire.Submit r) ->
       check Alcotest.bool "alg" true (r.Request.algorithm = Engine.LNS);
       check Alcotest.bool "mode" true (r.Request.mode = Engine.At_most 7);
       check (Alcotest.option (Alcotest.float 1e-9)) "timeout" (Some 2.5) r.Request.timeout;
       check Alcotest.int "query nodes" 2 (Graph.node_count r.Request.query);
       check Alcotest.string "constraint" standard_constraint r.Request.constraint_text
+  | Ok _ -> Alcotest.fail "EMBED should decode as Submit"
 
 let test_wire_answer_roundtrip () =
   let svc = Service.create (Model.create (host ())) in
@@ -378,10 +379,10 @@ let test_wire_answer_roundtrip () =
             (List.length (List.hd decoded.Wire.mappings)))
 
 let test_wire_errors () =
-  (match Wire.decode_request "NOPE" with
+  (match Wire.decode_command "NOPE" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected decode failure");
-  (match Wire.decode_request "EMBED alg=XYZ\nCONSTRAINT true\nGRAPHML\n<graphml/>" with
+  (match Wire.decode_command "EMBED alg=XYZ\nCONSTRAINT true\nGRAPHML\n<graphml/>" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected unknown algorithm");
   (match Wire.decode_answer (Wire.encode_error "boom") with
@@ -1136,6 +1137,7 @@ let test_wire_frame_bound () =
   close_out oc;
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let ic = Wire.reader (input ic) in
   (match Wire.read_frame ~max_bytes:64 ic with
   | Some (Error m) ->
       check Alcotest.string "canonical message" (Wire.frame_too_large ~limit:64) m
@@ -1151,6 +1153,102 @@ let test_wire_frame_bound () =
   | Some (Error m) -> Alcotest.fail m
   | None -> Alcotest.fail "EOF on final frame");
   check Alcotest.bool "stream exhausted" true (Wire.read_frame ic = None)
+
+(* A reader over [s] whose refill hands out at most [chunk] bytes. *)
+let string_reader ?(chunk = max_int) s =
+  let off = ref 0 in
+  Wire.reader (fun buf pos len ->
+      let n = min (min len chunk) (String.length s - !off) in
+      Bytes.blit_string s !off buf pos n;
+      off := !off + n;
+      n)
+
+let frame_result = Alcotest.(option (result string string))
+
+(* The bound is counted as bytes arrive: an 8 MiB line with no newline
+   is skipped as it streams, so reading it allocates O(max_bytes), not
+   O(line), and the stream still resynchronizes at the terminator. *)
+let test_wire_frame_bound_streams () =
+  let max_bytes = 4096 in
+  let input = String.make (8 lsl 20) 'x' ^ "\n.\nEMBED alg=ECF mode=first\n.\n" in
+  let before = Gc.allocated_bytes () in
+  let r = string_reader input in
+  let oversized = Wire.read_frame ~max_bytes r in
+  let next = Wire.read_frame ~max_bytes r in
+  let allocated = Gc.allocated_bytes () -. before in
+  check frame_result "canonical error first"
+    (Some (Error (Wire.frame_too_large ~limit:max_bytes)))
+    oversized;
+  check frame_result "the next frame parses" (Some (Ok "EMBED alg=ECF mode=first\n")) next;
+  if allocated > float_of_int (16 * max_bytes) then
+    Alcotest.failf "reading an 8 MiB line allocated %.0f bytes, over 16 x max_bytes"
+      allocated
+
+(* Where the bound falls: a body (its lines, each with its '\n') of
+   exactly [max_bytes] is a frame, one byte more is the error.  Each
+   row is read in one refill, and again one byte per refill. *)
+let test_wire_frame_bound_edges () =
+  let max_bytes = 64 in
+  let too_large = Some (Error (Wire.frame_too_large ~limit:max_bytes)) in
+  let body n = String.make (n - 1) 'x' ^ "\n" in
+  let table =
+    [ "body of exactly max_bytes", body 64 ^ ".\n", Some (Ok (body 64));
+      "body of max_bytes + 1", body 65 ^ ".\n", too_large;
+      "two lines of exactly max_bytes", body 30 ^ body 34 ^ ".\n", Some (Ok (body 30 ^ body 34));
+      "two lines of max_bytes + 1", body 30 ^ body 35 ^ ".\n", too_large;
+      "last line without newline at max_bytes", String.make 63 'x', Some (Ok (body 64));
+      "last line without newline at max_bytes + 1", String.make 64 'x', too_large;
+      "terminator after a full body", body 64 ^ ".", Some (Ok (body 64));
+      "a line starting with '.' past a full body", body 63 ^ ".x\n.\n", too_large;
+      "an empty line at max_bytes", body 63 ^ "\n.\n", Some (Ok (body 63 ^ "\n"));
+      "an empty line at max_bytes + 1", body 64 ^ "\n.\n", too_large;
+      "'..' is a line, not the terminator", "..\n.\n", Some (Ok "..\n");
+      "terminator only", ".\n", Some (Ok "");
+      "empty input", "", None;
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (name, input, expected) ->
+      check frame_result name expected (Wire.read_frame ~max_bytes (string_reader input));
+      check frame_result (name ^ ", one byte per refill") expected
+        (Wire.read_frame ~max_bytes (string_reader ~chunk:1 input)))
+    table
+
+(* The oracle: the frame reader before it counted the bound inside a
+   line.  It takes whole lines as [input_line] returns them and lists
+   every frame of [text]. *)
+let oracle_frames ~max_bytes text =
+  let lines =
+    match List.rev (String.split_on_char '\n' text) with
+    | "" :: rest -> List.rev rest
+    | all -> List.rev all
+  in
+  let too_large = Error (Wire.frame_too_large ~limit:max_bytes) in
+  let rec frame buf overflow acc = function
+    | [] -> List.rev (if overflow then too_large :: acc else if buf = "" then acc else Ok buf :: acc)
+    | "." :: rest -> frame "" false ((if overflow then too_large else Ok buf) :: acc) rest
+    | _ :: rest when overflow -> frame "" true acc rest
+    | line :: rest when String.length buf + String.length line + 1 > max_bytes ->
+        frame "" true acc rest
+    | line :: rest -> frame (buf ^ line ^ "\n") false acc rest
+  in
+  frame "" false [] lines
+
+let prop_wire_reader_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 24) (int_range 1 5)
+        (map (String.concat "")
+           (list_size (int_bound 14) (oneofl [ "\n"; "."; "x"; "xxxxxxxxxx"; "\n.\n"; ".."; "\r" ]))))
+  in
+  QCheck.Test.make ~name:"frame reader = whole-line oracle, any bound and refill size" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(triple int int string) gen)
+    (fun (max_bytes, chunk, text) ->
+      let r = string_reader ~chunk text in
+      let rec frames acc =
+        match Wire.read_frame ~max_bytes r with None -> List.rev acc | Some f -> frames (f :: acc)
+      in
+      frames [] = oracle_frames ~max_bytes text)
 
 (* A saturation reject is not a silent drop: it allocates a request id,
    bumps the queue-reject counter, and retains an EXPLAIN-able
@@ -1425,7 +1523,7 @@ let prop_wire_decode_total =
   QCheck.Test.make ~name:"wire decode is total on garbage" ~count:300
     QCheck.(string_of_size (QCheck.Gen.int_range 0 120))
     (fun s ->
-      (match Wire.decode_request s with Ok _ | Error _ -> true)
+      (match Wire.decode_command s with Ok _ | Error _ -> true)
       && match Wire.decode_answer s with Ok _ | Error _ -> true)
 
 (* Hostile query GraphML in an EMBED frame: the decoder answers Error,
@@ -1445,6 +1543,9 @@ let test_wire_hostile_graphml () =
       "surrogate character reference",
       {|<graphml><graph><node id="&#xD800;"/></graph></graphml>|},
       "XML parse error at line 1: bad character reference &#xD800;";
+      "content after the root element",
+      {|<graphml><graph><node id="n0"/></graph></graphml>trailing junk <b>|},
+      "XML parse error at line 1: content after the root element";
     ] [@ocamlformat "disable"]
   in
   List.iter
@@ -1480,6 +1581,29 @@ let test_wire_decode_prefixes () =
     if not (decodes_or_errs (String.sub frame 0 n)) then
       Alcotest.failf "the %d-byte prefix raised" n
   done
+
+(* Every prefix of the frame reads the same one byte per refill as in
+   one refill, and what the reader returns decodes as the text itself
+   does, so a frame decodes the same with or without its terminator. *)
+let test_wire_read_prefixes () =
+  let frame = Lazy.force embed8_frame in
+  let decoded text =
+    match Wire.decode_command text with
+    | Ok c -> Ok (Wire.encode_command c)
+    | Error m -> Error m
+  in
+  for n = 0 to String.length frame do
+    let text = String.sub frame 0 n in
+    let read = Wire.read_frame (string_reader text) in
+    if Wire.read_frame (string_reader ~chunk:1 text) <> read then
+      Alcotest.failf "the %d-byte prefix reads differently one byte at a time" n;
+    match read with
+    | Some (Error m) -> Alcotest.failf "the %d-byte prefix: %s" n m
+    | Some (Ok body) when decoded body <> decoded text ->
+        Alcotest.failf "the %d-byte prefix decodes differently once read" n
+    | Some (Ok _) | None -> ()
+  done;
+  check Alcotest.bool "the whole frame decodes" true (Result.is_ok (decoded frame))
 
 (* Any prefix of the frame, or the frame with one byte replaced by a
    character that means something to XML or ends a C string. *)
@@ -1565,9 +1689,17 @@ let () =
           Alcotest.test_case "commands" `Quick test_wire_commands;
           Alcotest.test_case "frame size bound + resync" `Quick
             test_wire_frame_bound;
+          Alcotest.test_case "frame bound holds inside a streaming line" `Quick
+            test_wire_frame_bound_streams;
+          Alcotest.test_case "frame bound at max_bytes and max_bytes + 1" `Quick
+            test_wire_frame_bound_edges;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
+            prop_wire_reader_matches_oracle;
           QCheck_alcotest.to_alcotest prop_wire_decode_total;
           Alcotest.test_case "hostile query GraphML" `Quick test_wire_hostile_graphml;
           Alcotest.test_case "every prefix of an EMBED frame" `Quick test_wire_decode_prefixes;
+          Alcotest.test_case "every prefix of an EMBED frame, read one byte at a time"
+            `Quick test_wire_read_prefixes;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
             prop_wire_decode_never_raises;
         ] );
