@@ -72,7 +72,7 @@ let rec newline r i =
 (* Hands the next line to [take] chunk by chunk, without its '\n', and
    says whether there was one: [false] at end of input before any of
    its bytes.  A last line without a '\n' ends at end of input, as
-   [input_line] reads it. *)
+   [input_line] reads it.  A refill that raises leaves [r] as it was. *)
 let rec feed_line r take started =
   if r.pos < r.lim then begin
     let i = newline r r.pos in
@@ -81,60 +81,49 @@ let rec feed_line r take started =
     i < r.lim || feed_line r take true
   end
   else begin
+    let n = r.refill r.chunk 0 (Bytes.length r.chunk) in
     r.pos <- 0;
-    r.lim <- r.refill r.chunk 0 (Bytes.length r.chunk);
-    if r.lim = 0 then started else feed_line r take started
+    r.lim <- n;
+    if n = 0 then started else feed_line r take started
   end
 
-let read_line ?(max_bytes = default_max_frame_bytes) r =
+(* The next line, of which at most [keep] bytes are kept: the rest is
+   skipped as it arrives. *)
+let bounded_line ~keep r =
   let line = Buffer.create 128 in
-  let take b pos n =
-    Buffer.add_subbytes line b pos (min n (max_bytes - Buffer.length line))
-  in
+  let take b pos n = Buffer.add_subbytes line b pos (min n (keep - Buffer.length line)) in
   if feed_line r take false then Some (Buffer.contents line) else None
 
+let read_line r = bounded_line ~keep:default_max_frame_bytes r
+
 let read_frame ?(max_bytes = default_max_frame_bytes) r =
-  let body = Buffer.create 1024 in
+  (* A line of [max_bytes] bytes or more overflows the body whole, so
+     keeping [max_bytes] of it changes no result; keeping at least 2
+     keeps a longer line from reading as the terminator. *)
+  let keep = max 2 max_bytes in
+  let buf = Buffer.create 1024 in
   let overflow = ref false in
-  (* The line being read: where it starts in [body], its length so far
-     and its first byte.  Each line costs its bytes plus its '\n', and
-     only the line "." is free, so [check] trips the bound as soon as
-     the line is known to be another one, while it streams and again
-     at its end (an empty line has no bytes to stream). *)
-  let start = ref 0 and len = ref 0 and first = ref ' ' in
-  let is_dot () = !len = 1 && !first = '.' in
-  let check () =
-    if (not !overflow) && !start + !len + 1 > max_bytes && not (is_dot ()) then begin
-      overflow := true;
-      Buffer.clear body
-    end
-  in
-  let take b pos n =
-    if n > 0 then begin
-      if !len = 0 then first := Bytes.get b pos;
-      len := !len + n;
-      check ();
-      if not !overflow then Buffer.add_subbytes body b pos n
-    end
-  in
-  let finish () =
-    if !overflow then Some (Error (frame_too_large ~limit:max_bytes))
-    else Some (Ok (Buffer.contents body))
-  in
   let rec go () =
-    start := Buffer.length body;
-    len := 0;
-    if not (feed_line r take false) then
-      if (not !overflow) && Buffer.length body = 0 then None else finish ()
-    else if is_dot () then begin
-      if not !overflow then Buffer.truncate body !start;
-      finish ()
-    end
-    else begin
-      check ();
-      if not !overflow then Buffer.add_char body '\n';
-      go ()
-    end
+    match bounded_line ~keep r with
+    | Some "." ->
+        if !overflow then Some (Error (frame_too_large ~limit:max_bytes))
+        else Some (Ok (Buffer.contents buf))
+    | Some line ->
+        if !overflow then go ()
+        else if Buffer.length buf + String.length line + 1 > max_bytes then begin
+          overflow := true;
+          Buffer.clear buf;
+          go ()
+        end
+        else begin
+          Buffer.add_string buf line;
+          Buffer.add_char buf '\n';
+          go ()
+        end
+    | None ->
+        if !overflow then Some (Error (frame_too_large ~limit:max_bytes))
+        else if Buffer.length buf = 0 then None
+        else Some (Ok (Buffer.contents buf))
   in
   go ()
 

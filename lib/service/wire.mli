@@ -92,10 +92,9 @@ val reader : (Bytes.t -> int -> int -> int) -> reader
     [pos] and returns how many, [0] at end of input ([input ic] for a
     channel).  Its exceptions propagate out of the reads below. *)
 
-val read_line : ?max_bytes:int -> reader -> string option
+val read_line : reader -> string option
 (** The next line as [input_line] reads it, [None] at end of input.
-    Bytes past [max_bytes] (default {!default_max_frame_bytes}) are
-    skipped as they arrive. *)
+    Bytes past {!default_max_frame_bytes} are skipped as they arrive. *)
 
 val read_frame : ?max_bytes:int -> reader -> (string, string) result option
 (** Read one frame (lines up to a [.] terminator, each line of the body
@@ -104,8 +103,9 @@ val read_frame : ?max_bytes:int -> reader -> (string, string) result option
     yields the partial body, matching the historical server loop);
     [Some (Error msg)] when the body exceeds [max_bytes] (default
     {!default_max_frame_bytes}).  The bound is counted as the bytes
-    arrive, inside a line too: the reader keeps at most [max_bytes] and
-    consumes the rest through the terminator, so the stream is
+    arrive, inside a line too: the reader keeps at most [max_bytes] bytes
+    of a line (2 if [max_bytes] is smaller) and consumes the rest through
+    the terminator, so the stream is
     resynchronized and the next frame parses cleanly. *)
 
 (** One decoded protocol verb. *)
