@@ -510,7 +510,8 @@ let write_layer_section key ~note rows =
   Printf.printf "\n%!"
 
 (* The filter build layer by layer, with its spread: the four
-   pre-filter ablation builds above, timed one build per sample, and
+   pre-filter ablation builds above, timed one build per sample, the
+   two pre-filter builds again with the model's columns warm, and
    one [Cmp] atom's pass set over the 296-site edge column, built by the
    member-by-member Float.compare sweep the pre-filter used to run (kept
    here as the reference) and by the word-parallel [Bitset.select].
@@ -534,6 +535,19 @@ let filter_build_layers () =
     in
     ignore (Filter.build ~prefilter p)
   in
+  (* The same build over a service model's snapshot, with the
+     substrate's columns already built by one build before sampling:
+     what a cold filter-cache miss pays once the model holds them. *)
+  let model = Netembed_service.Model.create host in
+  let snapshot = Netembed_service.Model.residual_snapshot model in
+  let columns = Netembed_service.Model.columns model snapshot in
+  let build_warm ?node_constraint () =
+    let p =
+      Problem.make ?node_constraint ~columns ~host:snapshot ~query:case.Query_gen.query
+        case.Query_gen.edge_constraint
+    in
+    ignore (Filter.build ~prefilter:true p)
+  in
   let builds =
     List.concat_map
       (fun (suffix, node_constraint) ->
@@ -541,9 +555,15 @@ let filter_build_layers () =
           layer_row ("evaluator/filter_build/interp" ^ suffix) "ms"
             (sample_ms (build ?node_constraint ~prefilter:false))
         in
-        [ interp;
+        let fresh =
           layer_row ("evaluator/filter_build/interp_prefilter" ^ suffix) "ms"
-            (sample_ms (build ?node_constraint ~prefilter:true)) ])
+            (sample_ms (build ?node_constraint ~prefilter:true))
+        in
+        build_warm ?node_constraint ();
+        [ interp;
+          fresh;
+          layer_row ("evaluator/filter_build/interp_prefilter_warm" ^ suffix) "ms"
+            (sample_ms (build_warm ?node_constraint)) ])
       [ ("", None); ("_node", Some node_constraint) ]
   in
   (* [rEdge.avgDelay <= x] at the column's median: half the links pass.
@@ -587,8 +607,10 @@ let filter_build_layers () =
     ~note:
       (Printf.sprintf
          "per-sample spread over %d samples: each evaluator row times one Problem.make + \
-          Filter.build of clique7_tight (ms); each prefilter row one rEdge.avgDelay <= \
-          median pass set over the %d-link edge column (us, mean of %d sweeps per sample)"
+          Filter.build of clique7_tight (ms), the _warm rows over a service model's \
+          snapshot whose host columns an earlier build filled; each prefilter row one \
+          rEdge.avgDelay <= median pass set over the %d-link edge column (us, mean of %d \
+          sweeps per sample)"
          layer_repeat m sweeps)
     (builds @ sweep_rows)
 

@@ -72,13 +72,40 @@ let range lo hi =
   if lo > hi then invalid_arg "Value.range: lo > hi";
   Range (lo, hi)
 
-let rec digits s i = i = String.length s || (s.[i] >= '0' && s.[i] <= '9' && digits s (i + 1))
+let is_digit c = c >= '0' && c <= '9'
+let rec skip_digits s i = if i < String.length s && is_digit s.[i] then skip_digits s (i + 1) else i
+let skip_sign s i = if i < String.length s && (s.[i] = '-' || s.[i] = '+') then i + 1 else i
 
 (* An optional sign, then decimal digits: [int_of_string] also takes
    '_' separators and 0x, 0o and 0b prefixes. *)
 let is_decimal s =
-  let sign = if s <> "" && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
-  String.length s > sign && digits s sign
+  let sign = skip_sign s 0 in
+  String.length s > sign && skip_digits s sign = String.length s
+
+(* [s] from [i] on is exactly [word]. *)
+let rec rest_is s i word j =
+  if j = String.length word then i = String.length s
+  else i < String.length s && s.[i] = word.[j] && rest_is s (i + 1) word (j + 1)
+
+(* Decimal float syntax: an optional sign, digits with an optional
+   fraction (a digit on at least one side of the point), and an
+   optional exponent; or [nan] or [inf] after the optional sign, as
+   [%.17g] writes them.  [float_of_string] also takes '_' separators,
+   hexadecimal floats and a leading '_'.  Allocates nothing: GraphML
+   reads one float payload per measured attribute. *)
+let is_decimal_float s =
+  let n = String.length s in
+  let start = skip_sign s 0 in
+  rest_is s start "nan" 0 || rest_is s start "inf" 0
+  ||
+  let int_end = skip_digits s start in
+  let frac_end = if int_end < n && s.[int_end] = '.' then skip_digits s (int_end + 1) else int_end in
+  (int_end > start || frac_end > int_end + 1)
+  && (frac_end = n
+     || (s.[frac_end] = 'e' || s.[frac_end] = 'E')
+        &&
+        let exp_start = skip_sign s (frac_end + 1) in
+        exp_start < n && is_digit s.[exp_start] && skip_digits s exp_start = n)
 
 let of_string_as ty s =
   let fail () = raise (Type_error (Printf.sprintf "cannot parse %S" s)) in
@@ -95,4 +122,7 @@ let of_string_as ty s =
       | Some i -> Int i
       | None -> fail ())
   | `Float -> (
-      match float_of_string_opt (String.trim s) with Some f -> Float f | None -> fail ())
+      let t = String.trim s in
+      match if is_decimal_float t then float_of_string_opt t else None with
+      | Some f -> Float f
+      | None -> fail ())

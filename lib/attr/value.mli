@@ -55,7 +55,11 @@ val range : float -> float -> t
 val of_string_as : [ `Bool | `Int | `Float | `String ] -> string -> t
 (** Parse a GraphML data payload according to the declared key type.
     Surrounding whitespace is ignored; an [int] payload is an optional
-    sign and decimal digits.
+    sign and decimal digits.  A [float] payload is decimal: an optional
+    sign, digits with an optional fraction ([1.], [.5]) and an optional
+    exponent ([1e-3], [-2.5E+10]); or [nan] or [inf] after an optional
+    sign, as the GraphML writer's [%.17g] emits them.  Hexadecimal
+    floats and ['_'] separators are rejected.
     @raise Type_error if the payload does not parse. *)
 
 val type_name : t -> string

@@ -49,18 +49,18 @@ type ordering = Connected_lemma1 | Lemma1 | Input_order
 let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem.t) =
   let nq = Graph.node_count p.query and nr = Graph.node_count p.host in
   let undirected = Graph.kind p.host = Graph.Undirected in
-  (* Column stores for the bounds pre-filter, shared by every residual
-     of this build; columns materialize on first touch. *)
-  let edge_store =
+  (* The bounds pre-filter's columns: the problem's stores (the
+     service's model keeps them per substrate) or, without them, stores
+     over the host that live for this build.  Either way the atom cache
+     is this build's, shared by every residual. *)
+  let prefilter_stores =
     lazy
-      (Prefilter.create ~size:(Graph.edge_count p.host) ~attrs:(Graph.edge_attrs p.host))
-  in
-  let node_store =
-    lazy
-      (Prefilter.create ~size:(Graph.node_count p.host) ~attrs:(Graph.node_attrs p.host))
+      (let s = match p.columns with Some s -> s | None -> Prefilter.of_graph p.host in
+       (Prefilter.create s.Prefilter.edges, Prefilter.create s.Prefilter.nodes))
   in
   let plan_of bounds =
-    Prefilter.plan ~edges:(Lazy.force edge_store) ~nodes:(Lazy.force node_store) bounds
+    let edges, nodes = Lazy.force prefilter_stores in
+    Prefilter.plan ~edges ~nodes bounds
   in
   (* The node constraint takes the edge residuals' path: specialized to
      the query node, its atoms swept over the host node columns, so only

@@ -19,67 +19,87 @@ type column = {
   others : (Value.t * int) list;
 }
 
+(* Members of [overlay] hold the overlay's number whatever their table
+   says; the overlay's array becomes the column's [num]. *)
+let column ?overlay ~size ~attrs name =
+  let present = Bitset.create size in
+  let num_set = Bitset.create size in
+  let num, overlaid =
+    match overlay with
+    | None -> (Array.make size 0.0, fun _ -> false)
+    | Some (members, values) ->
+        Bitset.union_into ~dst:present members;
+        Bitset.union_into ~dst:num_set members;
+        (values, Bitset.mem members)
+  in
+  let true_set = Bitset.create size in
+  let false_set = Bitset.create size in
+  let strings = Hashtbl.create 8 in
+  let others = ref [] in
+  for i = 0 to size - 1 do
+    if not (overlaid i) then
+      match Attrs.find name (attrs i) with
+      | None -> ()
+      | Some v -> (
+          Bitset.add present i;
+          match v with
+          | Value.Int n ->
+              Bitset.add num_set i;
+              num.(i) <- float_of_int n
+          | Value.Float f ->
+              Bitset.add num_set i;
+              num.(i) <- f
+          | Value.Bool true -> Bitset.add true_set i
+          | Value.Bool false -> Bitset.add false_set i
+          | Value.String s ->
+              let bucket =
+                match Hashtbl.find_opt strings s with
+                | Some b -> b
+                | None ->
+                    let b = Bitset.create size in
+                    Hashtbl.replace strings s b;
+                    b
+              in
+              Bitset.add bucket i
+          | Value.Range _ -> others := (v, i) :: !others)
+  done;
+  { present; num_set; num; true_set; false_set; strings; others = !others }
+
+type store = { size : int; column : string -> column }
+
+let store ~size ~attrs =
+  let memo = Hashtbl.create 8 in
+  let column name =
+    match Hashtbl.find_opt memo name with
+    | Some c -> c
+    | None ->
+        let c = column ~size ~attrs name in
+        Hashtbl.replace memo name c;
+        c
+  in
+  { size; column }
+
+type stores = { edges : store; nodes : store }
+
+let of_graph g =
+  let open Netembed_graph in
+  {
+    edges = store ~size:(Graph.edge_count g) ~attrs:(Graph.edge_attrs g);
+    nodes = store ~size:(Graph.node_count g) ~attrs:(Graph.node_attrs g);
+  }
+
 type sets = { pass : Bitset.t; dirty : Bitset.t }
 
-type t = {
-  size : int;
-  attrs : int -> Attrs.t;
-  columns : (string, column) Hashtbl.t;
-  atom_cache : (Bounds.atom, sets) Hashtbl.t;
-}
+(* A store's columns with this build's atom cache. *)
+type t = { store : store; atom_cache : (Bounds.atom, sets) Hashtbl.t }
 
-let create ~size ~attrs =
-  { size; attrs; columns = Hashtbl.create 8; atom_cache = Hashtbl.create 16 }
-
-let size t = t.size
-
-let column t name =
-  match Hashtbl.find_opt t.columns name with
-  | Some c -> c
-  | None ->
-      let present = Bitset.create t.size in
-      let num_set = Bitset.create t.size in
-      let num = Array.make t.size 0.0 in
-      let true_set = Bitset.create t.size in
-      let false_set = Bitset.create t.size in
-      let strings = Hashtbl.create 8 in
-      let others = ref [] in
-      for i = 0 to t.size - 1 do
-        match Attrs.find name (t.attrs i) with
-        | None -> ()
-        | Some v -> (
-            Bitset.add present i;
-            match v with
-            | Value.Int n ->
-                Bitset.add num_set i;
-                num.(i) <- float_of_int n
-            | Value.Float f ->
-                Bitset.add num_set i;
-                num.(i) <- f
-            | Value.Bool true -> Bitset.add true_set i
-            | Value.Bool false -> Bitset.add false_set i
-            | Value.String s ->
-                let bucket =
-                  match Hashtbl.find_opt strings s with
-                  | Some b -> b
-                  | None ->
-                      let b = Bitset.create t.size in
-                      Hashtbl.replace strings s b;
-                      b
-                in
-                Bitset.add bucket i
-            | Value.Range _ -> others := (v, i) :: !others)
-      done;
-      let c = { present; num_set; num; true_set; false_set; strings; others = !others } in
-      Hashtbl.replace t.columns name c;
-      c
-
-let empty_set size = Bitset.create size
+let create store = { store; atom_cache = Hashtbl.create 16 }
+let size t = t.store.size
 
 let compute_sets t atom =
   match atom with
   | Bounds.Cmp { cmp; bound; attr; _ } ->
-      let c = column t attr in
+      let c = t.store.column attr in
       let cmp =
         match cmp with
         | Bounds.Lt -> Bitset.Lt
@@ -89,12 +109,13 @@ let compute_sets t atom =
       in
       let pass = Bitset.select ~mask:c.num_set c.num cmp bound in
       (* present but non-numeric: generic evaluation must decide (it
-         will raise, matching the interpreter) *)
+         raises, matching the interpreter, unless another atom drops
+         the pair first) *)
       let dirty = Bitset.diff c.present c.num_set in
       { pass; dirty }
   | Bounds.Eq { value; attr; _ } -> (
-      let c = column t attr in
-      let dirty = empty_set t.size in
+      let c = t.store.column attr in
+      let dirty = Bitset.create (size t) in
       match value with
       | Value.Int _ | Value.Float _ ->
           { pass = Bitset.select ~mask:c.num_set c.num Bitset.Eq (Value.to_float value); dirty }
@@ -104,17 +125,17 @@ let compute_sets t atom =
           let pass =
             match Hashtbl.find_opt c.strings s with
             | Some b -> Bitset.copy b
-            | None -> empty_set t.size
+            | None -> Bitset.create (size t)
           in
           { pass; dirty }
       | Value.Range _ ->
-          let pass = empty_set t.size in
+          let pass = Bitset.create (size t) in
           List.iter
             (fun (v, i) -> if Value.equal v value then Bitset.add pass i)
             c.others;
           { pass; dirty })
   | Bounds.Has_bool { value; attr; _ } ->
-      let c = column t attr in
+      let c = t.store.column attr in
       let pass = Bitset.copy (if value then c.true_set else c.false_set) in
       let dirty = Bitset.copy c.present in
       Bitset.diff_into ~dst:dirty c.true_set;

@@ -15,23 +15,72 @@
       (or a bucket lookup for strings and booleans);
     - [dirty]: carriers whose value the atom cannot classify (a
       non-numeric value under an ordering atom, say) — generic
-      evaluation must run and will surface the interpreter's error.
+      evaluation must run.  It surfaces the interpreter's error only
+      when no other atom rejects the pair first: a pair outside some
+      other atom's [pass ∪ dirty] is dropped without evaluation.
 
     A candidate outside [pass ∪ dirty] is dropped without evaluating
     the constraint; a candidate in every atom's [pass] under a
-    {e complete} extraction is accepted without evaluating it.  Columns
-    and per-atom sets are cached, so a constraint mentioning the same
-    attribute across many residuals builds each column once per build.
-    The filter build runs edge residuals and node-constraint residuals
-    through the same plans. *)
+    {e complete} extraction is accepted without evaluating it.  The
+    filter build runs edge residuals and node-constraint residuals
+    through the same plans.
+
+    Columns and per-atom sets live apart.  A {!store} serves columns
+    per attribute; a {!t} adds one build's atom cache on top.  A store
+    over a graph ({!of_graph}) lives for one build.  The service's
+    model keeps one store per host universe for its substrate: a
+    column persists per substrate and attribute revision, not per
+    build, and the ledger-tracked resources are served per model
+    revision (see [Model.columns] in lib/service). *)
+
+(** {1 Columns} *)
+
+(** One attribute's values across a universe of [size] members: the
+    numeric ones in an unboxed column (meaningful where [num_set]
+    holds), booleans and strings bucketed, range values listed.  Once
+    built, a column is never written: stores hand the same column to
+    concurrent builds. *)
+type column = private {
+  present : Netembed_bitset.Bitset.t;  (** members carrying the attribute *)
+  num_set : Netembed_bitset.Bitset.t;  (** members with an [Int] or [Float] value *)
+  num : float array;
+  true_set : Netembed_bitset.Bitset.t;
+  false_set : Netembed_bitset.Bitset.t;
+  strings : (string, Netembed_bitset.Bitset.t) Hashtbl.t;  (** value -> members *)
+  others : (Netembed_attr.Value.t * int) list;  (** range values with their member *)
+}
+
+val column :
+  ?overlay:Netembed_bitset.Bitset.t * float array ->
+  size:int ->
+  attrs:(int -> Netembed_attr.Attrs.t) ->
+  string ->
+  column
+(** [column ~size ~attrs name] reads attribute [name] of members
+    [0 .. size-1] through [attrs i], the member's attribute table.
+    With [~overlay:(members, values)], every member of [members] holds
+    the number [values.(i)] instead, whatever its table says; [values]
+    (of length [size]) becomes the column's [num] and must not be
+    written afterwards. *)
+
+type store = { size : int; column : string -> column }
+(** A column source over one universe (host edges or host nodes). *)
+
+val store : size:int -> attrs:(int -> Netembed_attr.Attrs.t) -> store
+(** A store that builds each column on first use through {!column} and
+    keeps it for its own lifetime.  Single-threaded. *)
+
+type stores = { edges : store; nodes : store }
+
+val of_graph : Netembed_graph.Graph.t -> stores
+(** {!store}s over a graph's edges and nodes. *)
+
+(** {1 Atom sets} *)
 
 type t
-(** A column store over one universe (host edges or host nodes). *)
+(** A store plus one build's atom cache. *)
 
-val create : size:int -> attrs:(int -> Netembed_attr.Attrs.t) -> t
-(** [create ~size ~attrs] stores columns over members [0 .. size-1]
-    with [attrs i] the attribute table of member [i].  Columns build
-    lazily, on the first atom that touches each attribute. *)
+val create : store -> t
 
 val size : t -> int
 

@@ -21,6 +21,7 @@ type t = {
      the same query and constraint (see [compiled]). *)
   residuals : Ast.t option array;
   evals : Telemetry.Counter.t;
+  columns : Prefilter.stores option;
 }
 
 (* Process-wide count of residual specializations ([residual] cache
@@ -32,7 +33,7 @@ let specializations_counter =
 
 let specializations_total () = Telemetry.Counter.value specializations_counter
 
-let make ?node_constraint ?(degree_filter = true) ?compiled ~host ~query edge_constraint =
+let make ?node_constraint ?(degree_filter = true) ?compiled ?columns ~host ~query edge_constraint =
   if Graph.kind host <> Graph.kind query then
     invalid_arg "Problem.make: host and query must share directedness";
   if Graph.node_count query > Graph.node_count host then
@@ -49,12 +50,13 @@ let make ?node_constraint ?(degree_filter = true) ?compiled ~host ~query edge_co
     edge_constraint;
     node_constraint;
     degree_filter;
-    host_degree = Array.init (Graph.node_count host) (Graph.degree host);
+    host_degree = Graph.degrees host;
     query_degree = Array.init (Graph.node_count query) (Graph.degree query);
-    host_in_degree = Array.init (Graph.node_count host) (Graph.in_degree host);
+    host_in_degree = Graph.in_degrees host;
     query_in_degree = Array.init (Graph.node_count query) (Graph.in_degree query);
     residuals;
     evals = Telemetry.Counter.make ();
+    columns;
   }
 
 let eval_counter t = t.evals

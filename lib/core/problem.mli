@@ -34,7 +34,10 @@ type t = private {
   degree_filter : bool;
       (** prune host candidates with degree < query degree (sound for
           one-to-one edge-preserving embeddings; on by default) *)
-  host_degree : int array;  (** cached [Graph.degree host] per node *)
+  host_degree : int array;
+      (** [Graph.degrees host]: shared with the host's pair index, so a
+          residual snapshot of the service's model reads the arrays
+          built once per substrate *)
   query_degree : int array;
   host_in_degree : int array;
   query_in_degree : int array;
@@ -46,19 +49,29 @@ type t = private {
           filter build of ECF/RWB, the lazy edge checks of LNS and the
           node-constraint tests — increments it, so the engine reports
           one number for all three algorithms *)
+  columns : Prefilter.stores option;
+      (** the host attribute columns the filter build's pre-filter
+          reads; [None] builds them from [host] for each build *)
 }
 
 val make :
   ?node_constraint:Netembed_expr.Ast.t ->
   ?degree_filter:bool ->
   ?compiled:compiled ->
+  ?columns:Prefilter.stores ->
   host:Graph.t ->
   query:Graph.t ->
   Netembed_expr.Ast.t ->
   t
 (** [compiled], when given, must come from a problem over the same query
     graph and constraints (the service's cache keys guarantee this); a
-    bundle of the wrong shape is ignored, not trusted.
+    bundle of the wrong shape is ignored, not trusted.  [columns], when
+    given, must serve exactly the attribute values of [host]: the
+    service passes the model's stores taken with the snapshot
+    ([Model.columns] in lib/service).  Without it each filter build
+    reads a fresh {!Prefilter.of_graph}[ host].  The host degrees come
+    from {!Graph.degrees}, which builds the host's pair index if it is
+    not built.
     @raise Invalid_argument if the graphs' kinds differ or the query has
     more nodes than the host (no injective mapping can exist). *)
 

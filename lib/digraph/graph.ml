@@ -25,7 +25,13 @@ type t = {
    holds the row's neighbours in ascending order and [eid] the edge
    ids, ascending within one neighbour.  Undirected graphs store both
    orientations. *)
-and pair_index = { off : int array; nbr : int array; eid : int array }
+and pair_index = {
+  off : int array;
+  nbr : int array;
+  eid : int array;
+  deg : int array;  (* row lengths: [degree] of every node *)
+  in_deg : int array;  (* [in_degree]; the same array when undirected *)
+}
 
 let create ?(kind = Undirected) ?(name = "") () =
   {
@@ -162,7 +168,10 @@ let build_csr t =
       fill.(src.(i)) <- j + 1
     done
   done;
-  { off; nbr; eid }
+  let row_lengths off = Array.init n (fun u -> off.(u + 1) - off.(u)) in
+  let deg = row_lengths off in
+  let in_deg = match t.kind with Undirected -> deg | Directed -> row_lengths by_dst in
+  { off; nbr; eid; deg; in_deg }
 
 let pair_index t =
   match t.pair_index with
@@ -173,6 +182,8 @@ let pair_index t =
       idx
 
 let build_pair_index t = ignore (pair_index t)
+let degrees t = (pair_index t).deg
+let in_degrees t = (pair_index t).in_deg
 
 (* The first slot of row [u] whose neighbour is not below [v]. *)
 let lower_bound { off; nbr; _ } u v =

@@ -91,6 +91,14 @@ val build_pair_index : t -> unit
     only read immutable arrays, so the graph can be shared across
     domains; {!copy} hands the built index on. *)
 
+val degrees : t -> int array
+(** {!degree} of every node, indexed by node; {!in_degrees} likewise
+    {!in_degree}.  Both are read from the pair index (built on demand,
+    see {!build_pair_index}), so {!copy} shares them and they are
+    never rebuilt per copy.  Owned by the index: read-only. *)
+
+val in_degrees : t -> int array
+
 val mem_edge : t -> node -> node -> bool
 
 val iter_nodes : (node -> unit) -> t -> unit

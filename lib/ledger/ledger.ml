@@ -448,6 +448,16 @@ let credit t charge =
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let iter_residuals t kind resource f =
+  let pools = match kind with `Node -> t.node_pools | `Edge -> t.edge_pools in
+  match List.find_opt (fun p -> p.p_resource = resource) pools with
+  | None -> ()
+  | Some p ->
+      Array.iteri
+        (fun i present ->
+          if present then f i (Float.max 0.0 (p.p_capacity.(i) -. p.p_used.(i))))
+        p.p_present
+
 let residual_graph ?base t =
   let base = Option.value ~default:t.graph base in
   if
@@ -455,21 +465,15 @@ let residual_graph ?base t =
     || Graph.edge_count base <> Graph.edge_count t.graph
   then invalid_arg "Ledger.residual_graph: base graph shape differs";
   let g = Graph.copy base in
-  let stamp pools set_attrs get_attrs =
+  let stamp kind pools set_attrs get_attrs =
     List.iter
       (fun p ->
-        Array.iteri
-          (fun i present ->
-            if present then
-              set_attrs i
-                (Attrs.add p.p_resource
-                   (Value.Float (Float.max 0.0 (p.p_capacity.(i) -. p.p_used.(i))))
-                   (get_attrs i)))
-          p.p_present)
+        iter_residuals t kind p.p_resource (fun i r ->
+            set_attrs i (Attrs.add p.p_resource (Value.Float r) (get_attrs i))))
       pools
   in
-  stamp t.node_pools (Graph.set_node_attrs g) (Graph.node_attrs g);
-  stamp t.edge_pools (Graph.set_edge_attrs g) (Graph.edge_attrs g);
+  stamp `Node t.node_pools (Graph.set_node_attrs g) (Graph.node_attrs g);
+  stamp `Edge t.edge_pools (Graph.set_edge_attrs g) (Graph.edge_attrs g);
   g
 
 let sync_residual t g =

@@ -170,6 +170,13 @@ val credit : t -> charge -> (unit, string) result
 
 (** {1 Snapshots} *)
 
+val iter_residuals : t -> kind -> string -> (int -> float -> unit) -> unit
+(** [iter_residuals t kind resource f] calls [f i r] for every element
+    of the class that declared [resource], in ascending order, with [r]
+    its residual clamped at zero: [Float.max 0.0 (capacity - used)], the
+    value {!residual_graph} stamps.  Nothing for an untracked
+    resource. *)
+
 val residual_graph : ?base:Graph.t -> t -> Graph.t
 (** A copy of [base] (default: the ledger's graph) with every tracked
     capacity attribute replaced by its residual value, on exactly the

@@ -2,14 +2,63 @@ open Netembed_graph
 module Attrs = Netembed_attr.Attrs
 module Value = Netembed_attr.Value
 module Ledger = Netembed_ledger.Ledger
+module Prefilter = Netembed_core.Prefilter
+module Bitset = Netembed_bitset.Bitset
+
+(* One host universe's attribute columns (see [columns]).  A column
+   is never written once published, so builds read it with no lock.
+   - [tracked]: the ledger resources of this element class, with the
+     elements that declared each.  [current] holds their columns at
+     model revision [tracked_rev]; it is replaced, never updated, and
+     only under the model's caller's lock.
+   - [static]: every other attribute's column at attribute revision
+     [static_rev], filled by builds from their own snapshots; [lock]
+     guards the table and [static_rev]. *)
+type universe = {
+  kind : Ledger.kind;
+  size : int;
+  tracked : (string * Bitset.t) list;
+  mutable tracked_rev : int;
+  mutable current : (string * Prefilter.column) list;
+  lock : Mutex.t;
+  mutable static_rev : int;
+  static : (string, Prefilter.column) Hashtbl.t;
+}
 
 type t = {
   graph : Graph.t;
   mutable rev : int;
+  (* Bumped with [rev] by every attribute change (monitor updates,
+     reservation flags), not by ledger commits. *)
+  mutable attr_rev : int;
   ledger : Ledger.t;
   (* The reserved nodes, each with its ledger allocation. *)
   locks : (Graph.node, int) Hashtbl.t;
+  edge_columns : universe;
+  node_columns : universe;
 }
+
+let universe ledger kind size =
+  let tracked =
+    List.map
+      (fun r ->
+        let members = Bitset.create size in
+        Ledger.iter_residuals ledger kind r (fun i _ -> Bitset.add members i);
+        (r, members))
+      (match kind with
+      | `Node -> Ledger.node_resources ledger
+      | `Edge -> Ledger.edge_resources ledger)
+  in
+  {
+    kind;
+    size;
+    tracked;
+    tracked_rev = -1;
+    current = [];
+    lock = Mutex.create ();
+    static_rev = -1;
+    static = Hashtbl.create 8;
+  }
 
 let create g =
   let graph = Graph.copy g in
@@ -25,7 +74,16 @@ let create g =
      [Graph.copy]) shares this one pair index instead of building its
      own. *)
   Graph.build_pair_index graph;
-  { graph; rev = 0; ledger = Ledger.of_graph graph; locks = Hashtbl.create 16 }
+  let ledger = Ledger.of_graph graph in
+  {
+    graph;
+    rev = 0;
+    attr_rev = 0;
+    ledger;
+    locks = Hashtbl.create 16;
+    edge_columns = universe ledger `Edge (Graph.edge_count graph);
+    node_columns = universe ledger `Node (Graph.node_count graph);
+  }
 let of_graphml_file path = create (Netembed_graphml.Graphml.read_file path)
 let snapshot t = t.graph
 let revision t = t.rev
@@ -33,13 +91,71 @@ let ledger t = t.ledger
 
 let residual_snapshot t = Ledger.residual_graph ~base:t.graph t.ledger
 
+(* The store of one universe for a snapshot taken at the current
+   revision.  A tracked resource's column is its residual on the
+   declaring elements and the base table elsewhere, exactly what the
+   snapshot carries; it is rebuilt here, under the caller's lock,
+   once per model revision.  Any other attribute reads the same in
+   the snapshot as in the base graph, so a build fills it from its
+   own snapshot and publishes it for the rest of the attribute
+   revision; a build holding an older snapshot keeps its column to
+   itself. *)
+let store t u ~base ~snapshot =
+  if u.tracked_rev <> t.rev then begin
+    u.current <-
+      List.map
+        (fun (r, members) ->
+          let values = Array.make u.size 0.0 in
+          Ledger.iter_residuals t.ledger u.kind r (fun i x -> values.(i) <- x);
+          (r, Prefilter.column ~overlay:(members, values) ~size:u.size ~attrs:base r))
+        u.tracked;
+    u.tracked_rev <- t.rev
+  end;
+  let attr_rev = t.attr_rev in
+  Mutex.protect u.lock (fun () ->
+      if u.static_rev <> attr_rev then begin
+        Hashtbl.reset u.static;
+        u.static_rev <- attr_rev
+      end);
+  let tracked = u.current in
+  let column name =
+    match List.assoc_opt name tracked with
+    | Some c -> c
+    | None -> (
+        let published () =
+          if u.static_rev = attr_rev then Hashtbl.find_opt u.static name else None
+        in
+        match Mutex.protect u.lock published with
+        | Some c -> c
+        | None ->
+            let c = Prefilter.column ~size:u.size ~attrs:snapshot name in
+            Mutex.protect u.lock (fun () ->
+                if u.static_rev = attr_rev then Hashtbl.replace u.static name c);
+            c)
+  in
+  { Prefilter.size = u.size; column }
+
+let columns t snapshot =
+  {
+    Prefilter.edges =
+      store t t.edge_columns ~base:(Graph.edge_attrs t.graph)
+        ~snapshot:(Graph.edge_attrs snapshot);
+    nodes =
+      store t t.node_columns ~base:(Graph.node_attrs t.graph)
+        ~snapshot:(Graph.node_attrs snapshot);
+  }
+
+let attributes_changed t =
+  t.rev <- t.rev + 1;
+  t.attr_rev <- t.attr_rev + 1
+
 let update_edge_attrs t e fresh =
   Graph.set_edge_attrs t.graph e (Attrs.union (Graph.edge_attrs t.graph e) fresh);
-  t.rev <- t.rev + 1
+  attributes_changed t
 
 let update_node_attrs t v fresh =
   Graph.set_node_attrs t.graph v (Attrs.union (Graph.node_attrs t.graph v) fresh);
-  t.rev <- t.rev + 1
+  attributes_changed t
 
 exception Conflict of Graph.node
 
@@ -67,7 +183,7 @@ let reserve t nodes =
       Hashtbl.replace t.locks v (Ledger.lock t.ledger v);
       set_reserved_attr t v true)
     nodes;
-  if nodes <> [] then t.rev <- t.rev + 1
+  if nodes <> [] then attributes_changed t
 
 let release t nodes =
   List.iter
@@ -79,7 +195,7 @@ let release t nodes =
           set_reserved_attr t v false
       | None -> ())
     nodes;
-  if nodes <> [] then t.rev <- t.rev + 1
+  if nodes <> [] then attributes_changed t
 
 let reserved t = List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) t.locks [])
 let is_reserved t v = Hashtbl.mem t.locks v

@@ -22,7 +22,8 @@ val create : Graph.t -> t
     ({!Netembed_ledger.Ledger.of_graph}): hosts declaring no capacities
     get an empty ledger and behave exactly as before.  The copy's host
     pair index ({!Graph.edges_between}) is built here, once per
-    substrate; every {!residual_snapshot} shares it. *)
+    substrate; every {!residual_snapshot} shares it, and with it the
+    host degree arrays ({!Graph.degrees}). *)
 
 val of_graphml_file : string -> t
 (** @raise Netembed_graphml.Graphml.Error on malformed input. *)
@@ -40,6 +41,28 @@ val residual_snapshot : t -> Graph.t
 
 val revision : t -> int
 (** Bumped on every update, reservation or ledger change. *)
+
+val columns : t -> Graph.t -> Netembed_core.Prefilter.stores
+(** [columns t snapshot] serves the host attribute columns of
+    [snapshot], which must be what {!residual_snapshot}[ t] returned
+    with no model change in between (the service takes both in one
+    critical section).  Pass them to [Problem.make ~columns].
+
+    The model keeps one column store per host universe (edges, nodes)
+    for its substrate; every snapshot and request shares it, as they
+    share the pair index.
+    - A ledger-tracked resource (["cpuMhz"], ["memMB"], ["bandwidth"]
+      by default) reads [Float.max 0.0 (capacity - used)] on the
+      elements that declared it, as {!residual_snapshot} stamps it.
+      Its column is rebuilt here, once per {!revision}.
+    - Any other attribute's column is built by the first build that
+      needs it, from its snapshot, and kept until an attribute changes:
+      {!update_edge_attrs}, {!update_node_attrs}, {!reserve} or
+      {!release}.  A ledger commit keeps it.
+
+    A published column is never written, so concurrent filter builds
+    read the stores outside the caller's lock.  Every column equals
+    what a fresh [Prefilter.of_graph snapshot] would build. *)
 
 val ledger : t -> Netembed_ledger.Ledger.t
 (** The model's resource ledger (capacities read at {!create} time). *)

@@ -643,10 +643,13 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
           already eaten into what constraints like
           rSource.cpuMhz >= vSource.cpuMhz can see.  Snapshot and
           revision are read under one critical section so a concurrent
-          allocation cannot slip between them. *)
-       let host, revision =
+          allocation cannot slip between them; so are the host
+          attribute columns the filter build reads. *)
+       let host, columns, revision =
          stage Phase.Snapshot (fun () ->
-             with_model t (fun () -> (Model.residual_snapshot t.model, Model.revision t.model)))
+             with_model t (fun () ->
+                 let host = Model.residual_snapshot t.model in
+                 (host, Model.columns t.model host, Model.revision t.model)))
        in
        let key, hit = stage Phase.Cache_lookup (fun () -> cache_probe t request ~revision) in
        let problem =
@@ -656,7 +659,8 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
                  (match node_constraint with
                  | None -> reservation_guard
                  | Some c -> Ast.Binop (Ast.And, reservation_guard, c))
-               ?compiled:(Option.map snd hit) ~host ~query:request.Request.query edge_constraint)
+               ?compiled:(Option.map snd hit) ~columns ~host ~query:request.Request.query
+               edge_constraint)
        in
        (* Every service request runs with blame + flight recorder on:
           certificates must exist for EXPLAIN without a re-run. *)

@@ -83,7 +83,77 @@ let test_value_parse () =
         | exception Value.Type_error _ -> None
       in
       check Alcotest.(option int) payload expected got)
+    table;
+  (* A float payload is decimal, or nan/inf as %.17g writes them. *)
+  let table =
+    [ "2.5",        Some 2.5;
+      " 1e-3 ",     Some 1e-3;
+      "-2.5E+10",   Some (-2.5e10);
+      ".5",         Some 0.5;
+      "1.",         Some 1.0;
+      "42",         Some 42.0;
+      "+7e2",       Some 700.0;
+      "-0",         Some (-0.0);
+      "nan",        Some Float.nan;
+      "-nan",       Some Float.nan;
+      "inf",        Some Float.infinity;
+      "-inf",       Some Float.neg_infinity;
+      "1_000.5",    None;
+      "0x1p3",      None;
+      "_1",         None;
+      ".",          None;
+      "e5",         None;
+      "1e",         None;
+      "1e+",        None;
+      "1.5.2",      None;
+      "NaN",        None;
+      "infinity",   None;
+      "",           None;
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (payload, expected) ->
+      let got =
+        match Value.of_string_as `Float payload with
+        | Value.Float f -> Some f
+        | _ -> Alcotest.failf "%S: not a Float" payload
+        | exception Value.Type_error _ -> None
+      in
+      (* bit for bit, so -0 and nan are told apart from 0 and each other *)
+      check
+        Alcotest.(option (testable (fun ppf f -> Format.fprintf ppf "%h" f) (fun a b ->
+            Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+            || (Float.is_nan a && Float.is_nan b))))
+        payload expected got)
     table
+
+(* Every float the GraphML writer emits reads back as the same bits
+   (any NaN as a NaN). *)
+let test_graphml_float_round_trip () =
+  let module Graph = Netembed_graph.Graph in
+  let module Graphml = Netembed_graphml.Graphml in
+  let values = [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 5e-324; Float.max_float ] in
+  let g = Graph.create () in
+  List.iter
+    (fun f -> ignore (Graph.add_node g (Attrs.of_list [ ("x", Value.Float f) ])))
+    values;
+  let path = Filename.temp_file "float_round_trip" ".graphml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Graphml.write_file g path;
+      let g' = Graphml.read_file path in
+      List.iteri
+        (fun v f ->
+          match Attrs.find "x" (Graph.node_attrs g' v) with
+          | Some (Value.Float f') ->
+              if
+                not
+                  (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f')
+                  || (Float.is_nan f && Float.is_nan f'))
+              then Alcotest.failf "%h read back as %h" f f'
+          | _ -> Alcotest.failf "%h: no float read back" f)
+        values)
 
 let test_value_pp () =
   check Alcotest.string "int" "7" (Value.to_string (Value.Int 7));
@@ -176,6 +246,7 @@ let () =
           Alcotest.test_case "coercions" `Quick test_value_coercions;
           Alcotest.test_case "range" `Quick test_value_range;
           Alcotest.test_case "parse" `Quick test_value_parse;
+          Alcotest.test_case "graphml float round trip" `Quick test_graphml_float_round_trip;
           Alcotest.test_case "pp" `Quick test_value_pp;
         ] );
       ( "attrs",

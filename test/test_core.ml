@@ -132,10 +132,11 @@ let prefilter_universe =
 let test_prefilter_sets () =
   let module Bounds = Netembed_expr.Bounds in
   let store =
-    Prefilter.create ~size:(Array.length prefilter_universe) ~attrs:(fun i ->
-        match prefilter_universe.(i) with
-        | None -> Attrs.of_list [ ("y", Value.Int 0) ]
-        | Some v -> Attrs.of_list [ ("x", v) ])
+    Prefilter.create
+      (Prefilter.store ~size:(Array.length prefilter_universe) ~attrs:(fun i ->
+           match prefilter_universe.(i) with
+           | None -> Attrs.of_list [ ("y", Value.Int 0) ]
+           | Some v -> Attrs.of_list [ ("x", v) ]))
   in
   let cmp cmp bound = Bounds.Cmp { subject = Ast.R_source; attr = "x"; cmp; bound } in
   let eq value = Bounds.Eq { subject = Ast.R_source; attr = "x"; value } in

@@ -55,31 +55,56 @@ let test_model_revision () =
   Model.reserve m [ 1; 2 ];
   check Alcotest.bool "bumped again" true (Model.revision m > r0 + 1)
 
+(* Words allocated so far: [Gc.minor_words] is exact, where the minor
+   count of [Gc.counters] only moves at a minor collection on OCaml 5;
+   [major -. promoted] adds the blocks allocated directly in the major
+   heap, where large arrays go. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let planetlab_model sites =
+  let module Trace = Netembed_planetlab.Trace in
+  Model.create (Trace.generate (Rng.make 7) { Trace.default with Trace.sites })
+
 (* Counted, not timed: a residual snapshot shares the pair index built
    once by [Model.create], so preparing a 1-edge query against it only
    specializes the query's two orientation residuals.  An index rebuilt
    per snapshot would allocate a table over every link (about 7k half
    edges here).  The count includes allocations made directly in the
-   major heap, where large arrays go. *)
+   major heap, where large arrays go.  The host degree arrays sit
+   beside the index, so [Problem.make] on a fresh snapshot allocates
+   for the query alone: the same words on a 100-site and a 296-site
+   model. *)
 let test_snapshot_shares_pair_index () =
-  let module Trace = Netembed_planetlab.Trace in
-  let host = Trace.generate (Rng.make 7) { Trace.default with Trace.sites = 100 } in
-  check Alcotest.bool "at least 1k links" true (Graph.edge_count host >= 1000);
-  let model = Model.create host in
+  let model = planetlab_model 100 in
+  check Alcotest.bool "at least 1k links" true
+    (Graph.edge_count (Model.snapshot model) >= 1000);
   let problem =
     Netembed_core.Problem.make ~host:(Model.residual_snapshot model)
       ~query:(path_query 10.0 50.0)
       (Netembed_expr.Expr.parse_exn standard_constraint)
   in
-  let allocated () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let before = allocated () in
+  let before = allocated_words () in
   Netembed_core.Problem.prepare problem;
-  let words = allocated () -. before in
+  let words = allocated_words () -. before in
   if words >= 1000.0 then
-    Alcotest.failf "Problem.prepare allocated %.0f words on a residual snapshot" words
+    Alcotest.failf "Problem.prepare allocated %.0f words on a residual snapshot" words;
+  let make_words model =
+    let host = Model.residual_snapshot model in
+    let query = path_query 10.0 50.0 in
+    let c = Netembed_expr.Expr.parse_exn standard_constraint in
+    let before = allocated_words () in
+    let p = Netembed_core.Problem.make ~host ~query c in
+    let words = allocated_words () -. before in
+    ignore (Sys.opaque_identity p);
+    words
+  in
+  let small = make_words model and large = make_words (planetlab_model 296) in
+  check (Alcotest.float 0.0) "Problem.make words at 100 and 296 sites" small large;
+  (* 2 query nodes + 1 query edge, at most 32 words each *)
+  if small > 32.0 *. 3.0 then
+    Alcotest.failf "Problem.make allocated %.0f words for a 2-node query" small
 
 let test_model_reserve () =
   let m = Model.create (host ()) in
@@ -1625,6 +1650,326 @@ let prop_wire_decode_never_raises =
     (QCheck.make ~print:(Printf.sprintf "%S") gen)
     decodes_or_errs
 
+(* ------------------------------------------------------------------ *)
+(* Host columns                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Filter = Netembed_core.Filter
+module Prefilter = Netembed_core.Prefilter
+module Bitset = Netembed_bitset.Bitset
+module Explain = Netembed_explain.Explain
+
+let reservation_guard = Netembed_expr.Expr.parse_exn "!rSource.reserved"
+
+(* Counted: the model's static columns outlive a build.  The first cold
+   build of a 100-site model fills the avgDelay column, a float array
+   over every link; a second cold build of another query at the same
+   attribute revision, after a ledger commit, reuses it and allocates
+   less than that one array in all its column lookups. *)
+let test_columns_outlive_builds () =
+  let model = planetlab_model 100 in
+  let links = float_of_int (Graph.edge_count (Model.snapshot model)) in
+  let c = Netembed_expr.Expr.parse_exn standard_constraint in
+  let column_words query =
+    let host = Model.residual_snapshot model in
+    let stores = Model.columns model host in
+    let spent = ref 0.0 in
+    let counted (s : Prefilter.store) =
+      let column name =
+        let before = allocated_words () in
+        let col = s.Prefilter.column name in
+        spent := !spent +. (allocated_words () -. before);
+        col
+      in
+      { s with Prefilter.column }
+    in
+    let columns = { Prefilter.edges = counted stores.edges; nodes = counted stores.nodes } in
+    let p = Problem.make ~node_constraint:reservation_guard ~columns ~host ~query c in
+    ignore (Filter.build p);
+    !spent
+  in
+  let first = column_words (path_query 10.0 50.0) in
+  if first < links then
+    Alcotest.failf "the first build allocated %.0f column words over %.0f links" first links;
+  let demand = Graph.create () in
+  let cpu = Attrs.of_list [ ("cpuMhz", Value.Float 10.0) ] in
+  let a = Graph.add_node demand cpu and b = Graph.add_node demand cpu in
+  ignore (Graph.add_edge demand a b Attrs.empty);
+  let r0 = Model.revision model in
+  (match Model.charge_mapping model ~query:demand (Mapping.of_array [| 0; 1 |]) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  check Alcotest.bool "the commit is a new revision" true (Model.revision model > r0);
+  let second = column_words (path_query 20.0 80.0) in
+  if second >= links then
+    Alcotest.failf "a second cold build allocated %.0f column words (%.0f links)" second links
+
+(* A build still holding a snapshot from before an attribute change
+   keeps the column it fills to itself: the store of a later snapshot
+   must not serve it. *)
+let test_old_snapshot_column_private () =
+  let model = Model.create (host ()) in
+  let old = Model.columns model (Model.residual_snapshot model) in
+  Model.update_edge_attrs model 0 (delay 99.0);
+  let current = Model.columns model (Model.residual_snapshot model) in
+  let avg (s : Prefilter.stores) = (s.edges.column "avgDelay").Prefilter.num.(0) in
+  check (Alcotest.float 0.0) "the old snapshot's value" 10.0 (avg old);
+  check (Alcotest.float 0.0) "the current snapshot's value" 99.0 (avg current)
+
+(* What a request answers: its sorted mappings, or its error. *)
+let service_outcome svc request =
+  match Service.submit svc request with
+  | Ok a -> Ok (List.sort compare (List.map Mapping.to_list a.Service.result.Engine.mappings))
+  | Error m -> Error m
+
+(* The same request built with a fresh column store over the model's
+   current residual snapshot, as the service would run it. *)
+let fresh_outcome model (request : Request.t) =
+  match Request.parse_constraints request with
+  | Error m -> Error m
+  | Ok (edge_c, node_c) -> (
+      let node_constraint =
+        match node_c with
+        | None -> reservation_guard
+        | Some c -> Netembed_expr.Ast.Binop (Netembed_expr.Ast.And, reservation_guard, c)
+      in
+      let p =
+        Problem.make ~node_constraint ~host:(Model.residual_snapshot model)
+          ~query:request.Request.query edge_c
+      in
+      let options =
+        { Engine.default_options with Engine.mode = request.Request.mode; explain = true }
+      in
+      match Engine.run ~options request.Request.algorithm p with
+      | r -> Ok (List.sort compare (List.map Mapping.to_list r.Engine.mappings))
+      | exception Netembed_expr.Eval.Eval_error m -> Error ("constraint: " ^ m))
+
+(* Each row changes the model between submits on one service; every
+   answer after a change must differ from the one before and equal a
+   fresh-store build's.  A column cache that missed the change would
+   answer as before.  Host edges: 0-1 (10), 1-2 (20), 2-3 (10),
+   3-4 (20), 4-0 (30). *)
+let test_columns_follow_changes () =
+  let all ?node_constraint lo hi =
+    Request.make ?node_constraint ~mode:Engine.All ~query:(path_query lo hi)
+      standard_constraint
+  in
+  let table =
+    [ "avgDelay moves into the band", all 25.0 35.0,
+        (fun _ -> [ (fun m -> Model.update_edge_attrs m 0 (delay 30.0)) ])
+    ; "avgDelay moves out of the band", all 5.0 15.0,
+        (fun _ -> [ (fun m -> Model.update_edge_attrs m 0 (delay 99.0)) ])
+    ; "the monitor marks nodes down", all ~node_constraint:"rSource.up" 5.0 15.0,
+        (fun m ->
+          let params =
+            { Monitor.default with Monitor.sample_fraction = 0.0; flap_probability = 1.0 }
+          in
+          let mon = Monitor.create ~params (Rng.make 3) m in
+          [ (fun _ -> Monitor.tick mon) ])
+    ; "reserve, then release, the only mapping's host", all 25.0 35.0,
+        (fun _ -> [ (fun m -> Model.reserve m [ 0 ]); (fun m -> Model.release m [ 0 ]) ])
+    ; "avgDelay becomes a string", all 5.0 15.0,
+        (fun _ ->
+          [ (fun m ->
+              Model.update_edge_attrs m 1
+                (Attrs.of_list [ ("avgDelay", Value.String "n/a") ])) ])
+    ] [@ocamlformat "disable"]
+  in
+  let outcome =
+    Alcotest.(result (list (list (pair int int))) string)
+  in
+  List.iter
+    (fun (name, request, steps) ->
+      let model = Model.create (host ()) in
+      let svc = Service.create model in
+      let steps = steps model in
+      let before = ref (service_outcome svc request) in
+      check outcome (name ^ ": first answer") (fresh_outcome model request) !before;
+      List.iteri
+        (fun i step ->
+          step model;
+          let label what = Printf.sprintf "%s, step %d: %s" name (i + 1) what in
+          let after = service_outcome svc request in
+          check outcome (label "fresh-store answer") (fresh_outcome model request) after;
+          check Alcotest.bool (label "the answer changed") false (after = !before);
+          before := after)
+        steps)
+    table
+
+(* Fixed-seed churn traces over a small host with capacities.  After
+   every step each column the model serves must equal a fresh store's
+   over the residual snapshot, and a filter build over the model's
+   stores must equal a fresh-store build cell for cell, blame
+   included (or raise the same error). *)
+let churn_host rng =
+  let g = Graph.create () in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let n = 7 in
+  for v = 0 to n - 1 do
+    let cpu =
+      pick
+        [ Some (Value.Float 1000.0); Some (Value.Int 800); Some (Value.Float (-5.0)); None ]
+    in
+    let os = pick [ Value.String "linux"; Value.String "bsd"; Value.Bool true ] in
+    let attrs =
+      [ ("memMB", Value.Float (float_of_int (256 * (1 + Rng.int rng 4)))); ("osType", os) ]
+      @ match cpu with Some c -> [ ("cpuMhz", c) ] | None -> []
+    in
+    ignore (v, Graph.add_node g (Attrs.of_list attrs))
+  done;
+  for v = 0 to n - 1 do
+    List.iter
+      (fun w ->
+        if w > v && (w = v + 1 || Rng.int rng 3 = 0) then
+          let bw =
+            pick
+              [ Some (Value.Float 100.0); Some (Value.Int 60); Some (Value.Float (-1.0)); None ]
+          in
+          let attrs =
+            ("avgDelay", Value.Float (float_of_int (5 + Rng.int rng 30)))
+            :: (match bw with Some b -> [ ("bandwidth", b) ] | None -> [])
+          in
+          ignore (Graph.add_edge g v w (Attrs.of_list attrs)))
+      (List.init n Fun.id)
+  done;
+  g
+
+let churn_query rng =
+  let g = Graph.create () in
+  let node () =
+    Graph.add_node g (Attrs.of_list [ ("cpuMhz", Value.Float (float_of_int (50 * Rng.int rng 8))) ])
+  in
+  let a = node () and b = node () in
+  let lo = float_of_int (Rng.int rng 20) in
+  ignore
+    (Graph.add_edge g a b
+       (Attrs.of_list
+          [ ("minDelay", Value.Float lo); ("maxDelay", Value.Float (lo +. 15.0));
+            ("bandwidth", Value.Float (float_of_int (10 * Rng.int rng 5))) ]));
+  g
+
+let churn_constraint =
+  Netembed_expr.Expr.parse_exn
+    "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay \
+     && rEdge.bandwidth >= vEdge.bandwidth"
+
+let churn_node_constraint =
+  Netembed_expr.Expr.parse_exn "!rSource.reserved && rSource.cpuMhz >= vSource.cpuMhz"
+
+let same_column (a : Prefilter.column) (b : Prefilter.column) =
+  let nums c =
+    List.map (fun i -> (i, Int64.bits_of_float c.Prefilter.num.(i))) (Bitset.elements c.num_set)
+  in
+  let strings c =
+    List.sort compare
+      (Hashtbl.fold (fun s set acc -> (s, Bitset.elements set) :: acc) c.Prefilter.strings [])
+  in
+  Bitset.equal a.present b.present && Bitset.equal a.num_set b.num_set
+  && nums a = nums b
+  && Bitset.equal a.true_set b.true_set
+  && Bitset.equal a.false_set b.false_set
+  && strings a = strings b
+  && List.sort compare a.others = List.sort compare b.others
+
+let churn_step rng model live =
+  let g = Model.snapshot model in
+  let edge () = Rng.int rng (Graph.edge_count g) in
+  let mapping () =
+    let u, v = Graph.endpoints g (edge ()) in
+    Mapping.of_array (if Rng.int rng 2 = 0 then [| u; v |] else [| v; u |])
+  in
+  let value () =
+    match Rng.int rng 8 with
+    | 0 | 1 | 2 -> Value.Float (float_of_int (Rng.int rng 40))
+    | 3 | 4 -> Value.Int (Rng.int rng 40)
+    | 5 -> Value.Float (-3.0)
+    | 6 -> Value.String "n/a"
+    | _ -> Value.Bool false
+  in
+  let pick_live () = List.nth !live (Rng.int rng (List.length !live)) in
+  match Rng.int rng 7 with
+  | 0 | 1 -> (
+      match Model.charge_mapping model ~query:(churn_query rng) (mapping ()) with
+      | Ok id -> live := id :: !live
+      | Error _ -> ())
+  | 2 when !live <> [] ->
+      let id = pick_live () in
+      ignore (Model.release_charge model id);
+      live := List.filter (( <> ) id) !live
+  | 3 when !live <> [] -> (
+      let id = pick_live () in
+      match Model.migrate_charge model id ~query:(churn_query rng) (mapping ()) with
+      | Ok id' -> live := id' :: List.filter (( <> ) id) !live
+      | Error _ -> ())
+  | 4 ->
+      let v = Rng.int rng (Graph.node_count g) in
+      if Model.is_reserved model v then Model.release model [ v ] else Model.reserve model [ v ]
+  | 5 ->
+      let name = if Rng.int rng 2 = 0 then "avgDelay" else "bandwidth" in
+      Model.update_edge_attrs model (edge ()) (Attrs.of_list [ (name, value ()) ])
+  | _ ->
+      let name = List.nth [ "cpuMhz"; "memMB"; "osType" ] (Rng.int rng 3) in
+      Model.update_node_attrs model (Rng.int rng (Graph.node_count g))
+        (Attrs.of_list [ (name, value ()) ])
+
+let columns_prop seed =
+  let rng = Rng.make seed in
+  let model = Model.create (churn_host rng) in
+  let live = ref [] in
+  for step = 1 to 25 do
+    churn_step rng model live;
+    let host = Model.residual_snapshot model in
+    let columns = Model.columns model host in
+    let query = churn_query rng in
+    let build columns =
+      let p =
+        Problem.make ~node_constraint:churn_node_constraint ?columns ~host ~query
+          churn_constraint
+      in
+      let blame = Explain.Blame.create () in
+      match Filter.build ~blame p with
+      | f -> Ok (f, blame)
+      | exception Netembed_expr.Eval.Eval_error m -> Error m
+    in
+    let fail what = QCheck.Test.fail_reportf "seed %d, step %d: %s" seed step what in
+    (match (build (Some columns), build None) with
+    | Error m, Error m' -> if m <> m' then fail (Printf.sprintf "errors %S vs %S" m m')
+    | Ok _, Error m | Error m, Ok _ -> fail ("only one build raised " ^ m)
+    | Ok (f, blame), Ok (f', blame') ->
+        let nq = Graph.node_count query and nr = Graph.node_count host in
+        for a = 0 to nq - 1 do
+          if not (Bitset.equal (Filter.node_candidates_bits f a) (Filter.node_candidates_bits f' a))
+          then fail (Printf.sprintf "node candidates of q%d" a);
+          let tallies b = List.sort compare (Explain.Blame.by_node b a) in
+          if tallies blame <> tallies blame' then fail (Printf.sprintf "blame of q%d" a);
+          for b = 0 to nq - 1 do
+            for r = 0 to nr - 1 do
+              let cell f =
+                Option.map Bitset.elements (Filter.cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b)
+              in
+              if cell f <> cell f' then fail (Printf.sprintf "cell (q%d, r%d, q%d)" a r b)
+            done
+          done
+        done);
+    let fresh = Prefilter.of_graph host in
+    List.iter
+      (fun (universe, served, fresh, names) ->
+        List.iter
+          (fun name ->
+            if not (same_column (served.Prefilter.column name) (fresh.Prefilter.column name))
+            then fail (Printf.sprintf "%s column %s" universe name))
+          names)
+      [ ("edge", columns.Prefilter.edges, fresh.Prefilter.edges,
+         [ "avgDelay"; "bandwidth"; "minDelay" ]);
+        ("node", columns.nodes, fresh.nodes, [ "cpuMhz"; "memMB"; "osType"; "reserved" ]) ]
+  done;
+  true
+
+let columns_churn_test =
+  QCheck.Test.make ~count:40 ~name:"model columns = fresh columns over churn traces"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
+    columns_prop
+
 let () =
   Alcotest.run "service"
     [
@@ -1637,6 +1982,14 @@ let () =
           Alcotest.test_case "reserved attribute" `Quick test_model_reserved_attr;
           Alcotest.test_case "snapshots share the pair index" `Quick
             test_snapshot_shares_pair_index;
+        ] );
+      ( "host columns",
+        [
+          Alcotest.test_case "columns outlive builds" `Quick test_columns_outlive_builds;
+          Alcotest.test_case "answers follow model changes" `Quick test_columns_follow_changes;
+          Alcotest.test_case "an old snapshot's column stays private" `Quick
+            test_old_snapshot_column_private;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |]) columns_churn_test;
         ] );
       ( "service",
         [
