@@ -1805,7 +1805,7 @@ let churn_host rng =
   let g = Graph.create () in
   let pick l = List.nth l (Rng.int rng (List.length l)) in
   let n = 7 in
-  for v = 0 to n - 1 do
+  for _ = 0 to n - 1 do
     let cpu =
       pick
         [ Some (Value.Float 1000.0); Some (Value.Int 800); Some (Value.Float (-5.0)); None ]
@@ -1815,7 +1815,7 @@ let churn_host rng =
       [ ("memMB", Value.Float (float_of_int (256 * (1 + Rng.int rng 4)))); ("osType", os) ]
       @ match cpu with Some c -> [ ("cpuMhz", c) ] | None -> []
     in
-    ignore (v, Graph.add_node g (Attrs.of_list attrs))
+    ignore (Graph.add_node g (Attrs.of_list attrs))
   done;
   for v = 0 to n - 1 do
     List.iter
