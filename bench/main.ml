@@ -244,6 +244,7 @@ type gc_row = {
   row_promoted_words : float;
   row_visited : int;
   row_found : int;
+  row_repeat : int;
 }
 
 let gc_rows : gc_row list ref = ref []
@@ -251,10 +252,15 @@ let gc_rows : gc_row list ref = ref []
 let words_per_visit r =
   if r.row_visited > 0 then r.row_minor_words /. float_of_int r.row_visited else 0.0
 
-(* [f ()] must return (visited search nodes, solutions found). *)
+(* [f ()] must return (visited search nodes, solutions found).  Minor
+   words come from [Gc.minor_words], which counts every allocation; the
+   minor count of [Gc.quick_stat] moves only at a minor collection on
+   OCaml 5, so rows read through it were quantized to whole minor
+   heaps. *)
 let measure_gc ~name ?(repeat = 1) f =
   Gc.full_major ();
   let s0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let visited = ref 0 and found = ref 0 in
   for _ = 1 to repeat do
@@ -263,16 +269,18 @@ let measure_gc ~name ?(repeat = 1) f =
     found := !found + c
   done;
   let ms = (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int repeat in
+  let m1 = Gc.minor_words () in
   let s1 = Gc.quick_stat () in
   let row =
     {
       row_name = name;
       row_ms = ms;
-      row_minor_words = (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int repeat;
+      row_minor_words = (m1 -. m0) /. float_of_int repeat;
       row_promoted_words =
         (s1.Gc.promoted_words -. s0.Gc.promoted_words) /. float_of_int repeat;
       row_visited = !visited / repeat;
       row_found = !found / repeat;
+      row_repeat = repeat;
     }
   in
   gc_rows := row :: !gc_rows;
@@ -303,6 +311,20 @@ let bench_json_file = "BENCH_RESULTS.json"
 (* Rewrites only the keys this harness owns; the sections other tools
    write into the same file (service_load, online_churn, the
    hand-recorded runtime_ablation) are kept as data. *)
+(* What a section of rows was measured under: the commit, core count
+   and OCaml version. *)
+let provenance () =
+  let commit =
+    match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    | ic ->
+        let c = try input_line ic with End_of_file -> "unknown" in
+        ignore (Unix.close_process_in ic);
+        c
+  in
+  [ ("commit", Json.String commit);
+    ("nproc", Json.Int (Domain.recommended_domain_count ()));
+    ("ocaml", Json.String Sys.ocaml_version) ]
+
 let write_gc_json () =
   let ms x = Json.Float (Json.round 3 x) in
   let words x = Json.Int (Float.to_int (Float.round x)) in
@@ -311,7 +333,8 @@ let write_gc_json () =
                 ("minor_words", words r.row_minor_words);
                 ("promoted_words", words r.row_promoted_words);
                 ("visited", Int r.row_visited); ("found", Int r.row_found);
-                ("minor_words_per_visit", Float (round 2 (words_per_visit r))) ])
+                ("minor_words_per_visit", Float (round 2 (words_per_visit r)));
+                ("repeats", Int r.row_repeat) ])
   in
   let note =
     "wall_ms is measured on this machine (domains time-slice when cores are scarce); \
@@ -321,6 +344,12 @@ let write_gc_json () =
   match
     Json.update_file bench_json_file
       [ ("benches", Json.List (List.rev_map gc_row !gc_rows));
+        ( "benches_provenance",
+          Json.Obj
+            (("note",
+              Json.String
+                "each benches row: ms and words are means over its repeats runs")
+            :: provenance ()) );
         ("scheduler_ablation_note", Json.String note);
         ("scheduler_ablation", Json.List (List.rev !sched_rows)) ]
   with
@@ -488,21 +517,10 @@ let layer_row name unit s =
               ("median", r s.(n / 2)); ("max", r s.(n - 1)) ])
 
 let write_layer_section key ~note rows =
-  let commit =
-    match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-    | ic ->
-        let c = try input_line ic with End_of_file -> "unknown" in
-        ignore (Unix.close_process_in ic);
-        c
-  in
   let section =
     Json.Obj
-      [ ("note", Json.String note);
-        ("commit", Json.String commit);
-        ("nproc", Json.Int (Domain.recommended_domain_count ()));
-        ("ocaml", Json.String Sys.ocaml_version);
-        ("repeats", Json.Int layer_repeat);
-        ("rows", Json.List rows) ]
+      ((("note", Json.String note) :: provenance ())
+      @ [ ("repeats", Json.Int layer_repeat); ("rows", Json.List rows) ])
   in
   (match Json.update_file bench_json_file [ (key, section) ] with
   | Ok () -> Printf.printf "# %s rows written to %s\n" key bench_json_file

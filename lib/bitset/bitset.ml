@@ -51,6 +51,8 @@ let mem t i =
     let w = i / bits_per_word and b = i mod bits_per_word in
     t.words.(w) land (1 lsl b) <> 0
 
+let word t w = t.words.(w)
+
 (* Branch-free SWAR popcount: constant ~12 ops per word, where the
    classic clear-lowest-bit loop costs one iteration per set bit — the
    difference matters because [diff_into_card] popcounts every word of

@@ -18,6 +18,18 @@ val copy : t -> t
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool
+val bits_per_word : int
+(** Members per word of {!word}: 62. *)
+
+val word : t -> int -> int
+(** [word t w] holds members [w * bits_per_word] to
+    [(w + 1) * bits_per_word - 1] of [t] as a bit mask: bit [j] is set
+    when member [w * bits_per_word + j] is in [t].  A caller testing
+    every member in order reads one word per [bits_per_word] members
+    instead of calling {!mem} on each.
+    @raise Invalid_argument when [w] is not below
+    [max 1 ((universe_size t + bits_per_word - 1) / bits_per_word)]. *)
+
 val cardinal : t -> int
 val is_empty : t -> bool
 

@@ -107,8 +107,13 @@ let query_label (p : Problem.t) q = node_label p.query q "q"
 
 (* Per blamed query node: turn the dominant cause into concrete
    attribute requirements and rank the hosts (or host edges) that almost
-   meet them — the "needs cpuMhz >= 3000; best host has 2400" lines. *)
-let blamed_entry (p : Problem.t) q causes =
+   meet them — the "needs cpuMhz >= 3000; best host has 2400" lines.
+   The ranking reads the host attribute columns of [stores]. *)
+let blamed_entry (p : Problem.t) (stores : Prefilter.stores) q causes =
+  let numeric (store : Prefilter.store) attr =
+    let c = store.column attr in
+    (c.Prefilter.num_set, c.Prefilter.num)
+  in
   let dominant = match causes with (c, _) :: _ -> Some c | [] -> None in
   let reqs, near =
     match dominant with
@@ -136,14 +141,19 @@ let blamed_entry (p : Problem.t) q causes =
           else []
         in
         let reqs = degree_req @ from_constraint in
-        (* Synthesize the degree as an attribute so the degree-filter
-           requirement is checkable like any numeric one. *)
+        (* The host degree stands in for any "degree" attribute, so the
+           degree-filter requirement is checkable like any numeric one. *)
+        let nodes = Graph.node_count p.host in
+        let column = function
+          | "degree" -> (Bitset.full nodes, Array.map float_of_int p.host_degree)
+          | attr -> numeric stores.nodes attr
+        in
         let attrs r =
           Attrs.add "degree" (Value.Int p.host_degree.(r)) (Graph.node_attrs p.host r)
         in
         ( reqs,
-          Explain.near_misses ~reqs ~count:(Graph.node_count p.host) ~attrs
-            ~label:(host_label p) ~limit:3 )
+          Explain.near_misses ~reqs ~count:nodes ~column ~attrs ~label:(host_label p)
+            ~limit:3 )
     | Some (Explain.Cause.Edge_constraint (a, b)) -> (
         match Problem.query_edges_between p a b with
         | [] -> ([], [])
@@ -163,7 +173,8 @@ let blamed_entry (p : Problem.t) q causes =
             in
             ( reqs,
               Explain.near_misses ~reqs ~count:(Graph.edge_count p.host)
-                ~attrs:(Graph.edge_attrs p.host) ~label ~limit:3 ))
+                ~column:(numeric stores.edges) ~attrs:(Graph.edge_attrs p.host) ~label
+                ~limit:3 ))
     | _ -> ([], [])
   in
   {
@@ -193,7 +204,10 @@ let select_blamed (p : Problem.t) filter bl =
     | [] -> List.filteri (fun i _ -> i < 3) (Explain.Blame.nodes bl)
     | l -> l
   in
-  List.map (fun q -> blamed_entry p q (Explain.Blame.by_node bl q)) chosen
+  (* The problem's stores (the service's model), else one store over
+     the host shared by every blamed node of this certificate. *)
+  let stores = match p.columns with Some s -> s | None -> Prefilter.of_graph p.host in
+  List.map (fun q -> blamed_entry p stores q (Explain.Blame.by_node bl q)) chosen
 
 let hot_spot_of (p : Problem.t) filter store =
   let bts = Domain_store.backtracks_by_depth store in
@@ -373,8 +387,9 @@ let run ?(options = default_options) ?filter ?trace
     match (blame, recorder) with
     | Some bl, Some rec_ ->
         Some
-          (assemble_certificate ~problem ~algorithm ~filter:!filter_used ~blame:bl
-             ~recorder:rec_ ~store ~outcome ~found:!count ~visited)
+          (Telemetry.time_phase phases ?trace Telemetry.Phase.Certificate (fun () ->
+               assemble_certificate ~problem ~algorithm ~filter:!filter_used ~blame:bl
+                 ~recorder:rec_ ~store ~outcome ~found:!count ~visited))
     | _ -> None
   in
   {

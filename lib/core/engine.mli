@@ -121,8 +121,9 @@ val run :
     certificates on this path attribute only search-time eliminations.
     Ignored by LNS.
 
-    The run adds its [compile] / [filter_build] / [search] time to
-    the cells of [phases] (default: a fresh
+    The run adds its [compile] / [filter_build] / [search] time, and
+    in explain mode its [certificate] time, to the cells of [phases]
+    (default: a fresh
     {!Netembed_telemetry.Telemetry.Phase.make_timings} array), which
     is returned as [telemetry.phases] — the service passes its
     request's own array so one array carries the whole decomposition.

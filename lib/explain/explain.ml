@@ -11,6 +11,7 @@ module Attrs = Netembed_attr.Attrs
 module Value = Netembed_attr.Value
 module Ast = Netembed_expr.Ast
 module Json = Netembed_telemetry.Json
+module Bitset = Netembed_bitset.Bitset
 
 (* ------------------------------------------------------------------ *)
 (* Causes                                                              *)
@@ -231,19 +232,14 @@ let requirements ~on ast =
         | Bounds.Eq _ | Bounds.Has_bool _ -> None)
     b.Bounds.atoms
 
-let satisfies r value =
+(* Inlined so that the ranking scan compares unboxed floats. *)
+let[@inline] satisfies r value =
   match r.op with
   | `Ge -> value >= r.bound
   | `Gt -> value > r.bound
   | `Le -> value <= r.bound
   | `Lt -> value < r.bound
   | `Eq -> value = r.bound
-
-(* Relative shortfall of a violated requirement — the ranking key for
-   near misses; a missing attribute counts as a full miss. *)
-let gap r = function
-  | None -> 1.0
-  | Some v -> Float.abs (v -. r.bound) /. Float.max 1.0 (Float.abs r.bound)
 
 type near_miss = {
   id : int;
@@ -264,46 +260,74 @@ let check_item reqs attrs =
     ([], 0) reqs
   |> fun (viol, sat) -> (List.rev viol, sat)
 
-(* [(n, g)] ranks strictly before the kept entry: fewer violations,
-   then the smaller summed gap, under [Float.compare]'s order (NaN
-   first). *)
-let precedes n g (n', g', _) =
-  let c = Int.compare n n' in
-  if c <> 0 then c < 0 else Float.compare g g' < 0
-
-(* One pass keeps the best [limit] (violations, summed gap, id) keys in
-   a small array, best first, by stable insertion, so equal keys stay
-   in id order; only the winners are labelled and get their violation
-   lists built. *)
-let near_misses ~reqs ~count ~attrs ~label ~limit =
+(* One pass over the items, one word of [Bitset.bits_per_word] items at
+   a time.  For each requirement, the block reads its presence word
+   and its scale once, then adds every violation to the block's
+   unboxed count and gap accumulators — in requirement order from
+   0.0, as [|v - bound| / max 1 |bound|] or 1.0 for a missing
+   value.  The best [limit] (violations, gap, id) keys are
+   kept in plain arrays, best first, by stable insertion, so equal
+   keys stay in id order and nothing is allocated per item.  Only the
+   winners are labelled and get their violation lists built, from
+   their attribute tables. *)
+let near_misses ~reqs ~count ~column ~attrs ~label ~limit =
   let reqs_a = Array.of_list reqs in
   let cap = if reqs = [] then 0 else max 0 (min limit count) in
-  let best = Array.make cap (0, 0.0, 0) and kept = ref 0 in
-  if cap > 0 then
-    for i = 0 to count - 1 do
-      let a = attrs i in
-      let n = ref 0 and g = ref 0.0 in
+  let best_n = Array.make cap 0 and best_g = Array.make cap 0.0 and best_id = Array.make cap 0 in
+  let kept = ref 0 in
+  if cap > 0 then begin
+    let cols = Array.map (fun r -> column r.attr) reqs_a in
+    let width = Bitset.bits_per_word in
+    let viol = Array.make width 0 and gaps = Array.make width 0.0 in
+    (* Block item [j] ranks strictly before kept entry [k]: fewer
+       violations, then the smaller gap under [Float.compare]'s order
+       (NaN first). *)
+    let precedes j k =
+      let c = Int.compare viol.(j) best_n.(k) in
+      if c <> 0 then c < 0 else Float.compare gaps.(j) best_g.(k) < 0
+    in
+    for w = 0 to (count - 1) / width do
+      let base = w * width in
+      let len = min width (count - base) in
+      Array.fill viol 0 len 0;
+      Array.fill gaps 0 len 0.0;
       for k = 0 to Array.length reqs_a - 1 do
         let r = reqs_a.(k) in
-        match Attrs.float r.attr a with
-        | Some v when satisfies r v -> ()
-        | v ->
-            incr n;
-            g := !g +. gap r v
+        let present, num = cols.(k) in
+        let present = Bitset.word present w in
+        let scale = Float.max 1.0 (Float.abs r.bound) in
+        for j = 0 to len - 1 do
+          if present land (1 lsl j) = 0 then begin
+            viol.(j) <- viol.(j) + 1;
+            gaps.(j) <- gaps.(j) +. 1.0
+          end
+          else
+            let v = num.(base + j) in
+            if not (satisfies r v) then begin
+              viol.(j) <- viol.(j) + 1;
+              gaps.(j) <- gaps.(j) +. (Float.abs (v -. r.bound) /. scale)
+            end
+        done
       done;
-      let n = !n and g = !g in
-      if n > 0 && (!kept < cap || precedes n g best.(cap - 1)) then begin
-        let j = ref (min !kept (cap - 1)) in
-        while !j > 0 && precedes n g best.(!j - 1) do
-          best.(!j) <- best.(!j - 1);
-          decr j
-        done;
-        best.(!j) <- (n, g, i);
-        if !kept < cap then incr kept
-      end
-    done;
+      for j = 0 to len - 1 do
+        if viol.(j) > 0 && (!kept < cap || precedes j (cap - 1)) then begin
+          let i = ref (min !kept (cap - 1)) in
+          while !i > 0 && precedes j (!i - 1) do
+            best_n.(!i) <- best_n.(!i - 1);
+            best_g.(!i) <- best_g.(!i - 1);
+            best_id.(!i) <- best_id.(!i - 1);
+            decr i
+          done;
+          best_n.(!i) <- viol.(j);
+          best_g.(!i) <- gaps.(j);
+          best_id.(!i) <- base + j;
+          if !kept < cap then incr kept
+        end
+      done
+    done
+  end;
   List.init !kept (fun k ->
-      let _, _, id = best.(k) in
+      let id = best_id.(k) in
       let violated, satisfied = check_item reqs (attrs id) in
       { id; label = label id; violated; satisfied })
 

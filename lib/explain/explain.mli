@@ -149,6 +149,7 @@ type near_miss = {
 val near_misses :
   reqs:requirement list ->
   count:int ->
+  column:(string -> Netembed_bitset.Bitset.t * float array) ->
   attrs:(int -> Netembed_attr.Attrs.t) ->
   label:(int -> string) ->
   limit:int ->
@@ -156,13 +157,25 @@ val near_misses :
 (** The items [0 .. count - 1] that violate at least one requirement,
     best first, at most [limit] of them — the "best host has 2400 of
     the 3000 MHz you asked for" lines of a certificate.  An item's id
-    is its index.  The key is the number of violated requirements
-    (fewest first), then the summed relative shortfall over the
-    violated ones (smallest first; a missing attribute counts 1.0, and
-    a NaN sum ranks ahead of every number, as under [Float.compare]).
-    Equal keys keep id order.  One pass reads [attrs] of every item and
-    keeps the best [limit] keys; only those are labelled, so [label] is
-    called at most [limit] times.  [[]] when [reqs] is empty. *)
+    is its index.
+
+    [column attr] is called once per requirement and gives the
+    attribute's numeric column over the items: [(num_set, num)], where
+    [num_set] holds the items whose value is an [Int] or a [Float]
+    (universe at least [count]) and [num.(i)] is that value as a float
+    (length at least [count]).  It must agree with [attrs]:
+    [Attrs.float attr (attrs i)] is [Some num.(i)] exactly when [i] is
+    in [num_set] — what [Prefilter.column] builds (lib/core).
+
+    The key is the number of violated requirements (fewest first), then
+    the relative shortfall [|v - bound| / max 1 |bound|] summed over the
+    violated ones in requirement order, starting from [0.0] (smallest
+    first; an item outside [num_set] costs 1.0, and a NaN sum ranks
+    ahead of every number, as under [Float.compare]).  Equal keys keep
+    id order.  The ranking reads the columns only and allocates nothing
+    per item: its words do not grow with [count].  Only the winners are
+    read through [attrs] and labelled, so each is called at most
+    [limit] times.  [[]] when [reqs] is empty. *)
 
 val near_miss_to_string : near_miss -> string
 

@@ -37,7 +37,13 @@ val residual_snapshot : t -> Graph.t
 (** Like {!snapshot}, but every tracked capacity attribute is replaced
     by its {e residual} value (capacity minus outstanding charges), so
     a search against it prunes on what is actually free.  This is what
-    {!Service.submit} embeds against. *)
+    {!Service.submit} embeds against.
+
+    The snapshot is read-only: it shares the model's pair index, and
+    {!columns} serves its attribute columns on the promise that no
+    attribute of it changes.  A caller that needs to adjust attributes
+    (a what-if with a charge credited back, say) writes into a
+    [Graph.copy] of it. *)
 
 val revision : t -> int
 (** Bumped on every update, reservation or ledger change. *)

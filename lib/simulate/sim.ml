@@ -470,7 +470,8 @@ let try_migrate st tenant =
   match Service.allocation_charge st.service tenant.t_alloc with
   | None -> false
   | Some charge -> (
-      let host = Model.residual_snapshot (Service.model st.service) in
+      (* A residual snapshot is read-only: credit into a copy. *)
+      let host = Graph.copy (Model.residual_snapshot (Service.model st.service)) in
       credit_back host charge;
       let edge_ast =
         Lazy.force

@@ -164,8 +164,8 @@ module Phase = struct
      layout of [snapshot.phases] and of the service's per-phase
      accumulators, so the order here is load-bearing: new phases are
      appended (Queue_wait sits after Encode even though it happens
-     first in wall-clock order; Snapshot after it) so existing indices
-     never move. *)
+     first in wall-clock order; Snapshot and Certificate after it) so
+     existing indices never move. *)
   type t =
     | Parse
     | Admission
@@ -177,11 +177,12 @@ module Phase = struct
     | Encode
     | Queue_wait
     | Snapshot
+    | Certificate
 
   let all =
     [|
       Parse; Admission; Cache_lookup; Filter_build; Compile; Search;
-      Ledger_commit; Encode; Queue_wait; Snapshot;
+      Ledger_commit; Encode; Queue_wait; Snapshot; Certificate;
     |]
 
   let count = Array.length all
@@ -197,6 +198,7 @@ module Phase = struct
     | Encode -> 7
     | Queue_wait -> 8
     | Snapshot -> 9
+    | Certificate -> 10
 
   let name = function
     | Parse -> "parse"
@@ -209,6 +211,7 @@ module Phase = struct
     | Encode -> "encode"
     | Queue_wait -> "queue_wait"
     | Snapshot -> "snapshot"
+    | Certificate -> "certificate"
 
   let of_index i =
     if i < 0 || i >= count then invalid_arg "Telemetry.Phase.of_index";

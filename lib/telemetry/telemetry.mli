@@ -150,6 +150,10 @@ module Phase : sig
     | Snapshot
         (** the residual model snapshot a request searches against
             (appended after [Queue_wait]; it runs after [admission]) *)
+    | Certificate
+        (** the explain-mode certificate assembled after the search:
+            blamed nodes with their near misses, hot spot and flight
+            dump (appended after [Snapshot]) *)
 
   val all : t array
   val count : int

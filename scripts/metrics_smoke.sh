@@ -204,6 +204,10 @@ echo "$METRICS" | grep -Eq '^netembed_unsat_total\{cause="node_constraint"\} [1-
   || fail "netembed_unsat_total did not increment for the unsat request"
 echo "$METRICS" | grep -Eq '^netembed_blame_eliminations_total\{cause="node_constraint"\} [1-9]' \
   || fail "no blame-by-constraint counter"
+# The certificate the unsat request carried was timed as its own phase.
+echo "$METRICS" \
+  | grep -Eq '^netembed_request_seconds_count\{phase="certificate",window="60s"\} [1-9]' \
+  || fail "windowed certificate-phase series empty"
 
 # --- TOP: phase-latency triage report over the wire ------------------
 # The unsat request above is retained in the diagnostics ring, so the

@@ -110,6 +110,12 @@ let test_requirements_extraction () =
   check Alcotest.bool "flipped operand order" true
     (List.mem "rSource.load < 10" strings)
 
+(* The ranking's columns, as the engine serves them: one
+   [Prefilter.column] per attribute over the items' tables. *)
+let numeric_column ~size ~attrs attr =
+  let c = Prefilter.column ~size ~attrs attr in
+  (c.Prefilter.num_set, c.Prefilter.num)
+
 let test_near_misses () =
   let reqs =
     Explain.requirements ~on:[ Netembed_expr.Ast.R_source ]
@@ -119,7 +125,8 @@ let test_near_misses () =
   let cpus = [| 1000.0; 2400.0; 4000.0 |] in
   let attrs i = Attrs.of_list [ ("cpuMhz", Value.Float cpus.(i)) ] in
   match
-    Explain.near_misses ~reqs ~count:3 ~attrs ~label:(Array.get labels) ~limit:2
+    Explain.near_misses ~reqs ~count:3 ~column:(numeric_column ~size:3 ~attrs) ~attrs
+      ~label:(Array.get labels) ~limit:2
   with
   | best :: _ ->
       check Alcotest.string "smallest shortfall ranks first" "close"
@@ -141,7 +148,8 @@ let test_near_misses () =
 (* The ranking under test over items given as an attribute array: ids
    are the indices and labels are "h<id>". *)
 let rank ~reqs ~limit attrs =
-  Explain.near_misses ~reqs ~count:(Array.length attrs) ~attrs:(Array.get attrs)
+  let size = Array.length attrs and attrs = Array.get attrs in
+  Explain.near_misses ~reqs ~count:size ~column:(numeric_column ~size ~attrs) ~attrs
     ~label:(Printf.sprintf "h%d") ~limit
 
 (* A near miss as (label, [requirement, actual], satisfied); equality
@@ -248,9 +256,11 @@ module Oracle = struct
       |> List.filteri (fun i _ -> i < limit)
 end
 
-(* Random items over three attributes, each missing, a string, or a
-   value from a small pool (NaN included) so that keys tie often, and
-   1-3 random requirements on them. *)
+(* Random items over three attributes, each missing, a string, an Int
+   or a Float from a small pool (NaN included) so that keys tie often,
+   and 1-3 random requirements on them under all five operators, with
+   zero and negative bounds.  The ranking reads [Prefilter.column]s of
+   the items; up to 140 items, so the scan crosses word boundaries. *)
 let prop_near_misses_match_oracle =
   let pool = [| 0.0; 1.0; 2.0; 5.0; -3.0; 1000.0; Float.nan |] in
   let bounds = [| 0.0; 1.0; 2.0; 2.5; -3.0; 1000.0 |] in
@@ -276,7 +286,9 @@ let prop_near_misses_match_oracle =
   let gen =
     QCheck.Gen.(
       triple
-        (list_size (int_range 0 12) (list_repeat 3 (int_range 0 (Array.length pool + 2))))
+        (list_size
+           (oneof [ int_range 0 12; int_range 55 140 ])
+           (list_repeat 3 (int_range 0 (Array.length pool + 2))))
         (list_size (int_range 1 3) (triple (int_range 0 2) (int_range 0 4) (int_range 0 5)))
         (int_range 0 5))
   in
@@ -293,15 +305,66 @@ let prop_near_misses_match_oracle =
         incr labelled;
         Printf.sprintf "h%d" i
       in
+      let size = Array.length attrs in
+      let columns = ref 0 in
+      let column attr =
+        incr columns;
+        numeric_column ~size ~attrs:(Array.get attrs) attr
+      in
       let got =
-        Explain.near_misses ~reqs ~count:(Array.length attrs) ~attrs:(Array.get attrs) ~label
-          ~limit
+        Explain.near_misses ~reqs ~count:size ~column ~attrs:(Array.get attrs) ~label ~limit
       in
       let want =
         Oracle.near_misses ~reqs ~limit
           ~items:(List.mapi (fun i a -> (i, Printf.sprintf "h%d" i, a)) (Array.to_list attrs))
       in
-      !labelled <= limit && compare got want = 0)
+      !labelled <= limit
+      && !columns <= List.length reqs
+      && compare got want = 0)
+
+(* Words allocated so far: [Gc.minor_words] is exact, where the minor
+   count of [Gc.counters] only moves at a minor collection on OCaml 5;
+   [major -. promoted] adds the blocks allocated directly in the major
+   heap, where large arrays go. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Counted, not timed: ranking reads the columns with no allocation per
+   item, so one scan of 3,397 items (svcbench's link count) under two
+   requirements allocates the same words as one of 1,000, and few of
+   them.  Every item violates both requirements, so every item is a
+   candidate for the kept top three. *)
+let test_near_miss_scan_words () =
+  let reqs =
+    Explain.requirements ~on:[ Netembed_expr.Ast.R_edge ]
+      (Expr.parse_exn "rEdge.avgDelay <= 1 && rEdge.bandwidth >= 100000")
+  in
+  let scan count =
+    let tables =
+      Array.init count (fun i ->
+          Attrs.of_list
+            [ ("avgDelay", Value.Float (float_of_int (2 + (i * 7919 mod 997))));
+              ("bandwidth", Value.Int (100 + (i * 104729 mod 9973))) ])
+    in
+    let attrs = Array.get tables in
+    let columns =
+      List.map (fun (r : Explain.requirement) ->
+          (r.Explain.attr, numeric_column ~size:count ~attrs r.Explain.attr))
+        reqs
+    in
+    let column attr = List.assoc attr columns in
+    let label = Printf.sprintf "h%d" in
+    let before = allocated_words () in
+    let near = Explain.near_misses ~reqs ~count ~column ~attrs ~label ~limit:3 in
+    let words = allocated_words () -. before in
+    check Alcotest.int (Printf.sprintf "three near misses of %d" count) 3 (List.length near);
+    words
+  in
+  let small = scan 1000 and large = scan 3397 in
+  check (Alcotest.float 0.0) "scan words at 1,000 and 3,397 items" small large;
+  if large >= 1000.0 then
+    Alcotest.failf "one near-miss scan allocated %.0f words" large
 
 (* A near miss's actual value reaches the certificate JSON at full
    precision: PlanetLab delays carry more than six significant digits. *)
@@ -425,6 +488,87 @@ let test_lns_blame () =
   match Explain.Certificate.primary_cause cert with
   | Some Explain.Cause.Node_constraint -> ()
   | _ -> Alcotest.fail "LNS should blame the node constraint"
+
+(* ------------------------------------------------------------------ *)
+(* Certificates over the model's columns                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A 4-cycle whose links carry an Int [hops] and, where [delays] has a
+   value, a Float [avgDelay]; nodes carry a Float [cpuMhz] (a ledger
+   resource, so the model serves its residual column) and an Int
+   [cores]. *)
+let mixed_host delays =
+  let g = Graph.create ~name:"mixed" () in
+  let v =
+    Array.init 4 (fun i ->
+        Graph.add_node g
+          (Attrs.of_list
+             [ ("name", Value.String (Printf.sprintf "plab-%d" i));
+               ("cpuMhz", Value.Float [| 1200.0; 2400.0; 1800.0; 900.0 |].(i));
+               ("cores", Value.Int [| 2; 6; 4; 1 |].(i)) ]))
+  in
+  Array.iteri
+    (fun i d ->
+      let hops = ("hops", Value.Int (2 + i)) in
+      let attrs =
+        match d with
+        | Some d -> Attrs.of_list [ hops; ("avgDelay", Value.Float d) ]
+        | None -> Attrs.of_list [ hops ]
+      in
+      ignore (Graph.add_edge g v.(i) v.((i + 1) mod 4) attrs))
+    delays;
+  g
+
+(* Each row runs an explain-mode ECF search to unsat twice on one
+   residual snapshot of a model: once with the model's columns, once
+   with none (the certificate then builds its own over the snapshot).
+   Both certificates must print the same JSON, and that JSON must be
+   the row's line of [certificates.golden]: "<row name><TAB><JSON>",
+   lines starting with '#' skipped. *)
+let test_certificate_columns_table () =
+  let goldens =
+    In_channel.with_open_text "certificates.golden" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           if line = "" || line.[0] = '#' then None
+           else
+             match String.index_opt line '\t' with
+             | Some i ->
+                 Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+             | None -> Alcotest.failf "certificates.golden: no tab in %S" line)
+  in
+  let all_delays = [| Some 10.0; Some 20.0; Some 30.0; Some 40.0 |] in
+  let table =
+    [ "edge-blamed", all_delays, None, "rEdge.avgDelay <= 5", edge_query ()
+    ; "node-blamed", all_delays, Some "rSource.cpuMhz >= 3000", "true", edge_query ()
+    ; "degree-blamed", all_delays, Some "rSource.cpuMhz >= 1000", "true",
+        Netembed_topology.Regular.clique 4
+    ; "attribute missing on some links", [| Some 10.0; None; Some 8.0; None |], None,
+        "rEdge.avgDelay <= 5", edge_query ()
+    ; "int edge attribute", all_delays, None, "rEdge.hops <= 1", edge_query ()
+    ; "int node attribute", all_delays, Some "rSource.cores >= 8", "true", edge_query ()
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (name, delays, node_constraint, edge_constraint, query) ->
+      let model = Model.create (mixed_host delays) in
+      let host = Model.residual_snapshot model in
+      let columns = Model.columns model host in
+      let json columns =
+        let problem =
+          Problem.make ?node_constraint:(Option.map Expr.parse_exn node_constraint) ?columns
+            ~host ~query (Expr.parse_exn edge_constraint)
+        in
+        let result = Engine.run ~options:explain_options Engine.ECF problem in
+        check Alcotest.string (name ^ ": verdict") "unsat" (Engine.verdict result);
+        Explain.Certificate.to_json (certificate result)
+      in
+      let with_model = json (Some columns) in
+      check Alcotest.string (name ^ ": model columns vs none") with_model (json None);
+      match List.assoc_opt name goldens with
+      | Some golden -> check Alcotest.string (name ^ ": golden") golden with_model
+      | None -> Alcotest.failf "%s: no golden; this run printed\n%s\t%s" name name with_model)
+    table
 
 (* ------------------------------------------------------------------ *)
 (* UNSAT vs budget-exhausted                                           *)
@@ -611,6 +755,7 @@ let () =
             test_requirements_extraction;
           Alcotest.test_case "near misses" `Quick test_near_misses;
           Alcotest.test_case "near-miss ranking" `Quick test_near_miss_ranking;
+          Alcotest.test_case "near-miss scan words" `Quick test_near_miss_scan_words;
           Alcotest.test_case "certificate actual precision" `Quick
             test_certificate_actual_precision;
         ] );
@@ -621,6 +766,8 @@ let () =
           Alcotest.test_case "degree filter" `Quick test_degree_filter_culprit;
           Alcotest.test_case "lns lazy blame" `Quick test_lns_blame;
           Alcotest.test_case "exhausted vs unsat" `Quick test_exhausted_vs_unsat;
+          Alcotest.test_case "certificates over model columns" `Quick
+            test_certificate_columns_table;
         ] );
       ( "properties",
         [

@@ -368,7 +368,7 @@ let test_json_parses_emitters () =
      names are pinned literally in index order. *)
   let phase_names =
     [ "parse"; "admission"; "cache_lookup"; "filter_build"; "compile"; "search";
-      "ledger_commit"; "encode"; "queue_wait"; "snapshot" ]
+      "ledger_commit"; "encode"; "queue_wait"; "snapshot"; "certificate" ]
   in
   check strings "phase names in index order" phase_names
     (Array.to_list (Array.map Telemetry.Phase.name Telemetry.Phase.all));
