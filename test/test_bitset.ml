@@ -44,6 +44,16 @@ let test_elements_ordered () =
   let s = Bitset.of_list 150 [ 149; 3; 77; 0; 62 ] in
   check Alcotest.(list int) "ascending" [ 0; 3; 62; 77; 149 ] (Bitset.elements s)
 
+(* [word] exposes members 62 at a time: bit j of word w is member
+   62w + j. *)
+let test_word () =
+  let s = Bitset.of_list 130 [ 0; 61; 62; 129 ] in
+  check Alcotest.int "bits per word" 62 Bitset.bits_per_word;
+  check Alcotest.int "word 0" (1 lor (1 lsl 61)) (Bitset.word s 0);
+  check Alcotest.int "word 1" 1 (Bitset.word s 1);
+  check Alcotest.int "word 2" (1 lsl 5) (Bitset.word s 2);
+  check Alcotest.int "empty word" 0 (Bitset.word (Bitset.create 10) 0)
+
 let test_nth () =
   let s = Bitset.of_list 150 [ 5; 62; 63; 130 ] in
   check (Alcotest.option Alcotest.int) "0th" (Some 5) (Bitset.nth s 0);
@@ -311,6 +321,7 @@ let () =
           Alcotest.test_case "full" `Quick test_full;
           Alcotest.test_case "elements ordered" `Quick test_elements_ordered;
           Alcotest.test_case "nth" `Quick test_nth;
+          Alcotest.test_case "word" `Quick test_word;
           Alcotest.test_case "universe mismatch" `Quick test_universe_mismatch;
           Alcotest.test_case "next_set_bit" `Quick test_next_set_bit;
           Alcotest.test_case "iter_from" `Quick test_iter_from;
