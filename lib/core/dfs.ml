@@ -228,11 +228,6 @@ let search_frame ?store ?blame p f ~frame ~candidate_order ~budget ~on_solution 
   search_core ~start:(Some frame) ?store ?blame p f ~candidate_order ~budget
     ~on_solution
 
-let root_frame (_p : Problem.t) (f : Filter.t) =
-  let order = Filter.order f in
-  if Array.length order = 0 then { prefix = [||]; candidates = [||] }
-  else { prefix = [||]; candidates = Filter.node_candidates f order.(0) }
-
 (* One-level frame expansion: assign each candidate of the frame's split
    node in turn and materialize the resulting candidate set of the next
    order position as a child frame.  Children with empty domains are
@@ -326,6 +321,7 @@ let search_arrays ?root_candidates (p : Problem.t) (f : Filter.t) ~candidate_ord
   let assignment = Array.make (max 1 nq) (-1) in
   let used = Array.make (max 1 nr) false in
   let assigned_neighbours = Array.map Array.to_list (assigned_neighbours_table p order nq) in
+  let node_candidates = Array.init nq (Filter.node_candidates f) in
   (* Candidate set for the node at [depth]: intersect filter cells of
      assigned neighbours (smallest first), or node-level candidates when
      none is assigned yet.  [used] is filtered during enumeration. *)
@@ -335,7 +331,7 @@ let search_arrays ?root_candidates (p : Problem.t) (f : Filter.t) ~candidate_ord
     | [] -> (
         match root_candidates with
         | Some roots when depth = 0 -> roots
-        | Some _ | None -> Filter.node_candidates f q)
+        | Some _ | None -> node_candidates.(q))
     | nbrs ->
         let cells =
           List.map

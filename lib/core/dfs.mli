@@ -39,10 +39,6 @@ type frame = {
 val frame_depth : frame -> int
 (** Number of already-assigned order positions ([Array.length prefix]). *)
 
-val root_frame : Problem.t -> Filter.t -> frame
-(** The whole tree as a single frame: empty prefix, all node-level
-    candidates of the first node in the filter order. *)
-
 val expand_frame :
   ?store:Domain_store.t ->
   Problem.t ->

@@ -108,8 +108,10 @@ let query_label (p : Problem.t) q = node_label p.query q "q"
 (* Per blamed query node: turn the dominant cause into concrete
    attribute requirements and rank the hosts (or host edges) that almost
    meet them — the "needs cpuMhz >= 3000; best host has 2400" lines.
-   The ranking reads the host attribute columns of [stores]. *)
-let blamed_entry (p : Problem.t) (stores : Prefilter.stores) q causes =
+   The ranking reads the problem's host attribute columns, and [degree]
+   for the host degree. *)
+let blamed_entry (p : Problem.t) ~degree q causes =
+  let stores = p.columns in
   let numeric (store : Prefilter.store) attr =
     let c = store.column attr in
     (c.Prefilter.num_set, c.Prefilter.num)
@@ -145,7 +147,7 @@ let blamed_entry (p : Problem.t) (stores : Prefilter.stores) q causes =
            degree-filter requirement is checkable like any numeric one. *)
         let nodes = Graph.node_count p.host in
         let column = function
-          | "degree" -> (Bitset.full nodes, Array.map float_of_int p.host_degree)
+          | "degree" -> Lazy.force degree
           | attr -> numeric stores.nodes attr
         in
         let attrs r =
@@ -204,10 +206,13 @@ let select_blamed (p : Problem.t) filter bl =
     | [] -> List.filteri (fun i _ -> i < 3) (Explain.Blame.nodes bl)
     | l -> l
   in
-  (* The problem's stores (the service's model), else one store over
-     the host shared by every blamed node of this certificate. *)
-  let stores = match p.columns with Some s -> s | None -> Prefilter.of_graph p.host in
-  List.map (fun q -> blamed_entry p stores q (Explain.Blame.by_node bl q)) chosen
+  (* The host degree as a column, built at most once per certificate.
+     It stays out of the problem's stores: there [degree] is the host's
+     own attribute, if it carries one, as the filter build reads it. *)
+  let degree =
+    lazy (Bitset.full (Graph.node_count p.host), Array.map float_of_int p.host_degree)
+  in
+  List.map (fun q -> blamed_entry p ~degree q (Explain.Blame.by_node bl q)) chosen
 
 let hot_spot_of (p : Problem.t) filter store =
   let bts = Domain_store.backtracks_by_depth store in

@@ -18,7 +18,6 @@ type t = {
   nq : int;
   nr : int;
   node_cands : Bitset.t array;
-  node_cand_views : int array array;
   ls_order : int array;
   nonempty_cells : int;
 }
@@ -49,14 +48,11 @@ type ordering = Connected_lemma1 | Lemma1 | Input_order
 let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem.t) =
   let nq = Graph.node_count p.query and nr = Graph.node_count p.host in
   let undirected = Graph.kind p.host = Graph.Undirected in
-  (* The bounds pre-filter's columns: the problem's stores (the
-     service's model keeps them per substrate) or, without them, stores
-     over the host that live for this build.  Either way the atom cache
-     is this build's, shared by every residual. *)
+  (* The bounds pre-filter reads the problem's column stores; the atom
+     cache is this build's, shared by every residual. *)
   let prefilter_stores =
-    lazy
-      (let s = match p.columns with Some s -> s | None -> Prefilter.of_graph p.host in
-       (Prefilter.create s.Prefilter.edges, Prefilter.create s.Prefilter.nodes))
+    let { Prefilter.edges; nodes } = p.columns in
+    lazy (Prefilter.create edges, Prefilter.create nodes)
   in
   let plan_of bounds =
     let edges, nodes = Lazy.force prefilter_stores in
@@ -261,7 +257,6 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
       nq;
       nr;
       node_cands;
-      node_cand_views = Array.map Bitset.to_array node_cands;
       ls_order = [||];
       nonempty_cells;
     }
@@ -370,6 +365,6 @@ let candidates_from t ~q_assigned ~r_assigned ~q_next =
   end
 
 let node_candidates_bits t q = t.node_cands.(q)
-let node_candidates t q = t.node_cand_views.(q)
+let node_candidates t q = Bitset.to_array t.node_cands.(q)
 let order t = t.ls_order
 let cell_count t = t.nonempty_cells

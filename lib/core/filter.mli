@@ -101,7 +101,8 @@ val candidates_from :
 
 val node_candidates : t -> Graph.node -> int array
 (** Sorted host candidates for a query node irrespective of other
-    assignments (expression (1) ∩ node filters). *)
+    assignments (expression (1) ∩ node filters): {!node_candidates_bits}
+    converted to a fresh array on each call. *)
 
 val order : t -> Graph.node array
 (** The search order [LS].  Lemma 1 calls for ascending candidate

@@ -67,14 +67,16 @@ let column ?overlay ~size ~attrs name =
 
 type store = { size : int; column : string -> column }
 
+(* A list, not a table: every problem holds a store per universe, and
+   many never read a column. *)
 let store ~size ~attrs =
-  let memo = Hashtbl.create 8 in
+  let memo = ref [] in
   let column name =
-    match Hashtbl.find_opt memo name with
+    match List.assoc_opt name !memo with
     | Some c -> c
     | None ->
         let c = column ~size ~attrs name in
-        Hashtbl.replace memo name c;
+        memo := (name, c) :: !memo;
         c
   in
   { size; column }

@@ -27,7 +27,9 @@
 
     Columns and per-atom sets live apart.  A {!store} serves columns
     per attribute; a {!t} adds one build's atom cache on top.  A store
-    over a graph ({!of_graph}) lives for one build.  The service's
+    over a graph ({!of_graph}) lives for one problem: [Problem.make]
+    builds it when the caller passes none, and the problem's filter
+    builds and unsat certificate read it.  The service's
     model keeps one store per host universe for its substrate: a
     column persists per substrate and attribute revision, not per
     build, and the ledger-tracked resources are served per model
@@ -68,7 +70,8 @@ type store = { size : int; column : string -> column }
 
 val store : size:int -> attrs:(int -> Netembed_attr.Attrs.t) -> store
 (** A store that builds each column on first use through {!column} and
-    keeps it for its own lifetime.  Single-threaded. *)
+    keeps it for its own lifetime.  Until then it holds no column and
+    no table.  Single-threaded. *)
 
 type stores = { edges : store; nodes : store }
 

@@ -21,7 +21,7 @@ type t = {
      the same query and constraint (see [compiled]). *)
   residuals : Ast.t option array;
   evals : Telemetry.Counter.t;
-  columns : Prefilter.stores option;
+  columns : Prefilter.stores;
 }
 
 (* Process-wide count of residual specializations ([residual] cache
@@ -56,7 +56,8 @@ let make ?node_constraint ?(degree_filter = true) ?compiled ?columns ~host ~quer
     query_in_degree = Array.init (Graph.node_count query) (Graph.in_degree query);
     residuals;
     evals = Telemetry.Counter.make ();
-    columns;
+    (* The one place a problem's host columns come from. *)
+    columns = (match columns with Some s -> s | None -> Prefilter.of_graph host);
   }
 
 let eval_counter t = t.evals

@@ -49,9 +49,10 @@ type t = private {
           filter build of ECF/RWB, the lazy edge checks of LNS and the
           node-constraint tests — increments it, so the engine reports
           one number for all three algorithms *)
-  columns : Prefilter.stores option;
-      (** the host attribute columns the filter build's pre-filter
-          reads; [None] builds them from [host] for each build *)
+  columns : Prefilter.stores;
+      (** the host attribute columns that every filter build and unsat
+          certificate on this problem reads (see {!make}); written on
+          first read, so single-writer like [evals] *)
 }
 
 val make :
@@ -68,10 +69,13 @@ val make :
     bundle of the wrong shape is ignored, not trusted.  [columns], when
     given, must serve exactly the attribute values of [host]: the
     service passes the model's stores taken with the snapshot
-    ([Model.columns] in lib/service).  Without it each filter build
-    reads a fresh {!Prefilter.of_graph}[ host].  The host degrees come
-    from {!Graph.degrees}, which builds the host's pair index if it is
-    not built.
+    ([Model.columns] in lib/service).  Without it the problem holds
+    one {!Prefilter.of_graph}[ host], which builds a column the first
+    time a filter build or certificate reads it and keeps it for the
+    problem's life.  Either way the host's attributes must not change
+    after [make]: a column, once built, is not rebuilt.  The host
+    degrees come from {!Graph.degrees}, which builds the host's pair
+    index if it is not built.
     @raise Invalid_argument if the graphs' kinds differ or the query has
     more nodes than the host (no injective mapping can exist). *)
 
@@ -110,7 +114,10 @@ val eval_counter : t -> Netembed_telemetry.Telemetry.Counter.t
 (** The shared constraint-evaluation counter (see the [evals] field).
     Single-writer: concurrent searchers must not share one problem's
     lazy evaluation path (the parallel searchers only read prebuilt
-    filter state, so this holds). *)
+    filter state, so this holds).  The same rule covers [columns]:
+    every build and certificate on the problem shares its stores, so
+    none may run concurrently with another; the parallel searchers
+    build their filter before they spawn. *)
 
 val constraint_evals : t -> int
 (** [Counter.value (eval_counter t)] — cumulative over the problem's

@@ -519,9 +519,23 @@ let mixed_host delays =
     delays;
   g
 
+(* Unsat rows: name, link delays, node constraint, edge constraint,
+   query. *)
+let certificate_rows =
+  let all_delays = [| Some 10.0; Some 20.0; Some 30.0; Some 40.0 |] in
+  [ "edge-blamed", all_delays, None, "rEdge.avgDelay <= 5", edge_query ()
+  ; "node-blamed", all_delays, Some "rSource.cpuMhz >= 3000", "true", edge_query ()
+  ; "degree-blamed", all_delays, Some "rSource.cpuMhz >= 1000", "true",
+      Netembed_topology.Regular.clique 4
+  ; "attribute missing on some links", [| Some 10.0; None; Some 8.0; None |], None,
+      "rEdge.avgDelay <= 5", edge_query ()
+  ; "int edge attribute", all_delays, None, "rEdge.hops <= 1", edge_query ()
+  ; "int node attribute", all_delays, Some "rSource.cores >= 8", "true", edge_query ()
+  ] [@ocamlformat "disable"]
+
 (* Each row runs an explain-mode ECF search to unsat twice on one
    residual snapshot of a model: once with the model's columns, once
-   with none (the certificate then builds its own over the snapshot).
+   with none (the problem then holds its own store over the snapshot).
    Both certificates must print the same JSON, and that JSON must be
    the row's line of [certificates.golden]: "<row name><TAB><JSON>",
    lines starting with '#' skipped. *)
@@ -536,18 +550,6 @@ let test_certificate_columns_table () =
              | Some i ->
                  Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
              | None -> Alcotest.failf "certificates.golden: no tab in %S" line)
-  in
-  let all_delays = [| Some 10.0; Some 20.0; Some 30.0; Some 40.0 |] in
-  let table =
-    [ "edge-blamed", all_delays, None, "rEdge.avgDelay <= 5", edge_query ()
-    ; "node-blamed", all_delays, Some "rSource.cpuMhz >= 3000", "true", edge_query ()
-    ; "degree-blamed", all_delays, Some "rSource.cpuMhz >= 1000", "true",
-        Netembed_topology.Regular.clique 4
-    ; "attribute missing on some links", [| Some 10.0; None; Some 8.0; None |], None,
-        "rEdge.avgDelay <= 5", edge_query ()
-    ; "int edge attribute", all_delays, None, "rEdge.hops <= 1", edge_query ()
-    ; "int node attribute", all_delays, Some "rSource.cores >= 8", "true", edge_query ()
-    ] [@ocamlformat "disable"]
   in
   List.iter
     (fun (name, delays, node_constraint, edge_constraint, query) ->
@@ -568,7 +570,36 @@ let test_certificate_columns_table () =
       match List.assoc_opt name goldens with
       | Some golden -> check Alcotest.string (name ^ ": golden") golden with_model
       | None -> Alcotest.failf "%s: no golden; this run printed\n%s\t%s" name name with_model)
-    table
+    certificate_rows
+
+(* Counted: a problem made without stores holds one over its host, so
+   the filter build and the certificate read the same columns.  An
+   explain run to unsat then allocates exactly the words it allocates
+   over stores the caller passed; a certificate that built its own
+   store would sweep each blamed column a second time.  The first run
+   takes the process's first-use allocations. *)
+let test_certificate_one_store () =
+  List.iter
+    (fun (name, delays, node_constraint, edge_constraint, query) ->
+      let host = mixed_host delays in
+      let run columns =
+        let problem =
+          Problem.make ?node_constraint:(Option.map Expr.parse_exn node_constraint) ?columns
+            ~host ~query (Expr.parse_exn edge_constraint)
+        in
+        let before = allocated_words () in
+        let result = Engine.run ~options:explain_options Engine.ECF problem in
+        let words = allocated_words () -. before in
+        check Alcotest.string (name ^ ": verdict") "unsat" (Engine.verdict result);
+        words
+      in
+      ignore (run None);
+      let without = run None in
+      check (Alcotest.float 0.0)
+        (name ^ ": explain run words, own stores vs the caller's")
+        without
+        (run (Some (Prefilter.of_graph host))))
+    certificate_rows
 
 (* ------------------------------------------------------------------ *)
 (* UNSAT vs budget-exhausted                                           *)
@@ -768,6 +799,8 @@ let () =
           Alcotest.test_case "exhausted vs unsat" `Quick test_exhausted_vs_unsat;
           Alcotest.test_case "certificates over model columns" `Quick
             test_certificate_columns_table;
+          Alcotest.test_case "one column store per problem" `Quick
+            test_certificate_one_store;
         ] );
       ( "properties",
         [

@@ -74,8 +74,9 @@ let planetlab_model sites =
    edges here).  The count includes allocations made directly in the
    major heap, where large arrays go.  The host degree arrays sit
    beside the index, so [Problem.make] on a fresh snapshot allocates
-   for the query alone: the same words on a 100-site and a 296-site
-   model. *)
+   for the query and the problem's two column stores, which hold no
+   column until one is read: the same words on a 100-site and a
+   296-site model. *)
 let test_snapshot_shares_pair_index () =
   let model = planetlab_model 100 in
   check Alcotest.bool "at least 1k links" true
