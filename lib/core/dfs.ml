@@ -321,7 +321,13 @@ let search_arrays ?root_candidates (p : Problem.t) (f : Filter.t) ~candidate_ord
   let assignment = Array.make (max 1 nq) (-1) in
   let used = Array.make (max 1 nr) false in
   let assigned_neighbours = Array.map Array.to_list (assigned_neighbours_table p order nq) in
-  let node_candidates = Array.init nq (Filter.node_candidates f) in
+  (* Node-level candidates, converted once per call for the depths
+     that read them: those with no assigned neighbour. *)
+  let node_candidates =
+    Array.mapi
+      (fun depth nbrs -> if nbrs = [] then Filter.node_candidates f order.(depth) else [||])
+      assigned_neighbours
+  in
   (* Candidate set for the node at [depth]: intersect filter cells of
      assigned neighbours (smallest first), or node-level candidates when
      none is assigned yet.  [used] is filtered during enumeration. *)
@@ -331,7 +337,7 @@ let search_arrays ?root_candidates (p : Problem.t) (f : Filter.t) ~candidate_ord
     | [] -> (
         match root_candidates with
         | Some roots when depth = 0 -> roots
-        | Some _ | None -> node_candidates.(q))
+        | Some _ | None -> node_candidates.(depth))
     | nbrs ->
         let cells =
           List.map
