@@ -1199,7 +1199,7 @@ let () =
     (fun domains ->
       let t = Unix.gettimeofday () in
       let won =
-        Netembed_parallel.Parallel.rwb_race ~domains ~timeout:30.0 ~seed:5 race_problem
+        Netembed_parallel.Parallel.rwb_race ~domains ~timeout:30.0 ~seed:5 (fresh race_problem)
       in
       Printf.printf "  racers=%d  %8.1f ms  (%s)\n%!" domains
         ((Unix.gettimeofday () -. t) *. 1000.0)
