@@ -303,12 +303,21 @@ let measure_gc ~name ?(repeat = 1) f =
   gc_rows := row :: !gc_rows;
   row
 
-let engine_gc_row name alg mode problem =
+(* [?max_visited]: a visit budget for a run that would otherwise end
+   on the 2 s timeout, so its visited and minor words repeat exactly
+   from run to run; the timeout stays as a guard. *)
+let engine_gc_row ?max_visited name alg mode problem =
   measure_gc ~name (fun () ->
       let r =
         Engine.run
           ~options:
-            { Engine.default_options with Engine.mode; timeout = Some 2.0; collect = false }
+            {
+              Engine.default_options with
+              Engine.mode;
+              timeout = Some 2.0;
+              max_visited;
+              collect = false;
+            }
           alg (sample_problem alg problem)
       in
       (r.Engine.visited, r.Engine.found))
@@ -525,13 +534,34 @@ let sample_ms f =
   Array.sort Float.compare s;
   s
 
-let layer_row name unit s =
+(* [?words]: the words one operation allocates, printed and recorded
+   after the times. *)
+let layer_row ?words name unit s =
   let r x = Json.Float (Json.round 4 x) in
   let n = Array.length s in
-  Printf.printf "  %-46s min %9.4f  median %9.4f  max %9.4f %s\n%!" name s.(0) s.(n / 2)
-    s.(n - 1) unit;
-  Json.(Obj [ ("name", String name); ("unit", String unit); ("min", r s.(0));
-              ("median", r s.(n / 2)); ("max", r s.(n - 1)) ])
+  Printf.printf "  %-46s min %9.4f  median %9.4f  max %9.4f %s%s\n%!" name s.(0) s.(n / 2)
+    s.(n - 1) unit
+    (match words with Some w -> Printf.sprintf "  %9.0f words" w | None -> "");
+  Json.Obj
+    ([ ("name", Json.String name); ("unit", Json.String unit); ("min", r s.(0));
+       ("median", r s.(n / 2)); ("max", r s.(n - 1)) ]
+    @ match words with Some w -> [ ("words", Json.Int (Float.to_int (Float.round w))) ] | None -> [])
+
+(* Words allocated so far: [Gc.minor_words] is exact, where the minor
+   count of [Gc.counters] only moves at a minor collection on OCaml 5;
+   [major -. promoted] adds the blocks allocated directly in the major
+   heap, where large strings and arrays go. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* The words [n] calls of [f] allocate, per call. *)
+let words_per_call ?(n = 1) f =
+  let before = allocated_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (allocated_words () -. before) /. float_of_int n
 
 let write_layer_section key ~note rows =
   let section =
@@ -651,12 +681,15 @@ let filter_build_layers () =
 
 (* GraphML in, per layer: [Graphml.read_file] of PlanetLab substrates
    at svcbench's 100 sites and the paper's 296 (svcbench's generator:
-   seed 2008 and a seeded link bandwidth), and [Wire.decode_command]
-   of one 8-node EMBED frame, whose query travels as GraphML.  Writes
-   the [graphml] section of BENCH_RESULTS.json.  Run alone with
+   seed 2008 and a seeded link bandwidth), [Model.of_graphml_file] of
+   the same files (the read plus the model over the graph it read), and
+   [Wire.decode_command] of one 8-node EMBED frame, whose query travels
+   as GraphML.  Each row also records the words one call allocates.
+   Writes the [graphml] section of BENCH_RESULTS.json.  Run alone with
    --graphml-only. *)
 let graphml_layers () =
   let module Graphml = Netembed_graphml.Graphml in
+  let module Model = Netembed_service.Model in
   let module Request = Netembed_service.Request in
   let module Wire = Netembed_service.Wire in
   Printf.printf "# GraphML read and wire decode\n%!";
@@ -670,7 +703,8 @@ let graphml_layers () =
       (Graph.edges g);
     g
   in
-  let read_row sites host =
+  (* The rows of one file: read_file, then of_graphml_file. *)
+  let file_rows sites host =
     let path = Filename.temp_file "netembed_bench" ".graphml" in
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
@@ -679,13 +713,19 @@ let graphml_layers () =
         let bytes = (Unix.stat path).Unix.st_size in
         if Graph.edge_count (Graphml.read_file path) <> Graph.edge_count host then
           failwith "graphml: read_file lost edges";
-        ( layer_row (Printf.sprintf "graphml/read_file/pl%d" sites) "ms"
-            (sample_ms (fun () -> ignore (Graphml.read_file path))),
+        let row name f =
+          let words = words_per_call f in
+          layer_row ~words (Printf.sprintf "%s/pl%d" name sites) "ms"
+            (sample_ms (fun () -> ignore (Sys.opaque_identity (f ()))))
+        in
+        let read = row "graphml/read_file" (fun () -> Graphml.read_file path) in
+        let model = row "model/of_graphml_file" (fun () -> Model.of_graphml_file path) in
+        ( [ read; model ],
           Printf.sprintf "pl%d: %d bytes, %d links" sites bytes (Graph.edge_count host) ))
   in
   let host100 = substrate 100 in
-  let r100 = read_row 100 host100 in
-  let r296 = read_row 296 (substrate 296) in
+  let r100 = file_rows 100 host100 in
+  let r296 = file_rows 296 (substrate 296) in
   let frame =
     let case = Query_gen.subgraph (Rng.make 7) ~host:host100 ~n:8 () in
     Wire.encode_command
@@ -705,15 +745,21 @@ let graphml_layers () =
              ignore (Wire.decode_command frame)
            done))
   in
-  let decode_row = layer_row "wire/decode_command/embed8" "ms" decode in
+  let decode_row =
+    layer_row
+      ~words:(words_per_call ~n:decodes (fun () -> Wire.decode_command frame))
+      "wire/decode_command/embed8" "ms" decode
+  in
   write_layer_section "graphml"
     ~note:
       (Printf.sprintf
          "per-sample spread over %d samples: each read_file row reads one PlanetLab GraphML \
-          file (%s; %s); the decode row is one %d-byte 8-node EMBED frame through \
-          Wire.decode_command (ms, mean of %d decodes per sample)"
+          file (%s; %s), and each of_graphml_file row reads it into a service model; the \
+          decode row is one %d-byte 8-node EMBED frame through Wire.decode_command (ms, mean \
+          of %d decodes per sample); words: what one read, load or decode allocates, \
+          counted as minor words plus words allocated directly in the major heap"
          layer_repeat (snd r100) (snd r296) (String.length frame) decodes)
-    [ fst r100; fst r296; decode_row ]
+    (fst r100 @ fst r296 @ [ decode_row ])
 
 (* Explain-mode ablation: the same capped clique7_tight enumeration
    with the blame/flight-recorder instrumentation off vs on.  The off
@@ -1107,7 +1153,9 @@ let ablation_suite () =
   ignore (engine_gc_row "fig8/ecf_all_n20+gc" Engine.ECF Engine.All (Lazy.force pl_subgraph_problem));
   ignore (engine_gc_row "fig8/rwb_first_n20+gc" Engine.RWB Engine.First (Lazy.force pl_subgraph_problem));
   ignore (engine_gc_row "fig8/lns_first_n20+gc" Engine.LNS Engine.First (Lazy.force pl_subgraph_problem));
-  ignore (engine_gc_row "fig13/ecf_all_clique6+gc" Engine.ECF Engine.All (Lazy.force clique_problem));
+  ignore
+    (engine_gc_row ~max_visited:3_000_000 "fig13/ecf_all_clique6+gc" Engine.ECF Engine.All
+       (Lazy.force clique_problem));
   ledger_churn ();
   pair_index_bench ();
   scheduling_ablation ();

@@ -62,5 +62,13 @@ val of_string_as : [ `Bool | `Int | `Float | `String ] -> string -> t
     floats and ['_'] separators are rejected.
     @raise Type_error if the payload does not parse. *)
 
+val of_substring_as : [ `Bool | `Int | `Float | `String ] -> string -> int -> int -> t
+(** [of_substring_as ty s pos len] is [of_string_as ty (String.sub s
+    pos len)], error message included, read in place: it allocates the
+    value it returns, and a copy of the float payload's digits.
+    @raise Type_error if the payload does not parse.
+    @raise Invalid_argument if [pos] and [len] are not a substring of
+    [s]. *)
+
 val type_name : t -> string
 (** Human-readable type tag, used in error messages. *)

@@ -12,10 +12,13 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 (* ------------------------------------------------------------------ *)
 
 (* The reader builds the graph from {!Xml.scan}'s events; no tree is
-   built.  A [<data>] payload goes into its owner's attributes when it
-   closes, unless its key is not declared yet: then that payload and
-   every later one of the same owner wait for the end of the document.
-   Edges are resolved after all nodes.
+   built.  A [<data>] payload is parsed when its element closes,
+   straight from the source text, into its owner's attributes, unless
+   its key is not declared yet: then that payload and every later one
+   of the same owner wait for the end of the document.  A node, or an
+   edge whose endpoints are known nodes, goes into the graph when it
+   closes if nothing of it waits; an edge that cannot, and every edge
+   after it, waits for the end, so edges keep their document order.
 
    A fault does not stop the scan, so an XML error anywhere wins.
    Among GraphML faults the first by [check], then by document order
@@ -31,7 +34,7 @@ type key = {
 }
 
 let parse_key attrs =
-  let attr name = List.assoc_opt name attrs in
+  let attr = Xml.attribute attrs in
   let ( let* ) = Result.bind in
   let* id = Option.to_result ~none:"<key> without id" (attr "id") in
   let* () =
@@ -66,16 +69,170 @@ let fuse_ranges attrs =
       | _ -> acc)
     attrs attrs
 
-(* A node, an edge or the graph: the payloads parsed so far, and those
-   waiting for their key as (seq, key id, payload), newest first. *)
-type owner = {
-  check : check;
-  mutable attrs : Attrs.t;
-  mutable waiting : (int * string * string) list;
+(* The attribute names of an owner, sorted, and a table over exactly
+   them: an owner with the same names gets its table as an [Attrs.map]
+   of this one, allocating only what it keeps.  [order] lists the
+   names as that owner's payloads came, and [ranks] their places in
+   [names]: owners written alike find each name's place by one
+   physical comparison. *)
+type shape = {
+  names : string array;
+  table : Attrs.t;
+  has_lo : bool;
+  order : string array;
+  ranks : int array;
 }
 
-(* An edge as read: the seqs of its start and end tags, its endpoint
-   ids and its attributes. *)
+(* A node, an edge or the graph: its attributes in document order
+   ([count] names and values; a later name wins), then those waiting
+   for their key as (seq, key id, payload), newest first.  The open
+   node or edge is one record reused from element to element. *)
+type owner = {
+  check : check;
+  mutable count : int;
+  mutable names : string array;
+  mutable values : Value.t array;
+  mutable waiting : (int * string * string) list;
+  mutable shape : shape;
+}
+
+let no_shape = { names = [||]; table = Attrs.empty; has_lo = false; order = [||]; ranks = [||] }
+
+let owner check =
+  {
+    check;
+    count = 0;
+    names = Array.make 8 "";
+    values = Array.make 8 (Value.Bool false);
+    waiting = [];
+    shape = no_shape;
+  }
+
+let push o name v =
+  if o.count = Array.length o.names then begin
+    let grow a = Array.append a (Array.make (max 8 o.count) a.(0)) in
+    o.names <- (if o.count = 0 then Array.make 8 "" else grow o.names);
+    o.values <- (if o.count = 0 then Array.make 8 v else grow o.values)
+  end;
+  o.names.(o.count) <- name;
+  o.values.(o.count) <- v;
+  o.count <- o.count + 1
+
+(* An owner that outlives its element. *)
+let keep o =
+  { o with names = Array.sub o.names 0 o.count; values = Array.sub o.values 0 o.count }
+
+let rec rank names name lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = String.compare name names.(mid) in
+    if c = 0 then mid else if c < 0 then rank names name lo mid else rank names name (mid + 1) hi
+
+(* The owner's attributes: [slots] holds one value per name of the
+   shape, [filled] counts those set, and [next] hands them out in the
+   order [Attrs.map] visits the names. *)
+type builder = {
+  mutable slots : Value.t array;
+  mutable filled : int;
+  mutable next : int;
+  mutable next_slot : string -> Value.t -> Value.t;
+}
+
+let absent = Value.String "absent"
+
+let builder () =
+  let b = { slots = [||]; filled = 0; next = 0; next_slot = (fun _ v -> v) } in
+  b.next_slot <-
+    (fun _ _ ->
+      b.next <- b.next + 1;
+      b.slots.(b.next - 1));
+  b
+
+let attrs_of b o =
+  let shape = o.shape in
+  let m = Array.length shape.names in
+  if Array.length b.slots < m then b.slots <- Array.make m absent
+  else Array.fill b.slots 0 m absent;
+  b.filled <- 0;
+  let fits = ref true in
+  for i = 0 to o.count - 1 do
+    let name = o.names.(i) in
+    match
+      if i < Array.length shape.order && shape.order.(i) == name then shape.ranks.(i)
+      else rank shape.names name 0 m
+    with
+    | -1 -> fits := false
+    | r ->
+        if b.slots.(r) == absent then b.filled <- b.filled + 1;
+        b.slots.(r) <- o.values.(i)
+  done;
+  let attrs =
+    if !fits && b.filled = m then begin
+      b.next <- 0;
+      Attrs.map b.next_slot shape.table
+    end
+    else begin
+      let table = ref Attrs.empty in
+      for i = 0 to o.count - 1 do
+        table := Attrs.add o.names.(i) o.values.(i) !table
+      done;
+      let names = Array.of_list (List.map fst (Attrs.to_list !table)) in
+      let order = Array.sub o.names 0 o.count in
+      o.shape <-
+        {
+          names;
+          table = !table;
+          has_lo = Array.exists (fun n -> String.ends_with ~suffix:"_lo" n) names;
+          order;
+          ranks = Array.map (fun n -> rank names n 0 (Array.length names)) order;
+        };
+      !table
+    end
+  in
+  if o.shape.has_lo then fuse_ranges attrs else attrs
+
+(* Key ids looked up since the keys last changed: the scanner hands out
+   one string per short id, so a payload finds its key by a physical
+   comparison or two instead of hashing its id. *)
+type resolved = { mutable n : int; ids : string array; found : key array }
+
+let rec resolve r keys id j =
+  if j = r.n then begin
+    let k = Hashtbl.find keys id in
+    if r.n < Array.length r.ids then begin
+      r.ids.(r.n) <- id;
+      r.found.(r.n) <- k;
+      r.n <- r.n + 1
+    end;
+    k
+  end
+  else if r.ids.(j) == id then r.found.(j)
+  else resolve r keys id (j + 1)
+
+(* Node ids to nodes.  Every edge looks up two ids, so the table hashes
+   a string in place rather than through the generic [Hashtbl.hash]. *)
+module Ids = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+
+  let hash s =
+    let h = ref 0 in
+    for i = 0 to String.length s - 1 do
+      h := (!h * 31) + Char.code (String.unsafe_get s i)
+    done;
+    !h land max_int
+end)
+
+(* Which of a node or an edge is open. *)
+type element = No_element | Node | Edge
+
+(* The whitespace of [String.trim], which trims a payload. *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* An edge that waits for the end of the document: the seqs of its
+   start and end tags, its endpoint ids and its attributes. *)
 type edge = {
   opened : int;
   closed : int;
@@ -92,40 +249,56 @@ let read src =
     | Some _ | None -> fault := Some (check, seq, message)
   in
   let keys = Hashtbl.create 16 in
-  let add_payload owner seq (k : key) payload =
+  let resolved =
+    { n = 0; ids = Array.make 16 ""; found = Array.make 16 { attr_name = ""; ty = `String; used = false } }
+  in
+  let add_payload owner seq (k : key) s pos len =
     k.used <- true;
-    match Value.of_string_as k.ty payload with
-    | v -> owner.attrs <- Attrs.add k.attr_name v owner.attrs
+    match Value.of_substring_as k.ty s pos len with
+    | v -> push owner k.attr_name v
     | exception Value.Type_error m ->
         fail_at owner.check seq (Printf.sprintf "bad <data> for key %s: %s" k.attr_name m)
   in
+  let builder = builder () in
   (* At the end of the document, when the keys are final. *)
   let settle owner =
     List.iter
       (fun (seq, id, payload) ->
         match Hashtbl.find_opt keys id with
-        | Some k -> add_payload owner seq k payload
+        | Some k -> add_payload owner seq k payload 0 (String.length payload)
         | None -> fail_at owner.check seq (Printf.sprintf "undeclared key %S" id))
       (List.rev owner.waiting);
-    fuse_ranges owner.attrs
+    owner.waiting <- [];
+    attrs_of builder owner
   in
-  let node_attrs id owner =
-    let attrs = settle owner in
-    if Attrs.mem "id" attrs then attrs else Attrs.add "id" (Value.String id) attrs
-  in
-  let fresh check = { check; attrs = Attrs.empty; waiting = [] } in
   let seq = ref 0 and depth = ref 0 in
   let graph = ref None and in_graph = ref false in
-  let node_ids = Hashtbl.create 64 and late_nodes = ref [] and edges = ref [] in
-  let graph_data = fresh Graph_data and has_graph_data = ref false in
-  (* The open <node> and <edge> with their seq, and the open <data>:
-     its depth (0 when none), seq, key id, owner and text so far. *)
-  let node = ref None and edge = ref None in
-  let data_depth = ref 0 and data = ref (0, None, graph_data) and data_text = ref "" in
-  let open_data owner attrs =
+  let node_ids = Ids.create 64 and late_nodes = ref [] and edges = ref [] in
+  let graph_data = owner Graph_data and has_graph_data = ref false in
+  (* The open <node> or <edge> and its owner record: a node's id, an
+     edge's start tag seq and endpoint ids, each [""] with its [_at] -1
+     when the attribute is missing. *)
+  let elem = ref No_element and node_owner = owner Nodes and edge_owner = owner Edges in
+  let node_id = ref "" and node_id_at = ref (-1) in
+  let opened = ref 0 and source = ref "" and target = ref "" in
+  let source_at = ref (-1) and target_at = ref (-1) in
+  (* The open <data>: its depth (0 when none; 3 for the graph's own,
+     4 for the open node's or edge's), seq and key id (with [key_at] -1
+     when it has none), and its text: one slice, of [src] unless it
+     was [decoded], or the runs so far in [text_buf] once there are
+     several. *)
+  let data_depth = ref 0 and data_seq = ref 0 and data_key = ref "" and key_at = ref (-1) in
+  let runs = ref 0 and text_pos = ref 0 and text_len = ref 0 in
+  let is_decoded = ref false and decoded = ref "" in
+  let text_buf = Buffer.create 64 in
+  let open_data attrs =
     data_depth := !depth;
-    data := (!seq, List.assoc_opt "key" attrs, owner);
-    data_text := ""
+    data_seq := !seq;
+    key_at := Xml.find_attribute attrs "key";
+    if !key_at >= 0 then data_key := Xml.attribute_value attrs !key_at;
+    runs := 0;
+    text_pos := 0;
+    text_len := 0
   in
   let start tag attrs =
     incr seq;
@@ -142,85 +315,147 @@ let read src =
             | Some old when old.used ->
                 if old.attr_name <> k.attr_name || old.ty <> k.ty then
                   fail_at Key_reuse !seq (Printf.sprintf "key %S redeclared after use" id)
-            | Some _ | None -> Hashtbl.replace keys id k))
+            | Some _ | None ->
+                Hashtbl.replace keys id k;
+                resolved.n <- 0))
     | 2, "graph" when Option.is_none !graph ->
         let kind =
-          match List.assoc_opt "edgedefault" attrs with
+          match Xml.attribute attrs "edgedefault" with
           | Some "directed" -> Graph.Directed
           | Some "undirected" | None -> Graph.Undirected
           | Some other ->
               fail_at Edgedefault !seq (Printf.sprintf "unsupported edgedefault %S" other);
               Graph.Undirected
         in
-        let name = Option.value ~default:"" (List.assoc_opt "id" attrs) in
+        let name = Option.value ~default:"" (Xml.attribute attrs "id") in
         graph := Some (Graph.create ~kind ~name ());
         in_graph := true
     | 3, "node" when !in_graph ->
-        let id = List.assoc_opt "id" attrs in
-        if Option.is_none id then fail_at Nodes !seq "<node> without id";
-        node := Some (id, fresh Nodes)
+        node_id_at := Xml.find_attribute attrs "id";
+        node_id := if !node_id_at < 0 then "" else Xml.attribute_value attrs !node_id_at;
+        if !node_id_at < 0 then fail_at Nodes !seq "<node> without id";
+        (* First, so that a payload for "id" wins over it. *)
+        node_owner.count <- 0;
+        push node_owner "id" (Value.String !node_id);
+        elem := Node
     | 3, "edge" when !in_graph ->
-        let source = List.assoc_opt "source" attrs and target = List.assoc_opt "target" attrs in
-        edge := Some (!seq, source, target, fresh Edges)
+        edge_owner.count <- 0;
+        opened := !seq;
+        source_at := Xml.find_attribute attrs "source";
+        if !source_at >= 0 then source := Xml.attribute_value attrs !source_at;
+        target_at := Xml.find_attribute attrs "target";
+        if !target_at >= 0 then target := Xml.attribute_value attrs !target_at;
+        elem := Edge
     | 3, "data" when !in_graph ->
         has_graph_data := true;
-        open_data graph_data attrs
-    | 4, "data" -> (
-        match (!node, !edge) with
-        | Some (_, owner), _ | None, Some (_, _, _, owner) -> open_data owner attrs
-        | None, None -> ())
+        open_data attrs
+    | 4, "data" when !elem <> No_element -> open_data attrs
     | _ -> ()
   in
-  let text s =
-    if !data_depth > 0 then data_text := if !data_text = "" then s else !data_text ^ s
+  let text s pos len =
+    if !data_depth > 0 then begin
+      if !runs = 1 then begin
+        Buffer.clear text_buf;
+        Buffer.add_substring text_buf (if !is_decoded then !decoded else src) !text_pos !text_len
+      end;
+      if !runs = 0 then begin
+        is_decoded := s != src;
+        if !is_decoded then decoded := s;
+        text_pos := pos;
+        text_len := len
+      end
+      else Buffer.add_substring text_buf s pos len;
+      incr runs
+    end
   in
   let close_data () =
+    let owner =
+      if !data_depth = 3 then graph_data else if !elem = Node then node_owner else edge_owner
+    in
+    let at = !data_seq in
     data_depth := 0;
-    let at, id, owner = !data in
-    let payload = String.trim !data_text in
-    match id with
-    | None -> fail_at owner.check at "<data> without key"
-    | Some id -> (
-        match (owner.waiting, Hashtbl.find_opt keys id) with
-        | [], Some k -> add_payload owner at k payload
-        | _ -> owner.waiting <- (at, id, payload) :: owner.waiting)
+    let s =
+      if !runs = 0 then ""
+      else if !runs > 1 then begin
+        text_pos := 0;
+        text_len := Buffer.length text_buf;
+        Buffer.contents text_buf
+      end
+      else if !is_decoded then !decoded
+      else src
+    in
+    (* Trimmed as [String.trim] would. *)
+    let pos = ref !text_pos and stop = ref (!text_pos + !text_len) in
+    while !pos < !stop && is_blank s.[!pos] do
+      incr pos
+    done;
+    while !stop > !pos && is_blank s.[!stop - 1] do
+      decr stop
+    done;
+    let pos = !pos and len = !stop - !pos in
+    if !key_at < 0 then fail_at owner.check at "<data> without key"
+    else
+      match (owner.waiting, resolve resolved keys !data_key 0) with
+      | [], k -> add_payload owner at k s pos len
+      | _ :: _, _ | (exception Not_found) ->
+          owner.waiting <- (at, !data_key, String.sub s pos len) :: owner.waiting
   in
-  let close_node g (id, owner) =
-    let name = Option.value ~default:"" id in
+  let close_node g owner =
     let v =
-      if owner.waiting = [] then Graph.add_node g (node_attrs name owner)
+      if owner.waiting = [] then Graph.add_node g (attrs_of builder owner)
       else begin
         let v = Graph.add_node g Attrs.empty in
-        late_nodes := (v, name, owner) :: !late_nodes;
+        late_nodes := (v, keep owner) :: !late_nodes;
+        owner.waiting <- [];
         v
       end
     in
-    Option.iter
-      (fun id ->
-        if Hashtbl.mem node_ids id then
-          fail_at Nodes !seq (Printf.sprintf "duplicate node id %S" id)
-        else Hashtbl.replace node_ids id v)
-      id
+    if !node_id_at >= 0 then
+      if Ids.mem node_ids !node_id then
+        fail_at Nodes !seq (Printf.sprintf "duplicate node id %S" !node_id)
+      else Ids.replace node_ids !node_id v
+  in
+  let node at id = if at < 0 then -1 else try Ids.find node_ids id with Not_found -> -1 in
+  let close_edge g owner =
+    let u = node !source_at !source and v = node !target_at !target in
+    if !edges = [] && owner.waiting = [] && u >= 0 && v >= 0 then begin
+      let attrs = attrs_of builder owner in
+      if u = v then fail_at Edges !seq (Printf.sprintf "edge from %S to itself" !source)
+      else ignore (Graph.add_edge g u v attrs)
+    end
+    else begin
+      let id at s = if at < 0 then None else Some s in
+      edges :=
+        {
+          opened = !opened;
+          closed = !seq;
+          source = id !source_at !source;
+          target = id !target_at !target;
+          data = keep owner;
+        }
+        :: !edges;
+      owner.waiting <- []
+    end
   in
   let stop _ =
     incr seq;
     (if !depth = !data_depth then close_data ()
      else if !depth = 2 then in_graph := false
      else if !depth = 3 && !in_graph then
-       match (!node, !edge, !graph) with
-       | Some n, _, Some g ->
-           node := None;
-           close_node g n
-       | None, Some (opened, source, target, data), _ ->
-           edge := None;
-           edges := { opened; closed = !seq; source; target; data } :: !edges
+       match (!elem, !graph) with
+       | Node, Some g ->
+           elem := No_element;
+           close_node g node_owner
+       | Edge, Some g ->
+           elem := No_element;
+           close_edge g edge_owner
        | _ -> ());
     decr depth
   in
   Xml.scan ~start ~text ~stop src;
   let endpoint which = function
     | Some v -> (
-        match Hashtbl.find_opt node_ids v with
+        match Ids.find_opt node_ids v with
         | Some n -> Ok n
         | None -> Error (Printf.sprintf "edge endpoint %S is not a node" v))
     | None -> Error (Printf.sprintf "<edge> without %s" which)
@@ -238,7 +473,7 @@ let read src =
   (match !graph with
   | None -> fail_at Graph_element 0 "no <graph> element"
   | Some g ->
-      List.iter (fun (v, id, owner) -> Graph.set_node_attrs g v (node_attrs id owner)) !late_nodes;
+      List.iter (fun (v, owner) -> Graph.set_node_attrs g v (settle owner)) !late_nodes;
       List.iter (add_edge g) (List.rev !edges);
       if !has_graph_data then Graph.set_graph_attrs g (settle graph_data));
   match !fault with Some (_, _, message) -> raise (Error message) | None -> Option.get !graph

@@ -60,8 +60,8 @@ let universe ledger kind size =
     static = Hashtbl.create 8;
   }
 
-let create g =
-  let graph = Graph.copy g in
+(* The model over [graph], which it owns from here on. *)
+let own graph =
   (* Every node carries an explicit reservation flag so the standard
      node constraint ["!rSource.reserved"] is total. *)
   Graph.iter_nodes
@@ -84,7 +84,9 @@ let create g =
     edge_columns = universe ledger `Edge (Graph.edge_count graph);
     node_columns = universe ledger `Node (Graph.node_count graph);
   }
-let of_graphml_file path = create (Netembed_graphml.Graphml.read_file path)
+
+let create g = own (Graph.copy g)
+let of_graphml_file path = own (Netembed_graphml.Graphml.read_file path)
 let snapshot t = t.graph
 let revision t = t.rev
 let ledger t = t.ledger

@@ -16,8 +16,8 @@ open Netembed_graph
 type t
 
 val create : Graph.t -> t
-(** Wrap a hosting network; the graph is copied so later monitor updates
-    do not alias the caller's graph.  A resource ledger is opened over
+(** Wrap a hosting network.  The model copies the graph, so later
+    monitor updates do not alias the caller's graph.  A resource ledger is opened over
     the copy with the default capacity attributes
     ({!Netembed_ledger.Ledger.of_graph}): hosts declaring no capacities
     get an empty ledger and behave exactly as before.  The copy's host
@@ -26,7 +26,10 @@ val create : Graph.t -> t
     host degree arrays ({!Graph.degrees}). *)
 
 val of_graphml_file : string -> t
-(** @raise Netembed_graphml.Graphml.Error on malformed input. *)
+(** The model of the network in a GraphML file, as {!create} makes it.
+    No caller holds the graph it reads, so the model takes it over
+    instead of copying it.
+    @raise Netembed_graphml.Graphml.Error on malformed input. *)
 
 val snapshot : t -> Graph.t
 (** The current hosting graph including reservation state.  Reserved

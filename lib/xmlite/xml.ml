@@ -11,8 +11,29 @@ exception Parse_error of { line : int; message : string }
 (* The scanner walks [src] by index and tracks no line: an error counts
    the newlines before the offset it is raised at.  Names and short
    attribute values repeat (tags, key ids, node ids), so [names], a
-   direct-mapped cache, hands out one string per distinct slice. *)
-type state = { src : string; len : int; mutable pos : int; names : string array }
+   direct-mapped cache, hands out one string per distinct slice.
+
+   The attributes of the current start tag live in the [attr_] arrays,
+   reused from tag to tag: where a name starts in [src] (it ends at the
+   next character that cannot be in a name), and a value's slice of
+   [src] ([attr_start], [attr_len]) or, when it had to be decoded
+   ([attr_start] is -1), the decoded string.  The open elements are
+   [open_tags.(0 .. depth - 1)]. *)
+type state = {
+  src : string;
+  len : int;
+  mutable pos : int;
+  names : string array;
+  mutable attr_count : int;
+  mutable attr_name : int array;
+  mutable attr_start : int array;
+  mutable attr_len : int array;
+  mutable attr_decoded : string array;
+  mutable open_tags : string array;
+  mutable depth : int;
+}
+
+type attributes = state
 
 let error st message =
   let line = ref 1 in
@@ -29,14 +50,19 @@ let[@inline] is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -
 let is_digit c = c >= '0' && c <= '9'
 let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
-let[@inline] is_name_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_' || c = '-' || c = '.' || c = ':'
+let name_chars =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' | ':' -> '\001'
+      | _ -> '\000')
 
+let[@inline] is_name_char c = String.unsafe_get name_chars (Char.code c) <> '\000'
+
+(* Callers check that [src] holds [String.length s] bytes from [pos]. *)
 let rec matches src pos s i =
-  i = String.length s || (src.[pos + i] = s.[i] && matches src pos s (i + 1))
+  i = String.length s
+  || String.unsafe_get src (pos + i) = String.unsafe_get s i
+     && matches src pos s (i + 1)
 
 (* Does the source continue with [s] at the current position? *)
 let at st s = st.pos + String.length s <= st.len && matches st.src st.pos s 0
@@ -51,7 +77,7 @@ let expect_char st c =
 
 let skip_spaces st =
   let i = ref st.pos in
-  while !i < st.len && is_space st.src.[!i] do
+  while !i < st.len && is_space (String.unsafe_get st.src !i) do
     incr i
   done;
   st.pos <- !i
@@ -66,12 +92,13 @@ let skip_past st s =
 
 let interned_max = 16
 
+(* [start] and [n] are a slice of [src]. *)
 let intern st start n =
   if n > interned_max then String.sub st.src start n
   else begin
     let h = ref n in
     for i = start to start + n - 1 do
-      h := (!h * 31) + Char.code st.src.[i]
+      h := (!h * 31) + Char.code (String.unsafe_get st.src i)
     done;
     let slot = !h land (Array.length st.names - 1) in
     let s = st.names.(slot) in
@@ -83,15 +110,20 @@ let intern st start n =
     end
   end
 
-let read_name st =
+(* Moves past a name and returns where it starts. *)
+let skip_name st =
   let start = st.pos in
   let i = ref start in
-  while !i < st.len && is_name_char st.src.[!i] do
+  while !i < st.len && is_name_char (String.unsafe_get st.src !i) do
     incr i
   done;
   st.pos <- !i;
   if !i = start then error st "expected a name";
-  intern st start (!i - start)
+  start
+
+let read_name st =
+  let start = skip_name st in
+  intern st start (st.pos - start)
 
 let rec entity_end st start i =
   if i >= st.len then begin
@@ -138,7 +170,7 @@ let span st stop =
   while
     !i < st.len
     &&
-    let c = st.src.[!i] in
+    let c = String.unsafe_get st.src !i in
     c <> stop && c <> '&'
   do
     incr i
@@ -163,8 +195,11 @@ let decoded st start stop =
   done;
   Buffer.contents buf
 
+let grow a fill = Array.append a (Array.make (Array.length a) fill)
+
+(* Reads one attribute into slot [attr_count]. *)
 let read_attribute st =
-  let name = read_name st in
+  let name = skip_name st in
   skip_spaces st;
   expect_char st '=';
   skip_spaces st;
@@ -174,36 +209,85 @@ let read_attribute st =
   if quote <> '"' && quote <> '\'' then error st "expected quoted attribute value";
   let start = st.pos in
   span st quote;
-  let value =
-    if st.src.[st.pos] = quote then intern st start (st.pos - start)
-    else decoded st start quote
-  in
-  st.pos <- st.pos + 1;
-  (name, value)
+  let i = st.attr_count in
+  if i = Array.length st.attr_name then begin
+    st.attr_name <- grow st.attr_name 0;
+    st.attr_start <- grow st.attr_start 0;
+    st.attr_len <- grow st.attr_len 0;
+    st.attr_decoded <- grow st.attr_decoded ""
+  end;
+  st.attr_name.(i) <- name;
+  if st.src.[st.pos] = quote then begin
+    st.attr_start.(i) <- start;
+    st.attr_len.(i) <- st.pos - start
+  end
+  else begin
+    st.attr_decoded.(i) <- decoded st start quote;
+    st.attr_start.(i) <- -1
+  end;
+  st.attr_count <- i + 1;
+  st.pos <- st.pos + 1
 
-let rec attributes st acc =
+let rec attributes st =
   skip_spaces st;
   if st.pos >= st.len then error st "unexpected end of input in tag";
   match st.src.[st.pos] with
-  | '/' | '>' -> List.rev acc
-  | _ -> attributes st (read_attribute st :: acc)
+  | '/' | '>' -> ()
+  | _ ->
+      read_attribute st;
+      attributes st
 
-(* At the '<' of a start tag: reads the tag and returns the stack of
-   open tags after it. *)
-let open_element st ~start ~stop stack =
+let attribute_count st = st.attr_count
+
+let check_index st i fn =
+  if i < 0 || i >= st.attr_count then invalid_arg ("Xml." ^ fn)
+
+let rec name_end st i =
+  if i < st.len && is_name_char (String.unsafe_get st.src i) then name_end st (i + 1) else i
+
+let attribute_name st i =
+  check_index st i "attribute_name";
+  let start = st.attr_name.(i) in
+  intern st start (name_end st start - start)
+
+let attribute_value st i =
+  check_index st i "attribute_value";
+  if st.attr_start.(i) < 0 then st.attr_decoded.(i)
+  else intern st st.attr_start.(i) st.attr_len.(i)
+
+let rec find_from st name i =
+  if i = st.attr_count then -1
+  else
+    let start = st.attr_name.(i) and n = String.length name in
+    if
+      start + n <= st.len && matches st.src start name 0
+      && not (start + n < st.len && is_name_char (String.unsafe_get st.src (start + n)))
+    then i
+    else find_from st name (i + 1)
+
+let find_attribute st name = find_from st name 0
+
+let attribute st name =
+  match find_attribute st name with -1 -> None | i -> Some (attribute_value st i)
+
+(* At the '<' of a start tag: reads the tag, reports it, and opens it
+   unless it is empty. *)
+let open_element st ~start ~stop =
   st.pos <- st.pos + 1;
   let tag = read_name st in
-  let attrs = attributes st [] in
+  st.attr_count <- 0;
+  attributes st;
   if st.src.[st.pos] = '/' then begin
     expect st "/>";
-    start tag attrs;
-    stop tag;
-    stack
+    start tag st;
+    stop tag
   end
   else begin
     st.pos <- st.pos + 1;
-    start tag attrs;
-    tag :: stack
+    start tag st;
+    if st.depth = Array.length st.open_tags then st.open_tags <- grow st.open_tags "";
+    st.open_tags.(st.depth) <- tag;
+    st.depth <- st.depth + 1
   end
 
 (* After the "</" of the end tag that must close [tag]. *)
@@ -221,18 +305,18 @@ let close_element st tag =
 let text_run st text =
   let start = st.pos in
   let i = ref start in
-  while !i < st.len && is_blank st.src.[!i] do
+  while !i < st.len && is_blank (String.unsafe_get st.src !i) do
     incr i
   done;
   let blank = !i in
   st.pos <- !i;
   span st '<';
   if st.src.[st.pos] = '<' then begin
-    if st.pos > blank then text (String.sub st.src start (st.pos - start))
+    if st.pos > blank then text st.src start (st.pos - start)
   end
   else
     let s = decoded st start '<' in
-    if String.trim s <> "" then text s
+    if String.trim s <> "" then text s 0 (String.length s)
 
 let rec skip_doctype st =
   if st.pos >= st.len then error st "unexpected end of input";
@@ -255,43 +339,48 @@ let rec skip_misc st =
   end
 
 let scan ~start ~text ~stop src =
-  let st = { src; len = String.length src; pos = 0; names = Array.make 256 "" } in
+  let st =
+    {
+      src;
+      len = String.length src;
+      pos = 0;
+      names = Array.make 256 "";
+      attr_count = 0;
+      attr_name = Array.make 4 0;
+      attr_start = Array.make 4 0;
+      attr_len = Array.make 4 0;
+      attr_decoded = Array.make 4 "";
+      open_tags = Array.make 8 "";
+      depth = 0;
+    }
+  in
   skip_misc st;
   if at st "<!DOCTYPE" then begin
     skip_doctype st;
     skip_misc st
   end;
   if not (at st "<") then error st "expected a root element";
-  let rec content = function
-    | [] -> ()
-    | tag :: rest as stack ->
-        if st.pos >= st.len then error st "unexpected end of input in text"
-        else if st.src.[st.pos] <> '<' then begin
-          text_run st text;
-          content stack
-        end
-        else
-          match if st.pos + 1 < st.len then st.src.[st.pos + 1] else ' ' with
-          | '/' ->
-              st.pos <- st.pos + 2;
-              close_element st tag;
-              stop tag;
-              content rest
-          | '!' when at st "<!--" ->
-              skip_past st "-->";
-              content stack
-          | '!' when at st "<![CDATA[" ->
-              st.pos <- st.pos + 9;
-              let first = st.pos in
-              skip_past st "]]>";
-              text (String.sub src first (st.pos - 3 - first));
-              content stack
-          | '?' ->
-              skip_past st "?>";
-              content stack
-          | _ -> content (open_element st ~start ~stop stack)
-  in
-  content (open_element st ~start ~stop []);
+  open_element st ~start ~stop;
+  while st.depth > 0 do
+    if st.pos >= st.len then error st "unexpected end of input in text"
+    else if st.src.[st.pos] <> '<' then text_run st text
+    else
+      match if st.pos + 1 < st.len then st.src.[st.pos + 1] else ' ' with
+      | '/' ->
+          st.pos <- st.pos + 2;
+          let tag = st.open_tags.(st.depth - 1) in
+          close_element st tag;
+          st.depth <- st.depth - 1;
+          stop tag
+      | '!' when at st "<!--" -> skip_past st "-->"
+      | '!' when at st "<![CDATA[" ->
+          st.pos <- st.pos + 9;
+          let first = st.pos in
+          skip_past st "]]>";
+          text src first (st.pos - 3 - first)
+      | '?' -> skip_past st "?>"
+      | _ -> open_element st ~start ~stop
+  done;
   skip_misc st;
   if st.pos < st.len then error st "content after the root element"
 
@@ -306,8 +395,13 @@ let parse_string src =
     match !open_ with (_, _, kids) :: _ -> kids := node :: !kids | [] -> root := node
   in
   scan src
-    ~start:(fun tag attrs -> open_ := (tag, attrs, ref []) :: !open_)
-    ~text:(fun s -> add (Text s))
+    ~start:(fun tag attrs ->
+      let attrs =
+        List.init (attribute_count attrs) (fun i ->
+            (attribute_name attrs i, attribute_value attrs i))
+      in
+      open_ := (tag, attrs, ref []) :: !open_)
+    ~text:(fun s pos len -> add (Text (String.sub s pos len)))
     ~stop:(fun _ ->
       match !open_ with
       | (tag, attrs, kids) :: rest ->

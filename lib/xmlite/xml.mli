@@ -21,21 +21,46 @@ exception Parse_error of { line : int; message : string }
     the fault was found: the line of the offending construct, or the
     last line when the input ends too early. *)
 
+type attributes
+(** The attributes of the start tag that {!scan} is reporting, read
+    through the functions below during the [start] call that received
+    them: the scanner reuses their storage for the next tag. *)
+
+val attribute_count : attributes -> int
+
+val attribute_name : attributes -> int -> string
+(** [attribute_name a i] is the name of the [i]th attribute, counting
+    from 0 in document order.
+    @raise Invalid_argument unless [0 <= i < attribute_count a]. *)
+
+val attribute_value : attributes -> int -> string
+(** The [i]th attribute's value, entities decoded.  Values of up to 16
+    bytes are shared: one string per distinct value in a document.
+    @raise Invalid_argument unless [0 <= i < attribute_count a]. *)
+
+val find_attribute : attributes -> string -> int
+(** The index of the first attribute with this name, or [-1]. *)
+
+val attribute : attributes -> string -> string option
+(** The value of the first attribute with this name. *)
+
 val scan :
-  start:(string -> (string * string) list -> unit) ->
-  text:(string -> unit) ->
+  start:(string -> attributes -> unit) ->
+  text:(string -> int -> int -> unit) ->
   stop:(string -> unit) ->
   string ->
   unit
 (** [scan ~start ~text ~stop src] walks the document in [src] once, in
-    order.  [start tag attrs] opens an element (attributes in document
-    order, entities decoded) and [stop tag] closes it; an empty-element
-    tag [<a/>] gives both.  [text s] is a run of character data between
-    two pieces of markup, entities decoded, or the content of a CDATA
-    section.  Runs that are only whitespace are skipped, except in
-    CDATA.  Comments, processing instructions and a doctype are
-    skipped.  After the root element only whitespace, comments and
-    processing instructions may follow.
+    order.  [start tag attrs] opens an element and [stop tag] closes
+    it; an empty-element tag [<a/>] gives both.  [text s pos len] is a
+    run of character data between two pieces of markup, or the content
+    of a CDATA section: the [len] bytes of [s] from [pos].  [s] is
+    [src] itself unless the run held an entity, which is decoded into
+    a fresh string; so is an attribute value.  Tags and attribute
+    names are shared strings.  Runs that are only whitespace are
+    skipped, except in CDATA.  Comments, processing instructions and
+    a doctype are skipped.  After the root element only whitespace,
+    comments and processing instructions may follow.
 
     The callbacks run as the scanner goes: when a fault is found,
     those for everything before it have already run.

@@ -62,9 +62,18 @@ grep -q '"queue_wait"' "$WORK/results.json" \
 # short fast SLO window: ready under clean load, 503 + saturated gauge
 # under overload, ready again once the fast window ages out, and a
 # non-200 /healthz the moment graceful drain begins.
+#
+# The server models a 200-site host (about 13.7k links), so that one
+# worker's service time (a 13 ms median, mostly the residual snapshot,
+# on a 2-core VM) is several times the 2.5 ms send interval at 400 rps:
+# overload sheds most requests even on a much faster machine, while
+# the 50 ms interval at 20 rps stays above the slowest replies.  On the
+# 40-site host the worker kept up with 400 rps and the error budget
+# never burned.
+"$BIN/netembed_cli.exe" generate --kind planetlab -n 200 --seed 2 -o "$WORK/heavy.graphml"
 MPORT=$(python3 -c 'import socket; s=socket.socket(); s.bind(("127.0.0.1",0)); print(s.getsockname()[1])')
 
-"$BIN/netembed_server.exe" --host "$WORK/host.graphml" --tcp-port 0 \
+"$BIN/netembed_server.exe" --host "$WORK/heavy.graphml" --tcp-port 0 \
   --workers 1 --queue-capacity 1 --metrics-port "$MPORT" \
   --health-fast-window 3 --runtime-sample 1 \
   --alloc-profile "$WORK/alloc.folded" \

@@ -155,6 +155,61 @@ let test_graphml_float_round_trip () =
           | _ -> Alcotest.failf "%h: no float read back" f)
         values)
 
+(* Floats are read in place, not by [float_of_string], whenever an
+   error bound proves the rounding; the value must be the same bits.
+   The payloads: what [%.17g] and shorter formats write of random
+   doubles, random digit strings with a point and an exponent, and
+   integers that lie exactly halfway between two doubles. *)
+let gen_float_payload =
+  let open QCheck.Gen in
+  let any_double =
+    oneof [ map Int64.float_of_bits ui64; float_range (-1e4) 1e4; float_range (-1.0) 1.0 ]
+  in
+  let printed = map2 (fun p f -> Printf.sprintf "%.*g" p f) (oneofl [ 17; 16; 15; 12; 3 ]) any_double in
+  let digits n = string_size ~gen:(char_range '0' '9') (int_range 1 n) in
+  let decimal =
+    map3
+      (fun (whole, frac) sign exp -> Printf.sprintf "%s%s.%se%d" sign whole frac exp)
+      (pair (digits 12) (digits 12))
+      (oneofl [ ""; "-"; "+" ])
+      (int_range (-30) 30)
+  in
+  let halfway =
+    map (fun k -> string_of_int ((2 * ((1 lsl 53) + k)) + 1)) (int_range 0 (1 lsl 30))
+  in
+  oneof [ printed; decimal; halfway ]
+
+let prop_float_payloads =
+  QCheck.Test.make ~name:"float payloads read as float_of_string does" ~count:20_000
+    (QCheck.make ~print:Fun.id gen_float_payload)
+    (fun payload ->
+      let expected = float_of_string payload in
+      match Value.of_string_as `Float payload with
+      | Value.Float f ->
+          Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float expected)
+          || (Float.is_nan f && Float.is_nan expected)
+      | _ -> false)
+
+(* [of_substring_as] is [of_string_as] of the substring: the same value
+   or the same error message. *)
+let prop_substring_payloads =
+  let outcome f = match f () with v -> Ok v | exception Value.Type_error m -> Error m in
+  QCheck.Test.make ~name:"of_substring_as = of_string_as of the slice" ~count:2000
+    QCheck.(
+      triple
+        (oneofl [ `Bool; `Int; `Float; `String ])
+        (string_gen_of_size (Gen.int_range 0 24)
+           (Gen.oneofl [ '0'; '1'; '7'; '.'; '-'; '+'; 'e'; ' '; 'x'; 'T'; 'r'; 'u'; 'E' ]))
+        (pair small_nat small_nat))
+    (fun (ty, s, (a, b)) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      compare
+        (outcome (fun () -> Value.of_substring_as ty s pos len))
+        (outcome (fun () -> Value.of_string_as ty (String.sub s pos len)))
+      = 0)
+
 let test_value_pp () =
   check Alcotest.string "int" "7" (Value.to_string (Value.Int 7));
   check Alcotest.string "float" "2.5" (Value.to_string (Value.Float 2.5));
@@ -247,6 +302,8 @@ let () =
           Alcotest.test_case "range" `Quick test_value_range;
           Alcotest.test_case "parse" `Quick test_value_parse;
           Alcotest.test_case "graphml float round trip" `Quick test_graphml_float_round_trip;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 32 |]) prop_float_payloads;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 32 |]) prop_substring_payloads;
           Alcotest.test_case "pp" `Quick test_value_pp;
         ] );
       ( "attrs",

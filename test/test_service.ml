@@ -107,6 +107,99 @@ let test_snapshot_shares_pair_index () =
   if small > 32.0 *. 3.0 then
     Alcotest.failf "Problem.make allocated %.0f words for a 2-node query" small
 
+(* A PlanetLab host as svcbench loads it, written to a temporary file:
+   the trace plus a seeded bandwidth on every link, so the ledger
+   tracks cpuMhz and memMB on nodes and bandwidth on links. *)
+let with_planetlab_file sites f =
+  let module Trace = Netembed_planetlab.Trace in
+  let rng = Rng.make 2008 in
+  let g = Trace.generate rng { Trace.default with Trace.sites } in
+  Graph.iter_edges
+    (fun e _ _ ->
+      let bw = float_of_int (100 + (10 * Rng.int rng 91)) in
+      Graph.set_edge_attrs g e (Attrs.add "bandwidth" (Value.Float bw) (Graph.edge_attrs g e)))
+    g;
+  let path = Filename.temp_file "netembed_model" ".graphml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Netembed_graphml.Graphml.write_file g path;
+      f path)
+
+(* Counted, not timed: loading a model from GraphML allocates at most
+   twice the words the model then holds.  The count takes in the file's
+   text, which is allocated directly in the major heap, the read's
+   garbage and the model built over the graph it read; a load that
+   copied the graph once more, or kept a tree or a string per element,
+   would pass the bound. *)
+let test_of_graphml_file_words () =
+  with_planetlab_file 100 (fun path ->
+      let before = allocated_words () in
+      let model = Model.of_graphml_file path in
+      let words = allocated_words () -. before in
+      let held = float_of_int (Obj.reachable_words (Obj.repr model)) in
+      check Alcotest.bool "at least 3k links" true
+        (Graph.edge_count (Model.snapshot model) >= 3000);
+      if words > 2.0 *. held then
+        Alcotest.failf "Model.of_graphml_file allocated %.0f words for a %.0f-word model" words
+          held)
+
+(* The model that owns the graph it read serves what a model over a
+   copy of the same graph serves: snapshots, revisions, degrees and
+   ledger utilization, as loaded and after the same reservation and
+   charge. *)
+let test_of_graphml_file_equals_create () =
+  with_planetlab_file 40 (fun path ->
+      let owned = Model.of_graphml_file path in
+      let copied = Model.create (Netembed_graphml.Graphml.read_file path) in
+      let graph_equal name a b =
+        check Alcotest.int (name ^ " nodes") (Graph.node_count a) (Graph.node_count b);
+        check Alcotest.int (name ^ " edges") (Graph.edge_count a) (Graph.edge_count b);
+        Graph.iter_nodes
+          (fun v ->
+            if not (Attrs.equal (Graph.node_attrs a v) (Graph.node_attrs b v)) then
+              Alcotest.failf "%s: node %d attributes differ" name v)
+          a;
+        Graph.iter_edges
+          (fun e u v ->
+            if Graph.endpoints b e <> (u, v) then Alcotest.failf "%s: edge %d endpoints" name e;
+            if not (Attrs.equal (Graph.edge_attrs a e) (Graph.edge_attrs b e)) then
+              Alcotest.failf "%s: edge %d attributes differ" name e)
+          a;
+        check Alcotest.(array int) (name ^ " degrees") (Graph.degrees a) (Graph.degrees b)
+      in
+      let same stage =
+        check Alcotest.int (stage ^ ": revision") (Model.revision copied) (Model.revision owned);
+        graph_equal (stage ^ ": snapshot") (Model.snapshot owned) (Model.snapshot copied);
+        graph_equal (stage ^ ": residual")
+          (Model.residual_snapshot owned)
+          (Model.residual_snapshot copied);
+        check
+          Alcotest.(list (pair string (float 0.0)))
+          (stage ^ ": utilization")
+          (List.map
+             (fun (r, _, used, cap) -> (r, used /. cap))
+             (Netembed_ledger.Ledger.utilization (Model.ledger copied)))
+          (List.map
+             (fun (r, _, used, cap) -> (r, used /. cap))
+             (Netembed_ledger.Ledger.utilization (Model.ledger owned)))
+      in
+      same "loaded";
+      let query = Graph.create () in
+      let q0 = Graph.add_node query (Attrs.of_list [ ("cpuMhz", Value.Float 100.0) ]) in
+      let q1 = Graph.add_node query (Attrs.of_list [ ("cpuMhz", Value.Float 200.0) ]) in
+      ignore (Graph.add_edge query q0 q1 (Attrs.of_list [ ("bandwidth", Value.Float 5.0) ]));
+      let u, v = Graph.endpoints (Model.snapshot owned) 0 in
+      let mapping = Mapping.of_array [| u; v |] in
+      List.iter
+        (fun m ->
+          Model.reserve m [ 3 ];
+          match Model.charge_mapping m ~query mapping with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "charge refused: %s" e)
+        [ owned; copied ];
+      same "charged")
+
 let test_model_reserve () =
   let m = Model.create (host ()) in
   Model.reserve m [ 1; 3 ];
@@ -1983,6 +2076,10 @@ let () =
           Alcotest.test_case "reserved attribute" `Quick test_model_reserved_attr;
           Alcotest.test_case "snapshots share the pair index" `Quick
             test_snapshot_shares_pair_index;
+          Alcotest.test_case "load allocates <= 2x the model" `Quick
+            test_of_graphml_file_words;
+          Alcotest.test_case "load = create over the read graph" `Quick
+            test_of_graphml_file_equals_create;
         ] );
       ( "host columns",
         [
