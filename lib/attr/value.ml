@@ -146,31 +146,29 @@ let scale_decimal w e =
       round_sum q ((Float.fma (-.q) p w1 +. w2) /. p)
 
 (* The value of [s.[i .. stop - 1]] when it is a decimal float of at
-   most 18 significant digits whose exponent, once the point is moved
-   past them, is at most 22 either way, and [scale_decimal] decides
-   it.  Otherwise nan: [is_decimal_float] and [float_of_string] read
-   the payload, nan and inf among them. *)
+   most 18 digits whose exponent, once the point is moved past them, is
+   at most 22 either way, and [scale_decimal] decides it.  Otherwise
+   nan: [is_decimal_float] and [float_of_string] read the payload, nan
+   and inf among them. *)
 let fast_decimal s i stop =
-  let j = ref (skip_sign s i stop) in
-  let w = ref 0 and digits = ref 0 and scale = ref 0 and any = ref false in
-  let point = ref false and more = ref true in
-  while !more && !j < stop do
-    let c = String.unsafe_get s !j in
-    if is_digit c then begin
-      let d = Char.code c - Char.code '0' in
-      if !w > 0 || d > 0 then incr digits;
-      w := (10 * !w) + d;
-      if !point then decr scale;
-      any := true;
-      incr j
-    end
-    else if c = '.' && not !point then begin
-      point := true;
-      incr j
-    end
-    else more := false
+  let j = ref (skip_sign s i stop) and w = ref 0 in
+  let first = !j in
+  while !j < stop && is_digit (String.unsafe_get s !j) do
+    w := (10 * !w) + (Char.code (String.unsafe_get s !j) - Char.code '0');
+    incr j
   done;
-  let valid = ref !any in
+  let digits = ref (!j - first) and scale = ref 0 in
+  if !j < stop && String.unsafe_get s !j = '.' then begin
+    incr j;
+    let fraction = !j in
+    while !j < stop && is_digit (String.unsafe_get s !j) do
+      w := (10 * !w) + (Char.code (String.unsafe_get s !j) - Char.code '0');
+      incr j
+    done;
+    scale := fraction - !j;
+    digits := !digits - !scale
+  end;
+  let valid = ref (!digits > 0) in
   if !valid && !j < stop && (String.unsafe_get s !j = 'e' || String.unsafe_get s !j = 'E') then begin
     let negative = !j + 1 < stop && String.unsafe_get s (!j + 1) = '-' in
     j := skip_sign s (!j + 1) stop;

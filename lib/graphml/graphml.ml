@@ -73,8 +73,8 @@ let fuse_ranges attrs =
    them: an owner with the same names gets its table as an [Attrs.map]
    of this one, allocating only what it keeps.  [order] lists the
    names as that owner's payloads came, and [ranks] their places in
-   [names]: owners written alike find each name's place by one
-   physical comparison. *)
+   [names]: an owner whose payloads come in the same order skips the
+   search. *)
 type shape = {
   names : string array;
   table : Attrs.t;
@@ -108,11 +108,16 @@ let owner check =
     shape = no_shape;
   }
 
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let push o name v =
   if o.count = Array.length o.names then begin
-    let grow a = Array.append a (Array.make (max 8 o.count) a.(0)) in
-    o.names <- (if o.count = 0 then Array.make 8 "" else grow o.names);
-    o.values <- (if o.count = 0 then Array.make 8 v else grow o.values)
+    let n = max 8 (2 * o.count) in
+    o.names <- grow o.names n "";
+    o.values <- grow o.values n v
   end;
   o.names.(o.count) <- name;
   o.values.(o.count) <- v;
@@ -129,48 +134,22 @@ let rec rank names name lo hi =
     let c = String.compare name names.(mid) in
     if c = 0 then mid else if c < 0 then rank names name lo mid else rank names name (mid + 1) hi
 
-(* The owner's attributes: [slots] holds one value per name of the
-   shape, [filled] counts those set, and [next] hands them out in the
-   order [Attrs.map] visits the names. *)
-type builder = {
-  mutable slots : Value.t array;
-  mutable filled : int;
-  mutable next : int;
-  mutable next_slot : string -> Value.t -> Value.t;
-}
+(* Whether the owner's names come exactly in its shape's [order]. *)
+let rec in_order o order i = i = o.count || (o.names.(i) == order.(i) && in_order o order (i + 1))
 
-let absent = Value.String "absent"
-
-let builder () =
-  let b = { slots = [||]; filled = 0; next = 0; next_slot = (fun _ v -> v) } in
-  b.next_slot <-
-    (fun _ _ ->
-      b.next <- b.next + 1;
-      b.slots.(b.next - 1));
-  b
-
-let attrs_of b o =
+(* The owner's attributes.  One whose payloads came in its shape's
+   order gets the shape's table with its own values: [slots] holds them
+   by name rank, and [next_slot] hands them out in the order
+   [Attrs.map] visits the names.  Any other folds its payloads into a
+   table, which becomes the owner's shape. *)
+let attrs_of slots ~next_slot o =
   let shape = o.shape in
-  let m = Array.length shape.names in
-  if Array.length b.slots < m then b.slots <- Array.make m absent
-  else Array.fill b.slots 0 m absent;
-  b.filled <- 0;
-  let fits = ref true in
-  for i = 0 to o.count - 1 do
-    let name = o.names.(i) in
-    match
-      if i < Array.length shape.order && shape.order.(i) == name then shape.ranks.(i)
-      else rank shape.names name 0 m
-    with
-    | -1 -> fits := false
-    | r ->
-        if b.slots.(r) == absent then b.filled <- b.filled + 1;
-        b.slots.(r) <- o.values.(i)
-  done;
   let attrs =
-    if !fits && b.filled = m then begin
-      b.next <- 0;
-      Attrs.map b.next_slot shape.table
+    if o.count = Array.length shape.order && in_order o shape.order 0 then begin
+      for i = 0 to o.count - 1 do
+        !slots.(shape.ranks.(i)) <- o.values.(i)
+      done;
+      Attrs.map next_slot shape.table
     end
     else begin
       let table = ref Attrs.empty in
@@ -178,52 +157,20 @@ let attrs_of b o =
         table := Attrs.add o.names.(i) o.values.(i) !table
       done;
       let names = Array.of_list (List.map fst (Attrs.to_list !table)) in
-      let order = Array.sub o.names 0 o.count in
+      let m = Array.length names and order = Array.sub o.names 0 o.count in
+      if Array.length !slots < m then slots := Array.make m (Value.Bool false);
       o.shape <-
         {
           names;
           table = !table;
           has_lo = Array.exists (fun n -> String.ends_with ~suffix:"_lo" n) names;
           order;
-          ranks = Array.map (fun n -> rank names n 0 (Array.length names)) order;
+          ranks = Array.map (fun n -> rank names n 0 m) order;
         };
       !table
     end
   in
   if o.shape.has_lo then fuse_ranges attrs else attrs
-
-(* Key ids looked up since the keys last changed: the scanner hands out
-   one string per short id, so a payload finds its key by a physical
-   comparison or two instead of hashing its id. *)
-type resolved = { mutable n : int; ids : string array; found : key array }
-
-let rec resolve r keys id j =
-  if j = r.n then begin
-    let k = Hashtbl.find keys id in
-    if r.n < Array.length r.ids then begin
-      r.ids.(r.n) <- id;
-      r.found.(r.n) <- k;
-      r.n <- r.n + 1
-    end;
-    k
-  end
-  else if r.ids.(j) == id then r.found.(j)
-  else resolve r keys id (j + 1)
-
-(* Node ids to nodes.  Every edge looks up two ids, so the table hashes
-   a string in place rather than through the generic [Hashtbl.hash]. *)
-module Ids = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-
-  let hash s =
-    let h = ref 0 in
-    for i = 0 to String.length s - 1 do
-      h := (!h * 31) + Char.code (String.unsafe_get s i)
-    done;
-    !h land max_int
-end)
 
 (* Which of a node or an edge is open. *)
 type element = No_element | Node | Edge
@@ -249,9 +196,6 @@ let read src =
     | Some _ | None -> fault := Some (check, seq, message)
   in
   let keys = Hashtbl.create 16 in
-  let resolved =
-    { n = 0; ids = Array.make 16 ""; found = Array.make 16 { attr_name = ""; ty = `String; used = false } }
-  in
   let add_payload owner seq (k : key) s pos len =
     k.used <- true;
     match Value.of_substring_as k.ty s pos len with
@@ -259,7 +203,15 @@ let read src =
     | exception Value.Type_error m ->
         fail_at owner.check seq (Printf.sprintf "bad <data> for key %s: %s" k.attr_name m)
   in
-  let builder = builder () in
+  let slots = ref [||] and next = ref 0 in
+  let next_slot _ _ =
+    incr next;
+    !slots.(!next - 1)
+  in
+  let attrs_of owner =
+    next := 0;
+    attrs_of slots ~next_slot owner
+  in
   (* At the end of the document, when the keys are final. *)
   let settle owner =
     List.iter
@@ -269,11 +221,11 @@ let read src =
         | None -> fail_at owner.check seq (Printf.sprintf "undeclared key %S" id))
       (List.rev owner.waiting);
     owner.waiting <- [];
-    attrs_of builder owner
+    attrs_of owner
   in
   let seq = ref 0 and depth = ref 0 in
   let graph = ref None and in_graph = ref false in
-  let node_ids = Ids.create 64 and late_nodes = ref [] and edges = ref [] in
+  let node_ids = Hashtbl.create 64 and late_nodes = ref [] and edges = ref [] in
   let graph_data = owner Graph_data and has_graph_data = ref false in
   (* The open <node> or <edge> and its owner record: a node's id, an
      edge's start tag seq and endpoint ids, each [""] with its [_at] -1
@@ -316,8 +268,7 @@ let read src =
                 if old.attr_name <> k.attr_name || old.ty <> k.ty then
                   fail_at Key_reuse !seq (Printf.sprintf "key %S redeclared after use" id)
             | Some _ | None ->
-                Hashtbl.replace keys id k;
-                resolved.n <- 0))
+                Hashtbl.replace keys id k))
     | 2, "graph" when Option.is_none !graph ->
         let kind =
           match Xml.attribute attrs "edgedefault" with
@@ -395,14 +346,14 @@ let read src =
     let pos = !pos and len = !stop - !pos in
     if !key_at < 0 then fail_at owner.check at "<data> without key"
     else
-      match (owner.waiting, resolve resolved keys !data_key 0) with
+      match (owner.waiting, Hashtbl.find keys !data_key) with
       | [], k -> add_payload owner at k s pos len
       | _ :: _, _ | (exception Not_found) ->
           owner.waiting <- (at, !data_key, String.sub s pos len) :: owner.waiting
   in
   let close_node g owner =
     let v =
-      if owner.waiting = [] then Graph.add_node g (attrs_of builder owner)
+      if owner.waiting = [] then Graph.add_node g (attrs_of owner)
       else begin
         let v = Graph.add_node g Attrs.empty in
         late_nodes := (v, keep owner) :: !late_nodes;
@@ -411,15 +362,15 @@ let read src =
       end
     in
     if !node_id_at >= 0 then
-      if Ids.mem node_ids !node_id then
+      if Hashtbl.mem node_ids !node_id then
         fail_at Nodes !seq (Printf.sprintf "duplicate node id %S" !node_id)
-      else Ids.replace node_ids !node_id v
+      else Hashtbl.replace node_ids !node_id v
   in
-  let node at id = if at < 0 then -1 else try Ids.find node_ids id with Not_found -> -1 in
+  let node at id = if at < 0 then -1 else try Hashtbl.find node_ids id with Not_found -> -1 in
   let close_edge g owner =
     let u = node !source_at !source and v = node !target_at !target in
     if !edges = [] && owner.waiting = [] && u >= 0 && v >= 0 then begin
-      let attrs = attrs_of builder owner in
+      let attrs = attrs_of owner in
       if u = v then fail_at Edges !seq (Printf.sprintf "edge from %S to itself" !source)
       else ignore (Graph.add_edge g u v attrs)
     end
@@ -455,7 +406,7 @@ let read src =
   Xml.scan ~start ~text ~stop src;
   let endpoint which = function
     | Some v -> (
-        match Ids.find_opt node_ids v with
+        match Hashtbl.find_opt node_ids v with
         | Some n -> Ok n
         | None -> Error (Printf.sprintf "edge endpoint %S is not a node" v))
     | None -> Error (Printf.sprintf "<edge> without %s" which)

@@ -18,7 +18,8 @@ exception Parse_error of { line : int; message : string }
    next character that cannot be in a name), and a value's slice of
    [src] ([attr_start], [attr_len]) or, when it had to be decoded
    ([attr_start] is -1), the decoded string.  The open elements are
-   [open_tags.(0 .. depth - 1)]. *)
+   [open_tags.(0 .. depth - 1)], and [last_tag] is the tag of the last
+   start tag: siblings often share it, and then it is not looked up. *)
 type state = {
   src : string;
   len : int;
@@ -31,6 +32,7 @@ type state = {
   mutable attr_decoded : string array;
   mutable open_tags : string array;
   mutable depth : int;
+  mutable last_tag : string;
 }
 
 type attributes = state
@@ -274,7 +276,15 @@ let attribute st name =
    unless it is empty. *)
 let open_element st ~start ~stop =
   st.pos <- st.pos + 1;
-  let tag = read_name st in
+  let first = skip_name st in
+  let n = st.pos - first in
+  let tag =
+    if String.length st.last_tag = n && matches st.src first st.last_tag 0 then st.last_tag
+    else begin
+      st.last_tag <- intern st first n;
+      st.last_tag
+    end
+  in
   st.attr_count <- 0;
   attributes st;
   if st.src.[st.pos] = '/' then begin
@@ -352,6 +362,7 @@ let scan ~start ~text ~stop src =
       attr_decoded = Array.make 4 "";
       open_tags = Array.make 8 "";
       depth = 0;
+      last_tag = "";
     }
   in
   skip_misc st;
