@@ -187,15 +187,15 @@ let fast_decimal s i stop =
     let x = scale_decimal !w !scale in
     if s.[i] = '-' then -.x else x
 
+let cannot_parse s pos len =
+  raise (Type_error (Printf.sprintf "cannot parse %S" (String.sub s pos len)))
+
 (* Every payload is validated and parsed in place, but for the rare
    float that [fast_decimal] leaves to [float_of_string] and an int of
    more than 18 digits: GraphML reads one payload per measured
    attribute, and only the value it makes is kept.  [int_of_string]
    alone would also take '_' separators and 0x, 0o and 0b prefixes; 18
    decimal digits cannot overflow it. *)
-let cannot_parse s pos len =
-  raise (Type_error (Printf.sprintf "cannot parse %S" (String.sub s pos len)))
-
 let of_substring_as ty s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Value.of_substring_as";
   let fail () = cannot_parse s pos len in

@@ -65,7 +65,10 @@ val of_string_as : [ `Bool | `Int | `Float | `String ] -> string -> t
 val of_substring_as : [ `Bool | `Int | `Float | `String ] -> string -> int -> int -> t
 (** [of_substring_as ty s pos len] is [of_string_as ty (String.sub s
     pos len)], error message included, read in place: it allocates the
-    value it returns, and a copy of the float payload's digits.
+    value it returns, and a copy of the digits only for a float that
+    needs [float_of_string] (more than 18 digits, an exponent beyond
+    22 either way, nan or inf, or a value within 2^-98 of a rounding
+    boundary) or an int of more than 18 digits.
     @raise Type_error if the payload does not parse.
     @raise Invalid_argument if [pos] and [len] are not a substring of
     [s]. *)

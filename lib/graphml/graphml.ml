@@ -69,19 +69,12 @@ let fuse_ranges attrs =
       | _ -> acc)
     attrs attrs
 
-(* The attribute names of an owner, sorted, and a table over exactly
-   them: an owner with the same names gets its table as an [Attrs.map]
-   of this one, allocating only what it keeps.  [order] lists the
-   names as that owner's payloads came, and [ranks] their places in
-   [names]: an owner whose payloads come in the same order skips the
-   search. *)
-type shape = {
-  names : string array;
-  table : Attrs.t;
-  has_lo : bool;
-  order : string array;
-  ranks : int array;
-}
+(* A table of an owner's attributes, whose names [order] lists as its
+   payloads came, with [ranks] their places in the table's name order:
+   a later owner whose payloads name the same attributes in the same
+   order gets its table as an [Attrs.map] of this one, allocating only
+   what it keeps. *)
+type shape = { table : Attrs.t; has_lo : bool; order : string array; ranks : int array }
 
 (* A node, an edge or the graph: its attributes in document order
    ([count] names and values; a later name wins), then those waiting
@@ -96,17 +89,8 @@ type owner = {
   mutable shape : shape;
 }
 
-let no_shape = { names = [||]; table = Attrs.empty; has_lo = false; order = [||]; ranks = [||] }
-
-let owner check =
-  {
-    check;
-    count = 0;
-    names = Array.make 8 "";
-    values = Array.make 8 (Value.Bool false);
-    waiting = [];
-    shape = no_shape;
-  }
+let no_shape = { table = Attrs.empty; has_lo = false; order = [||]; ranks = [||] }
+let owner check = { check; count = 0; names = [||]; values = [||]; waiting = []; shape = no_shape }
 
 let grow a n fill =
   let b = Array.make n fill in
@@ -161,7 +145,6 @@ let attrs_of slots ~next_slot o =
       if Array.length !slots < m then slots := Array.make m (Value.Bool false);
       o.shape <-
         {
-          names;
           table = !table;
           has_lo = Array.exists (fun n -> String.ends_with ~suffix:"_lo" n) names;
           order;
