@@ -70,11 +70,12 @@ let fuse_ranges attrs =
     attrs attrs
 
 (* A table of an owner's attributes, whose names [order] lists as its
-   payloads came, with [ranks] their places in the table's name order:
-   a later owner whose payloads name the same attributes in the same
-   order gets its table as an [Attrs.map] of this one, allocating only
-   what it keeps. *)
-type shape = { table : Attrs.t; has_lo : bool; order : string array; ranks : int array }
+   payloads came: a later owner whose payloads name the same attributes
+   in the same order gets its table as an [Attrs.map] of this one,
+   allocating only what it keeps.  The map visits the names in table
+   order; [positions] gives, for each, the payload that sets it (the
+   last one naming it). *)
+type shape = { table : Attrs.t; has_lo : bool; order : string array; positions : int array }
 
 (* A node, an edge or the graph: its attributes in document order
    ([count] names and values; a later name wins), then those waiting
@@ -89,7 +90,7 @@ type owner = {
   mutable shape : shape;
 }
 
-let no_shape = { table = Attrs.empty; has_lo = false; order = [||]; ranks = [||] }
+let no_shape = { table = Attrs.empty; has_lo = false; order = [||]; positions = [||] }
 let owner check = { check; count = 0; names = [||]; values = [||]; waiting = []; shape = no_shape }
 
 let grow a n fill =
@@ -103,7 +104,9 @@ let push o name v =
     o.names <- grow o.names n "";
     o.values <- grow o.values n v
   end;
-  o.names.(o.count) <- name;
+  (* Owners written alike name the same attributes in the same places:
+     skip the write barrier then. *)
+  if o.names.(o.count) != name then o.names.(o.count) <- name;
   o.values.(o.count) <- v;
   o.count <- o.count + 1
 
@@ -111,44 +114,32 @@ let push o name v =
 let keep o =
   { o with names = Array.sub o.names 0 o.count; values = Array.sub o.values 0 o.count }
 
-let rec rank names name lo hi =
-  if lo >= hi then -1
-  else
-    let mid = (lo + hi) lsr 1 in
-    let c = String.compare name names.(mid) in
-    if c = 0 then mid else if c < 0 then rank names name lo mid else rank names name (mid + 1) hi
-
 (* Whether the owner's names come exactly in its shape's [order]. *)
 let rec in_order o order i = i = o.count || (o.names.(i) == order.(i) && in_order o order (i + 1))
 
 (* The owner's attributes.  One whose payloads came in its shape's
-   order gets the shape's table with its own values: [slots] holds them
-   by name rank, and [next_slot] hands them out in the order
-   [Attrs.map] visits the names.  Any other folds its payloads into a
-   table, which becomes the owner's shape. *)
-let attrs_of slots ~next_slot o =
+   order gets the shape's table with its own values, which [next_value]
+   hands out in the order [Attrs.map] visits the names.  Any other
+   folds its payloads into a table, which becomes the owner's shape. *)
+let attrs_of ~next_value o =
   let shape = o.shape in
   let attrs =
-    if o.count = Array.length shape.order && in_order o shape.order 0 then begin
-      for i = 0 to o.count - 1 do
-        !slots.(shape.ranks.(i)) <- o.values.(i)
-      done;
-      Attrs.map next_slot shape.table
-    end
+    if o.count = Array.length shape.order && in_order o shape.order 0 then
+      Attrs.map (next_value o.values shape.positions) shape.table
     else begin
       let table = ref Attrs.empty in
       for i = 0 to o.count - 1 do
         table := Attrs.add o.names.(i) o.values.(i) !table
       done;
-      let names = Array.of_list (List.map fst (Attrs.to_list !table)) in
-      let m = Array.length names and order = Array.sub o.names 0 o.count in
-      if Array.length !slots < m then slots := Array.make m (Value.Bool false);
+      let order = Array.sub o.names 0 o.count in
+      let last = Hashtbl.create o.count in
+      Array.iteri (fun i name -> Hashtbl.replace last name i) order;
       o.shape <-
         {
           table = !table;
-          has_lo = Array.exists (fun n -> String.ends_with ~suffix:"_lo" n) names;
+          has_lo = Attrs.fold (fun n _ lo -> lo || String.ends_with ~suffix:"_lo" n) !table false;
           order;
-          ranks = Array.map (fun n -> rank names n 0 m) order;
+          positions = Array.of_list (List.map (fun (n, _) -> Hashtbl.find last n) (Attrs.to_list !table));
         };
       !table
     end
@@ -186,14 +177,14 @@ let read src =
     | exception Value.Type_error m ->
         fail_at owner.check seq (Printf.sprintf "bad <data> for key %s: %s" k.attr_name m)
   in
-  let slots = ref [||] and next = ref 0 in
-  let next_slot _ _ =
+  let next = ref 0 in
+  let next_value values positions _ _ =
     incr next;
-    !slots.(!next - 1)
+    values.(positions.(!next - 1))
   in
   let attrs_of owner =
     next := 0;
-    attrs_of slots ~next_slot owner
+    attrs_of ~next_value owner
   in
   (* At the end of the document, when the keys are final. *)
   let settle owner =

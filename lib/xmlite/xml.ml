@@ -296,7 +296,8 @@ let open_element st ~start ~stop =
     st.pos <- st.pos + 1;
     start tag st;
     if st.depth = Array.length st.open_tags then st.open_tags <- grow st.open_tags "";
-    st.open_tags.(st.depth) <- tag;
+    (* Siblings share a tag: skip the write barrier then. *)
+    if st.open_tags.(st.depth) != tag then st.open_tags.(st.depth) <- tag;
     st.depth <- st.depth + 1
   end
 
