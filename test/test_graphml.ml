@@ -415,6 +415,32 @@ let test_equivalence () =
           (show_outcome got))
     table
 
+(* The reader adds a node or an edge when it closes, unless an edge
+   names a node that comes later: then that edge and every edge after
+   it wait for the end of the document.  Edge ids must still follow
+   document order, as the oracle numbers them. *)
+let test_late_endpoints () =
+  let doc body =
+    Printf.sprintf
+      {|<graphml><key id="w" for="edge" attr.name="delay" attr.type="double"/><graph>%s</graph></graphml>|}
+      body
+  in
+  List.iter
+    (fun (name, doc) ->
+      let expected = outcome Oracle.read_string doc and got = outcome Graphml.read_string doc in
+      if compare expected got <> 0 then
+        Alcotest.failf "%s: oracle %s, reader %s" name (show_outcome expected)
+          (show_outcome got))
+    [ "an edge to a later node, then one between known nodes",
+      doc {|<node id="a"/><edge source="a" target="b"><data key="w">1</data></edge>
+            <node id="b"/><node id="c"/><edge source="a" target="c"><data key="w">2</data></edge>|};
+      "a key declared after an edge that uses it, then a plain edge",
+      {|<graphml><graph><node id="a"/><node id="b"/><node id="c"/>
+        <edge source="a" target="b"><data key="late">1</data></edge>
+        <edge source="b" target="c"/></graph>
+        <key id="late" for="edge" attr.name="x" attr.type="int"/></graphml>|};
+    ] [@ocamlformat "disable"]
+
 (* Documents the tree reader did not survive: it let Invalid_argument
    out.  Each must be a Graphml.Error, and through the wire decoder an
    Error reply. *)
@@ -616,6 +642,7 @@ let () =
              name column and cut existing test names shorter. *)
           Alcotest.test_case "equal to the tree reader" `Quick test_equivalence;
           Alcotest.test_case "hostile documents" `Quick test_hostile;
+          Alcotest.test_case "late endpoints keep edge order" `Quick test_late_endpoints;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
             prop_reader_matches_oracle;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
