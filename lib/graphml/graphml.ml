@@ -117,15 +117,32 @@ let keep o =
 (* Whether the owner's names come exactly in its shape's [order]. *)
 let rec in_order o order i = i = o.count || (o.names.(i) == order.(i) && in_order o order (i + 1))
 
+(* Where [Attrs.map] takes an owner's values from: [positions] in
+   [values], the [next]th one next. *)
+type cursor = {
+  mutable values : Value.t array;
+  mutable positions : int array;
+  mutable next : int;
+}
+
+let next_value c _ _ =
+  c.next <- c.next + 1;
+  c.values.(c.positions.(c.next - 1))
+
 (* The owner's attributes.  One whose payloads came in its shape's
-   order gets the shape's table with its own values, which [next_value]
-   hands out in the order [Attrs.map] visits the names.  Any other
-   folds its payloads into a table, which becomes the owner's shape. *)
-let attrs_of ~next_value o =
+   order gets the shape's table with its own values, which [next]
+   hands out in the order [Attrs.map] visits the names: [next] is
+   [next_value c].  Any other folds its payloads into a table, which
+   becomes the owner's shape. *)
+let attrs_of c ~next o =
   let shape = o.shape in
   let attrs =
-    if o.count = Array.length shape.order && in_order o shape.order 0 then
-      Attrs.map (next_value o.values shape.positions) shape.table
+    if o.count = Array.length shape.order && in_order o shape.order 0 then begin
+      c.values <- o.values;
+      c.positions <- shape.positions;
+      c.next <- 0;
+      Attrs.map next shape.table
+    end
     else begin
       let table = ref Attrs.empty in
       for i = 0 to o.count - 1 do
@@ -177,15 +194,9 @@ let read src =
     | exception Value.Type_error m ->
         fail_at owner.check seq (Printf.sprintf "bad <data> for key %s: %s" k.attr_name m)
   in
-  let next = ref 0 in
-  let next_value values positions _ _ =
-    incr next;
-    values.(positions.(!next - 1))
-  in
-  let attrs_of owner =
-    next := 0;
-    attrs_of ~next_value owner
-  in
+  let cursor = { values = [||]; positions = [||]; next = 0 } in
+  let next = next_value cursor in
+  let attrs_of owner = attrs_of cursor ~next owner in
   (* At the end of the document, when the keys are final. *)
   let settle owner =
     List.iter
