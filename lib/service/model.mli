@@ -17,8 +17,8 @@ type t
 
 val create : Graph.t -> t
 (** Wrap a hosting network.  The model copies the graph, so later
-    monitor updates do not alias the caller's graph.  A resource ledger is opened over
-    the copy with the default capacity attributes
+    monitor updates do not alias the caller's graph.  A resource
+    ledger is opened over the copy with the default capacity attributes
     ({!Netembed_ledger.Ledger.of_graph}): hosts declaring no capacities
     get an empty ledger and behave exactly as before.  The copy's host
     pair index ({!Graph.edges_between}) is built here, once per
