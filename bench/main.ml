@@ -545,7 +545,10 @@ let layer_row ?words name unit s =
   Json.Obj
     ([ ("name", Json.String name); ("unit", Json.String unit); ("min", r s.(0));
        ("median", r s.(n / 2)); ("max", r s.(n - 1)) ]
-    @ match words with Some w -> [ ("words", Json.Int (Float.to_int (Float.round w))) ] | None -> [])
+    @
+    match words with
+    | Some w -> [ ("words", Json.Int (Float.to_int (Float.round w))) ]
+    | None -> [])
 
 (* Words allocated so far: [Gc.minor_words] is exact, where the minor
    count of [Gc.counters] only moves at a minor collection on OCaml 5;

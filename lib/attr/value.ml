@@ -169,7 +169,10 @@ let fast_decimal s i stop =
     digits := !digits - !scale
   end;
   let valid = ref (!digits > 0) in
-  if !valid && !j < stop && (String.unsafe_get s !j = 'e' || String.unsafe_get s !j = 'E') then begin
+  let has_exponent =
+    !j < stop && (String.unsafe_get s !j = 'e' || String.unsafe_get s !j = 'E')
+  in
+  if !valid && has_exponent then begin
     let negative = !j + 1 < stop && String.unsafe_get s (!j + 1) = '-' in
     j := skip_sign s (!j + 1) stop;
     valid := !j < stop;

@@ -156,7 +156,8 @@ let attrs_of c ~next o =
           table = !table;
           has_lo = Attrs.fold (fun n _ lo -> lo || String.ends_with ~suffix:"_lo" n) !table false;
           order;
-          positions = Array.of_list (List.map (fun (n, _) -> Hashtbl.find last n) (Attrs.to_list !table));
+          positions =
+            Array.of_list (List.map (fun (n, _) -> Hashtbl.find last n) (Attrs.to_list !table));
         };
       !table
     end

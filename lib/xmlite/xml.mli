@@ -35,7 +35,8 @@ val attribute_name : attributes -> int -> string
 
 val attribute_value : attributes -> int -> string
 (** The [i]th attribute's value, entities decoded.  Values of up to 16
-    bytes are shared: one string per distinct value in a document.
+    bytes go through a small cache of the scanner's, so a repeated
+    value is usually the same string.
     @raise Invalid_argument unless [0 <= i < attribute_count a]. *)
 
 val find_attribute : attributes -> string -> int

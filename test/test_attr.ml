@@ -165,7 +165,9 @@ let gen_float_payload =
   let any_double =
     oneof [ map Int64.float_of_bits ui64; float_range (-1e4) 1e4; float_range (-1.0) 1.0 ]
   in
-  let printed = map2 (fun p f -> Printf.sprintf "%.*g" p f) (oneofl [ 17; 16; 15; 12; 3 ]) any_double in
+  let printed =
+    map2 (fun p f -> Printf.sprintf "%.*g" p f) (oneofl [ 17; 16; 15; 12; 3 ]) any_double
+  in
   let digits n = string_size ~gen:(char_range '0' '9') (int_range 1 n) in
   let decimal =
     map3

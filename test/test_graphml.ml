@@ -420,11 +420,8 @@ let test_equivalence () =
    it wait for the end of the document.  Edge ids must still follow
    document order, as the oracle numbers them. *)
 let test_late_endpoints () =
-  let doc body =
-    Printf.sprintf
-      {|<graphml><key id="w" for="edge" attr.name="delay" attr.type="double"/><graph>%s</graph></graphml>|}
-      body
-  in
+  let key = {|<key id="w" for="edge" attr.name="delay" attr.type="double"/>|} in
+  let doc body = Printf.sprintf "<graphml>%s<graph>%s</graph></graphml>" key body in
   List.iter
     (fun (name, doc) ->
       let expected = outcome Oracle.read_string doc and got = outcome Graphml.read_string doc in
