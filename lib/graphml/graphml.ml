@@ -198,6 +198,12 @@ let read src =
   let cursor = { values = [||]; positions = [||]; next = 0 } in
   let next = next_value cursor in
   let attrs_of owner = attrs_of cursor ~next owner in
+  (* The node's id comes last, unless a payload set "id": the tree
+     reader's order, which gives its tables their shape. *)
+  let node_attrs id owner =
+    let attrs = attrs_of owner in
+    if Attrs.mem "id" attrs then attrs else Attrs.add "id" (Value.String id) attrs
+  in
   (* At the end of the document, when the keys are final. *)
   let settle owner =
     List.iter
@@ -206,8 +212,7 @@ let read src =
         | Some k -> add_payload owner seq k payload 0 (String.length payload)
         | None -> fail_at owner.check seq (Printf.sprintf "undeclared key %S" id))
       (List.rev owner.waiting);
-    owner.waiting <- [];
-    attrs_of owner
+    owner.waiting <- []
   in
   let seq = ref 0 and depth = ref 0 in
   let graph = ref None and in_graph = ref false in
@@ -271,9 +276,7 @@ let read src =
         node_id_at := Xml.find_attribute attrs "id";
         node_id := if !node_id_at < 0 then "" else Xml.attribute_value attrs !node_id_at;
         if !node_id_at < 0 then fail_at Nodes !seq "<node> without id";
-        (* First, so that a payload for "id" wins over it. *)
         node_owner.count <- 0;
-        push node_owner "id" (Value.String !node_id);
         elem := Node
     | 3, "edge" when !in_graph ->
         edge_owner.count <- 0;
@@ -339,10 +342,10 @@ let read src =
   in
   let close_node g owner =
     let v =
-      if owner.waiting = [] then Graph.add_node g (attrs_of owner)
+      if owner.waiting = [] then Graph.add_node g (node_attrs !node_id owner)
       else begin
         let v = Graph.add_node g Attrs.empty in
-        late_nodes := (v, keep owner) :: !late_nodes;
+        late_nodes := (v, !node_id, keep owner) :: !late_nodes;
         owner.waiting <- [];
         v
       end
@@ -401,7 +404,8 @@ let read src =
     match (endpoint "source" e.source, endpoint "target" e.target) with
     | Error m, _ | _, Error m -> fail_at Edges e.opened m
     | Ok u, Ok v ->
-        let attrs = settle e.data in
+        settle e.data;
+        let attrs = attrs_of e.data in
         if u = v then
           fail_at Edges e.closed
             (Printf.sprintf "edge from %S to itself" (Option.value ~default:"" e.source))
@@ -410,9 +414,16 @@ let read src =
   (match !graph with
   | None -> fail_at Graph_element 0 "no <graph> element"
   | Some g ->
-      List.iter (fun (v, owner) -> Graph.set_node_attrs g v (settle owner)) !late_nodes;
+      List.iter
+        (fun (v, id, owner) ->
+          settle owner;
+          Graph.set_node_attrs g v (node_attrs id owner))
+        !late_nodes;
       List.iter (add_edge g) (List.rev !edges);
-      if !has_graph_data then Graph.set_graph_attrs g (settle graph_data));
+      if !has_graph_data then begin
+        settle graph_data;
+        Graph.set_graph_attrs g (attrs_of graph_data)
+      end);
   match !fault with Some (_, _, message) -> raise (Error message) | None -> Option.get !graph
 
 let read_string s =

@@ -565,6 +565,25 @@ let prop_reader_matches_oracle =
       compare expected (outcome Graphml.read_string doc) = 0
       || QCheck.Test.fail_reportf "oracle %s\n%s" (show_outcome expected) doc)
 
+(* Property: the reader builds each attribute table in the oracle's
+   order, so the tables have the oracle's shape, not only its bindings.
+   A table's shape sets what every later [Attrs.add] to it costs, and
+   the model restamps node and link tables on every residual snapshot. *)
+let prop_tables_match_oracle_shape =
+  let tables g =
+    Marshal.to_string
+      ( List.init (Graph.node_count g) (Graph.node_attrs g),
+        List.init (Graph.edge_count g) (Graph.edge_attrs g),
+        Graph.graph_attrs g )
+      [ Marshal.No_sharing ]
+  in
+  QCheck.Test.make ~name:"streaming reader tables = oracle tables" ~count:300
+    (QCheck.make gen_attributed_graph)
+    (fun g ->
+      let doc = Graphml.write_string g in
+      String.equal (tables (Oracle.read_string doc)) (tables (Graphml.read_string doc))
+      || QCheck.Test.fail_reportf "tables differ on\n%s" doc)
+
 (* Property: the same agreement on random documents, faults included:
    keys, nodes, edges and data in any order and nesting, with missing
    or dangling ids and bad payloads.  A document that redeclares a key
@@ -644,5 +663,7 @@ let () =
             prop_reader_matches_oracle;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
             prop_documents_match_oracle;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+            prop_tables_match_oracle_shape;
         ] );
     ]
