@@ -29,6 +29,7 @@ module Eval = Netembed_expr.Eval
 module Problem = Netembed_core.Problem
 module Engine = Netembed_core.Engine
 module Filter = Netembed_core.Filter
+module Sorted_arrays = Netembed_oracle.Sorted_arrays
 module Query_gen = Netembed_workload.Query_gen
 module Figures = Netembed_workload.Figures
 module Ledger = Netembed_ledger.Ledger
@@ -242,7 +243,7 @@ let ablation_tests =
     Test.make ~name:"ablation/rep_arrays_n60"
       (staged (fun () ->
            rep_first
-             (Netembed_core.Dfs.search_arrays ?root_candidates:None)
+             (fun p f -> Sorted_arrays.search (Sorted_arrays.views p f) p)
              (Lazy.force ablation_problem) ()));
   ]
 
@@ -392,6 +393,7 @@ let representation_ablation () =
     "# Representation ablation (all-matches ECF, shared filter, visited cap)\n%!";
   let run_case label p ~cap =
     let filter = Filter.build p in
+    let views = Sorted_arrays.views p filter in
     let store =
       Netembed_core.Domain_store.create
         ~universe:(Graph.node_count p.Problem.host)
@@ -412,7 +414,7 @@ let representation_ablation () =
       measure_gc
         ~name:(Printf.sprintf "representation/%s/sorted_arrays" label)
         ~repeat:3
-        (run_path (Netembed_core.Dfs.search_arrays ?root_candidates:None))
+        (run_path (fun p _ -> Sorted_arrays.search views p))
     in
     let bitset =
       measure_gc

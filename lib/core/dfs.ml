@@ -32,22 +32,30 @@ let assigned_neighbours_table (p : Problem.t) order nq =
 (* Intersection of the filter cells of the already-assigned neighbours
    [nbrs] of query node [q], loaded into the store's scratch bitset at
    [depth] (expression (2)) — or [q]'s node-level candidates when no
-   neighbour is assigned yet (expression (1)).  Used hosts are NOT
-   subtracted here; callers follow with [exclude_used_observed].  All
-   in-place and closure-free: cell lookups go through the exception
-   variant so no [Some] is boxed per lookup. *)
-let load_intersection store (f : Filter.t) ~assignment ~nbrs ~depth ~q =
+   neighbour is assigned yet (expression (1)).  Returns the neighbour
+   whose cell was applied last, which is the one that emptied the
+   intersection when it ended empty, or -1 when no neighbour is
+   assigned.  Used hosts are NOT subtracted here; callers follow with
+   [exclude_used_observed].  All in-place and closure-free: cell
+   lookups go through the exception variant so no [Some] is boxed per
+   lookup, and the neighbour is an int. *)
+let load_intersection store f ~assignment ~nbrs ~depth ~q =
   let n_nbrs = Array.length nbrs in
-  if n_nbrs = 0 then
-    ignore (Domain_store.load store ~depth (Filter.node_candidates_bits f q))
+  if n_nbrs = 0 then begin
+    ignore (Domain_store.load store ~depth (Filter.node_candidates_bits f q));
+    -1
+  end
   else begin
     let w0 = nbrs.(0) in
     match Filter.cell_bits_exn f ~q_assigned:w0 ~r_assigned:assignment.(w0) ~q_next:q with
-    | exception Not_found -> ignore (Domain_store.load_empty store ~depth)
+    | exception Not_found ->
+        ignore (Domain_store.load_empty store ~depth);
+        w0
     | cell ->
         ignore (Domain_store.load store ~depth cell);
         (* Intersect progressively; bail out on empty. *)
         let dom = Domain_store.domain store ~depth in
+        let last = ref w0 in
         let i = ref 1 in
         while !i < n_nbrs && not (Bitset.is_empty dom) do
           let w = nbrs.(!i) in
@@ -56,9 +64,35 @@ let load_intersection store (f : Filter.t) ~assignment ~nbrs ~depth ~q =
            with
           | exception Not_found -> ignore (Domain_store.load_empty store ~depth)
           | cell -> Domain_store.restrict store ~depth cell);
+          last := w;
           incr i
-        done
+        done;
+        !last
   end
+
+(* The entry checks shared by [search_core] and [expand_frame]: the
+   store (private, or the caller's, validated and reset) and the
+   assignment with [prefix]'s hosts placed on the first order
+   positions and marked used. *)
+let prepare ~fn ?store (p : Problem.t) order prefix =
+  let nq = Graph.node_count p.query in
+  let nr = Graph.node_count p.host in
+  let store =
+    match store with
+    | None -> Domain_store.create ~universe:nr ~depths:nq
+    | Some s ->
+        if Domain_store.universe s <> nr then invalid_arg (fn ^ ": store universe mismatch");
+        if Domain_store.depths s < nq then invalid_arg (fn ^ ": store too shallow");
+        Domain_store.reset s;
+        s
+  in
+  let assignment = Array.make (max 1 nq) (-1) in
+  Array.iteri
+    (fun i h ->
+      assignment.(order.(i)) <- h;
+      Domain_store.mark_used store h)
+    prefix;
+  (store, assignment)
 
 (* The search proper, generalized to resume from a [frame]: the hosts in
    [start.prefix] are pre-assigned to the first [start_depth] order
@@ -69,106 +103,54 @@ let load_intersection store (f : Filter.t) ~assignment ~nbrs ~depth ~q =
 let search_core ~(start : frame option) ?store ?blame (p : Problem.t) (f : Filter.t)
     ~candidate_order ~budget ~on_solution =
   let nq = Graph.node_count p.query in
-  let nr = Graph.node_count p.host in
   let order = Filter.order f in
   let start_depth = match start with None -> 0 | Some fr -> frame_depth fr in
   if nq > 0 && start_depth >= nq then
     invalid_arg "Dfs.search_core: frame depth beyond query";
-  let store =
-    match store with
-    | None -> Domain_store.create ~universe:nr ~depths:nq
-    | Some s ->
-        if Domain_store.universe s <> nr then
-          invalid_arg "Dfs.search: store universe mismatch";
-        if Domain_store.depths s < nq then invalid_arg "Dfs.search: store too shallow";
-        Domain_store.reset s;
-        s
+  let store, assignment =
+    prepare ~fn:"Dfs.search" ?store p order
+      (match start with None -> [||] | Some fr -> fr.prefix)
   in
-  let assignment = Array.make (max 1 nq) (-1) in
-  (match start with
-  | None -> ()
-  | Some fr ->
-      Array.iteri
-        (fun i h ->
-          assignment.(order.(i)) <- h;
-          Domain_store.mark_used store h)
-        fr.prefix);
   let assigned_neighbours = assigned_neighbours_table p order nq in
   (* Candidate domain for the node at [depth], computed into the store's
      scratch bitset: neighbour-cell intersection (or the frame's
      candidate set at the resume depth), then subtract used hosts.
      Enumeration below walks [next_set_bit] instead of passing a closure
-     to [iter]; the only steady-state allocation in the whole search is
-     the solution callback's mapping. *)
-  let compute_domain_fast depth =
-    (match start with
-    | Some fr when depth = start_depth ->
-        ignore (Domain_store.load_array store ~depth fr.candidates)
-    | Some _ | None ->
-        load_intersection store f ~assignment ~nbrs:assigned_neighbours.(depth) ~depth
-          ~q:order.(depth));
-    ignore (Domain_store.exclude_used_observed store ~depth);
-    Domain_store.domain store ~depth
-  in
-  (* Blamed twin of [compute_domain_fast]: same traversal, plus cause
-     attribution on wipeout — which neighbour's filter cell emptied the
-     intersection, or, when the intersection survived and only the
-     used-host subtraction killed it, host contention (with the count of
-     contended candidates).  Wipeouts from an empty expression-(1) set
-     carry no new information (the filter's own blame pass covers
-     them), so they attribute nothing here. *)
-  let compute_domain_blamed bl depth =
-    let q = order.(depth) in
-    let nbrs = assigned_neighbours.(depth) in
-    let n_nbrs = Array.length nbrs in
-    let culprit = ref (-1) in
-    let start_override =
-      match start with Some _ -> depth = start_depth | None -> false
-    in
-    if start_override then (
+     to [iter]; the steady-state allocations of the whole search are the
+     solution callback's mapping and the closure [Bitset.is_empty]
+     makes, once per further neighbour cell at depths with two or more
+     assigned neighbours.
+
+     With [blame], a wipeout is attributed to the neighbour whose
+     filter cell emptied the intersection (the last one applied, when
+     the intersection is empty), or, when the intersection survived and
+     only the used-host subtraction killed it, to host contention (with
+     the count of contended candidates).  Wipeouts from an empty
+     expression-(1) set carry no new information (the filter's own
+     blame pass covers them), so they attribute nothing here. *)
+  let compute_domain depth =
+    let last =
       match start with
-      | Some fr -> ignore (Domain_store.load_array store ~depth fr.candidates)
-      | None -> assert false)
-    else if n_nbrs = 0 then
-      ignore (Domain_store.load store ~depth (Filter.node_candidates_bits f q))
-    else begin
-      let w0 = nbrs.(0) in
-      match
-        Filter.cell_bits_exn f ~q_assigned:w0 ~r_assigned:assignment.(w0) ~q_next:q
-      with
-      | exception Not_found ->
-          ignore (Domain_store.load_empty store ~depth);
-          culprit := w0
-      | cell ->
-          ignore (Domain_store.load store ~depth cell);
-          let dom = Domain_store.domain store ~depth in
-          let i = ref 1 in
-          while !i < n_nbrs && not (Bitset.is_empty dom) do
-            let w = nbrs.(!i) in
-            (match
-               Filter.cell_bits_exn f ~q_assigned:w ~r_assigned:assignment.(w) ~q_next:q
-             with
-            | exception Not_found ->
-                ignore (Domain_store.load_empty store ~depth);
-                culprit := w
-            | cell ->
-                Domain_store.restrict store ~depth cell;
-                if Bitset.is_empty dom then culprit := w);
-            incr i
-          done
-    end;
-    let pre_card = Bitset.cardinal (Domain_store.domain store ~depth) in
-    let card = Domain_store.exclude_used_observed store ~depth in
-    if card = 0 then begin
-      if !culprit >= 0 then
-        Explain.Blame.eliminate bl ~q (Explain.Cause.Edge_constraint (q, !culprit))
-      else if pre_card > 0 then
-        Explain.Blame.record bl ~q Explain.Cause.Host_contention pre_card
-    end;
+      | Some fr when depth = start_depth ->
+          ignore (Domain_store.load_array store ~depth fr.candidates);
+          -1
+      | Some _ | None ->
+          load_intersection store f ~assignment ~nbrs:assigned_neighbours.(depth) ~depth
+            ~q:order.(depth)
+    in
+    (match blame with
+    | None -> ignore (Domain_store.exclude_used_observed store ~depth)
+    | Some bl ->
+        let pre_card = Bitset.cardinal (Domain_store.domain store ~depth) in
+        if Domain_store.exclude_used_observed store ~depth = 0 then begin
+          let q = order.(depth) in
+          if pre_card = 0 then begin
+            if last >= 0 then
+              Explain.Blame.eliminate bl ~q (Explain.Cause.Edge_constraint (q, last))
+          end
+          else Explain.Blame.record bl ~q Explain.Cause.Host_contention pre_card
+        end);
     Domain_store.domain store ~depth
-  in
-  let compute_domain =
-    match blame with None -> compute_domain_fast | Some bl -> compute_domain_blamed bl
   in
   let rec go depth =
     Budget.tick_at budget ~depth;
@@ -218,11 +200,8 @@ let search_core ~(start : frame option) ?store ?blame (p : Problem.t) (f : Filte
   if nq = 0 then ignore (on_solution (Mapping.of_array [||]))
   else match go start_depth with () -> () | exception Stop_search -> ()
 
-let search ?root_candidates ?store ?blame p f ~candidate_order ~budget ~on_solution =
-  let start =
-    Option.map (fun roots -> { prefix = [||]; candidates = roots }) root_candidates
-  in
-  search_core ~start ?store ?blame p f ~candidate_order ~budget ~on_solution
+let search ?store ?blame p f ~candidate_order ~budget ~on_solution =
+  search_core ~start:None ?store ?blame p f ~candidate_order ~budget ~on_solution
 
 let search_frame ?store ?blame p f ~frame ~candidate_order ~budget ~on_solution =
   search_core ~start:(Some frame) ?store ?blame p f ~candidate_order ~budget
@@ -239,7 +218,6 @@ let search_frame ?store ?blame p f ~frame ~candidate_order ~budget ~on_solution 
    and the union of their result sets equals the sequential search. *)
 let expand_frame ?store (p : Problem.t) (f : Filter.t) frame ~on_solution =
   let nq = Graph.node_count p.query in
-  let nr = Graph.node_count p.host in
   let order = Filter.order f in
   let d = frame_depth frame in
   if nq = 0 then begin
@@ -248,23 +226,7 @@ let expand_frame ?store (p : Problem.t) (f : Filter.t) frame ~on_solution =
   end
   else if d >= nq then invalid_arg "Dfs.expand_frame: frame depth beyond query"
   else begin
-    let store =
-      match store with
-      | None -> Domain_store.create ~universe:nr ~depths:nq
-      | Some s ->
-          if Domain_store.universe s <> nr then
-            invalid_arg "Dfs.expand_frame: store universe mismatch";
-          if Domain_store.depths s < nq then
-            invalid_arg "Dfs.expand_frame: store too shallow";
-          Domain_store.reset s;
-          s
-    in
-    let assignment = Array.make (max 1 nq) (-1) in
-    Array.iteri
-      (fun i h ->
-        assignment.(order.(i)) <- h;
-        Domain_store.mark_used store h)
-      frame.prefix;
+    let store, assignment = prepare ~fn:"Dfs.expand_frame" ?store p order frame.prefix in
     let q = order.(d) in
     if d + 1 = nq then begin
       (* Split node is the last order position: every remaining
@@ -286,7 +248,7 @@ let expand_frame ?store (p : Problem.t) (f : Filter.t) frame ~on_solution =
         (fun c ->
           assignment.(q) <- c;
           Domain_store.mark_used store c;
-          load_intersection store f ~assignment ~nbrs ~depth:child_depth ~q:qn;
+          ignore (load_intersection store f ~assignment ~nbrs ~depth:child_depth ~q:qn);
           let card = Domain_store.exclude_used_observed store ~depth:child_depth in
           if card > 0 then begin
             let buf = Domain_store.order_buffer store ~depth:child_depth in
@@ -304,103 +266,3 @@ let expand_frame ?store (p : Problem.t) (f : Filter.t) frame ~on_solution =
       List.rev !children
     end
   end
-
-(* ------------------------------------------------------------------ *)
-(* Legacy sorted-array path                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The seed implementation, kept verbatim as the reference for the
-   differential tests and the representation-ablation bench: candidate
-   sets are fresh sorted-array merges at every visited node.  Visits the
-   same tree in the same order as [search] with [Ascending]. *)
-let search_arrays ?root_candidates (p : Problem.t) (f : Filter.t) ~candidate_order
-    ~budget ~on_solution =
-  let nq = Graph.node_count p.query in
-  let nr = Graph.node_count p.host in
-  let order = Filter.order f in
-  let assignment = Array.make (max 1 nq) (-1) in
-  let used = Array.make (max 1 nr) false in
-  let assigned_neighbours = Array.map Array.to_list (assigned_neighbours_table p order nq) in
-  (* Node-level candidates, converted once per call for the depths
-     that read them: those with no assigned neighbour. *)
-  let node_candidates =
-    Array.mapi
-      (fun depth nbrs -> if nbrs = [] then Filter.node_candidates f order.(depth) else [||])
-      assigned_neighbours
-  in
-  (* Candidate set for the node at [depth]: intersect filter cells of
-     assigned neighbours (smallest first), or node-level candidates when
-     none is assigned yet.  [used] is filtered during enumeration. *)
-  let candidates depth =
-    let q = order.(depth) in
-    match assigned_neighbours.(depth) with
-    | [] -> (
-        match root_candidates with
-        | Some roots when depth = 0 -> roots
-        | Some _ | None -> node_candidates.(depth))
-    | nbrs ->
-        let cells =
-          List.map
-            (fun w -> Filter.candidates_from f ~q_assigned:w ~r_assigned:assignment.(w) ~q_next:q)
-            nbrs
-        in
-        let cells =
-          List.sort (fun a b -> compare (Array.length a) (Array.length b)) cells
-        in
-        (match cells with
-        | [] -> [||]
-        | first :: rest ->
-            (* Intersect progressively; bail out on empty. *)
-            let acc = ref first in
-            (try
-               List.iter
-                 (fun c ->
-                   if Array.length !acc = 0 then raise Exit;
-                   let out = Array.make (min (Array.length !acc) (Array.length c)) 0 in
-                   let i = ref 0 and j = ref 0 and k = ref 0 in
-                   let la = Array.length !acc and lb = Array.length c in
-                   while !i < la && !j < lb do
-                     let x = !acc.(!i) and y = c.(!j) in
-                     if x = y then begin
-                       out.(!k) <- x;
-                       incr k;
-                       incr i;
-                       incr j
-                     end
-                     else if x < y then incr i
-                     else incr j
-                   done;
-                   acc := Array.sub out 0 !k)
-                 rest
-             with Exit -> ());
-            !acc)
-  in
-  let rec go depth =
-    Budget.tick budget;
-    if depth = nq then begin
-      match on_solution (Mapping.of_array (Array.copy assignment)) with
-      | `Continue -> ()
-      | `Stop -> raise Stop_search
-    end
-    else begin
-      let q = order.(depth) in
-      let cands = candidates depth in
-      let try_candidate r =
-        if not used.(r) then begin
-          assignment.(q) <- r;
-          used.(r) <- true;
-          go (depth + 1);
-          used.(r) <- false;
-          assignment.(q) <- -1
-        end
-      in
-      match candidate_order with
-      | Ascending -> Array.iter try_candidate cands
-      | Random rng ->
-          let shuffled = Array.copy cands in
-          Rng.shuffle_in_place rng shuffled;
-          Array.iter try_candidate shuffled
-    end
-  in
-  if nq = 0 then ignore (on_solution (Mapping.of_array [||]))
-  else match go 0 with () -> () | exception Stop_search -> ()

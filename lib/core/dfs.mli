@@ -13,9 +13,11 @@
 
     Candidate domains are bitsets over the host universe, computed
     in-place into a {!Domain_store} scratch pool: one [blit], O(depth)
-    [inter_into]/[diff_into] per visited node, no allocation.  The seed
-    sorted-array implementation is retained as {!search_arrays} for
-    differential testing and the representation-ablation bench. *)
+    [inter_into]/[diff_into] per visited node, no allocation.  One
+    domain computation serves every entry point, with or without blame.
+    The seed sorted-array implementation, the reference of the
+    differential tests and the representation-ablation bench, lives
+    with them in [test/oracle]. *)
 
 type candidate_order =
   | Ascending
@@ -72,7 +74,6 @@ val search_frame :
     @raise Budget.Exhausted when the budget runs out. *)
 
 val search :
-  ?root_candidates:int array ->
   ?store:Domain_store.t ->
   ?blame:Netembed_explain.Explain.Blame.t ->
   Problem.t ->
@@ -87,13 +88,10 @@ val search :
 
     [blame], when given, attributes every domain wipeout to a cause:
     the query edge whose filter cell emptied the intersection, or host
-    contention when only the used-host subtraction did.  The search
-    runs a separate domain-computation path in this mode, so the
-    unblamed hot loop stays branch-identical to before.
-
-    [root_candidates] restricts the candidate set of the {e first} node
-    in the search order (it must be a sorted subset of that node's
-    candidates) — the root-partitioning hook of the parallel searcher.
+    contention when only the used-host subtraction did.  Without it the
+    search reads no pre-subtraction cardinality and records nothing.
+    To search a subset of the first node's candidates, run
+    {!search_frame} on a frame with an empty prefix.
 
     [store] supplies the scratch-domain pool, amortizing it across
     repeated searches; it is [reset] on entry.  When omitted, a private
@@ -102,20 +100,3 @@ val search :
     @raise Invalid_argument when [store] has the wrong universe size or
     fewer depths than query nodes.
     @raise Budget.Exhausted when the budget runs out. *)
-
-val search_arrays :
-  ?root_candidates:int array ->
-  Problem.t ->
-  Filter.t ->
-  candidate_order:candidate_order ->
-  budget:Budget.t ->
-  on_solution:(Mapping.t -> [ `Continue | `Stop ]) ->
-  unit
-(** The seed sorted-array implementation: candidate sets are merged into
-    freshly allocated arrays at every visited node.  Same contract as
-    {!search}; with [Ascending] it visits the same tree in the same
-    order, so answer sets (and budget-limited prefixes) coincide — the
-    property the differential tests assert.  With [Random] the RNG is
-    consumed differently (used hosts are shuffled then skipped rather
-    than excluded first), so individual first matches may differ from
-    {!search}.  Reference only: slower and allocation-heavy. *)

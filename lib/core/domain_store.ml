@@ -92,8 +92,6 @@ let restrict (t : t) ~depth src =
   t.intersections <- t.intersections + 1;
   Bitset.inter_into ~dst:t.scratch.(depth) src
 
-let exclude_used (t : t) ~depth = Bitset.diff_into ~dst:t.scratch.(depth) t.used
-
 let depth_counts (t : t) = t.depth_counts
 
 let hist_of_counts counts =
@@ -122,9 +120,10 @@ let observed (t : t) ~depth card =
 let observe_domain (t : t) ~depth =
   ignore (observed t ~depth (Bitset.cardinal t.scratch.(depth)))
 
-(* Fused [exclude_used] + [observe_domain] for the DFS hot path: the
-   diff pass already touches every word, so the domain size falls out of
-   it for free instead of costing a second walk per visited node. *)
+(* Used-host subtraction fused with [observe_domain] for the DFS hot
+   path: the diff pass already touches every word, so the domain size
+   falls out of it for free instead of costing a second walk per
+   visited node. *)
 let exclude_used_observed (t : t) ~depth =
   observed t ~depth (Bitset.diff_into_card ~dst:t.scratch.(depth) t.used)
 
@@ -165,8 +164,3 @@ let stats (t : t) : stats =
     intersections = t.intersections;
     backtracks = backtrack_total t;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "universe=%d depths=%d scratch_words=%d domains=%d intersections=%d backtracks=%d"
-    s.universe s.depths s.scratch_words s.domains_built s.intersections s.backtracks

@@ -41,7 +41,8 @@ val release_used : t -> int -> unit
 (** {1 Scratch domains}
 
     The domain at each depth is built by one [load*] call followed by
-    any number of [restrict] calls and usually one [exclude_used];
+    any number of [restrict] calls and usually one
+    {!exclude_used_observed};
     it stays valid until the next [load*] at the same depth. *)
 
 val domain : t -> depth:int -> Bitset.t
@@ -52,16 +53,13 @@ val load : t -> depth:int -> Bitset.t -> Bitset.t
     filter cell or node-candidate set) and return it. *)
 
 val load_array : t -> depth:int -> int array -> Bitset.t
-(** Overwrite the scratch domain with the elements of the array — the
-    root-partitioning hook of the parallel searcher. *)
+(** Overwrite the scratch domain with the elements of the array — how
+    a search resumes from a frame's candidate set ({!Dfs.search_frame}). *)
 
 val load_empty : t -> depth:int -> Bitset.t
 
 val restrict : t -> depth:int -> Bitset.t -> unit
 (** Intersect the scratch domain with the given set in place. *)
-
-val exclude_used : t -> depth:int -> unit
-(** Subtract the [used] set from the scratch domain in place. *)
 
 (** {1 Randomized enumeration} *)
 
@@ -105,8 +103,9 @@ val observe_domain : t -> depth:int -> unit
     into {!domain_size_hist}. *)
 
 val exclude_used_observed : t -> depth:int -> int
-(** [exclude_used] and [observe_domain] fused into a single pass over
-    the domain's words — what the DFS hot path calls per visited node.
+(** Subtract the [used] set from the scratch domain in place and
+    {!observe_domain} it, in a single pass over the domain's words —
+    what the DFS hot path calls per visited node.
     Returns the resulting cardinality (0 = wipeout), which the explain
     path uses for cause attribution; plain searches ignore it. *)
 
@@ -117,8 +116,6 @@ val note_backtrack : t -> depth:int -> unit
 val backtracks_by_depth : t -> int array
 (** The per-depth backtrack counters (owned by the store; read-only by
     convention). *)
-
-val backtrack_total : t -> int
 
 val wipeouts_by_depth : t -> int array
 (** Per-depth counts of candidate domains found empty at build time —
@@ -143,4 +140,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

@@ -284,6 +284,12 @@ let assemble_certificate ~(problem : Problem.t) ~algorithm ~filter ~blame ~recor
 
 let run ?(options = default_options) ?filter ?trace
     ?(phases = Telemetry.Phase.make_timings ()) algorithm problem =
+  let limit =
+    match options.mode with
+    | First -> 1
+    | All -> max_int
+    | At_most k -> if k < 1 then invalid_arg "Engine.run: At_most needs k >= 1" else k
+  in
   let store =
     Domain_store.create
       ~universe:(Netembed_graph.Graph.node_count problem.Problem.host)
@@ -300,7 +306,6 @@ let run ?(options = default_options) ?filter ?trace
   let found = ref [] in
   let count = ref 0 in
   let time_to_first = ref None in
-  let limit = match options.mode with First -> 1 | All -> max_int | At_most k -> max k 0 in
   let on_solution m =
     if !time_to_first = None then time_to_first := Some (Budget.elapsed budget);
     (match recorder with
@@ -317,7 +322,6 @@ let run ?(options = default_options) ?filter ?trace
   let filter_used = ref None in
   let ran_out =
     try
-      if limit = 0 then raise Exit;
       (match algorithm with
       | ECF | RWB ->
           let filter =
@@ -349,9 +353,7 @@ let run ?(options = default_options) ?filter ?trace
           Telemetry.time_phase phases ?trace Telemetry.Phase.Search (fun () ->
               Lns.search ~store ?blame problem ~budget ~on_solution));
       false
-    with
-    | Budget.Exhausted -> true
-    | Exit -> false (* At_most 0: nothing requested, trivially complete *)
+    with Budget.Exhausted -> true
   in
   let mappings = List.rev !found in
   let outcome =

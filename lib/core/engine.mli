@@ -12,7 +12,7 @@ val all_algorithms : algorithm list
 type mode =
   | First  (** stop at the first feasible embedding *)
   | All  (** enumerate every feasible embedding *)
-  | At_most of int  (** stop after k embeddings *)
+  | At_most of int  (** stop after k embeddings; k >= 1 *)
 
 type outcome =
   | Complete
@@ -67,7 +67,7 @@ type result = {
           the filter build for ECF/RWB, the lazy edge checks for LNS.
           (Historically this was the filter-build count only, which read
           0 for LNS; all evaluation sites now feed one shared counter —
-          {!Problem.eval_counter} — so the algorithms report on the same
+          {!Problem.constraint_evals} — so the algorithms report on the same
           scale.) *)
   domain_stats : Domain_store.stats option;
       (** scratch-pool footprint and per-run domain-computation counts
@@ -130,7 +130,8 @@ val run :
     [trace], when given, also receives one span per timed phase, named
     after it, from the same clock reads
     ({!Netembed_telemetry.Telemetry.time_phase}); the plain path pays
-    only a [None] branch per phase boundary. *)
+    only a [None] branch per phase boundary.
+    @raise Invalid_argument for [At_most k] with [k < 1]. *)
 
 val find_first : ?timeout:float -> algorithm -> Problem.t -> Mapping.t option
 (** Convenience wrapper: first feasible embedding, if found in time. *)

@@ -11,10 +11,6 @@ type t = {
           [F[a, r, b]], the candidates for [b] when [a] is mapped onto
           [r].  Empty cells are [empty_cell]; directions the query does
           not link share [no_row]. *)
-  mutable views : int array array array;
-      (** lazily materialized sorted-array views of the cells, in the
-          shape of [rows], for the legacy array path (differential
-          tests, bench ablation); [[||]] until first used *)
   nq : int;
   nr : int;
   node_cands : Bitset.t array;
@@ -253,7 +249,6 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
   let t =
     {
       rows;
-      views = [||];
       nq;
       nr;
       node_cands;
@@ -352,19 +347,6 @@ let cell_bits_exn t ~q_assigned ~r_assigned ~q_next =
   let c = cell t q_assigned r_assigned q_next in
   if c == empty_cell then raise Not_found else c
 
-let candidates_from t ~q_assigned ~r_assigned ~q_next =
-  let c = cell t q_assigned r_assigned q_next in
-  if c == empty_cell then [||]
-  else begin
-    if t.views == [||] then t.views <- Array.make (t.nq * t.nq) [||];
-    let dir = (q_assigned * t.nq) + q_next in
-    if t.views.(dir) == [||] then t.views.(dir) <- Array.make t.nr [||];
-    let row = t.views.(dir) in
-    if row.(r_assigned) == [||] then row.(r_assigned) <- Bitset.to_array c;
-    row.(r_assigned)
-  end
-
 let node_candidates_bits t q = t.node_cands.(q)
-let node_candidates t q = Bitset.to_array t.node_cands.(q)
 let order t = t.ls_order
 let cell_count t = t.nonempty_cells

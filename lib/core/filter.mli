@@ -13,13 +13,11 @@
     O(words) ({!Domain_store}).  Empty cells share one sentinel and
     one-partner cells share one set per partner.  With parallel query
     edges between a pair, the cell holds the partners that satisfy all
-    of them.  Sorted-array views of the same cells are materialized
-    lazily for the legacy array path (differential tests and the
-    representation-ablation bench).  The negative filter
-    F̄ of the paper is implicit: candidate sets are intersected, so
-    anything absent from [F] is excluded (equivalent to subtracting the
-    union of F̄ for undirected problems; for directed problems both
-    lookup directions of each tested orientation are stored).
+    of them.  The negative filter F̄ of the paper is implicit:
+    candidate sets are intersected, so anything absent from [F] is
+    excluded (equivalent to subtracting the union of F̄ for undirected
+    problems; for directed problems both lookup directions of each
+    tested orientation are stored).
 
     The matrix also precomputes per-query-node candidate sets (the
     paper's expression (1), strengthened with the node-level filters of
@@ -86,23 +84,8 @@ val cell_bits_exn :
     read-only. *)
 
 val node_candidates_bits : t -> Graph.node -> Netembed_bitset.Bitset.t
-(** Bitset form of {!node_candidates}; owned by the filter, read-only. *)
-
-val candidates_from :
-  t -> q_assigned:Graph.node -> r_assigned:Graph.node -> q_next:Graph.node ->
-  int array
-(** [candidates_from f ~q_assigned ~r_assigned ~q_next] is the cell
-    [F[q_assigned, r_assigned, q_next]]: sorted host candidates for
-    [q_next] given that assignment.  Empty array when no host edge
-    qualifies.  Meaningful only when the query links [q_assigned] to
-    [q_next].  This is the legacy array view of {!cell_bits},
-    materialized (and cached) on first access; the memoization is not
-    thread-safe, so the array path must stay single-domain. *)
-
-val node_candidates : t -> Graph.node -> int array
-(** Sorted host candidates for a query node irrespective of other
-    assignments (expression (1) ∩ node filters): {!node_candidates_bits}
-    converted to a fresh array on each call. *)
+(** Host candidates for a query node irrespective of other assignments
+    (expression (1) ∩ node filters).  Owned by the filter, read-only. *)
 
 val order : t -> Graph.node array
 (** The search order [LS].  Lemma 1 calls for ascending candidate

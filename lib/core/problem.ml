@@ -60,7 +60,6 @@ let make ?node_constraint ?(degree_filter = true) ?compiled ?columns ~host ~quer
     columns = (match columns with Some s -> s | None -> Prefilter.of_graph host);
   }
 
-let eval_counter t = t.evals
 let constraint_evals t = Telemetry.Counter.value t.evals
 let compiled_residuals t = t.residuals
 

@@ -110,18 +110,15 @@ val node_residual_ok :
     counting one constraint evaluation.  With [degree_ok], agrees with
     {!node_ok}. *)
 
-val eval_counter : t -> Netembed_telemetry.Telemetry.Counter.t
-(** The shared constraint-evaluation counter (see the [evals] field).
-    Single-writer: concurrent searchers must not share one problem's
-    lazy evaluation path (the parallel searchers only read prebuilt
-    filter state, so this holds).  The same rule covers [columns]:
-    every build and certificate on the problem shares its stores, so
-    none may run concurrently with another; the parallel searchers
-    build their filter before they spawn. *)
-
 val constraint_evals : t -> int
-(** [Counter.value (eval_counter t)] — cumulative over the problem's
-    lifetime; the engine reports per-run deltas. *)
+(** The shared constraint-evaluation counter (see the [evals] field),
+    cumulative over the problem's lifetime; the engine reports per-run
+    deltas.  Single-writer: concurrent searchers must not share one
+    problem's lazy evaluation path (the parallel searchers only read
+    prebuilt filter state, so this holds).  The same rule covers
+    [columns]: every build and certificate on the problem shares its
+    stores, so none may run concurrently with another; the parallel
+    searchers build their filter before they spawn. *)
 
 val compiled_residuals : t -> compiled
 (** The problem's residual table, shared structure included — cache it

@@ -7,6 +7,7 @@ module Engine = Netembed_core.Engine
 module Domain_store = Netembed_core.Domain_store
 module Rng = Netembed_rng.Rng
 module Graph = Netembed_graph.Graph
+module Bitset = Netembed_bitset.Bitset
 module Telemetry = Netembed_telemetry.Telemetry
 
 type strategy =
@@ -205,7 +206,7 @@ let trivial_stats ~mappings ~outcome ~elapsed ~k =
 let static_run ?trace ~k ~timeout ~registry problem filter =
   let t0 = Unix.gettimeofday () in
   let order = Filter.order filter in
-  let roots = Filter.node_candidates filter order.(0) in
+  let roots = Bitset.to_array (Filter.node_candidates_bits filter order.(0)) in
   let shares =
     partition k roots |> Array.to_list
     |> List.filter (fun s -> Array.length s > 0)
@@ -235,7 +236,8 @@ let static_run ?trace ~k ~timeout ~registry problem filter =
       let exhausted =
         try
           Telemetry.Trace.span_opt tbuf "static_share" (fun () ->
-              Dfs.search ~root_candidates:share ~store problem filter
+              Dfs.search_frame ~store problem filter
+                ~frame:{ Dfs.prefix = [||]; candidates = share }
                 ~candidate_order:Dfs.Ascending ~budget
                 ~on_solution:(fun m ->
                   acc := m :: !acc;
@@ -310,7 +312,7 @@ let ws_run ?trace ~k ~timeout ~split_depth ~registry problem filter =
   let dummy = { Dfs.prefix = [||]; candidates = [||] } in
   let deques = Array.init k (fun _ -> Deque.create dummy) in
   let pending = Atomic.make 0 in
-  let roots = Filter.node_candidates filter order.(0) in
+  let roots = Bitset.to_array (Filter.node_candidates_bits filter order.(0)) in
   let shares = partition k roots in
   Array.iteri
     (fun i share ->

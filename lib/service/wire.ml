@@ -13,8 +13,9 @@ let mode_of_string s =
   | "all" -> Ok Engine.All
   | s when String.length s > 7 && String.sub s 0 7 = "atmost:" -> (
       match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-      | Some k when k >= 0 -> Ok (Engine.At_most k)
-      | Some _ | None -> Error (Printf.sprintf "bad mode %S" s))
+      | Some k when k >= 1 -> Ok (Engine.At_most k)
+      | Some _ -> Error (Printf.sprintf "bad mode %S: atmost needs k >= 1" s)
+      | None -> Error (Printf.sprintf "bad mode %S" s))
   | s -> Error (Printf.sprintf "bad mode %S" s)
 
 let algorithm_of_string s =

@@ -72,6 +72,8 @@
 
 val mode_to_string : Netembed_core.Engine.mode -> string
 val mode_of_string : string -> (Netembed_core.Engine.mode, string) result
+(** ["first"], ["all"] or ["atmost:k"] with [k >= 1]. *)
+
 val algorithm_of_string : string -> (Netembed_core.Engine.algorithm, string) result
 
 val default_max_frame_bytes : int

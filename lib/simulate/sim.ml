@@ -669,6 +669,7 @@ let run ?registry cfg substrate =
   if Array.length cfg.size_classes = 0 then
     invalid_arg "Sim.run: empty size_classes";
   if cfg.sample_every <= 0.0 then invalid_arg "Sim.run: sample_every <= 0";
+  if cfg.candidates < 1 then invalid_arg "Sim.run: candidates < 1";
   let registry =
     match registry with Some r -> r | None -> Telemetry.Registry.create ()
   in

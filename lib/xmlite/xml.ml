@@ -397,34 +397,6 @@ let scan ~start ~text ~stop src =
   if st.pos < st.len then error st "content after the root element"
 
 (* ------------------------------------------------------------------ *)
-(* The tree                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let parse_string src =
-  (* Open elements, innermost first, each with its children reversed. *)
-  let open_ = ref [] and root = ref (Text "") in
-  let add node =
-    match !open_ with (_, _, kids) :: _ -> kids := node :: !kids | [] -> root := node
-  in
-  scan src
-    ~start:(fun tag attrs ->
-      let attrs =
-        List.init (attribute_count attrs) (fun i ->
-            (attribute_name attrs i, attribute_value attrs i))
-      in
-      open_ := (tag, attrs, ref []) :: !open_)
-    ~text:(fun s pos len -> add (Text (String.sub s pos len)))
-    ~stop:(fun _ ->
-      match !open_ with
-      | (tag, attrs, kids) :: rest ->
-          open_ := rest;
-          add (Element (tag, attrs, List.rev !kids))
-      | [] -> ());
-  !root
-
-let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)
-
-(* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -474,43 +446,3 @@ let to_string ?(indent = true) t =
   in
   emit 0 t;
   Buffer.contents buf
-
-let write_file ?indent path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
-      output_string oc (to_string ?indent t);
-      output_char oc '\n')
-
-(* ------------------------------------------------------------------ *)
-(* Accessors                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let tag = function
-  | Element (t, _, _) -> t
-  | Text _ -> invalid_arg "Xml.tag: text node"
-
-let attr name = function
-  | Element (_, attrs, _) -> List.assoc_opt name attrs
-  | Text _ -> None
-
-let attr_exn name t = match attr name t with Some v -> v | None -> raise Not_found
-
-let children = function Element (_, _, c) -> c | Text _ -> []
-
-let child_elements t =
-  List.filter (function Element _ -> true | Text _ -> false) (children t)
-
-let find_children name t =
-  List.filter (function Element (tag, _, _) -> tag = name | Text _ -> false) (children t)
-
-let first_child name t = match find_children name t with [] -> None | c :: _ -> Some c
-
-let rec text_content t =
-  match t with
-  | Text s -> s
-  | Element (_, _, children) -> String.concat "" (List.map text_content children)
-
-let text_content t = String.trim (text_content t)

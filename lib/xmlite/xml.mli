@@ -7,9 +7,10 @@
     subsets, namespaces beyond treating prefixed names as opaque
     strings.  This is a substrate, not a general XML library.
 
-    Reading has one tokenizer, {!scan}, which reports the document as
-    start, text and end events; {!parse_string} builds the tree from
-    those events. *)
+    Reading is one tokenizer, {!scan}, which reports the document as
+    start, text and end events; the GraphML reader consumes them
+    directly, without a tree.  Writing prints a {!t}.  (A tree-building
+    reader over {!scan} is kept with the tests, in [test/oracle].) *)
 
 type t =
   | Element of string * (string * string) list * t list
@@ -70,36 +71,9 @@ val scan :
     [&#] with decimal digits or [&#x] with hex digits, or that is not a
     Unicode scalar value. *)
 
-val parse_string : string -> t
-(** Parses a document and returns the root element, built from
-    {!scan}'s events.
-    @raise Parse_error on malformed input. *)
-
-val parse_file : string -> t
-
 val to_string : ?indent:bool -> t -> string
 (** Serialize with escaping; [indent] (default true) pretty-prints
     element-only content. *)
-
-val write_file : ?indent:bool -> string -> t -> unit
-
-(** {1 Convenience accessors} *)
-
-val tag : t -> string
-(** @raise Invalid_argument on a text node. *)
-
-val attr : string -> t -> string option
-val attr_exn : string -> t -> string
-(** @raise Not_found when absent. *)
-
-val children : t -> t list
-val child_elements : t -> t list
-val find_children : string -> t -> t list
-(** Child elements with the given tag, in order. *)
-
-val first_child : string -> t -> t option
-val text_content : t -> string
-(** Concatenated text descendants, trimmed. *)
 
 val escape : string -> string
 (** Entity-escape a string for use as attribute or text content. *)

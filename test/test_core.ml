@@ -4,6 +4,7 @@ module Value = Netembed_attr.Value
 module Expr = Netembed_expr.Expr
 module Ast = Netembed_expr.Ast
 module Rng = Netembed_rng.Rng
+module Bitset = Netembed_bitset.Bitset
 open Netembed_core
 
 let check = Alcotest.check
@@ -208,13 +209,17 @@ let test_compiles_counter () =
 (* Filter                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The cell [F[a, r, b]] as a sorted list. *)
+let cell f a r b =
+  match Filter.cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b with
+  | Some c -> Bitset.elements c
+  | None -> []
+
 let test_filter_cells () =
   let p = path_problem () in
   let f = Filter.build ~prefilter:false p in
-  check Alcotest.(list int) "cell (q0,0,q1)" [ 1; 2 ]
-    (Array.to_list (Filter.candidates_from f ~q_assigned:0 ~r_assigned:0 ~q_next:1));
-  check Alcotest.(list int) "cell (q1,3,q2)" [ 2 ]
-    (Array.to_list (Filter.candidates_from f ~q_assigned:1 ~r_assigned:3 ~q_next:2));
+  check Alcotest.(list int) "cell (q0,0,q1)" [ 1; 2 ] (cell f 0 0 1);
+  check Alcotest.(list int) "cell (q1,3,q2)" [ 2 ] (cell f 1 3 2);
   check Alcotest.bool "constraint evals counted" true (Problem.constraint_evals p > 0);
   check Alcotest.bool "cells counted" true (Filter.cell_count f > 0);
   (* The bounds pre-filter must produce the identical matrix while
@@ -222,10 +227,8 @@ let test_filter_cells () =
      constraint. *)
   let p2 = path_problem () in
   let f2 = Filter.build ~prefilter:true p2 in
-  check Alcotest.(list int) "prefilter: cell (q0,0,q1)" [ 1; 2 ]
-    (Array.to_list (Filter.candidates_from f2 ~q_assigned:0 ~r_assigned:0 ~q_next:1));
-  check Alcotest.(list int) "prefilter: cell (q1,3,q2)" [ 2 ]
-    (Array.to_list (Filter.candidates_from f2 ~q_assigned:1 ~r_assigned:3 ~q_next:2));
+  check Alcotest.(list int) "prefilter: cell (q0,0,q1)" [ 1; 2 ] (cell f2 0 0 1);
+  check Alcotest.(list int) "prefilter: cell (q1,3,q2)" [ 2 ] (cell f2 1 3 2);
   check Alcotest.int "prefilter: same cell count" (Filter.cell_count f)
     (Filter.cell_count f2);
   check Alcotest.bool "prefilter skips evaluations" true
@@ -246,7 +249,7 @@ let test_filter_node_candidates_sound () =
     (fun m ->
       List.iter
         (fun (q, r) ->
-          if not (Array.mem r (Filter.node_candidates f q)) then
+          if not (Bitset.mem (Filter.node_candidates_bits f q) r) then
             Alcotest.failf "host %d missing from node candidates of q%d" r q)
         (Mapping.to_list m))
     all
@@ -296,10 +299,10 @@ let test_filter_parallel_edges () =
           check Alcotest.(list int)
             (Printf.sprintf "prefilter=%b cell (q%d,%d,q%d)" prefilter a r b)
             expected
-            (Array.to_list (Filter.candidates_from f ~q_assigned:a ~r_assigned:r ~q_next:b)))
+            (cell f a r b))
         table;
       check Alcotest.(list int) "q0 candidates" [ 0; 1 ]
-        (Array.to_list (Filter.node_candidates f 0));
+        (Bitset.elements (Filter.node_candidates_bits f 0));
       check Alcotest.int "cells" 13 (Filter.cell_count f))
     [ false; true ]
 
@@ -613,12 +616,13 @@ let test_engine_wrappers () =
   | Some m -> check Alcotest.bool "valid" true (Verify.is_valid p m)
   | None -> Alcotest.fail "expected a mapping");
   check Alcotest.int "find_all" 6 (List.length (Engine.find_all Engine.ECF p));
-  (* At_most 0 returns nothing but completes. *)
-  let r =
-    Engine.run ~options:{ Engine.default_options with Engine.mode = Engine.At_most 0 }
-      Engine.ECF p
-  in
-  check Alcotest.int "at most zero" 0 (List.length r.Engine.mappings)
+  (* At_most 0 asks for nothing: a request error, not a proof of
+     infeasibility. *)
+  Alcotest.check_raises "at most zero" (Invalid_argument "Engine.run: At_most needs k >= 1")
+    (fun () ->
+      ignore
+        (Engine.run ~options:{ Engine.default_options with Engine.mode = Engine.At_most 0 }
+           Engine.ECF p))
 
 let test_collect_false () =
   let p = path_problem () in

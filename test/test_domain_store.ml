@@ -1,7 +1,7 @@
 (* Unit tests for the Domain_store scratch pool, plus the differential
    test of the representation refactor: the bitset-backed search core
    must return exactly the answer of the seed sorted-array
-   implementation (kept as Dfs.search_arrays) on a spread of seeded
+   implementation (the oracle's Sorted_arrays.search) on a spread of seeded
    random problems — mixed directed/undirected, with and without
    node-level filters. *)
 
@@ -11,6 +11,7 @@ module Value = Netembed_attr.Value
 module Expr = Netembed_expr.Expr
 module Rng = Netembed_rng.Rng
 module Bitset = Netembed_bitset.Bitset
+module Sorted_arrays = Netembed_oracle.Sorted_arrays
 open Netembed_core
 
 let check = Alcotest.check
@@ -32,8 +33,9 @@ let test_store_basics () =
   check Alcotest.(list int) "restrict intersects" [ 1; 40 ]
     (Bitset.elements (Domain_store.domain s ~depth:0));
   Domain_store.mark_used s 40;
-  Domain_store.exclude_used s ~depth:0;
-  check Alcotest.(list int) "exclude_used subtracts" [ 1 ]
+  check Alcotest.int "exclude_used_observed counts" 1
+    (Domain_store.exclude_used_observed s ~depth:0);
+  check Alcotest.(list int) "exclude_used_observed subtracts" [ 1 ]
     (Bitset.elements (Domain_store.domain s ~depth:0));
   Domain_store.release_used s 40;
   check Alcotest.bool "release clears used" true (Bitset.is_empty (Domain_store.used s));
@@ -98,6 +100,45 @@ let test_store_reuse_across_searches () =
   check Alcotest.int "same count on reuse" a b;
   check Alcotest.bool "found embeddings" true (a > 0)
 
+(* The hot loop allocates nothing per visited node: on an unsat
+   problem (a star with seven leaves on the 6-cube, whose hosts have six
+   neighbours, with the degree filter off so the search has to find
+   that out) a search over a warm store allocates the same words
+   whether its visit budget is 1,000 or 10,000.  [search] and
+   [search_frame] alike. *)
+let test_hot_loop_allocation_flat () =
+  let module Regular = Netembed_topology.Regular in
+  let p =
+    Problem.make ~degree_filter:false ~host:(Regular.hypercube 6) ~query:(Regular.star 8)
+      Expr.always
+  in
+  let f = Filter.build p in
+  let store = Domain_store.create ~universe:64 ~depths:8 in
+  let frame =
+    let root = (Filter.order f).(0) in
+    { Dfs.prefix = [||]; candidates = Bitset.to_array (Filter.node_candidates_bits f root) }
+  in
+  let on_solution _ = Alcotest.fail "the fixture has a mapping" in
+  let candidate_order = Dfs.Ascending in
+  let searches =
+    [ "search", (fun budget -> Dfs.search ~store p f ~candidate_order ~budget ~on_solution)
+    ; "search_frame", (fun budget -> Dfs.search_frame ~store p f ~frame ~candidate_order ~budget ~on_solution)
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (name, search) ->
+      let words cap =
+        let budget = Budget.make ~max_visited:cap () in
+        let before = Gc.minor_words () in
+        (try search budget with Budget.Exhausted -> ());
+        if Budget.visited budget <= cap then Alcotest.failf "%s: unsat before %d visits" name cap;
+        Gc.minor_words () -. before
+      in
+      ignore (words 1_000) (* warm the store *);
+      check (Alcotest.float 0.0) (name ^ ": words at 1k = words at 10k visits") (words 1_000)
+        (words 10_000))
+    searches
+
 (* ------------------------------------------------------------------ *)
 (* Differential: bitset engine vs seed sorted-array implementation     *)
 (* ------------------------------------------------------------------ *)
@@ -150,18 +191,18 @@ let mapping_set ms = List.sort_uniq Mapping.compare ms
 
 (* The seed implementation, run to exhaustion. *)
 let legacy_all p =
-  let f = Filter.build p in
+  let v = Sorted_arrays.views p (Filter.build p) in
   let acc = ref [] in
-  Dfs.search_arrays p f ~candidate_order:Dfs.Ascending ~budget:(Budget.unlimited ())
+  Sorted_arrays.search v p ~candidate_order:Dfs.Ascending ~budget:(Budget.unlimited ())
     ~on_solution:(fun m ->
       acc := m :: !acc;
       `Continue);
   (mapping_set !acc, List.length !acc)
 
 let legacy_first p =
-  let f = Filter.build p in
+  let v = Sorted_arrays.views p (Filter.build p) in
   let acc = ref None in
-  Dfs.search_arrays p f ~candidate_order:Dfs.Ascending ~budget:(Budget.unlimited ())
+  Sorted_arrays.search v p ~candidate_order:Dfs.Ascending ~budget:(Budget.unlimited ())
     ~on_solution:(fun m ->
       acc := Some m;
       `Stop);
@@ -256,7 +297,7 @@ let test_differential_visited_prefix () =
        with Budget.Exhausted -> ());
       List.rev !acc
     in
-    let legacy = run (Dfs.search_arrays ?root_candidates:None) in
+    let legacy = run (fun p f -> Sorted_arrays.search (Sorted_arrays.views p f) p) in
     let bitset = run (fun p f -> Dfs.search p f) in
     if List.length legacy <> List.length bitset then
       Alcotest.failf "seed %d: prefix lengths differ" seed;
@@ -293,6 +334,7 @@ let () =
           Alcotest.test_case "order buffer" `Quick test_store_order_buffer;
           Alcotest.test_case "reset and errors" `Quick test_store_reset_and_errors;
           Alcotest.test_case "reuse across searches" `Quick test_store_reuse_across_searches;
+          Alcotest.test_case "hot loop allocation flat" `Quick test_hot_loop_allocation_flat;
         ] );
       ( "differential",
         [

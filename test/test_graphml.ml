@@ -3,6 +3,7 @@ module Graphml = Netembed_graphml.Graphml
 module Attrs = Netembed_attr.Attrs
 module Value = Netembed_attr.Value
 module Xml = Netembed_xml.Xml
+module Tree = Netembed_oracle.Xml_tree
 
 let check = Alcotest.check
 
@@ -15,13 +16,13 @@ module Oracle = struct
   type key = { attr_name : string; ty : [ `Bool | `Int | `Float | `String ] }
 
   let parse_key el =
-    let id = match Xml.attr "id" el with Some v -> v | None -> fail "<key> without id" in
-    let attr_name = Option.value ~default:id (Xml.attr "attr.name" el) in
-    (match Xml.attr "for" el with
+    let id = match Tree.attr "id" el with Some v -> v | None -> fail "<key> without id" in
+    let attr_name = Option.value ~default:id (Tree.attr "attr.name" el) in
+    (match Tree.attr "for" el with
     | Some ("node" | "edge" | "graph" | "all") | None -> ()
     | Some other -> fail "unsupported key domain %S" other);
     let ty =
-      match Xml.attr "attr.type" el with
+      match Tree.attr "attr.type" el with
       | Some "boolean" -> `Bool
       | Some ("int" | "long") -> `Int
       | Some ("float" | "double") -> `Float
@@ -53,40 +54,40 @@ module Oracle = struct
   let data_attrs keys el =
     List.fold_left
       (fun acc data ->
-        match Xml.attr "key" data with
+        match Tree.attr "key" data with
         | None -> fail "<data> without key"
         | Some id -> (
             match Hashtbl.find_opt keys id with
             | None -> fail "undeclared key %S" id
-            | Some k -> Attrs.add k.attr_name (parse_value k (Xml.text_content data)) acc))
+            | Some k -> Attrs.add k.attr_name (parse_value k (Tree.text_content data)) acc))
       Attrs.empty
-      (Xml.find_children "data" el)
+      (Tree.find_children "data" el)
     |> fuse_ranges
 
   let read_root root =
-    if Xml.tag root <> "graphml" then
-      fail "root element is <%s>, expected <graphml>" (Xml.tag root);
+    if Tree.tag root <> "graphml" then
+      fail "root element is <%s>, expected <graphml>" (Tree.tag root);
     let keys = Hashtbl.create 16 in
     List.iter
       (fun el ->
         let id, k = parse_key el in
         Hashtbl.replace keys id k)
-      (Xml.find_children "key" root);
+      (Tree.find_children "key" root);
     let graph_el =
-      match Xml.first_child "graph" root with Some g -> g | None -> fail "no <graph> element"
+      match Tree.first_child "graph" root with Some g -> g | None -> fail "no <graph> element"
     in
     let kind =
-      match Xml.attr "edgedefault" graph_el with
+      match Tree.attr "edgedefault" graph_el with
       | Some "directed" -> Graph.Directed
       | Some "undirected" | None -> Graph.Undirected
       | Some other -> fail "unsupported edgedefault %S" other
     in
-    let name = Option.value ~default:"" (Xml.attr "id" graph_el) in
+    let name = Option.value ~default:"" (Tree.attr "id" graph_el) in
     let g = Graph.create ~kind ~name () in
     let node_ids = Hashtbl.create 64 in
     List.iter
       (fun el ->
-        let id = match Xml.attr "id" el with Some v -> v | None -> fail "<node> without id" in
+        let id = match Tree.attr "id" el with Some v -> v | None -> fail "<node> without id" in
         let attrs = data_attrs keys el in
         let attrs =
           if Attrs.mem "id" attrs then attrs else Attrs.add "id" (Value.String id) attrs
@@ -94,11 +95,11 @@ module Oracle = struct
         let v = Graph.add_node g attrs in
         if Hashtbl.mem node_ids id then fail "duplicate node id %S" id;
         Hashtbl.replace node_ids id v)
-      (Xml.find_children "node" graph_el);
+      (Tree.find_children "node" graph_el);
     List.iter
       (fun el ->
         let endpoint which =
-          match Xml.attr which el with
+          match Tree.attr which el with
           | Some v -> (
               match Hashtbl.find_opt node_ids v with
               | Some n -> n
@@ -107,14 +108,14 @@ module Oracle = struct
         in
         let u = endpoint "source" and v = endpoint "target" in
         ignore (Graph.add_edge g u v (data_attrs keys el)))
-      (Xml.find_children "edge" graph_el);
-    (match Xml.find_children "data" graph_el with
+      (Tree.find_children "edge" graph_el);
+    (match Tree.find_children "data" graph_el with
     | [] -> ()
     | _ -> Graph.set_graph_attrs g (data_attrs keys graph_el));
     g
 
   let read_string s =
-    match Xml.parse_string s with
+    match Tree.parse_string s with
     | root -> read_root root
     | exception Xml.Parse_error { line; message } ->
         fail "XML parse error at line %d: %s" line message

@@ -498,12 +498,20 @@ let test_wire_answer_roundtrip () =
             (List.length (List.hd decoded.Wire.mappings)))
 
 let test_wire_errors () =
-  (match Wire.decode_command "NOPE" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected decode failure");
-  (match Wire.decode_command "EMBED alg=XYZ\nCONSTRAINT true\nGRAPHML\n<graphml/>" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected unknown algorithm");
+  let table =
+    [ "unknown verb", "NOPE"
+    ; "unknown algorithm", "EMBED alg=XYZ\nCONSTRAINT true\nGRAPHML\n<graphml/>"
+    ; "at most zero", "EMBED alg=ECF mode=atmost:0\nCONSTRAINT true\nGRAPHML\n<graphml/>"
+    ; "negative at most", "EMBED alg=ECF mode=atmost:-1\nCONSTRAINT true\nGRAPHML\n<graphml/>"
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (row, frame) ->
+      match Wire.decode_command frame with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: expected a decode failure" row)
+    table;
+  check Alcotest.bool "atmost:1 decodes" true (Wire.mode_of_string "atmost:1" = Ok (Engine.At_most 1));
   (match Wire.decode_answer (Wire.encode_error "boom") with
   | Error "boom" -> ()
   | Error m -> Alcotest.failf "wrong message %S" m
@@ -733,6 +741,7 @@ let test_single_exit_table () =
     ; "admission reject", Request.make ~query:(demanding_query ~cpu:2500 ~bw:1.0) shared_constraint, "admission:", "admission"
     ; "query larger than host", Request.make ~query:five_nodes "true", "Problem.make:", "error"
     ; "ill-typed constraint", Request.make ~query:path "rSource.osType <= vEdge.maxDelay", "constraint: cannot compare", "error"
+    ; "at most zero", Request.make ~mode:(Engine.At_most 0) ~query:path standard_constraint, "Engine.run:", "error"
     ] [@ocamlformat "disable"]
   in
   (match Service.submit svc (Request.make ~query:path standard_constraint) with

@@ -1,43 +1,44 @@
 module Xml = Netembed_xml.Xml
+module Tree = Netembed_oracle.Xml_tree
 
 let check = Alcotest.check
 
 let test_basic_parse () =
-  let doc = Xml.parse_string "<a x=\"1\"><b>text</b><c/></a>" in
-  check Alcotest.string "tag" "a" (Xml.tag doc);
-  check (Alcotest.option Alcotest.string) "attr" (Some "1") (Xml.attr "x" doc);
-  check Alcotest.int "children" 2 (List.length (Xml.child_elements doc));
-  match Xml.first_child "b" doc with
-  | Some b -> check Alcotest.string "text" "text" (Xml.text_content b)
+  let doc = Tree.parse_string "<a x=\"1\"><b>text</b><c/></a>" in
+  check Alcotest.string "tag" "a" (Tree.tag doc);
+  check (Alcotest.option Alcotest.string) "attr" (Some "1") (Tree.attr "x" doc);
+  check Alcotest.int "children" 2 (List.length (Tree.child_elements doc));
+  match Tree.first_child "b" doc with
+  | Some b -> check Alcotest.string "text" "text" (Tree.text_content b)
   | None -> Alcotest.fail "missing <b>"
 
 let test_entities () =
-  let doc = Xml.parse_string "<a x='&lt;&amp;&gt;'>&quot;q&apos; &#65;&#x42;</a>" in
-  check (Alcotest.option Alcotest.string) "attr entities" (Some "<&>") (Xml.attr "x" doc);
-  check Alcotest.string "text entities" "\"q' AB" (Xml.text_content doc)
+  let doc = Tree.parse_string "<a x='&lt;&amp;&gt;'>&quot;q&apos; &#65;&#x42;</a>" in
+  check (Alcotest.option Alcotest.string) "attr entities" (Some "<&>") (Tree.attr "x" doc);
+  check Alcotest.string "text entities" "\"q' AB" (Tree.text_content doc)
 
 let test_single_quotes () =
-  let doc = Xml.parse_string "<a x='v'/>" in
-  check (Alcotest.option Alcotest.string) "single-quoted" (Some "v") (Xml.attr "x" doc)
+  let doc = Tree.parse_string "<a x='v'/>" in
+  check (Alcotest.option Alcotest.string) "single-quoted" (Some "v") (Tree.attr "x" doc)
 
 let test_prolog_comment_doctype () =
   let doc =
-    Xml.parse_string
+    Tree.parse_string
       "<?xml version=\"1.0\"?><!-- preamble --><!DOCTYPE a SYSTEM \"x\"><a><!-- in --><b/></a>"
   in
-  check Alcotest.string "root" "a" (Xml.tag doc);
-  check Alcotest.int "comment skipped" 1 (List.length (Xml.child_elements doc))
+  check Alcotest.string "root" "a" (Tree.tag doc);
+  check Alcotest.int "comment skipped" 1 (List.length (Tree.child_elements doc))
 
 let test_cdata () =
-  let doc = Xml.parse_string "<a><![CDATA[<not parsed> && stuff]]></a>" in
-  check Alcotest.string "cdata" "<not parsed> && stuff" (Xml.text_content doc)
+  let doc = Tree.parse_string "<a><![CDATA[<not parsed> && stuff]]></a>" in
+  check Alcotest.string "cdata" "<not parsed> && stuff" (Tree.text_content doc)
 
 let test_nested () =
-  let doc = Xml.parse_string "<a><b><c><d>deep</d></c></b></a>" in
-  check Alcotest.string "deep text" "deep" (Xml.text_content doc)
+  let doc = Tree.parse_string "<a><b><c><d>deep</d></c></b></a>" in
+  check Alcotest.string "deep text" "deep" (Tree.text_content doc)
 
 let expect_parse_error s name =
-  match Xml.parse_string s with
+  match Tree.parse_string s with
   | exception Xml.Parse_error _ -> ()
   | _ -> Alcotest.failf "%s: expected Parse_error" name
 
@@ -59,13 +60,13 @@ let test_print_roundtrip () =
           Xml.Element ("node", [ ("id", "n1") ], []);
         ] )
   in
-  let reparsed = Xml.parse_string (Xml.to_string original) in
+  let reparsed = Tree.parse_string (Xml.to_string original) in
   check (Alcotest.option Alcotest.string) "attr escaped" (Some "a<b & \"c\"")
-    (Xml.attr "note" reparsed);
-  match Xml.find_children "node" reparsed with
+    (Tree.attr "note" reparsed);
+  match Tree.find_children "node" reparsed with
   | [ n0; n1 ] ->
-      check Alcotest.string "text escaped" "label & <stuff>" (Xml.text_content n0);
-      check (Alcotest.option Alcotest.string) "second node" (Some "n1") (Xml.attr "id" n1)
+      check Alcotest.string "text escaped" "label & <stuff>" (Tree.text_content n0);
+      check (Alcotest.option Alcotest.string) "second node" (Some "n1") (Tree.attr "id" n1)
   | _ -> Alcotest.fail "wrong child count"
 
 let test_file_io () =
@@ -74,11 +75,11 @@ let test_file_io () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let doc = Xml.Element ("root", [], [ Xml.Element ("x", [ ("k", "v") ], []) ]) in
-      Xml.write_file path doc;
-      let r = Xml.parse_file path in
-      check Alcotest.string "root" "root" (Xml.tag r);
-      match Xml.first_child "x" r with
-      | Some x -> check (Alcotest.option Alcotest.string) "attr" (Some "v") (Xml.attr "k" x)
+      Tree.write_file path doc;
+      let r = Tree.parse_file path in
+      check Alcotest.string "root" "root" (Tree.tag r);
+      match Tree.first_child "x" r with
+      | Some x -> check (Alcotest.option Alcotest.string) "attr" (Some "v") (Tree.attr "k" x)
       | None -> Alcotest.fail "missing child")
 
 let test_escape () =
@@ -87,7 +88,7 @@ let test_escape () =
 
 let test_error_line () =
   (* The reported line number should point at the failing construct. *)
-  match Xml.parse_string "<a>\n<b>\n</c>\n</a>" with
+  match Tree.parse_string "<a>\n<b>\n</c>\n</a>" with
   | exception Xml.Parse_error { line; _ } ->
       check Alcotest.int "line" 3 line
   | _ -> Alcotest.fail "expected Parse_error"
@@ -105,14 +106,14 @@ let prop_text_roundtrip =
       in
       QCheck.assume (String.trim s <> "");
       let doc = Xml.Element ("t", [ ("a", s) ], [ Xml.Text s ]) in
-      let r = Xml.parse_string (Xml.to_string ~indent:false doc) in
-      Xml.attr "a" r = Some s && Xml.text_content r = String.trim s)
+      let r = Tree.parse_string (Xml.to_string ~indent:false doc) in
+      Tree.attr "a" r = Some s && Tree.text_content r = String.trim s)
 
 let prop_no_crash_on_garbage =
   QCheck.Test.make ~name:"parser never crashes: Parse_error or success" ~count:500
     QCheck.(string_of_size (QCheck.Gen.int_range 0 80))
     (fun s ->
-      match Xml.parse_string s with
+      match Tree.parse_string s with
       | _ -> true
       | exception Xml.Parse_error _ -> true
       | exception _ -> false)
