@@ -3,11 +3,11 @@
    arrive, get embedded, hold their slices for a while and leave.
    Demonstrates every service-layer component cooperating:
 
-   - Model: the characterized hosting network with reservations;
+   - Model: the characterized hosting network and its capacity ledger;
    - Monitor: synthetic measurements drifting, nodes flapping;
    - Request/Service: queries with edge + node constraints, relaxation;
-   - allocation/release: slices come and go, later queries avoid
-     reserved nodes.
+   - allocation/release: slices come and go as ledger charges, and
+     later queries see only the capacity still free.
 
    Run with:  dune exec examples/service_simulation.exe *)
 
@@ -24,9 +24,13 @@ module Query_gen = Netembed_workload.Query_gen
 open Netembed_core
 
 let edge_constraint = "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay"
-let node_constraint = "rSource.up"
+(* A query node demands the CPU and memory of the host it was sampled
+   from; hosts carry their residual capacity, so this reads what is
+   still free. *)
+let node_constraint =
+  "rSource.up && rSource.cpuMhz >= vSource.cpuMhz && rSource.memMB >= vSource.memMB"
 
-type slice = { id : int; mapping : Mapping.t; expires : int }
+type slice = { id : int; allocation : int; expires : int }
 
 let () =
   let rng = Rng.make 20260705 in
@@ -50,7 +54,7 @@ let () =
     let expired, live = List.partition (fun s -> s.expires <= t) !active in
     List.iter
       (fun s ->
-        Service.release_mapping service s.mapping;
+        if not (Service.free service s.allocation) then failwith "unknown allocation";
         Format.printf "t=%-2d slice %d released@." t s.id)
       expired;
     active := live;
@@ -72,14 +76,13 @@ let () =
               Format.printf "t=%-2d request (%d nodes) rejected (%s)@." t n
                 (Engine.outcome_name answer.Service.result.Engine.outcome)
           | m :: _ -> (
-              match Service.allocate service answer m with
+              match Service.allocate_shared service answer m with
               | Error e -> Format.printf "t=%-2d allocation raced: %s@." t e
-              | Ok () ->
+              | Ok allocation ->
                   incr accepted;
                   incr next_id;
                   let hold = 4 + Rng.int rng 10 in
-                  active :=
-                    { id = !next_id; mapping = m; expires = t + hold } :: !active;
+                  active := { id = !next_id; allocation; expires = t + hold } :: !active;
                   Format.printf
                     "t=%-2d slice %d allocated: %d nodes for %d ticks%s@." t !next_id
                     n hold
@@ -91,14 +94,11 @@ let () =
 
   Format.printf "@.summary: %d accepted (%d needed relaxation), %d rejected@."
     !accepted !relaxed !rejected;
-  Format.printf "model revision %d after %d monitor rounds; %d node(s) down; %d host(s) still reserved@."
+  Format.printf "model revision %d after %d monitor rounds; %d node(s) down; %d allocation(s) still live@."
     (Model.revision model) (Monitor.ticks monitor)
     (List.length (Monitor.down_nodes monitor))
-    (List.length (Model.reserved model));
-  (* Sanity: no overlapping reservations survived the run. *)
-  let reserved = Model.reserved model in
-  let from_active =
-    List.concat_map (fun s -> List.map snd (Mapping.to_list s.mapping)) !active
-    |> List.sort_uniq compare
-  in
-  assert (List.sort_uniq compare reserved = from_active)
+    (List.length (Service.allocation_ids service));
+  (* Sanity: the ledger holds exactly the slices still active. *)
+  assert (
+    Service.allocation_ids service
+    = List.sort compare (List.map (fun s -> s.allocation) !active))

@@ -68,17 +68,20 @@ let popcount x =
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
-let is_empty t =
-  let rec go i = i >= Array.length t.words || (t.words.(i) = 0 && go (i + 1)) in
-  go 0
+(* [is_empty] runs once per neighbour cell on every search visit, so
+   its loop, like [equal]'s, is a top-level function: no closure per
+   call. *)
+let rec zero_from words i =
+  i >= Array.length words || (words.(i) = 0 && zero_from words (i + 1))
+
+let is_empty t = zero_from t.words 0
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
-let equal a b =
-  a.n = b.n
-  &&
-  let rec go i = i >= Array.length a.words || (a.words.(i) = b.words.(i) && go (i + 1)) in
-  go 0
+let rec same_from a b i =
+  i >= Array.length a || (a.(i) = b.(i) && same_from a b (i + 1))
+
+let equal a b = a.n = b.n && same_from a.words b.words 0
 
 let check_same a b = if a.n <> b.n then invalid_arg "Bitset: universe mismatch"
 

@@ -116,10 +116,8 @@ let search_core ~(start : frame option) ?store ?blame (p : Problem.t) (f : Filte
      scratch bitset: neighbour-cell intersection (or the frame's
      candidate set at the resume depth), then subtract used hosts.
      Enumeration below walks [next_set_bit] instead of passing a closure
-     to [iter]; the steady-state allocations of the whole search are the
-     solution callback's mapping and the closure [Bitset.is_empty]
-     makes, once per further neighbour cell at depths with two or more
-     assigned neighbours.
+     to [iter]; the steady-state allocation of the whole search is the
+     solution callback's mapping.
 
      With [blame], a wipeout is attributed to the neighbour whose
      filter cell emptied the intersection (the last one applied, when

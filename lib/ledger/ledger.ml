@@ -458,13 +458,8 @@ let iter_residuals t kind resource f =
           if present then f i (Float.max 0.0 (p.p_capacity.(i) -. p.p_used.(i))))
         p.p_present
 
-let residual_graph ?base t =
-  let base = Option.value ~default:t.graph base in
-  if
-    Graph.node_count base <> Graph.node_count t.graph
-    || Graph.edge_count base <> Graph.edge_count t.graph
-  then invalid_arg "Ledger.residual_graph: base graph shape differs";
-  let g = Graph.copy base in
+let residual_graph t =
+  let g = Graph.copy t.graph in
   let stamp kind pools set_attrs get_attrs =
     List.iter
       (fun p ->

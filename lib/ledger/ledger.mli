@@ -154,12 +154,12 @@ val migrate : t -> int -> charge -> (int, failure) result
     @raise Invalid_argument when [id] is not a live allocation. *)
 
 val lock : t -> Graph.node -> int
-(** The degenerate whole-node reservation: charge the {e entire
-    residual} of every tracked node resource on the node (afterwards
-    nothing fractional fits there).  Always succeeds; release with
-    {!release}.  A node with no tracked capacity yields an empty (but
-    live) allocation — the boolean reservation flag of the model
-    remains the source of exclusion for such hosts. *)
+(** The degenerate whole-node charge: the {e entire residual} of every
+    tracked node resource on the node (afterwards nothing fractional
+    fits there).  Always succeeds; release with {!release}.  A node
+    with no tracked capacity yields an empty (but live) allocation, so
+    the caller must exclude such hosts itself, as [Schedule]'s [busy]
+    flag does for its leases. *)
 
 val credit : t -> charge -> (unit, string) result
 (** Reverse a charge that is not held as a live allocation — the
@@ -177,11 +177,10 @@ val iter_residuals : t -> kind -> string -> (int -> float -> unit) -> unit
     value {!residual_graph} stamps.  Nothing for an untracked
     resource. *)
 
-val residual_graph : ?base:Graph.t -> t -> Graph.t
-(** A copy of [base] (default: the ledger's graph) with every tracked
-    capacity attribute replaced by its residual value, on exactly the
-    elements that declared it.  All other attributes are preserved.
-    @raise Invalid_argument if [base] has different node/edge counts. *)
+val residual_graph : t -> Graph.t
+(** A copy of the ledger's graph with every tracked capacity attribute
+    replaced by its residual value, on exactly the elements that
+    declared it.  All other attributes are preserved. *)
 
 val sync_residual : t -> Graph.t -> unit
 (** Reset usage from a residual snapshot: for every element that

@@ -14,9 +14,9 @@
     Correctness rests on the key covering every input of the build:
 
     - the {b model revision} stands in for the host side — the model
-      bumps it on every topology/attribute update, reservation and
-      ledger change, so any two requests at the same revision see the
-      same residual host graph;
+      bumps it on every topology/attribute update and ledger change,
+      so any two requests at the same revision see the same residual
+      host graph;
     - the {b query signature} is an exact canonical serialization of
       the query topology, all node/edge attribute values and both
       constraint texts (see {!signature}).  Exact-string equality means

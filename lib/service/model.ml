@@ -28,12 +28,9 @@ type universe = {
 type t = {
   graph : Graph.t;
   mutable rev : int;
-  (* Bumped with [rev] by every attribute change (monitor updates,
-     reservation flags), not by ledger commits. *)
+  (* Bumped with [rev] by every attribute change, not by ledger commits. *)
   mutable attr_rev : int;
   ledger : Ledger.t;
-  (* The reserved nodes, each with its ledger allocation. *)
-  locks : (Graph.node, int) Hashtbl.t;
   edge_columns : universe;
   node_columns : universe;
 }
@@ -62,8 +59,7 @@ let universe ledger kind size =
 
 (* The model over [graph], which it owns from here on. *)
 let own graph =
-  (* Every node carries an explicit reservation flag so the standard
-     node constraint ["!rSource.reserved"] is total. *)
+  (* svcbench's Verify conjoins ["!rSource.reserved"], false if missing. *)
   Graph.iter_nodes
     (fun v ->
       if not (Attrs.mem "reserved" (Graph.node_attrs graph v)) then
@@ -80,7 +76,6 @@ let own graph =
     rev = 0;
     attr_rev = 0;
     ledger;
-    locks = Hashtbl.create 16;
     edge_columns = universe ledger `Edge (Graph.edge_count graph);
     node_columns = universe ledger `Node (Graph.node_count graph);
   }
@@ -91,7 +86,7 @@ let snapshot t = t.graph
 let revision t = t.rev
 let ledger t = t.ledger
 
-let residual_snapshot t = Ledger.residual_graph ~base:t.graph t.ledger
+let residual_snapshot t = Ledger.residual_graph t.ledger
 
 (* The store of one universe for a snapshot taken at the current
    revision.  A tracked resource's column is its residual on the
@@ -158,49 +153,6 @@ let update_edge_attrs t e fresh =
 let update_node_attrs t v fresh =
   Graph.set_node_attrs t.graph v (Attrs.union (Graph.node_attrs t.graph v) fresh);
   attributes_changed t
-
-exception Conflict of Graph.node
-
-let set_reserved_attr t v flag =
-  Graph.set_node_attrs t.graph v
-    (Attrs.add "reserved" (Value.Bool flag) (Graph.node_attrs t.graph v))
-
-let reserve t nodes =
-  (* The pre-scan must catch unknown ids, conflicts with prior
-     reservations and a node appearing twice in this very call before
-     anything is locked — otherwise a duplicated node double-books
-     silently and a bad id leaves the nodes before it locked. *)
-  let seen = Hashtbl.create (List.length nodes) in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= Graph.node_count t.graph then
-        invalid_arg (Printf.sprintf "Model.reserve: unknown node %d" v);
-      if Hashtbl.mem t.locks v || Hashtbl.mem seen v then raise (Conflict v);
-      Hashtbl.replace seen v ())
-    nodes;
-  List.iter
-    (fun v ->
-      (* A boolean reservation is the degenerate full-capacity charge:
-         the node's entire residual is debited in the ledger. *)
-      Hashtbl.replace t.locks v (Ledger.lock t.ledger v);
-      set_reserved_attr t v true)
-    nodes;
-  if nodes <> [] then attributes_changed t
-
-let release t nodes =
-  List.iter
-    (fun v ->
-      match Hashtbl.find_opt t.locks v with
-      | Some id ->
-          ignore (Ledger.release t.ledger id);
-          Hashtbl.remove t.locks v;
-          set_reserved_attr t v false
-      | None -> ())
-    nodes;
-  if nodes <> [] then attributes_changed t
-
-let reserved t = List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) t.locks [])
-let is_reserved t v = Hashtbl.mem t.locks v
 
 let charge_mapping t ~query mapping =
   match Ledger.charge_of_mapping t.ledger ~query mapping with

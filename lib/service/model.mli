@@ -5,11 +5,10 @@
     manager, or a combination of both").
 
     The model wraps the hosting graph with revisioned updates (a
-    monitoring feed refreshing measured attributes), a resource {!val-ledger}
-    tracking fractional capacity consumption
-    ({!Netembed_ledger.Ledger}), and reservations — whole-node locks
-    realized as the ledger's degenerate full-capacity charge (section
-    III component 3). *)
+    monitoring feed refreshing measured attributes) and a resource
+    {!val-ledger} tracking fractional capacity consumption
+    ({!Netembed_ledger.Ledger}); allocating a mapping is a charge in
+    that ledger (section III component 3). *)
 
 open Netembed_graph
 
@@ -32,9 +31,9 @@ val of_graphml_file : string -> t
     @raise Netembed_graphml.Graphml.Error on malformed input. *)
 
 val snapshot : t -> Graph.t
-(** The current hosting graph including reservation state.  Reserved
-    nodes carry the ["reserved"] boolean attribute; embedding queries
-    exclude them via the standard node filter used by {!Service}. *)
+(** The current hosting graph with its declared capacities.  Every
+    node carries a ["reserved"] attribute, [false] unless the input
+    set it. *)
 
 val residual_snapshot : t -> Graph.t
 (** Like {!snapshot}, but every tracked capacity attribute is replaced
@@ -49,7 +48,7 @@ val residual_snapshot : t -> Graph.t
     [Graph.copy] of it. *)
 
 val revision : t -> int
-(** Bumped on every update, reservation or ledger change. *)
+(** Bumped on every attribute update and ledger change. *)
 
 val columns : t -> Graph.t -> Netembed_core.Prefilter.stores
 (** [columns t snapshot] serves the host attribute columns of
@@ -65,9 +64,9 @@ val columns : t -> Graph.t -> Netembed_core.Prefilter.stores
       elements that declared it, as {!residual_snapshot} stamps it.
       Its column is rebuilt here, once per {!revision}.
     - Any other attribute's column is built by the first build that
-      needs it, from its snapshot, and kept until an attribute changes:
-      {!update_edge_attrs}, {!update_node_attrs}, {!reserve} or
-      {!release}.  A ledger commit keeps it.
+      needs it, from its snapshot, and kept until an attribute changes
+      ({!update_edge_attrs} or {!update_node_attrs}).  A ledger commit
+      keeps it.
 
     A published column is never written, so concurrent filter builds
     read the stores outside the caller's lock.  Every column equals
@@ -85,23 +84,7 @@ val update_edge_attrs : t -> Graph.edge -> Netembed_attr.Attrs.t -> unit
 
 val update_node_attrs : t -> Graph.node -> Netembed_attr.Attrs.t -> unit
 
-(** {1 Reservations (whole-node locks)} *)
-
-exception Conflict of Graph.node
-
-val reserve : t -> Graph.node list -> unit
-(** Mark the nodes reserved and debit their full residual capacity in
-    the ledger.  @raise Conflict (naming the first already-reserved or
-    duplicated node) without reserving anything — a node listed twice
-    in one call is a conflict too.
-    @raise Invalid_argument on an id that is not a node of the model,
-    again without reserving anything. *)
-
-val release : t -> Graph.node list -> unit
-val reserved : t -> Graph.node list
-val is_reserved : t -> Graph.node -> bool
-
-(** {1 Fractional allocations} *)
+(** {1 Allocations} *)
 
 val charge_mapping :
   t -> query:Graph.t -> Netembed_core.Mapping.t -> (int, string) result

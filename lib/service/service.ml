@@ -1,8 +1,6 @@
 module Engine = Netembed_core.Engine
 module Problem = Netembed_core.Problem
 module Mapping = Netembed_core.Mapping
-module Expr = Netembed_expr.Expr
-module Ast = Netembed_expr.Ast
 module Eval = Netembed_expr.Eval
 module Telemetry = Netembed_telemetry.Telemetry
 module Phase = Telemetry.Phase
@@ -134,11 +132,11 @@ let create ?(registry = Telemetry.default_registry) ?(slow_threshold = 0.5)
           "netembed_model_revision";
       allocations_accepted =
         Telemetry.Registry.counter registry
-          ~help:"Allocations committed (whole-node reservations and fractional charges)"
+          ~help:"Allocations committed as ledger charges"
           "netembed_allocations_total";
       allocations_rejected =
         Telemetry.Registry.counter registry
-          ~help:"Allocations rejected (stale answer, reservation conflict or over-committed resource)"
+          ~help:"Allocations rejected (stale answer or over-committed resource)"
           "netembed_allocation_rejects_total";
       admission_rejected =
         Telemetry.Registry.counter registry
@@ -471,10 +469,6 @@ let request_summary (request : Request.t) verdict elapsed =
     (Netembed_graph.Graph.node_count request.Request.query)
     verdict (elapsed *. 1000.0)
 
-(* Reserved hosts are excluded by conjoining the reservation guard to
-   the user's node constraint. *)
-let reservation_guard = Expr.parse_exn "!rSource.reserved"
-
 (* Cross-request filter cache: ECF/RWB requests key their filter matrix
    on (model revision, query signature) and skip the build — the
    dominant sequential phase — on a repeat.  A hit also hands back the
@@ -654,13 +648,8 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
        let key, hit = stage Phase.Cache_lookup (fun () -> cache_probe t request ~revision) in
        let problem =
          attempt (fun () ->
-             Problem.make
-               ~node_constraint:
-                 (match node_constraint with
-                 | None -> reservation_guard
-                 | Some c -> Ast.Binop (Ast.And, reservation_guard, c))
-               ?compiled:(Option.map snd hit) ~columns ~host ~query:request.Request.query
-               edge_constraint)
+             Problem.make ?node_constraint ?compiled:(Option.map snd hit) ~columns ~host
+               ~query:request.Request.query edge_constraint)
        in
        (* Every service request runs with blame + flight recorder on:
           certificates must exist for EXPLAIN without a re-run. *)
@@ -706,30 +695,11 @@ let submit_with_relaxation t request ~steps ~factor =
 
 let stale_answer_error = "model changed since the answer was computed; re-submit the query"
 
-(* The stale-answer revision check and the commit/release must be one
-   critical section: otherwise a monitor tick between check and commit
-   books capacity against a model the answer never saw.  The allocation
+(* The stale-answer revision check and the commit must be one critical
+   section: otherwise a monitor tick between check and commit books
+   capacity against a model the answer never saw.  The allocation
    counters ride along under [model_lock] so the hammer test can assert
    accepted + rejected = attempts exactly. *)
-let allocate t answer mapping =
-  timed t Telemetry.Phase.Ledger_commit @@ fun () ->
-  with_model t @@ fun () ->
-  if Model.revision t.model <> answer.model_revision then begin
-    Telemetry.Counter.incr t.allocations_rejected;
-    Error stale_answer_error
-  end
-  else begin
-    let hosts = List.map snd (Mapping.to_list mapping) in
-    match Model.reserve t.model hosts with
-    | () ->
-        Telemetry.Counter.incr t.allocations_accepted;
-        refresh_utilization t;
-        Ok ()
-    | exception Model.Conflict v ->
-        Telemetry.Counter.incr t.allocations_rejected;
-        Error (Printf.sprintf "host node %d already reserved" v)
-  end
-
 let allocate_shared t answer mapping =
   timed t Telemetry.Phase.Ledger_commit @@ fun () ->
   with_model t @@ fun () ->
@@ -776,8 +746,3 @@ let migrate t id ~query mapping =
   | Error m ->
       Telemetry.Counter.incr t.migration_failures;
       Error m
-
-let release_mapping t mapping =
-  with_model t (fun () ->
-      Model.release t.model (List.map snd (Mapping.to_list mapping));
-      refresh_utilization t)

@@ -2,13 +2,12 @@
     submit resource-requirement queries against the network model and
     receive lists of possible resource assignments.
 
-    The service excludes reserved hosting nodes automatically, embeds
-    against {e residual} capacities (so co-located tenants shrink what
-    capacity constraints can see), applies admission control before
-    searching, supports the interactive negotiate-and-relax loop, and
-    can allocate a returned mapping — exclusively ({!allocate}, the
-    whole-node reservation) or fractionally ({!allocate_shared}, a
-    multi-tenant capacity charge in the model's ledger).
+    The service embeds against {e residual} capacities (so co-located
+    tenants shrink what capacity constraints can see), applies
+    admission control before searching, supports the interactive
+    negotiate-and-relax loop, and allocates a returned mapping as a
+    capacity charge in the model's ledger ({!allocate_shared}); a
+    request's node constraint is exactly the one it sent.
 
     {b Concurrency.}  A service value may be shared by any number of
     domains submitting, allocating and freeing concurrently (the
@@ -238,12 +237,6 @@ val submit_with_relaxation :
     the number of relaxation rounds used (also accumulated onto the
     [netembed_relaxation_rounds_total] counter). *)
 
-val allocate : t -> answer -> Netembed_core.Mapping.t -> (unit, string) result
-(** Reserve the hosts used by the mapping exclusively (the degenerate
-    full-capacity charge).  Fails (without reserving anything) if the
-    model changed since the answer was computed or if any host is
-    already reserved. *)
-
 val allocate_shared :
   t -> answer -> Netembed_core.Mapping.t -> (int, string) result
 (** Commit the mapping's fractional demand vector in the ledger,
@@ -276,6 +269,3 @@ val migrate :
     [netembed_migration_failures_total] is bumped, and the error names
     the over-committed resource.  [netembed_active_allocations] is
     unchanged either way: a migration is a move, not an admission. *)
-
-val release_mapping : t -> Netembed_core.Mapping.t -> unit
-(** Release the whole-node reservations of {!allocate}. *)

@@ -101,43 +101,68 @@ let test_store_reuse_across_searches () =
   check Alcotest.bool "found embeddings" true (a > 0)
 
 (* The hot loop allocates nothing per visited node: on an unsat
-   problem (a star with seven leaves on the 6-cube, whose hosts have six
-   neighbours, with the degree filter off so the search has to find
-   that out) a search over a warm store allocates the same words
-   whether its visit budget is 1,000 or 10,000.  [search] and
-   [search_frame] alike. *)
+   problem a search over a warm store allocates the same words whether
+   its visit budget is 1,000 or 10,000.  [search] and [search_frame]
+   alike, on two fixtures run without blame:
+   - a star with seven leaves on the 6-cube, whose hosts have six
+     neighbours, with the degree filter off so the search has to find
+     that out;
+   - a 5-ring on the complete bipartite K(10,10), which has no odd
+     cycle: the last ring node intersects two neighbour cells on every
+     visit that reaches it. *)
 let test_hot_loop_allocation_flat () =
   let module Regular = Netembed_topology.Regular in
-  let p =
-    Problem.make ~degree_filter:false ~host:(Regular.hypercube 6) ~query:(Regular.star 8)
-      Expr.always
+  let k10_10 =
+    let g = Graph.create () in
+    let v = Array.init 20 (fun _ -> Graph.add_node g Attrs.empty) in
+    for i = 0 to 9 do
+      for j = 10 to 19 do
+        ignore (Graph.add_edge g v.(i) v.(j) Attrs.empty)
+      done
+    done;
+    g
   in
-  let f = Filter.build p in
-  let store = Domain_store.create ~universe:64 ~depths:8 in
-  let frame =
-    let root = (Filter.order f).(0) in
-    { Dfs.prefix = [||]; candidates = Bitset.to_array (Filter.node_candidates_bits f root) }
-  in
-  let on_solution _ = Alcotest.fail "the fixture has a mapping" in
-  let candidate_order = Dfs.Ascending in
-  let searches =
-    [ "search", (fun budget -> Dfs.search ~store p f ~candidate_order ~budget ~on_solution)
-    ; "search_frame", (fun budget -> Dfs.search_frame ~store p f ~frame ~candidate_order ~budget ~on_solution)
+  let fixtures =
+    [ "star 8 on the 6-cube",
+        Problem.make ~degree_filter:false ~host:(Regular.hypercube 6) ~query:(Regular.star 8)
+          Expr.always
+    ; "ring 5 on K(10,10)", Problem.make ~host:k10_10 ~query:(Regular.ring 5) Expr.always
     ] [@ocamlformat "disable"]
   in
   List.iter
-    (fun (name, search) ->
-      let words cap =
-        let budget = Budget.make ~max_visited:cap () in
-        let before = Gc.minor_words () in
-        (try search budget with Budget.Exhausted -> ());
-        if Budget.visited budget <= cap then Alcotest.failf "%s: unsat before %d visits" name cap;
-        Gc.minor_words () -. before
+    (fun (fixture, p) ->
+      let f = Filter.build p in
+      let store =
+        Domain_store.create ~universe:(Graph.node_count p.Problem.host)
+          ~depths:(Graph.node_count p.Problem.query)
       in
-      ignore (words 1_000) (* warm the store *);
-      check (Alcotest.float 0.0) (name ^ ": words at 1k = words at 10k visits") (words 1_000)
-        (words 10_000))
-    searches
+      let frame =
+        let root = (Filter.order f).(0) in
+        { Dfs.prefix = [||]; candidates = Bitset.to_array (Filter.node_candidates_bits f root) }
+      in
+      let on_solution _ = Alcotest.failf "%s has a mapping" fixture in
+      let candidate_order = Dfs.Ascending in
+      let searches =
+        [ "search", (fun budget -> Dfs.search ~store p f ~candidate_order ~budget ~on_solution)
+        ; "search_frame", (fun budget -> Dfs.search_frame ~store p f ~frame ~candidate_order ~budget ~on_solution)
+        ] [@ocamlformat "disable"]
+      in
+      List.iter
+        (fun (name, search) ->
+          let name = Printf.sprintf "%s, %s" fixture name in
+          let words cap =
+            let budget = Budget.make ~max_visited:cap () in
+            let before = Gc.minor_words () in
+            (try search budget with Budget.Exhausted -> ());
+            if Budget.visited budget <= cap then
+              Alcotest.failf "%s: unsat before %d visits" name cap;
+            Gc.minor_words () -. before
+          in
+          ignore (words 1_000) (* warm the store *);
+          check (Alcotest.float 0.0) (name ^ ": words at 1k = words at 10k visits")
+            (words 1_000) (words 10_000))
+        searches)
+    fixtures
 
 (* ------------------------------------------------------------------ *)
 (* Differential: bitset engine vs seed sorted-array implementation     *)

@@ -52,7 +52,7 @@ let test_model_revision () =
   let r0 = Model.revision m in
   Model.update_node_attrs m 0 (Attrs.of_list [ ("load", Value.Float 0.5) ]);
   check Alcotest.bool "bumped" true (Model.revision m > r0);
-  Model.reserve m [ 1; 2 ];
+  Model.update_node_attrs m 1 (Attrs.of_list [ ("reserved", Value.Bool true) ]);
   check Alcotest.bool "bumped again" true (Model.revision m > r0 + 1)
 
 (* Words allocated so far: [Gc.minor_words] is exact, where the minor
@@ -146,8 +146,8 @@ let test_of_graphml_file_words () =
 
 (* The model that owns the graph it read serves what a model over a
    copy of the same graph serves: snapshots, revisions, degrees and
-   ledger utilization, as loaded and after the same reservation and
-   charge. *)
+   ledger utilization, as loaded and after the same attribute update
+   and charge. *)
 let test_of_graphml_file_equals_create () =
   with_planetlab_file 40 (fun path ->
       let owned = Model.of_graphml_file path in
@@ -193,61 +193,19 @@ let test_of_graphml_file_equals_create () =
       let mapping = Mapping.of_array [| u; v |] in
       List.iter
         (fun m ->
-          Model.reserve m [ 3 ];
+          Model.update_node_attrs m 3 (Attrs.of_list [ ("reserved", Value.Bool true) ]);
           match Model.charge_mapping m ~query mapping with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "charge refused: %s" e)
         [ owned; copied ];
       same "charged")
 
-let test_model_reserve () =
-  let m = Model.create (host ()) in
-  Model.reserve m [ 1; 3 ];
-  check Alcotest.(list int) "reserved" [ 1; 3 ] (Model.reserved m);
-  check Alcotest.bool "is_reserved" true (Model.is_reserved m 1);
-  (match Model.reserve m [ 2; 1 ] with
-  | exception Model.Conflict 1 -> ()
-  | _ -> Alcotest.fail "expected Conflict 1");
-  (* The failed call must not have reserved node 2. *)
-  check Alcotest.bool "atomic failure" false (Model.is_reserved m 2);
-  Model.release m [ 1 ];
-  check Alcotest.(list int) "after release" [ 3 ] (Model.reserved m)
-
-(* Regression: a node listed twice in one reserve call must raise
-   Conflict and reserve nothing — previously the first occurrence was
-   committed before the second was examined. *)
-let test_model_reserve_duplicate () =
-  let m = Model.create (host ()) in
-  (match Model.reserve m [ 2; 2 ] with
-  | exception Model.Conflict 2 -> ()
-  | _ -> Alcotest.fail "expected Conflict 2");
-  check Alcotest.(list int) "nothing reserved" [] (Model.reserved m);
-  (* The duplicate may come after valid entries; those must not stick. *)
-  (match Model.reserve m [ 0; 1; 0 ] with
-  | exception Model.Conflict 0 -> ()
-  | _ -> Alcotest.fail "expected Conflict 0");
-  check Alcotest.(list int) "atomic failure" [] (Model.reserved m);
-  (* An unknown id after a valid one: nothing reserved, nothing locked. *)
-  (match Model.reserve m [ 0; 99 ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument for node 99");
-  check Alcotest.(list int) "unknown id reserves nothing" [] (Model.reserved m);
-  check Alcotest.int "unknown id locks nothing" 0
-    (Netembed_ledger.Ledger.outstanding (Model.ledger m));
-  let r0 = Model.revision m in
-  check Alcotest.int "revision untouched by failed calls" r0 (Model.revision m)
-
 let test_model_reserved_attr () =
   let m = Model.create (host ()) in
   check Alcotest.bool "reserved attr stamped false" true
     (Value.equal
        (Attrs.find_exn "reserved" (Graph.node_attrs (Model.snapshot m) 0))
-       (Value.Bool false));
-  Model.reserve m [ 0 ];
-  check Alcotest.bool "reserved attr true" true
-    (Value.equal
-       (Attrs.find_exn "reserved" (Graph.node_attrs (Model.snapshot m) 0))
-       (Value.Bool true))
+       (Value.Bool false))
 
 (* ------------------------------------------------------------------ *)
 (* Service                                                             *)
@@ -311,46 +269,8 @@ let test_unsat_certificate_every_path () =
           check Alcotest.bool (label "EXPLAIN has a certificate") true certified)
     table
 
-let test_reservation_excludes () =
-  let model = Model.create (host ()) in
-  let svc = Service.create model in
-  (* Reserve hosts 0 and 1: the only remaining in-band edge is 2-3. *)
-  Model.reserve model [ 0; 1 ];
-  let request = Request.make ~mode:Engine.All ~query:(path_query 5.0 15.0) standard_constraint in
-  match Service.submit svc request with
-  | Error m -> Alcotest.fail m
-  | Ok answer ->
-      check Alcotest.int "two mappings left" 2
-        (List.length answer.Service.result.Engine.mappings);
-      List.iter
-        (fun m ->
-          List.iter
-            (fun (_, r) ->
-              if r = 0 || r = 1 then Alcotest.fail "reserved host used")
-            (Mapping.to_list m))
-        answer.Service.result.Engine.mappings
-
-let test_allocate_and_conflict () =
-  let model = Model.create (host ()) in
-  let svc = Service.create model in
-  let request = Request.make ~query:(path_query 5.0 15.0) standard_constraint in
-  match Service.submit svc request with
-  | Error m -> Alcotest.fail m
-  | Ok answer -> (
-      match answer.Service.result.Engine.mappings with
-      | [] -> Alcotest.fail "expected a mapping"
-      | m :: _ -> (
-          (match Service.allocate svc answer m with
-          | Ok () -> ()
-          | Error e -> Alcotest.fail e);
-          check Alcotest.int "hosts reserved" 2 (List.length (Model.reserved model));
-          (* Re-allocating from the now-stale answer must fail. *)
-          match Service.allocate svc answer m with
-          | Error _ -> Service.release_mapping svc m
-          | Ok () -> Alcotest.fail "expected stale-revision failure"))
-
 (* An answer must carry the revision of the residual snapshot it was
-   computed against, or [allocate] would accept a mapping the current
+   computed against, or [allocate_shared] would accept a mapping the current
    model no longer admits.  One domain submits in a loop while another,
    under the model lock, moves every host link's delay outside the
    query band and back.  At an out-of-band revision no mapping exists,
@@ -1762,8 +1682,6 @@ module Prefilter = Netembed_core.Prefilter
 module Bitset = Netembed_bitset.Bitset
 module Explain = Netembed_explain.Explain
 
-let reservation_guard = Netembed_expr.Expr.parse_exn "!rSource.reserved"
-
 (* Counted: the model's static columns outlive a build.  The first cold
    build of a 100-site model fills the avgDelay column, a float array
    over every link; a second cold build of another query at the same
@@ -1787,7 +1705,7 @@ let test_columns_outlive_builds () =
       { s with Prefilter.column }
     in
     let columns = { Prefilter.edges = counted stores.edges; nodes = counted stores.nodes } in
-    let p = Problem.make ~node_constraint:reservation_guard ~columns ~host ~query c in
+    let p = Problem.make ~columns ~host ~query c in
     ignore (Filter.build p);
     !spent
   in
@@ -1830,14 +1748,9 @@ let service_outcome svc request =
 let fresh_outcome model (request : Request.t) =
   match Request.parse_constraints request with
   | Error m -> Error m
-  | Ok (edge_c, node_c) -> (
-      let node_constraint =
-        match node_c with
-        | None -> reservation_guard
-        | Some c -> Netembed_expr.Ast.Binop (Netembed_expr.Ast.And, reservation_guard, c)
-      in
+  | Ok (edge_c, node_constraint) -> (
       let p =
-        Problem.make ~node_constraint ~host:(Model.residual_snapshot model)
+        Problem.make ?node_constraint ~host:(Model.residual_snapshot model)
           ~query:request.Request.query edge_c
       in
       let options =
@@ -1869,8 +1782,14 @@ let test_columns_follow_changes () =
           in
           let mon = Monitor.create ~params (Rng.make 3) m in
           [ (fun _ -> Monitor.tick mon) ])
-    ; "reserve, then release, the only mapping's host", all 25.0 35.0,
-        (fun _ -> [ (fun m -> Model.reserve m [ 0 ]); (fun m -> Model.release m [ 0 ]) ])
+    ; "drain, then restore, the only mapping's host",
+        all ~node_constraint:"!rSource.drained" 25.0 35.0,
+        (fun m ->
+          let drained v flag =
+            Model.update_node_attrs m v (Attrs.of_list [ ("drained", Value.Bool flag) ])
+          in
+          Graph.iter_nodes (fun v -> drained v false) (Model.snapshot m);
+          [ (fun _ -> drained 0 true); (fun _ -> drained 0 false) ])
     ; "avgDelay becomes a string", all 5.0 15.0,
         (fun _ ->
           [ (fun m ->
@@ -1915,7 +1834,8 @@ let churn_host rng =
     in
     let os = pick [ Value.String "linux"; Value.String "bsd"; Value.Bool true ] in
     let attrs =
-      [ ("memMB", Value.Float (float_of_int (256 * (1 + Rng.int rng 4)))); ("osType", os) ]
+      [ ("memMB", Value.Float (float_of_int (256 * (1 + Rng.int rng 4)))); ("osType", os);
+        ("drained", Value.Bool false) ]
       @ match cpu with Some c -> [ ("cpuMhz", c) ] | None -> []
     in
     ignore (Graph.add_node g (Attrs.of_list attrs))
@@ -1957,7 +1877,7 @@ let churn_constraint =
      && rEdge.bandwidth >= vEdge.bandwidth"
 
 let churn_node_constraint =
-  Netembed_expr.Expr.parse_exn "!rSource.reserved && rSource.cpuMhz >= vSource.cpuMhz"
+  Netembed_expr.Expr.parse_exn "!rSource.drained && rSource.cpuMhz >= vSource.cpuMhz"
 
 let same_column (a : Prefilter.column) (b : Prefilter.column) =
   let nums c =
@@ -2006,7 +1926,9 @@ let churn_step rng model live =
       | Error _ -> ())
   | 4 ->
       let v = Rng.int rng (Graph.node_count g) in
-      if Model.is_reserved model v then Model.release model [ v ] else Model.reserve model [ v ]
+      let drained = Attrs.find "drained" (Graph.node_attrs g v) = Some (Value.Bool true) in
+      Model.update_node_attrs model v
+        (Attrs.of_list [ ("drained", Value.Bool (not drained)) ])
   | 5 ->
       let name = if Rng.int rng 2 = 0 then "avgDelay" else "bandwidth" in
       Model.update_edge_attrs model (edge ()) (Attrs.of_list [ (name, value ()) ])
@@ -2064,7 +1986,7 @@ let columns_prop seed =
           names)
       [ ("edge", columns.Prefilter.edges, fresh.Prefilter.edges,
          [ "avgDelay"; "bandwidth"; "minDelay" ]);
-        ("node", columns.nodes, fresh.nodes, [ "cpuMhz"; "memMB"; "osType"; "reserved" ]) ]
+        ("node", columns.nodes, fresh.nodes, [ "cpuMhz"; "memMB"; "osType"; "drained" ]) ]
   done;
   true
 
@@ -2080,8 +2002,6 @@ let () =
         [
           Alcotest.test_case "snapshot isolated" `Quick test_model_snapshot_isolated;
           Alcotest.test_case "revision" `Quick test_model_revision;
-          Alcotest.test_case "reserve/release" `Quick test_model_reserve;
-          Alcotest.test_case "reserve duplicate" `Quick test_model_reserve_duplicate;
           Alcotest.test_case "reserved attribute" `Quick test_model_reserved_attr;
           Alcotest.test_case "snapshots share the pair index" `Quick
             test_snapshot_shares_pair_index;
@@ -2104,8 +2024,6 @@ let () =
           Alcotest.test_case "bad constraint" `Quick test_submit_bad_constraint;
           Alcotest.test_case "unsat certificate per path" `Quick
             test_unsat_certificate_every_path;
-          Alcotest.test_case "reservation excludes" `Quick test_reservation_excludes;
-          Alcotest.test_case "allocate + stale" `Quick test_allocate_and_conflict;
           Alcotest.test_case "answer stamped with snapshot revision" `Quick
             test_answer_stamped_with_snapshot_revision;
           Alcotest.test_case "relaxation loop" `Quick test_relaxation;
