@@ -370,19 +370,24 @@ let test_request_relax () =
 
 let test_constraint_file () =
   let path = Filename.temp_file "netembed" ".constraint" in
-  let qpath = Filename.temp_file "netembed" ".graphml" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path; Sys.remove qpath)
+    ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      output_string oc "# delay band\nrEdge.avgDelay >= vEdge.minDelay\nrEdge.avgDelay <= vEdge.maxDelay\n";
-      close_out oc;
-      Netembed_graphml.Graphml.write_file (path_query 5.0 15.0) qpath;
-      let r = Request.of_files ~query_file:qpath ~constraint_file:path () in
-      match Request.parse_constraints r with
+      let write text =
+        let oc = open_out path in
+        output_string oc text;
+        close_out oc
+      in
+      write "# delay band\nrEdge.avgDelay >= vEdge.minDelay\n\nrEdge.avgDelay <= vEdge.maxDelay\n";
+      let text = Request.read_constraint_file path in
+      check Alcotest.string "lines conjoined"
+        "(rEdge.avgDelay >= vEdge.minDelay) && (rEdge.avgDelay <= vEdge.maxDelay)" text;
+      (match Request.parse_constraints (Request.make ~query:(path_query 5.0 15.0) text) with
       | Ok (_, None) -> ()
       | Ok (_, Some _) -> Alcotest.fail "unexpected node constraint"
-      | Error m -> Alcotest.fail m)
+      | Error m -> Alcotest.fail m);
+      write "# only comments\n\n";
+      check Alcotest.string "empty file" "true" (Request.read_constraint_file path))
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol                                                       *)
