@@ -146,8 +146,62 @@ let mode_conv =
   in
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Wire.mode_to_string m))
 
-let embed host_file query_file constraint_arg node_constraint algorithm mode timeout
-    path_hops dedupe optimize_cost stats trace_file =
+(* The request embed, explain, top and allocate take: the host file
+   and a Request.t built from --query, --constraint (inline, or @FILE
+   read one expression per line), --node-constraint, --algorithm,
+   --mode and --timeout.  allocate's host and query declare capacities
+   and demands, its timeout is per tenant, and it has no --mode. *)
+let request_term ~allocate =
+  let doc plain for_allocate = if allocate then for_allocate else plain in
+  let host_file =
+    Arg.(required & opt (some file) None & info [ "host" ] ~docv:"FILE"
+           ~doc:(doc "Hosting network (GraphML)."
+                   "Hosting network (GraphML) declaring capacities."))
+  in
+  let query_file =
+    Arg.(required & opt (some file) None & info [ "query" ] ~docv:"FILE"
+           ~doc:(doc "Query network (GraphML)."
+                   "Query network (GraphML) whose attributes are the demand vector."))
+  in
+  let constraint_arg =
+    Arg.(value & opt string "true" & info [ "constraint" ] ~docv:"EXPR"
+           ~doc:(doc "Constraint expression, or @FILE to load one expression per line."
+                   "Constraint expression, or @FILE."))
+  in
+  let node_constraint =
+    Arg.(value & opt (some string) None & info [ "node-constraint" ] ~docv:"EXPR"
+           ~doc:"Optional per-node constraint over rSource/vSource.")
+  in
+  let algorithm =
+    Arg.(value & opt algorithm_conv Engine.ECF & info [ "algorithm"; "a" ] ~docv:"ALG"
+           ~doc:"Search algorithm: ecf, rwb or lns.")
+  in
+  let mode =
+    if allocate then Term.const Engine.First
+    else
+      Arg.(value & opt mode_conv Engine.First & info [ "mode" ] ~docv:"MODE"
+             ~doc:"Answer mode: first, all or atmost:K.")
+  in
+  let timeout =
+    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
+           ~doc:(doc "Search timeout." "Per-tenant search timeout."))
+  in
+  let request host_file query_file constraint_arg node_constraint algorithm mode timeout =
+    let query = Graphml.read_file query_file in
+    let constraint_text =
+      if String.length constraint_arg > 0 && constraint_arg.[0] = '@' then
+        Request.read_constraint_file
+          (String.sub constraint_arg 1 (String.length constraint_arg - 1))
+      else constraint_arg
+    in
+    ( host_file,
+      Request.make ?node_constraint ~algorithm ~mode ?timeout ~query constraint_text )
+  in
+  Term.(
+    const request $ host_file $ query_file $ constraint_arg $ node_constraint $ algorithm
+    $ mode $ timeout)
+
+let embed (host_file, request) path_hops dedupe optimize_cost stats trace_file =
   let host = Graphml.read_file host_file in
   let host =
     (* --paths K: virtual links may ride host paths of up to K hops
@@ -156,17 +210,7 @@ let embed host_file query_file constraint_arg node_constraint algorithm mode tim
     | None -> host
     | Some k -> Netembed_core.Path_embed.host (Netembed_core.Path_embed.closure ~max_hops:k host)
   in
-  let query = Graphml.read_file query_file in
-  (* --constraint is either an inline expression or @file. *)
-  let constraint_text =
-    if String.length constraint_arg > 0 && constraint_arg.[0] = '@' then
-      Request.read_constraint_file
-        (String.sub constraint_arg 1 (String.length constraint_arg - 1))
-    else constraint_arg
-  in
-  let request =
-    Request.make ?node_constraint ~algorithm ~mode ?timeout ~query constraint_text
-  in
+  let query = request.Request.query in
   let service = Service.create (Model.create host) in
   match Service.submit ~trace:(trace_file <> None) service request with
   | Error e -> `Error (false, e)
@@ -223,34 +267,6 @@ let embed host_file query_file constraint_arg node_constraint algorithm mode tim
       `Ok ()
 
 let embed_cmd =
-  let host_file =
-    Arg.(required & opt (some file) None & info [ "host" ] ~docv:"FILE"
-           ~doc:"Hosting network (GraphML).")
-  in
-  let query_file =
-    Arg.(required & opt (some file) None & info [ "query" ] ~docv:"FILE"
-           ~doc:"Query network (GraphML).")
-  in
-  let constraint_arg =
-    Arg.(value & opt string "true" & info [ "constraint" ] ~docv:"EXPR"
-           ~doc:"Constraint expression, or @FILE to load one expression per line.")
-  in
-  let node_constraint =
-    Arg.(value & opt (some string) None & info [ "node-constraint" ] ~docv:"EXPR"
-           ~doc:"Optional per-node constraint over rSource/vSource.")
-  in
-  let algorithm =
-    Arg.(value & opt algorithm_conv Engine.ECF & info [ "algorithm"; "a" ] ~docv:"ALG"
-           ~doc:"Search algorithm: ecf, rwb or lns.")
-  in
-  let mode =
-    Arg.(value & opt mode_conv Engine.First & info [ "mode" ] ~docv:"MODE"
-           ~doc:"Answer mode: first, all or atmost:K.")
-  in
-  let timeout =
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
-           ~doc:"Search timeout.")
-  in
   let path_hops =
     Arg.(value & opt (some int) None & info [ "paths" ] ~docv:"K"
            ~doc:"Allow virtual links to map onto host paths of up to K hops.")
@@ -280,9 +296,8 @@ let embed_cmd =
     (Cmd.info "embed" ~doc:"Embed a query network into a hosting network")
     Term.(
       ret
-        (const embed $ host_file $ query_file $ constraint_arg $ node_constraint
-        $ algorithm $ mode $ timeout $ path_hops $ dedupe $ optimize_cost $ stats
-        $ trace_file))
+        (const embed $ request_term ~allocate:false $ path_hops $ dedupe $ optimize_cost
+        $ stats $ trace_file))
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -294,19 +309,8 @@ let embed_cmd =
    closest.  Successful runs still print a certificate (hot spot,
    flight-recorder tail) — slow_threshold 0 forces every request into
    the diagnostics log. *)
-let explain_run host_file query_file constraint_arg node_constraint algorithm mode
-    timeout json =
+let explain_run (host_file, request) json =
   let host = Graphml.read_file host_file in
-  let query = Graphml.read_file query_file in
-  let constraint_text =
-    if String.length constraint_arg > 0 && constraint_arg.[0] = '@' then
-      Request.read_constraint_file
-        (String.sub constraint_arg 1 (String.length constraint_arg - 1))
-    else constraint_arg
-  in
-  let request =
-    Request.make ?node_constraint ~algorithm ~mode ?timeout ~query constraint_text
-  in
   let service =
     Service.create
       ~registry:(Netembed_telemetry.Telemetry.Registry.create ())
@@ -337,34 +341,6 @@ let explain_run host_file query_file constraint_arg node_constraint algorithm mo
       | None -> `Error (false, "no diagnostics retained for this run"))
 
 let explain_cmd =
-  let host_file =
-    Arg.(required & opt (some file) None & info [ "host" ] ~docv:"FILE"
-           ~doc:"Hosting network (GraphML).")
-  in
-  let query_file =
-    Arg.(required & opt (some file) None & info [ "query" ] ~docv:"FILE"
-           ~doc:"Query network (GraphML).")
-  in
-  let constraint_arg =
-    Arg.(value & opt string "true" & info [ "constraint" ] ~docv:"EXPR"
-           ~doc:"Constraint expression, or @FILE to load one expression per line.")
-  in
-  let node_constraint =
-    Arg.(value & opt (some string) None & info [ "node-constraint" ] ~docv:"EXPR"
-           ~doc:"Optional per-node constraint over rSource/vSource.")
-  in
-  let algorithm =
-    Arg.(value & opt algorithm_conv Engine.ECF & info [ "algorithm"; "a" ] ~docv:"ALG"
-           ~doc:"Search algorithm: ecf, rwb or lns.")
-  in
-  let mode =
-    Arg.(value & opt mode_conv Engine.First & info [ "mode" ] ~docv:"MODE"
-           ~doc:"Answer mode: first, all or atmost:K.")
-  in
-  let timeout =
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
-           ~doc:"Search timeout.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Print the failure certificate as one JSON document instead of text.")
@@ -375,8 +351,7 @@ let explain_cmd =
              the search flight recorder")
     Term.(
       ret
-        (const explain_run $ host_file $ query_file $ constraint_arg
-        $ node_constraint $ algorithm $ mode $ timeout $ json))
+        (const explain_run $ request_term ~allocate:false $ json))
 
 (* ------------------------------------------------------------------ *)
 (* top                                                                 *)
@@ -387,19 +362,8 @@ let explain_cmd =
    went per phase (with sliding-window quantiles) and the slowest
    retained requests with their per-phase breakdowns — the local twin
    of the TOP wire verb. *)
-let top_run host_file query_file constraint_arg node_constraint algorithm mode
-    timeout repeat worst =
+let top_run (host_file, request) repeat worst =
   let host = Graphml.read_file host_file in
-  let query = Graphml.read_file query_file in
-  let constraint_text =
-    if String.length constraint_arg > 0 && constraint_arg.[0] = '@' then
-      Request.read_constraint_file
-        (String.sub constraint_arg 1 (String.length constraint_arg - 1))
-    else constraint_arg
-  in
-  let request =
-    Request.make ?node_constraint ~algorithm ~mode ?timeout ~query constraint_text
-  in
   let service =
     (* slow_threshold 0 retains every request, so the worst-requests
        table is populated even for fast runs. *)
@@ -444,34 +408,6 @@ let top_run host_file query_file constraint_arg node_constraint algorithm mode
       `Ok ()
 
 let top_cmd =
-  let host_file =
-    Arg.(required & opt (some file) None & info [ "host" ] ~docv:"FILE"
-           ~doc:"Hosting network (GraphML).")
-  in
-  let query_file =
-    Arg.(required & opt (some file) None & info [ "query" ] ~docv:"FILE"
-           ~doc:"Query network (GraphML).")
-  in
-  let constraint_arg =
-    Arg.(value & opt string "true" & info [ "constraint" ] ~docv:"EXPR"
-           ~doc:"Constraint expression, or @FILE to load one expression per line.")
-  in
-  let node_constraint =
-    Arg.(value & opt (some string) None & info [ "node-constraint" ] ~docv:"EXPR"
-           ~doc:"Optional per-node constraint over rSource/vSource.")
-  in
-  let algorithm =
-    Arg.(value & opt algorithm_conv Engine.ECF & info [ "algorithm"; "a" ] ~docv:"ALG"
-           ~doc:"Search algorithm: ecf, rwb or lns.")
-  in
-  let mode =
-    Arg.(value & opt mode_conv Engine.First & info [ "mode" ] ~docv:"MODE"
-           ~doc:"Answer mode: first, all or atmost:K.")
-  in
-  let timeout =
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
-           ~doc:"Search timeout.")
-  in
   let repeat =
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N"
            ~doc:"Submit the request N times before reporting, so window \
@@ -487,8 +423,7 @@ let top_cmd =
              quantiles, and the slowest retained requests")
     Term.(
       ret
-        (const top_run $ host_file $ query_file $ constraint_arg $ node_constraint
-        $ algorithm $ mode $ timeout $ repeat $ worst))
+        (const top_run $ request_term ~allocate:false $ repeat $ worst))
 
 (* ------------------------------------------------------------------ *)
 (* allocate / free / utilization                                       *)
@@ -519,30 +454,14 @@ let print_utilization rows =
         (if cap > 0.0 then 100.0 *. used /. cap else 0.0))
     rows
 
-let allocate_run host_file query_file constraint_arg node_constraint algorithm
-    timeout count residual_file =
-  let host, ledger = open_ledger host_file residual_file in
-  ignore host;
-  let query = Graphml.read_file query_file in
-  let constraint_text =
-    if String.length constraint_arg > 0 && constraint_arg.[0] = '@' then
-      Request.read_constraint_file
-        (String.sub constraint_arg 1 (String.length constraint_arg - 1))
-    else constraint_arg
+let allocate_run (host_file, (request : Request.t)) count residual_file =
+  let _host, ledger = open_ledger host_file residual_file in
+  let query = request.Request.query in
+  let parse c =
+    match Netembed_expr.Expr.parse c with Ok e -> e | Error m -> failwith m
   in
-  let edge_constraint =
-    match Netembed_expr.Expr.parse constraint_text with
-    | Ok e -> e
-    | Error m -> failwith m
-  in
-  let node_expr =
-    Option.map
-      (fun c ->
-        match Netembed_expr.Expr.parse c with
-        | Ok e -> e
-        | Error m -> failwith m)
-      node_constraint
-  in
+  let edge_constraint = parse request.Request.constraint_text in
+  let node_expr = Option.map parse request.Request.node_constraint_text in
   let committed = ref 0 in
   let stop = ref None in
   (try
@@ -557,7 +476,10 @@ let allocate_run host_file query_file constraint_arg node_constraint algorithm
                Netembed_core.Problem.make ?node_constraint:node_expr ~host:residual
                  ~query edge_constraint
              in
-             match Engine.find_first ?timeout algorithm problem with
+             match
+               Engine.find_first ?timeout:request.Request.timeout
+                 request.Request.algorithm problem
+             with
              | None -> stop := Some "no feasible mapping on the residual network"
              | Some mapping -> (
                  match Ledger.charge_of_mapping ledger ~query mapping with
@@ -639,30 +561,6 @@ let residual_opt =
                the allocation state between CLI invocations.")
 
 let allocate_cmd =
-  let host_file =
-    Arg.(required & opt (some file) None & info [ "host" ] ~docv:"FILE"
-           ~doc:"Hosting network (GraphML) declaring capacities.")
-  in
-  let query_file =
-    Arg.(required & opt (some file) None & info [ "query" ] ~docv:"FILE"
-           ~doc:"Query network (GraphML) whose attributes are the demand vector.")
-  in
-  let constraint_arg =
-    Arg.(value & opt string "true" & info [ "constraint" ] ~docv:"EXPR"
-           ~doc:"Constraint expression, or @FILE.")
-  in
-  let node_constraint =
-    Arg.(value & opt (some string) None & info [ "node-constraint" ] ~docv:"EXPR"
-           ~doc:"Optional per-node constraint over rSource/vSource.")
-  in
-  let algorithm =
-    Arg.(value & opt algorithm_conv Engine.ECF & info [ "algorithm"; "a" ]
-           ~docv:"ALG" ~doc:"Search algorithm: ecf, rwb or lns.")
-  in
-  let timeout =
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
-           ~doc:"Per-tenant search timeout.")
-  in
   let count =
     Arg.(value & opt int 1 & info [ "count" ] ~docv:"N"
            ~doc:"Commit up to N tenants of the same query (stops at the first \
@@ -673,8 +571,7 @@ let allocate_cmd =
        ~doc:"Embed a query and commit its capacity charge in the resource ledger")
     Term.(
       ret
-        (const allocate_run $ host_file $ query_file $ constraint_arg
-        $ node_constraint $ algorithm $ timeout $ count $ residual_opt))
+        (const allocate_run $ request_term ~allocate:true $ count $ residual_opt))
 
 let free_cmd =
   let host_file =
