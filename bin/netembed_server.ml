@@ -9,8 +9,7 @@
                      [--idle-timeout SEC] [--max-frame-bytes N]
                      [--monitor-every N] [--metrics-port PORT]
                      [--flight-dump FILE] [--chrome-trace FILE]
-                     [--runtime-sample SEC] [--alloc-profile FILE]
-                     [--health-fast-window SEC]
+                     [--runtime-sample SEC] [--health-fast-window SEC]
 
    Protocol: frames as defined in Netembed_service.Wire — EMBED
    (search), ALLOC (search and commit the first mapping as a fractional
@@ -52,10 +51,8 @@
 
    The runtime health plane: --runtime-sample SEC (default 1, 0 = off)
    runs the GC sampler domain exporting netembed_gc_* gauges;
-   --alloc-profile FILE samples allocation sites through Gc.Memprof
-   and writes a folded-stack profile to FILE at exit (a marker line
-   when the runtime lacks Memprof); --health-fast-window SEC (default
-   10) sets the fast SLO burn-rate window.  In TCP mode the main
+   --health-fast-window SEC (default 10) sets the fast SLO burn-rate
+   window.  In TCP mode the main
    thread evaluates the health machine every 250 ms against the live
    admission-queue depth; the state is served as the
    netembed_health_state gauge, the HEALTH wire verb and /readyz. *)
@@ -82,8 +79,7 @@ let () =
   let idle_timeout = ref 30.0 in
   let max_frame_bytes = ref Wire.default_max_frame_bytes in
   let runtime_sample = ref 1.0 in
-  let alloc_profile = ref "" in
-  let health_fast_window = ref Health.default_config.Health.fast_window in
+  let health_fast_window = ref 10.0 in
   let speclist =
     [
       ("--host", Arg.Set_string host_file, "FILE hosting network (GraphML), required");
@@ -109,9 +105,6 @@ let () =
       ("--runtime-sample", Arg.Set_float runtime_sample,
        "SEC poll Gc.quick_stat every SEC seconds and export netembed_gc_* gauges \
         (0 = off, default 1)");
-      ("--alloc-profile", Arg.Set_string alloc_profile,
-       "FILE sample allocation sites (Gc.Memprof) and write a folded-stack \
-        profile here at exit");
       ("--health-fast-window", Arg.Set_float health_fast_window,
        "SEC fast SLO burn-rate window for the health state machine (default 10)");
     ]
@@ -120,31 +113,18 @@ let () =
     "netembed_server --host FILE [--tcp-port PORT] [--workers N] [--queue-capacity N] \
      [--idle-timeout SEC] [--max-frame-bytes N] [--monitor-every N] [--metrics-port \
      PORT] [--flight-dump FILE] [--chrome-trace FILE] [--runtime-sample SEC] \
-     [--alloc-profile FILE] [--health-fast-window SEC]";
+     [--health-fast-window SEC]";
   if !host_file = "" then begin
     prerr_endline "netembed_server: --host is required";
     exit 2
   end;
   let model = Model.of_graphml_file !host_file in
-  let health_config =
-    { Health.default_config with Health.fast_window = !health_fast_window }
-  in
-  let service = Service.create ~health_config model in
-  (* Runtime health plane: GC sampler domain and (optional) allocation
-     profiler; both torn down via [finish_runtime] on every exit path. *)
+  let service = Service.create ~health_fast_window:!health_fast_window model in
+  (* Runtime health plane: the GC sampler domain, stopped on every
+     exit path. *)
   if !runtime_sample > 0.0 then
     Runtime.start ~registry:(Service.registry service)
       ~interval:!runtime_sample ();
-  if !alloc_profile <> "" then Runtime.Alloc_profile.start ();
-  let finish_runtime () =
-    Runtime.stop ();
-    if !alloc_profile <> "" then begin
-      Runtime.Alloc_profile.stop ();
-      let oc = open_out !alloc_profile in
-      Runtime.Alloc_profile.dump_folded oc;
-      close_out oc
-    end
-  in
   (* /healthz is pure liveness until the drain begins; /readyz follows
      the SLO health machine. *)
   let draining = Atomic.make false in
@@ -323,7 +303,7 @@ let () =
     Atomic.set draining true;
     Health.set_draining (Service.health service);
     Frontend.stop server;
-    finish_runtime ()
+    Runtime.stop ()
   end
   else begin
     let frames = Wire.reader (input stdin) in
@@ -341,5 +321,5 @@ let () =
           serve ()
     in
     serve ();
-    finish_runtime ()
+    Runtime.stop ()
   end

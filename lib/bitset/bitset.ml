@@ -332,10 +332,3 @@ let nth t k =
        done
      with Exit -> ());
     !result
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-       Format.pp_print_int)
-    (elements t)

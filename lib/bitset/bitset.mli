@@ -107,5 +107,3 @@ val nth : t -> int -> int option
 (** [nth t k] is the [k]-th smallest element (0-based), if it exists.
     Used by RWB to pick a uniformly random candidate without
     materializing the set. *)
-
-val pp : Format.formatter -> t -> unit

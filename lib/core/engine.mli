@@ -38,13 +38,15 @@ type options = {
   explain : bool;
       (** when true, the run records constraint blame and a flight
           recorder and returns a failure certificate in
-          [result.report].  The search selects a separate instrumented
-          domain-computation path, so the plain path stays unchanged;
-          blamed runs re-evaluate some constraints for attribution.
-          Default false. *)
+          [result.report].  Plain and blamed runs share one domain
+          computation, which attributes a wipeout only when blame is
+          on.  The filter's blame pass reads the node constraint's
+          verdicts back from the node-candidate bits, so it evaluates
+          no constraint.  Default false. *)
   prefilter : bool;
       (** forwarded to {!Filter.build}: sweep {!Netembed_expr.Bounds}
-          atoms over sorted host attribute columns so decidable
+          atoms over unsorted host attribute columns, word-parallel
+          with {!Netembed_bitset.Bitset.select}, so decidable
           (query edge, host edge) pairs skip constraint evaluation.
           Identical filter either way; [constraint_evals] drops.
           Default true; the bench ablation turns it off to price the

@@ -9,8 +9,8 @@
     carrying aggregated attributes (delays add up along a path,
     bandwidth is the bottleneck minimum).  Standard NETEMBED search over
     the augmented host then implicitly maps query links onto host
-    paths; {!decode} translates a mapping's links back into the
-    underlying path of real links.
+    paths; {!embed_with_paths} translates a mapping's links back into
+    the underlying path of real links.
 
     The reduction is sound and complete for constraints over the
     aggregated attributes: an embedding into the closure exists iff a
@@ -36,12 +36,6 @@ val host : closure -> Graph.t
 val path_of_edge : closure -> Graph.edge -> Graph.node list
 (** Underlying host node sequence (length >= 2) of a closure edge. *)
 
-val decode :
-  closure -> Problem.t -> Mapping.t ->
-  (Graph.edge * Graph.node list) list
-(** For every query edge (in id order): the mapped host path.  The
-    problem must have been built against {!host}. *)
-
 val embed_with_paths :
   ?max_hops:int ->
   ?options:Engine.options ->
@@ -50,4 +44,5 @@ val embed_with_paths :
   query:Graph.t ->
   Netembed_expr.Ast.t ->
   (Mapping.t * (Graph.edge * Graph.node list) list) option
-(** One-call convenience: build the closure, embed, decode. *)
+(** One-call convenience: build the closure, embed, and give every
+    query edge (in id order) its mapped host path. *)

@@ -68,7 +68,6 @@ let automorphisms ?(limit = 10_000) g =
   | exception Too_many -> None
 
 let size t = List.length t.elements
-let is_trivial t = size t <= 1
 
 let compose m sigma =
   (* (m ∘ σ)(q) = m(σ(q)) *)

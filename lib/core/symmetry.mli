@@ -31,8 +31,6 @@ val automorphisms : ?limit:int -> Graph.t -> t option
 val size : t -> int
 (** Group order (>= 1: the identity is always present). *)
 
-val is_trivial : t -> bool
-
 val canonical : t -> Mapping.t -> Mapping.t
 (** The lexicographically smallest element of the mapping's orbit
     [{ m ∘ σ }]; equal for two mappings iff they are equivalent. *)

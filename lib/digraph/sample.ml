@@ -56,10 +56,6 @@ let random_connected_nodes rng g n =
   in
   try_from 1
 
-let random_induced_subgraph rng g ~n =
-  let sel = random_connected_nodes rng g n in
-  Graph.induced_subgraph g sel
-
 let random_connected_subgraph rng g ~n ~extra_edges =
   let sel = random_connected_nodes rng g n in
   let induced, orig = Graph.induced_subgraph g sel in

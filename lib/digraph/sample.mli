@@ -4,9 +4,6 @@
     from the hosting network of size N nodes", with the number of edges
     varied per size (section VII-B). *)
 
-val random_node : Netembed_rng.Rng.t -> Graph.t -> Graph.node
-(** @raise Invalid_argument on the empty graph. *)
-
 val random_connected_nodes :
   Netembed_rng.Rng.t -> Graph.t -> int -> Graph.node array
 (** [random_connected_nodes rng g n] grows a uniform random connected
@@ -22,7 +19,3 @@ val random_connected_subgraph :
     original node id of every subgraph node.  The result is connected by
     construction and is a subgraph of [g], so an embedding of it into
     [g] always exists. *)
-
-val random_induced_subgraph :
-  Netembed_rng.Rng.t -> Graph.t -> n:int -> Graph.t * Graph.node array
-(** Induced variant: keeps every edge between the sampled nodes. *)

@@ -81,8 +81,6 @@ end
 module Recorder : sig
   type kind = Visit | Wipeout | Backtrack | Solution
 
-  val kind_name : kind -> string
-
   type event = {
     seq : int;  (** monotonic event number since creation *)
     kind : kind;

@@ -33,7 +33,6 @@ type t =
 val obj_name : obj -> string
 val obj_of_name : string -> obj option
 
-val binop_name : binop -> string
 val precedence : binop -> int
 (** Higher binds tighter; Java precedence: [||] 1, [&&] 2, [==]/[!=] 3,
     relational 4, additive 5, multiplicative 6. *)

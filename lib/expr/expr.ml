@@ -23,7 +23,3 @@ let delay_tolerance tol =
     (Printf.sprintf
        "vEdge.avgDelay >= %g * rEdge.avgDelay && vEdge.avgDelay <= %g * rEdge.avgDelay"
        lo hi)
-
-let os_bound =
-  parse_exn
-    "isBoundTo(vSource.osType, rSource.osType) && isBoundTo(vTarget.osType, rTarget.osType)"

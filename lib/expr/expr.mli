@@ -28,6 +28,3 @@ val avg_delay_within : t
 val delay_tolerance : float -> t
 (** [delay_tolerance 0.10] is the paper's ±10% example:
     ["vEdge.avgDelay >= 0.90*rEdge.avgDelay && vEdge.avgDelay <= 1.10*rEdge.avgDelay"]. *)
-
-val os_bound : t
-(** ["isBoundTo(vSource.osType, rSource.osType) && isBoundTo(vTarget.osType, rTarget.osType)"]. *)

@@ -25,8 +25,6 @@ let position src offset =
   done;
   { offset; line = !line; column = offset - !bol + 1 }
 
-let pp_position ppf p = Format.fprintf ppf "line %d, column %d" p.line p.column
-
 exception Lex_error of { pos : position; message : string }
 
 let error src pos message = raise (Lex_error { pos = position src pos; message })

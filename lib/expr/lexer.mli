@@ -22,9 +22,6 @@ val position : string -> int -> position
 (** [position src offset] resolves a byte offset against the source it
     was produced from (offsets out of range are clamped). *)
 
-val pp_position : Format.formatter -> position -> unit
-(** ["line L, column C"]. *)
-
 exception Lex_error of { pos : position; message : string }
 
 val tokenize : string -> (token * int) list

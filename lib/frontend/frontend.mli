@@ -82,11 +82,6 @@ type config = {
           before force-closing them *)
 }
 
-val default_config : unit -> config
-(** [workers] from {!plan}, queue capacity 64, idle timeout 30 s, frame
-    bound {!Netembed_service.Wire.default_max_frame_bytes}, drain
-    timeout 5 s. *)
-
 type t
 
 val start :
@@ -99,7 +94,10 @@ val start :
   t
 (** Bind [127.0.0.1:port] ([port = 0] picks an ephemeral port — read it
     back with {!port}), spawn the acceptor domain and [config.workers]
-    worker domains, and serve until {!stop}.
+    worker domains, and serve until {!stop}.  [config] defaults to
+    [workers] from {!plan}, queue capacity 64, idle timeout 30 s, frame
+    bound {!Netembed_service.Wire.default_max_frame_bytes} and drain
+    timeout 5 s.
 
     [handle ~queue_wait frame] computes the reply for one request
     frame; it runs on worker domains concurrently.  [queue_wait] is the

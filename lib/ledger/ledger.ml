@@ -37,9 +37,6 @@ type t = {
   mutable external_id : int option;  (* usage recovered by sync_residual *)
 }
 
-let default_node_resources = [ "cpuMhz"; "memMB" ]
-let default_edge_resources = [ "bandwidth" ]
-
 let target_name = function
   | Node v -> Printf.sprintf "node %d" v
   | Edge e -> Printf.sprintf "edge %d" e
@@ -83,12 +80,11 @@ let pool_of_attr graph kind resource =
       }
   else None
 
-let of_graph ?(node_resources = default_node_resources)
-    ?(edge_resources = default_edge_resources) graph =
+let of_graph graph =
   {
     graph;
-    node_pools = List.filter_map (pool_of_attr graph `Node) node_resources;
-    edge_pools = List.filter_map (pool_of_attr graph `Edge) edge_resources;
+    node_pools = List.filter_map (pool_of_attr graph `Node) [ "cpuMhz"; "memMB" ];
+    edge_pools = List.filter_map (pool_of_attr graph `Edge) [ "bandwidth" ];
     allocations = Hashtbl.create 64;
     next_id = 1;
     external_id = None;

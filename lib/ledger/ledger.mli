@@ -64,21 +64,16 @@ type failure = {
 val failure_to_string : failure -> string
 (** E.g. ["over-committed cpuMhz on node 3: requested 1200, available 800"]. *)
 
-val default_node_resources : string list
-(** [["cpuMhz"; "memMB"]] *)
-
-val default_edge_resources : string list
-(** [["bandwidth"]] *)
-
-val of_graph :
-  ?node_resources:string list -> ?edge_resources:string list -> Graph.t -> t
-(** Open a ledger over the hosting graph.  Capacities are read once,
-    here; later attribute updates on the graph do not change them.
-    Only resources with at least one numeric occurrence are tracked. *)
+val of_graph : Graph.t -> t
+(** Open a ledger over the hosting graph, tracking the node resources
+    [cpuMhz] and [memMB] and the edge resource [bandwidth].  Capacities
+    are read once, here; later attribute updates on the graph do not
+    change them.  Only resources with at least one numeric occurrence
+    are tracked. *)
 
 val graph : t -> Graph.t
 val node_resources : t -> string list
-(** The tracked node resources (subset of the requested list). *)
+(** The tracked node resources (a subset of [cpuMhz], [memMB]). *)
 
 val edge_resources : t -> string list
 

@@ -13,7 +13,7 @@
      Draining   graceful shutdown began (terminal; set explicitly)
 
    Transitions are damped two ways: a candidate state must win
-   [hysteresis] consecutive evaluations before it is published (so one
+   [hysteresis] (2) consecutive evaluations before it is published (so one
    bad window slice cannot flap readiness), and queue saturation has a
    high/low watermark band (enter at [queue_high], leave only below
    [queue_low]).  [Draining] bypasses both — once shutdown starts the
@@ -41,33 +41,19 @@ let state_code = function
   | Saturated -> 2
   | Draining -> 3
 
-type config = {
-  latency_slo_s : float;
-  error_rate_slo : float;
-  fast_burn : float;
-  queue_high : float;
-  queue_low : float;
-  hysteresis : int;
-  fast_window : float;
-  slow_window : float;
-  slices : int;
-}
-
-let default_config =
-  {
-    latency_slo_s = 0.25;
-    error_rate_slo = 0.01;
-    fast_burn = 10.0;
-    queue_high = 0.9;
-    queue_low = 0.5;
-    hysteresis = 2;
-    fast_window = 10.0;
-    slow_window = 60.0;
-    slices = 5;
-  }
+(* The SLOs and damping: 250 ms p99, 1% errors, a fast error burn of
+   10x, the queue band 0.9/0.5, 2 consecutive evaluations, a 60 s slow
+   window; every window is a ring of 5 slices. *)
+let latency_slo_s = 0.25
+let error_rate_slo = 0.01
+let fast_burn = 10.0
+let queue_high = 0.9
+let queue_low = 0.5
+let hysteresis = 2
+let slow_window = 60.0
+let slices = 5
 
 type t = {
-  config : config;
   lock : Mutex.t;
   (* Latency windows observe microseconds, rendered as seconds; error
      windows observe 0/1 per request, so rate = sum / count. *)
@@ -94,15 +80,9 @@ type report = {
   queue_capacity : int;
 }
 
-let create ?(config = default_config) ?clock
-    ?(registry = Telemetry.default_registry) () =
-  if config.hysteresis < 1 then
-    invalid_arg "Health.create: hysteresis must be >= 1";
-  if config.fast_window <= 0.0 || config.slow_window <= 0.0 then
-    invalid_arg "Health.create: windows must be positive";
-  if not (config.queue_low <= config.queue_high) then
-    invalid_arg "Health.create: queue_low must be <= queue_high";
-  let w window scale = Windowed.create ?clock ~scale ~window ~slices:config.slices () in
+let create ?(fast_window = 10.0) ?clock ?(registry = Telemetry.default_registry) () =
+  if fast_window <= 0.0 then invalid_arg "Health.create: windows must be positive";
+  let w window scale = Windowed.create ?clock ~scale ~window ~slices () in
   let gauge =
     Telemetry.Registry.gauge registry
       ~help:"Service health state: 0=healthy 1=degraded 2=saturated 3=draining"
@@ -110,12 +90,11 @@ let create ?(config = default_config) ?clock
   in
   Telemetry.Gauge.set gauge 0.0;
   {
-    config;
     lock = Mutex.create ();
-    fast_lat = w config.fast_window 1e-6;
-    slow_lat = w config.slow_window 1e-6;
-    fast_err = w config.fast_window 1.0;
-    slow_err = w config.slow_window 1.0;
+    fast_lat = w fast_window 1e-6;
+    slow_lat = w slow_window 1e-6;
+    fast_err = w fast_window 1.0;
+    slow_err = w slow_window 1.0;
     gauge;
     current = Healthy;
     candidate = Healthy;
@@ -149,16 +128,12 @@ let classify t ~queue_frac =
   let slow_err = rate t.slow_err in
   let queue_sat =
     queue_frac
-    >= (if t.current = Saturated then t.config.queue_low
-        else t.config.queue_high)
+    >= if t.current = Saturated then queue_low else queue_high
   in
-  let err_burn = fast_err /. t.config.error_rate_slo in
-  let slow_corroborates = slow_err >= t.config.error_rate_slo in
-  if queue_sat || (err_burn >= t.config.fast_burn && slow_corroborates) then
-    Saturated
-  else if
-    fast_p99 >= t.config.latency_slo_s || fast_err >= t.config.error_rate_slo
-  then Degraded
+  let err_burn = fast_err /. error_rate_slo in
+  let slow_corroborates = slow_err >= error_rate_slo in
+  if queue_sat || (err_burn >= fast_burn && slow_corroborates) then Saturated
+  else if fast_p99 >= latency_slo_s || fast_err >= error_rate_slo then Degraded
   else Healthy
 
 let evaluate t ~queue_depth ~queue_capacity =
@@ -180,7 +155,7 @@ let evaluate t ~queue_depth ~queue_capacity =
        t.candidate <- c;
        t.streak <- 1
      end;
-     if t.streak >= t.config.hysteresis && t.current <> t.candidate then
+     if t.streak >= hysteresis && t.current <> t.candidate then
        t.current <- t.candidate
    end);
   Telemetry.Gauge.set t.gauge (float_of_int (state_code t.current));

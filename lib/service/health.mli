@@ -8,10 +8,12 @@
     (0=healthy 1=degraded 2=saturated 3=draining), the wire [HEALTH]
     verb and the HTTP [/readyz] probe.
 
-    Flap damping: a candidate state must win [hysteresis] consecutive
-    evaluations before it is published, and queue saturation uses a
-    high/low watermark band (enter at [queue_high], leave below
-    [queue_low]).  {!set_draining} bypasses both — shutdown must be
+    The SLOs are a 250 ms p99 latency and a 1% error rate; the slow
+    window spans 60 s, and every window is a ring of 5 slices.
+
+    Flap damping: a candidate state must win 2 consecutive evaluations
+    before it is published, and queue saturation uses a high/low
+    watermark band (enter at 0.9 of capacity, leave below 0.5).  {!set_draining} bypasses both — shutdown must be
     visible immediately.
 
     Thread-safe: observations arrive from worker domains while
@@ -23,7 +25,7 @@ type state =
   | Degraded  (** fast-window p99 or error rate over the SLO *)
   | Saturated
       (** admission queue nearly full, or the fast window burning
-          error budget at [fast_burn]x with slow-window corroboration
+          error budget at 10x with slow-window corroboration
           (backpressure rejects count as errors, so sustained shedding
           lands here) *)
   | Draining  (** graceful shutdown began; terminal *)
@@ -34,38 +36,19 @@ val state_name : state -> string
 val state_code : state -> int
 (** The gauge encoding, 0-3 in declaration order. *)
 
-type config = {
-  latency_slo_s : float;  (** p99 latency target, seconds *)
-  error_rate_slo : float;  (** tolerated error fraction *)
-  fast_burn : float;
-      (** fast-window error burn (rate / SLO) that, with slow-window
-          corroboration, means [Saturated] *)
-  queue_high : float;  (** queue fraction entering [Saturated] *)
-  queue_low : float;  (** queue fraction below which it is left *)
-  hysteresis : int;
-      (** consecutive evaluations a candidate state must win *)
-  fast_window : float;  (** seconds; reacts to incidents *)
-  slow_window : float;  (** seconds; filters transients *)
-  slices : int;  (** ring slices per window *)
-}
-
-val default_config : config
-(** 250 ms p99 / 1% errors, fast burn 10x, queue band 0.9/0.5,
-    hysteresis 2, windows 10 s / 60 s over 5 slices. *)
-
 type t
 
 val create :
-  ?config:config ->
+  ?fast_window:float ->
   ?clock:(unit -> float) ->
   ?registry:Netembed_telemetry.Telemetry.Registry.t ->
   unit ->
   t
-(** Registers the [netembed_health_state] gauge (initially 0) in
-    [registry] (default the process registry).  [clock] is injected
-    into the sliding windows for tests.
-    @raise Invalid_argument on non-positive windows, [hysteresis < 1]
-    or [queue_low > queue_high]. *)
+(** [fast_window] (default 10 s) is the window that reacts to
+    incidents.  Registers the [netembed_health_state] gauge (initially
+    0) in [registry] (default the process registry).  [clock] is
+    injected into the sliding windows for tests.
+    @raise Invalid_argument when [fast_window <= 0]. *)
 
 val observe_request : t -> latency_s:float -> error:bool -> unit
 (** Feed one finished request into all four windows.  Backpressure

@@ -33,10 +33,6 @@ let read_constraint_file path =
       | [] -> "true"
       | lines -> String.concat " && " (List.map (fun l -> "(" ^ l ^ ")") lines))
 
-let of_files ?algorithm ?mode ?timeout ~query_file ~constraint_file () =
-  let query = Netembed_graphml.Graphml.read_file query_file in
-  make ?algorithm ?mode ?timeout ~query (read_constraint_file constraint_file)
-
 let parse_constraints t =
   match Netembed_expr.Expr.parse t.constraint_text with
   | Error m -> Error ("edge constraint: " ^ m)

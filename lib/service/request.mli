@@ -27,22 +27,10 @@ val make :
 (** [make ~query constraint_text]; algorithm defaults to ECF, mode to
     [First], no timeout. *)
 
-val of_files :
-  ?algorithm:Netembed_core.Engine.algorithm ->
-  ?mode:Netembed_core.Engine.mode ->
-  ?timeout:float ->
-  query_file:string ->
-  constraint_file:string ->
-  unit ->
-  t
-(** Load the query from a GraphML file and the constraint expression
-    from a text file (blank lines and [#]-comments ignored, remaining
-    lines joined with [&&]). *)
-
 val read_constraint_file : string -> string
 (** Read a constraint file: blank lines and [#]-comments dropped, the
-    remaining lines conjoined with [&&].  Used by {!of_files} and the
-    CLI's [@file] syntax. *)
+    remaining lines conjoined with [&&]; a file with none reads as
+    ["true"].  The CLI's [--constraint @FILE] syntax. *)
 
 val parse_constraints : t -> (Netembed_expr.Ast.t * Netembed_expr.Ast.t option, string) result
 (** Parse both constraint texts. *)

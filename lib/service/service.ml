@@ -66,7 +66,6 @@ type t = {
   active_allocations : Telemetry.Gauge.t;
   utilization_gauges : (string * [ `Node | `Edge ] * Telemetry.Gauge.t) list;
   slow_threshold : float;
-  slow_search_share : float;
   filter_cache : Filter_cache.t;
   cache_hits : Telemetry.Counter.t;
   cache_misses : Telemetry.Counter.t;
@@ -91,7 +90,7 @@ type t = {
 let kind_label = function `Node -> "node" | `Edge -> "edge"
 
 let create ?(registry = Telemetry.default_registry) ?(slow_threshold = 0.5)
-    ?(slow_search_share = 0.9) ?health_config model =
+    ?health_fast_window model =
   let ledger = Model.ledger model in
   let utilization_gauges =
     List.map
@@ -192,9 +191,8 @@ let create ?(registry = Telemetry.default_registry) ?(slow_threshold = 0.5)
                 [ ("phase", Telemetry.Phase.name (Telemetry.Phase.of_index i)) ]
               "netembed_phase_seconds_total");
       phase_totals = Array.make Telemetry.Phase.count 0.0;
-      slow_search_share;
       next_id = Atomic.make 1;
-      health = Health.create ?config:health_config ~registry ();
+      health = Health.create ?fast_window:health_fast_window ~registry ();
       log = Array.make log_capacity None;
       logged = 0;
       last = Domain.DLS.new_key (fun () -> None);
@@ -557,13 +555,12 @@ let submit ?(trace = false) ?(queue_wait = 0.0) t (request : Request.t) =
           let verdict = Engine.verdict result and run = result.Engine.elapsed in
           (* A cache-warm request can be fast on the wall clock yet
              spend nearly everything in the search; flag it when the
-             search share crosses the threshold, with a floor at a
-             tenth of [slow_threshold] so microsecond-scale requests
-             don't flood the ring. *)
+             search takes 0.9 of it, with a floor at a tenth of
+             [slow_threshold] so microsecond-scale requests don't flood
+             the ring. *)
           let slow_search =
             run >= 0.1 *. t.slow_threshold
-            && phases.(Phase.index Phase.Search)
-               >= t.slow_search_share *. run
+            && phases.(Phase.index Phase.Search) >= 0.9 *. run
           in
           let entry =
             if verdict = "complete" && run < t.slow_threshold && not slow_search then None

@@ -38,7 +38,7 @@ type entry = {
           breakdown EXPLAIN and TOP print *)
   slow_search : bool;
       (** the search phase alone exceeded the configured share of the
-          request's wall-clock time (see [slow_search_share]) *)
+          request's wall-clock time (see {!create}) *)
   certificate : Netembed_explain.Explain.Certificate.t option;
       (** [None] for request errors (verdict ["error"]); admission
           rejections carry one, and every searched request runs with
@@ -49,8 +49,7 @@ type entry = {
 val create :
   ?registry:Netembed_telemetry.Telemetry.Registry.t ->
   ?slow_threshold:float ->
-  ?slow_search_share:float ->
-  ?health_config:Health.config ->
+  ?health_fast_window:float ->
   Model.t ->
   t
 (** The service registers its request metrics
@@ -88,13 +87,13 @@ val create :
 
     Successful requests slower than [slow_threshold] seconds (default
     0.5) are kept in the diagnostics log alongside the failures, as are
-    requests whose search phase alone takes at least
-    [slow_search_share] (default 0.9) of the request's wall-clock time
+    requests whose search phase alone takes at least 0.9 of the
+    request's wall-clock time
     while the request is non-trivially slow — catching search-dominated
     requests that stay under the absolute threshold.
 
-    The service also owns a {!Health} state machine (configured by
-    [health_config], default {!Health.default_config}) which registers
+    The service also owns a {!Health} state machine (its fast window
+    is [health_fast_window], default 10 s) which registers
     the [netembed_health_state] gauge: every finished request and every
     backpressure reject feeds it, and the server's periodic tick drives
     {!Health.evaluate} with the live admission-queue depth. *)

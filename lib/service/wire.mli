@@ -74,8 +74,6 @@ val mode_to_string : Netembed_core.Engine.mode -> string
 val mode_of_string : string -> (Netembed_core.Engine.mode, string) result
 (** ["first"], ["all"] or ["atmost:k"] with [k >= 1]. *)
 
-val algorithm_of_string : string -> (Netembed_core.Engine.algorithm, string) result
-
 val default_max_frame_bytes : int
 (** Default bound on a frame's body (1 MiB) — far above any realistic
     query, far below anything that could pressure the server's heap. *)

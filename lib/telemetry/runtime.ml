@@ -1,6 +1,6 @@
 (* Runtime introspection for the mapping service.
 
-   Three independent pieces, all optional at runtime:
+   Two independent pieces, both optional at runtime:
 
    - a sampler domain that polls [Gc.quick_stat] on a configurable
      interval and exports [netembed_gc_*] gauges into a registry —
@@ -11,13 +11,7 @@
      into a per-domain cell, which the sampler exports as
      [netembed_domain_minor_words{domain=...}] (Gc counters are
      per-domain in multicore OCaml, so the sampler cannot read them on
-     behalf of other domains);
-   - an allocation profiler over [Gc.Memprof] that aggregates sampled
-     allocation sites and dumps folded-stack output (one
-     [frame;frame;... count] line per site, flamegraph-ready).  The
-     5.1 multicore runtime ships the Memprof interface but raises
-     [Failure] from [start]; the profiler degrades to a marker sample
-     so the dump is always present and parseable.
+     behalf of other domains).
 
    Concurrency: the sampler slot is process-global and mutex-guarded;
    [start]/[stop]/[running] are idempotent and safe from any domain.
@@ -156,106 +150,3 @@ let running () =
   let r = match !slot with Some _ -> true | None -> false in
   Mutex.unlock slot_lock;
   r
-
-module Alloc_profile = struct
-  type status = Idle | Active | Unsupported
-
-  let lock = Mutex.create ()
-  let status = ref Idle
-  let sites : (string, int) Hashtbl.t = Hashtbl.create 64
-
-  let frames_of_callstack bt =
-    match Printexc.backtrace_slots bt with
-    | None -> [ "unknown" ]
-    | Some slots ->
-        let name slot =
-          match Printexc.Slot.name slot with
-          | Some n when n <> "" -> n
-          | _ -> (
-              match Printexc.Slot.location slot with
-              | Some l ->
-                  Printf.sprintf "%s:%d" l.Printexc.filename
-                    l.Printexc.line_number
-              | None -> "unknown")
-        in
-        (* Raw backtraces list the innermost frame first; folded stacks
-           want outermost first. *)
-        List.rev (Array.to_list (Array.map name slots))
-
-  let record (alloc : Gc.Memprof.allocation) =
-    let key =
-      String.concat ";"
-        ("netembed" :: frames_of_callstack alloc.Gc.Memprof.callstack)
-    in
-    Mutex.lock lock;
-    let prev = Option.value ~default:0 (Hashtbl.find_opt sites key) in
-    Hashtbl.replace sites key (prev + alloc.Gc.Memprof.n_samples);
-    Mutex.unlock lock;
-    None
-
-  let tracker : (unit, unit) Gc.Memprof.tracker =
-    {
-      Gc.Memprof.alloc_minor = record;
-      alloc_major = record;
-      promote = (fun _ -> None);
-      dealloc_minor = ignore;
-      dealloc_major = ignore;
-    }
-
-  let start ?(sampling_rate = 1e-3) () =
-    Mutex.lock lock;
-    let st = !status in
-    Mutex.unlock lock;
-    match st with
-    | Active | Unsupported -> ()
-    | Idle -> (
-        (* Never hold [lock] across Memprof.start: the callbacks take it
-           and fire on allocation. *)
-        try
-          Gc.Memprof.start ~sampling_rate ~callstack_size:32 tracker;
-          Mutex.lock lock;
-          status := Active;
-          Mutex.unlock lock
-        with Failure _ ->
-          (* 5.1 multicore: interface present, implementation absent. *)
-          Mutex.lock lock;
-          status := Unsupported;
-          Mutex.unlock lock)
-
-  let active () =
-    Mutex.lock lock;
-    let a = !status = Active in
-    Mutex.unlock lock;
-    a
-
-  let supported () =
-    Mutex.lock lock;
-    let s = !status <> Unsupported in
-    Mutex.unlock lock;
-    s
-
-  let stop () =
-    if active () then Gc.Memprof.stop ();
-    Mutex.lock lock;
-    if !status = Active then status := Idle;
-    Mutex.unlock lock
-
-  let reset () =
-    Mutex.lock lock;
-    Hashtbl.reset sites;
-    Mutex.unlock lock
-
-  let dump_folded oc =
-    Mutex.lock lock;
-    let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) sites [] in
-    let unsupported = !status = Unsupported in
-    Mutex.unlock lock;
-    if entries = [] then
-      output_string oc
-        (if unsupported then "netembed;runtime;memprof_unavailable 1\n"
-         else "netembed;runtime;no_samples 1\n")
-    else
-      List.iter
-        (fun (k, v) -> Printf.fprintf oc "%s %d\n" k v)
-        (List.sort (fun (a, _) (b, _) -> compare a b) entries)
-end

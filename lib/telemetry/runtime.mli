@@ -1,6 +1,5 @@
-(** Runtime introspection: continuous GC sampling, cooperative
-    per-domain allocation publishing, and an optional [Gc.Memprof]
-    allocation profiler.
+(** Runtime introspection: continuous GC sampling and cooperative
+    per-domain allocation publishing.
 
     The sampler is a dedicated domain polling [Gc.quick_stat] on a
     configurable interval and exporting gauges into a registry:
@@ -36,35 +35,3 @@ val publish_minor_words : unit -> unit
 (** Record the calling domain's [Gc.minor_words] into its per-domain
     cell for the sampler to export.  Cheap enough to call once per
     request or per worker-loop iteration. *)
-
-(** Allocation profiling over [Gc.Memprof], aggregated by call site
-    and dumped as folded stacks (one [frame;frame;... count] line per
-    site — pipe through [flamegraph.pl] or load into speedscope).
-
-    OCaml 5.1's multicore runtime ships the Memprof interface but
-    raises [Failure] from [Gc.Memprof.start]; {!start} catches this
-    and degrades: {!supported} turns false and {!dump_folded} emits a
-    single [netembed;runtime;memprof_unavailable 1] marker line, so
-    the profile file is always present and parseable for CI
-    artifacts. *)
-module Alloc_profile : sig
-  val start : ?sampling_rate:float -> unit -> unit
-  (** Begin sampling allocations (default rate 1e-3 — roughly one
-      sample per thousand words).  Idempotent; a no-op once the
-      runtime has been detected as unsupported. *)
-
-  val stop : unit -> unit
-  (** Stop sampling; the aggregated sites are retained for
-      {!dump_folded}. *)
-
-  val active : unit -> bool
-  val supported : unit -> bool
-
-  val reset : unit -> unit
-  (** Drop all aggregated sites. *)
-
-  val dump_folded : out_channel -> unit
-  (** Write the folded-stack profile, sites sorted by stack for
-      deterministic output.  Always writes at least one line (a marker
-      sample when no real samples exist). *)
-end

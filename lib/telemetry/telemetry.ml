@@ -728,10 +728,3 @@ let snapshot_to_json s =
                             ("depth_histogram", Registry.histogram_json s.depth_histogram);
                             ("domain_size_histogram",
                              Registry.histogram_json s.domain_size_histogram) ])))
-
-let pp_snapshot ppf s =
-  Format.fprintf ppf
-    "%s: outcome=%s visited=%d found=%d elapsed=%.3fs evals=%d domains=%d \
-     intersections=%d backtracks=%d max_depth=%d"
-    s.algorithm s.outcome s.visited s.found s.elapsed_s s.constraint_evals
-    s.domains_built s.intersections s.backtracks s.max_depth

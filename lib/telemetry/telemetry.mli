@@ -61,12 +61,6 @@ module Gauge : sig
       gauges are no longer dropped on merge. *)
 end
 
-val report_quantiles : (float * string) array
-(** The quantile set every exposition reports — (quantile, JSON key)
-    pairs, currently p50/p95/p99.  One constant shared by
-    {!Registry.to_json} histograms and the {!Windowed} summaries so
-    the two cannot drift. *)
-
 (** {1 Log-bucketed histograms}
 
     Buckets cover the non-negative ints with upper bounds growing by
@@ -122,10 +116,6 @@ module Histogram : sig
   val reset : t -> unit
   val copy : t -> t
   val merge_into : dst:t -> t -> unit
-
-  val fold_nonzero : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-  (** [fold_nonzero f h acc] folds [f upper_bound occupancy] over the
-      non-empty buckets in ascending order. *)
 end
 
 (** {1 Request phases} *)
@@ -192,13 +182,11 @@ module Trace : sig
 
   val length : buffer -> int
 
-  val now_us : unit -> float
-  (** Absolute wall-clock microseconds — identical across domains, so
-      spans recorded on different workers line up on one timeline. *)
-
   val add :
     ?tid:int -> buffer -> name:string -> start_us:float -> dur_us:float -> unit
-  (** Append one complete span. *)
+  (** Append one complete span.  [start_us] is absolute wall-clock
+      microseconds, so spans recorded on different domains line up on
+      one timeline. *)
 
   val span : buffer -> string -> (unit -> 'a) -> 'a
   (** [span b name f] times [f] and appends the span, exceptions
@@ -277,7 +265,6 @@ module Windowed : sig
       must share the same window geometry.
       @raise Invalid_argument on mismatched window/slice counts. *)
 
-  val slice_count : t -> int
   val window : t -> float
   val scale : t -> float
   val clock : t -> unit -> float
@@ -335,14 +322,14 @@ module Registry : sig
   (** Prometheus text exposition format 0.0.4.  Histograms emit
       cumulative [_bucket{le="..."}] lines for their occupied buckets
       plus [le="+Inf"], [_sum] and [_count]; windowed histograms render
-      as summaries — one sample per {!report_quantiles} entry
+      as summaries — one sample per reported quantile
       ([quantile="0.5"|"0.95"|"0.99"]) plus [_sum] and [_count], all
       computed over the sliding window and scaled by the render
       multiplier. *)
 
   val to_json : t -> string
   (** One JSON object keyed by metric name (labels rendered into the
-      key); histograms expose count/sum/max, the {!report_quantiles}
+      key); histograms expose count/sum/max, the p50/p95/p99 quantile
       set and non-empty buckets; windowed histograms expose
       count/sum/quantiles/window_s. *)
 end
@@ -388,5 +375,3 @@ val snapshot_to_json : snapshot -> string
     ["phases"] member maps {!Phase.name}s to seconds in canonical
     order; an array shorter than {!Phase.count} renders only the
     phases it carries. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

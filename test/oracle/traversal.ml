@@ -1,3 +1,9 @@
+(* Breadth- and depth-first walks and connectivity: the tests check
+   generated topologies and sampled subgraphs for connectedness with
+   these, independently of the samplers' own frontier walks. *)
+
+module Graph = Netembed_graph.Graph
+
 let neighbours_undirected g v =
   match Graph.kind g with
   | Graph.Undirected -> Graph.succ g v

@@ -1,8 +1,8 @@
-(** Graph traversal and connectivity.
+(** Graph traversal and connectivity, for the tests: generated
+    topologies and sampled query subgraphs (the paper samples "random
+    connected subgraphs from the hosting network") must be connected. *)
 
-    Query generators need connected subgraphs (the paper samples "random
-    connected subgraphs from the hosting network"), and LNS reseeds per
-    connected component; this module provides the underlying walks. *)
+module Graph = Netembed_graph.Graph
 
 val bfs_order : Graph.t -> Graph.node -> Graph.node array
 (** Nodes reachable from the start, in breadth-first order (following

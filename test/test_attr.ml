@@ -1,6 +1,5 @@
 module Value = Netembed_attr.Value
 module Attrs = Netembed_attr.Attrs
-module Schema = Netembed_attr.Schema
 
 let check = Alcotest.check
 let fail_with = Alcotest.check_raises
@@ -259,40 +258,6 @@ let test_attrs_roundtrip =
            (Netembed_attr.Attrs.to_list attrs)
            expected)
 
-(* ------------------------------------------------------------------ *)
-(* Schema                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_schema () =
-  let e1 = { Schema.name = "delay"; domain = Schema.Edge; ty = `Float; default = None } in
-  let e2 =
-    {
-      Schema.name = "os";
-      domain = Schema.Node;
-      ty = `String;
-      default = Some (Value.String "linux");
-    }
-  in
-  let s = Schema.empty |> Schema.add e1 |> Schema.add e2 in
-  check Alcotest.int "entries" 2 (List.length (Schema.entries s));
-  check Alcotest.bool "find edge key" true (Schema.find Schema.Edge "delay" s <> None);
-  check Alcotest.bool "domain distinguishes" true (Schema.find Schema.Node "delay" s = None);
-  let d = Schema.defaults Schema.Node s in
-  check (Alcotest.option Alcotest.string) "default" (Some "linux") (Attrs.string "os" d);
-  (* Re-adding the same entry is idempotent; conflicting type rejected. *)
-  check Alcotest.int "idempotent" 2 (List.length (Schema.entries (Schema.add e1 s)));
-  (match Schema.add { e1 with ty = `Int } s with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected type-conflict rejection")
-
-let test_schema_infer () =
-  let attrs = Attrs.of_list [ ("a", Value.Int 1); ("b", Value.String "s") ] in
-  let s = Schema.infer Schema.Node attrs Schema.empty in
-  check Alcotest.int "two inferred" 2 (List.length (Schema.entries s));
-  match Schema.find Schema.Node "a" s with
-  | Some e -> check Alcotest.bool "int type" true (e.Schema.ty = `Int)
-  | None -> Alcotest.fail "missing inferred entry"
-
 let () =
   Alcotest.run "attr"
     [
@@ -313,10 +278,5 @@ let () =
           Alcotest.test_case "basic" `Quick test_attrs_basic;
           Alcotest.test_case "union" `Quick test_attrs_union;
           QCheck_alcotest.to_alcotest test_attrs_roundtrip;
-        ] );
-      ( "schema",
-        [
-          Alcotest.test_case "declare" `Quick test_schema;
-          Alcotest.test_case "infer" `Quick test_schema_infer;
         ] );
     ]

@@ -1,5 +1,5 @@
 module Graph = Netembed_graph.Graph
-module Traversal = Netembed_graph.Traversal
+module Traversal = Netembed_oracle.Traversal
 module Paths = Netembed_graph.Paths
 module Metrics = Netembed_graph.Metrics
 module Sample = Netembed_graph.Sample

@@ -688,46 +688,6 @@ let test_runtime_sampler_idempotent () =
        false
      with Invalid_argument _ -> true)
 
-(* The allocation profiler's folded dump always yields at least one
-   line — real samples when Memprof works, an explicit marker when the
-   runtime does not support it (OCaml 5.1 multicore) or when nothing
-   was sampled — so a CI artifact check can demand a non-empty file. *)
-let test_alloc_profile_dump_nonempty () =
-  Runtime.Alloc_profile.reset ();
-  Runtime.Alloc_profile.start ~sampling_rate:1e-2 ();
-  if Runtime.Alloc_profile.active () then begin
-    Sys.opaque_identity (List.init 5000 (fun i -> string_of_int i)) |> ignore;
-    Runtime.Alloc_profile.stop ()
-  end
-  else
-    check Alcotest.bool "inactive only because unsupported" false
-      (Runtime.Alloc_profile.supported ());
-  let file = Filename.temp_file "netembed_alloc" ".folded" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  let oc = open_out file in
-  Runtime.Alloc_profile.dump_folded oc;
-  close_out oc;
-  let ic = open_in file in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  check Alcotest.bool "at least one folded line" true (List.length !lines >= 1);
-  List.iter
-    (fun line ->
-      match String.rindex_opt line ' ' with
-      | None -> Alcotest.failf "unparseable folded line: %s" line
-      | Some i ->
-          let count =
-            int_of_string_opt
-              (String.sub line (i + 1) (String.length line - i - 1))
-          in
-          check Alcotest.bool "folded line ends in a count" true
-            (match count with Some n -> n > 0 | None -> false))
-    !lines
-
 let () =
   Alcotest.run "telemetry"
     [
@@ -784,7 +744,5 @@ let () =
         [
           Alcotest.test_case "sampler start/stop idempotent across restarts"
             `Quick test_runtime_sampler_idempotent;
-          Alcotest.test_case "alloc profile dump never empty" `Quick
-            test_alloc_profile_dump_nonempty;
         ] );
     ]

@@ -1,5 +1,5 @@
 module Graph = Netembed_graph.Graph
-module Traversal = Netembed_graph.Traversal
+module Traversal = Netembed_oracle.Traversal
 module Metrics = Netembed_graph.Metrics
 module Regular = Netembed_topology.Regular
 module Brite = Netembed_topology.Brite
