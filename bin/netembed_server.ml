@@ -52,10 +52,10 @@
    The runtime health plane: --runtime-sample SEC (default 1, 0 = off)
    runs the GC sampler domain exporting netembed_gc_* gauges;
    --health-fast-window SEC (default 10) sets the fast SLO burn-rate
-   window.  In TCP mode the main
-   thread evaluates the health machine every 250 ms against the live
-   admission-queue depth; the state is served as the
-   netembed_health_state gauge, the HEALTH wire verb and /readyz. *)
+   window.  In TCP mode the main thread evaluates the health machine
+   every 250 ms against the live admission-queue depth; the state is
+   served as the netembed_health_state gauge, the HEALTH wire verb and
+   /readyz. *)
 
 module Model = Netembed_service.Model
 module Service = Netembed_service.Service

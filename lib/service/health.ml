@@ -41,9 +41,6 @@ let state_code = function
   | Saturated -> 2
   | Draining -> 3
 
-(* The SLOs and damping: 250 ms p99, 1% errors, a fast error burn of
-   10x, the queue band 0.9/0.5, 2 consecutive evaluations, a 60 s slow
-   window; every window is a ring of 5 slices. *)
 let latency_slo_s = 0.25
 let error_rate_slo = 0.01
 let fast_burn = 10.0
@@ -81,7 +78,7 @@ type report = {
 }
 
 let create ?(fast_window = 10.0) ?clock ?(registry = Telemetry.default_registry) () =
-  if fast_window <= 0.0 then invalid_arg "Health.create: windows must be positive";
+  if fast_window <= 0.0 then invalid_arg "Health.create: fast_window must be positive";
   let w window scale = Windowed.create ?clock ~scale ~window ~slices () in
   let gauge =
     Telemetry.Registry.gauge registry
