@@ -442,7 +442,7 @@ let open_ledger host_file residual_file =
   | Some path when Sys.file_exists path ->
       Ledger.sync_residual ledger (Graphml.read_file path)
   | Some _ | None -> ());
-  (host, ledger)
+  ledger
 
 let print_utilization rows =
   Format.printf "%-12s %-5s %14s %14s %8s@." "RESOURCE" "KIND" "USED" "CAPACITY" "UTIL";
@@ -455,7 +455,7 @@ let print_utilization rows =
     rows
 
 let allocate_run (host_file, (request : Request.t)) count residual_file =
-  let _host, ledger = open_ledger host_file residual_file in
+  let ledger = open_ledger host_file residual_file in
   let query = request.Request.query in
   let parse c =
     match Netembed_expr.Expr.parse c with Ok e -> e | Error m -> failwith m
@@ -529,7 +529,7 @@ let parse_mapping_arg query text =
     else Ok (Mapping.of_array arr)
 
 let free_run host_file residual_file query_file mapping_arg =
-  let _host, ledger = open_ledger host_file (Some residual_file) in
+  let ledger = open_ledger host_file (Some residual_file) in
   if not (Sys.file_exists residual_file) then
     `Error (false, Printf.sprintf "residual file %s does not exist" residual_file)
   else
@@ -550,7 +550,7 @@ let free_run host_file residual_file query_file mapping_arg =
                 `Ok ()))
 
 let utilization_run host_file residual_file =
-  let _host, ledger = open_ledger host_file residual_file in
+  let ledger = open_ledger host_file residual_file in
   print_utilization (Ledger.utilization ledger);
   `Ok ()
 
