@@ -406,6 +406,111 @@ let filter_conformance_test =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
     filter_prop
 
+(* The build against the brute-force F of [Filter_cells], which shares
+   none of the fill: prefilter and blame on, every cell, every node's
+   candidates, and the blame table entry for entry in fold order (the
+   order certificates list tied causes in).  Both must raise the
+   interpreter's error on the same instances. *)
+module Filter_cells = Netembed_oracle.Filter_cells
+
+let against_oracle ~what p_of =
+  let built () =
+    let p = p_of () in
+    let blame = Explain.Blame.create () in
+    (p, Filter.build ~blame p, blame)
+  in
+  match (outcome (fun () -> Filter_cells.build (p_of ())), outcome built) with
+  | Error _, Error _ -> true
+  | Ok _, Error msg -> QCheck.Test.fail_reportf "%s: build raised %s, the oracle did not" what msg
+  | Error msg, Ok _ -> QCheck.Test.fail_reportf "%s: oracle raised %s, the build did not" what msg
+  | Ok oracle, Ok (p, f, blame) ->
+      let nq = Graph.node_count p.Problem.query and nr = Graph.node_count p.Problem.host in
+      let module B = Netembed_bitset.Bitset in
+      for a = 0 to nq - 1 do
+        if not (B.equal (Filter_cells.node_candidates oracle a) (Filter.node_candidates_bits f a))
+        then QCheck.Test.fail_reportf "%s: node candidates of q%d differ" what a;
+        for b = 0 to nq - 1 do
+          if a <> b then
+            for r = 0 to nr - 1 do
+              let want = B.elements (Filter_cells.cell oracle ~a ~r ~b) in
+              let got =
+                match Filter.cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b with
+                | None -> []
+                | Some c -> B.elements c
+              in
+              if want <> got then
+                QCheck.Test.fail_reportf "%s: cell (q%d, r%d, q%d) holds [%s], F has [%s]" what
+                  a r b
+                  (String.concat " " (List.map string_of_int got))
+                  (String.concat " " (List.map string_of_int want))
+            done
+        done
+      done;
+      let want = Filter_cells.blame oracle in
+      let show bl =
+        String.concat "; "
+          (List.map
+             (fun q ->
+               String.concat ", "
+                 (List.map
+                    (fun (c, n) -> Printf.sprintf "q%d %s %d" q (Explain.Cause.to_string c) n)
+                    (Explain.Blame.by_node bl q)))
+             (List.init nq Fun.id))
+      in
+      if show want <> show blame || Explain.Blame.totals want <> Explain.Blame.totals blame
+      then QCheck.Test.fail_reportf "%s: blame [%s], oracle [%s]" what (show blame) (show want);
+      (* Equal counts in another insertion order can still list tied
+         causes differently: the tables must be the same value. *)
+      if Marshal.to_string want [] <> Marshal.to_string blame [] then
+        QCheck.Test.fail_reportf "%s: blame recorded in another order than the oracle's" what;
+      true
+
+let oracle_rich_test =
+  QCheck.Test.make ~count:40 ~name:"Filter.build = brute-force F (rich instances)"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
+    (fun seed -> against_oracle ~what:(Printf.sprintf "seed %d" seed) (fun () -> rich_instance seed))
+
+(* Tenant-shaped queries on the 100-site trace: wide delay bands admit a
+   third of the links, so most cells hold several partners. *)
+let trace100 =
+  lazy
+    (Netembed_planetlab.Trace.generate (Rng.make 2008)
+       { Netembed_planetlab.Trace.default with Netembed_planetlab.Trace.sites = 100 })
+
+let tenant_instance seed =
+  let rng = Rng.make seed in
+  Filter_cells.tenant_problem rng ~host:(Lazy.force trace100) ~n:(3 + Rng.int rng 4)
+
+let oracle_tenant_test =
+  QCheck.Test.make ~count:8 ~name:"Filter.build = brute-force F (tenant queries, 100 sites)"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
+    (fun seed ->
+      against_oracle ~what:(Printf.sprintf "tenant seed %d" seed) (fun () -> tenant_instance seed))
+
+(* The tenant property exercises multi-partner cells only if the
+   instances are dense: over a fixed seed set, most non-empty cells
+   must hold two or more partners. *)
+let test_tenant_density () =
+  let multi = ref 0 and nonempty = ref 0 in
+  for seed = 1 to 8 do
+    let p = tenant_instance seed in
+    let f = Filter.build p in
+    let nq = Graph.node_count p.Problem.query and nr = Graph.node_count p.Problem.host in
+    for a = 0 to nq - 1 do
+      for b = 0 to nq - 1 do
+        for r = 0 to nr - 1 do
+          match Filter.cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b with
+          | None -> ()
+          | Some c ->
+              incr nonempty;
+              if Netembed_bitset.Bitset.cardinal c >= 2 then incr multi
+        done
+      done
+    done
+  done;
+  if 2 * !multi <= !nonempty then
+    Alcotest.failf "%d of %d non-empty tenant cells hold two or more partners" !multi !nonempty
+
 let () =
   Alcotest.run "conformance"
     [
@@ -419,5 +524,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest prefilter_conformance_test;
           QCheck_alcotest.to_alcotest filter_conformance_test;
+        ] );
+      ( "filter oracle",
+        [
+          QCheck_alcotest.to_alcotest oracle_rich_test;
+          QCheck_alcotest.to_alcotest oracle_tenant_test;
+          Alcotest.test_case "tenant cells are dense" `Quick test_tenant_density;
         ] );
     ]

@@ -334,7 +334,27 @@ let test_filter_footprint () =
       if words > hashtable_words then
         Alcotest.failf "seed %d: filter holds %d words, the hash-table layout %d" seed words
           hashtable_words)
-    table
+    table;
+  (* Tenant-shaped requests (svcbench's tenant_churn) are dense: most
+     cells hold several partners.  Each bound is what the build that
+     filled cells by copy-on-write from shared singletons held. *)
+  let tenant_table =
+    [ 1, 2, 664
+    ; 2, 3, 4087
+    ; 3, 4, 4066
+    ; 4, 4, 5318
+    ; 5, 6, 8188
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (seed, n, copy_on_write_words) ->
+      let p = Netembed_oracle.Filter_cells.tenant_problem (Rng.make seed) ~host ~n in
+      let f = Filter.build p in
+      let words = Obj.reachable_words (Obj.repr f) in
+      if words > copy_on_write_words then
+        Alcotest.failf "tenant seed %d: filter holds %d words, the copy-on-write fill %d" seed
+          words copy_on_write_words)
+    tenant_table
 
 (* ------------------------------------------------------------------ *)
 (* Algorithms: agreement & correctness                                 *)
