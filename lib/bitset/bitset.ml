@@ -53,6 +53,13 @@ let mem t i =
 
 let word t w = t.words.(w)
 
+let of_words n src pos =
+  let wc = max 1 (word_count n) in
+  if n < 0 || pos < 0 || pos > Array.length src - wc then invalid_arg "Bitset.of_words";
+  let words = Array.sub src pos wc in
+  words.(wc - 1) <- (if n = 0 then 0 else words.(wc - 1) land last_word_mask n);
+  { n; words }
+
 (* Branch-free SWAR popcount: constant ~12 ops per word, where the
    classic clear-lowest-bit loop costs one iteration per set bit — the
    difference matters because [diff_into_card] popcounts every word of

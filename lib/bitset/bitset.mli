@@ -30,6 +30,15 @@ val word : t -> int -> int
     @raise Invalid_argument when [w] is not below
     [max 1 ((universe_size t + bits_per_word - 1) / bits_per_word)]. *)
 
+val of_words : int -> int array -> int -> t
+(** [of_words n src pos] is the set over [\[0, n)] whose word [w] (as
+    {!word} reads it) is [src.(pos + w)]: one copy of the words, where
+    building the same set by {!add} costs a call per member.  Bits of
+    the last word beyond [n] are dropped.
+    @raise Invalid_argument when [n < 0] or [src] holds fewer than
+    [max 1 ((n + bits_per_word - 1) / bits_per_word)] words from
+    [pos]. *)
+
 val cardinal : t -> int
 val is_empty : t -> bool
 

@@ -34,10 +34,35 @@ let cell t a r b =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Cells accumulate directly into bitsets over the host universe, in
-   one row per query-edge direction.  With parallel query edges between
-   the same pair, every edge must be satisfiable, so their rows are
-   intersected cell by cell. *)
+(* One query edge fills two lookup directions, each a scratch matrix of
+   [nr] rows of partner words: row [r] of a direction holds the words
+   of cell [F[a, r, b]] at [bits.(r * words)], and [state.(r)] is -1
+   while the row is empty, the partner while it holds one, and -2 once
+   it holds more.  A build allocates its scratch once and every query
+   edge reuses it, so concurrent builds on worker domains share
+   nothing. *)
+type scratch = { words : int; bits : int array; state : int array }
+
+(* {!Bitset}'s word width as a literal: the library is compiled
+   [-opaque] in the default profile, where [Bitset.bits_per_word] is a
+   load and the fill's division by it an integer division. *)
+let bits_per_word = 62
+let () = assert (bits_per_word = Bitset.bits_per_word)
+
+let scratch nr =
+  let words = max 1 ((nr + bits_per_word - 1) / bits_per_word) in
+  { words; bits = Array.make (nr * words) 0; state = Array.make nr (-1) }
+
+let set s r v =
+  let i = (r * s.words) + (v / bits_per_word) and bit = 1 lsl (v mod bits_per_word) in
+  let w = s.bits.(i) in
+  if w land bit = 0 then begin
+    s.bits.(i) <- w lor bit;
+    s.state.(r) <- (if s.state.(r) = -1 then v else -2)
+  end
+
+(* With parallel query edges between the same pair, every edge must be
+   satisfiable, so their rows are intersected cell by cell. *)
 
 type ordering = Connected_lemma1 | Lemma1 | Input_order
 
@@ -73,11 +98,13 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
           then None
           else Some (residual, plan_of bounds)
   in
-  (* Per-query-node acceptability over all host nodes, precomputed once:
-     the per-host-edge loop below would otherwise re-decide the node
-     constraint for the same (q, r) pair once per incident host edge.
-     A node plan has no [rEdge] restriction, so [~he] is never read. *)
-  let node_ok_bits =
+  (* Per-query-node acceptability over all host nodes, precomputed once
+     as a bool per host, which the per-host-edge loop below reads, and
+     as a set, which node candidates and blame read: the loop would
+     otherwise re-decide the node constraint for the same (q, r) pair
+     once per incident host edge.  A node plan has no [rEdge]
+     restriction, so [~he] is never read. *)
+  let node_ok =
     Array.init nq (fun q ->
         let ok =
           match node_plan q with
@@ -89,26 +116,46 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
                 && (Prefilter.decides_pair plan ~he:0 ~r_src:r ~r_dst:r
                    || Problem.node_residual_ok p ~q ~r residual)
         in
-        let bits = Bitset.create nr in
-        for r = 0 to nr - 1 do
-          if ok r then Bitset.add bits r
-        done;
-        bits)
+        Array.init nr ok)
   in
-  (* Most cells hold one partner (tight delay bands on sparse hosts), so
+  let node_ok_bits =
+    Array.map
+      (fun ok ->
+        let bits = Bitset.create nr in
+        Array.iteri (fun r accepted -> if accepted then Bitset.add bits r) ok;
+        bits)
+      node_ok
+  in
+  (* Most cells on sparse hosts hold one partner (tight delay bands), so
      one-partner cells share a single bitset per partner, made on first
-     use; a cell gaining a second partner gets its own copy.  Sharing
-     while recording, rather than in a pass after the merge, keeps the
-     build from allocating one short-lived set per cell. *)
+     use; any other non-empty cell gets one set of its own, copied once
+     from the scratch row. *)
   let singletons = Array.make nr empty_cell in
   let singleton v =
     if singletons.(v) == empty_cell then singletons.(v) <- Bitset.of_list nr [ v ];
     singletons.(v)
   in
+  let fwd = scratch nr and bwd = scratch nr in
+  (* Turn each non-empty scratch row into its cell, clearing the row for
+     the next query edge. *)
+  let materialize s =
+    let row = Array.make nr empty_cell in
+    for r = 0 to nr - 1 do
+      let state = s.state.(r) in
+      if state <> -1 then begin
+        row.(r) <-
+          (if state >= 0 then singleton state else Bitset.of_words nr s.bits (r * s.words));
+        Array.fill s.bits (r * s.words) s.words 0;
+        s.state.(r) <- -1
+      end
+    done;
+    row
+  in
   (* Per query edge: evaluate the specialized residual against every host
      edge the plan admits (both host orientations when undirected),
-     filling, for both lookup directions, a row indexed by r_assigned:
-     the candidate bitset of its partner. *)
+     setting, for both lookup directions, partner [v] in row [u] of the
+     scratch: the candidate bitset of [b] when [a] is on [u], and
+     back. *)
   let add_edge_cells qe a b =
     let residual = Problem.residual p qe ~q_src:a ~q_dst:b in
     let plan =
@@ -117,19 +164,6 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
         let bounds = Bounds.of_ast residual in
         if bounds.Bounds.atoms = [] && not bounds.Bounds.complete then None
         else Some (plan_of bounds)
-    in
-    let fwd = Array.make nr empty_cell and bwd = Array.make nr empty_cell in
-    let record row r partner =
-      let cell = row.(r) in
-      if cell == empty_cell then row.(r) <- singleton partner
-      else if not (Bitset.mem cell partner) then
-        if cell == singletons.(Bitset.next_set_bit cell 0) then begin
-          (* shared: copy on write *)
-          let cell = Bitset.copy cell in
-          Bitset.add cell partner;
-          row.(r) <- cell
-        end
-        else Bitset.add cell partner
     in
     (* All real evaluations flow through [Problem.edge_pair_ok] and its
        shared telemetry counter; pairs the pre-filter decides never
@@ -156,33 +190,30 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
           | Ast.R_edge | Ast.V_edge | Ast.V_source | Ast.V_target -> false)
         residual false
     in
+    let ok_a = node_ok.(a) and ok_b = node_ok.(b) in
     let visit he u v =
-      let fwd_nodes_ok =
-        Bitset.mem node_ok_bits.(a) u && Bitset.mem node_ok_bits.(b) v
-      in
-      let bwd_nodes_ok =
-        undirected && Bitset.mem node_ok_bits.(a) v && Bitset.mem node_ok_bits.(b) u
-      in
+      let fwd_nodes_ok = ok_a.(u) && ok_b.(v) in
+      let bwd_nodes_ok = undirected && ok_a.(v) && ok_b.(u) in
       if orientation_sensitive then begin
         (* Orientation a->u, b->v. *)
         if fwd_nodes_ok && test he u v then begin
-          record fwd u v;
-          record bwd v u
+          set fwd u v;
+          set bwd v u
         end;
         (* Orientation a->v, b->u (undirected hosts only). *)
         if bwd_nodes_ok && test he v u then begin
-          record fwd v u;
-          record bwd u v
+          set fwd v u;
+          set bwd u v
         end
       end
       else if (fwd_nodes_ok || bwd_nodes_ok) && test he u v then begin
         if fwd_nodes_ok then begin
-          record fwd u v;
-          record bwd v u
+          set fwd u v;
+          set bwd v u
         end;
         if bwd_nodes_ok then begin
-          record fwd v u;
-          record bwd u v
+          set fwd v u;
+          set bwd u v
         end
       end
     in
@@ -196,7 +227,7 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
           (fun he -> visit he (Graph.edge_source p.host he) (Graph.edge_target p.host he))
           admissible
     | Some _ | None -> Graph.iter_edges visit p.host);
-    (fwd, bwd)
+    (materialize fwd, materialize bwd)
   in
   let rows = Array.make (nq * nq) no_row in
   let merge dir row =
@@ -229,18 +260,19 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
         Array.fold_left (fun acc c -> if c == empty_cell then acc else acc + 1) acc row)
       0 rows
   in
+  (* The hosts [r] whose cell [F[q, r, w]] is not empty. *)
+  let sources q w =
+    let out = Bitset.create nr in
+    Array.iteri (fun r c -> if c != empty_cell then Bitset.add out r) rows.((q * nq) + w);
+    out
+  in
   (* Node-level candidates: intersection over incident edges of the
      sources with a non-empty cell, within node_ok. *)
   let node_cands =
     Array.init (max 1 nq) (fun q ->
         if q >= nq then Bitset.create nr
         else
-          let sources (w, _) =
-            let out = Bitset.create nr in
-            Array.iteri (fun r c -> if c != empty_cell then Bitset.add out r) rows.((q * nq) + w);
-            out
-          in
-          match List.map sources (Problem.query_neighbours p q) with
+          match List.map (fun (w, _) -> sources q w) (Problem.query_neighbours p q) with
           | [] -> Bitset.copy node_ok_bits.(q)
           | first :: rest ->
               List.iter (fun s -> Bitset.inter_into ~dst:first s) rest;
@@ -257,28 +289,46 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
     }
   in
   (* Explain mode: attribute every host excluded from a node's
-     expression-(1) candidate set to the filter stage that removed it.
-     Precedence mirrors the build: the degree filter fires before the
-     node constraint, which fires before edge-compatibility.  The node
-     constraint's verdict is read back from [node_ok_bits] (degree and
-     node constraint together), so blame evaluates nothing. *)
+     expression-(1) candidate set to the filter stage that removed it,
+     one set operation per stage.  Precedence mirrors the build: the
+     degree filter fires before the node constraint, which fires before
+     edge-compatibility, where the first incident query edge whose cell
+     is empty takes the blame.  The node constraint's verdict is read
+     back from [node_ok_bits] (degree and node constraint together), so
+     blame evaluates nothing.  Each (node, cause) is recorded once, with
+     its count, in the order a host-by-host pass would first meet it
+     (ascending least host), which keeps the blame table, and the
+     certificates that list its tied causes, as per-host recording
+     left them. *)
   (match blame with
   | None -> ()
   | Some bl ->
       for q = 0 to nq - 1 do
-        let incident = Problem.query_neighbours p q in
-        for r = 0 to nr - 1 do
-          if not (Bitset.mem t.node_cands.(q) r) then
-            if not (Problem.degree_ok p ~q ~r) then
-              Explain.Blame.eliminate bl ~q Explain.Cause.Degree_filter
-            else if not (Bitset.mem node_ok_bits.(q) r) then
-              Explain.Blame.eliminate bl ~q Explain.Cause.Node_constraint
-            else (
-              match List.find_opt (fun (w, _) -> cell t q r w == empty_cell) incident with
-              | Some (w, _) ->
-                  Explain.Blame.eliminate bl ~q (Explain.Cause.Edge_constraint (q, w))
-              | None -> ())
-        done
+        let rejected = Bitset.full nr in
+        Bitset.diff_into ~dst:rejected node_ok_bits.(q);
+        let degree = Bitset.create nr in
+        Bitset.iter
+          (fun r -> if not (Problem.degree_ok p ~q ~r) then Bitset.add degree r)
+          rejected;
+        Bitset.diff_into ~dst:rejected degree;
+        let alive = Bitset.copy node_ok_bits.(q) in
+        let edge_classes =
+          List.map
+            (fun (w, _) ->
+              let s = sources q w in
+              let lost = Bitset.diff alive s in
+              Bitset.inter_into ~dst:alive s;
+              (Explain.Cause.Edge_constraint (q, w), lost))
+            (Problem.query_neighbours p q)
+        in
+        (Explain.Cause.Degree_filter, degree)
+        :: (Explain.Cause.Node_constraint, rejected)
+        :: edge_classes
+        |> List.filter_map (fun (cause, hosts) ->
+               let least = Bitset.next_set_bit hosts 0 in
+               if least < 0 then None else Some (least, cause, Bitset.cardinal hosts))
+        |> List.sort (fun (x, _, _) (y, _, _) -> Int.compare x y)
+        |> List.iter (fun (_, cause, n) -> Explain.Blame.record bl ~q cause n)
       done);
   (* Search order: Lemma 1 seeds the order with the fewest-candidate
      node; after that, expression (2) only prunes through edges into the

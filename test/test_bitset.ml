@@ -54,6 +54,18 @@ let test_word () =
   check Alcotest.int "word 2" (1 lsl 5) (Bitset.word s 2);
   check Alcotest.int "empty word" 0 (Bitset.word (Bitset.create 10) 0)
 
+(* [of_words] reads the words [word] writes: from an offset, with bits
+   past the universe dropped. *)
+let test_of_words () =
+  let s = Bitset.of_list 130 [ 0; 61; 62; 129 ] in
+  let src = Array.append [| -1 |] (Array.init 3 (Bitset.word s)) in
+  check Alcotest.bool "round trip" true (Bitset.equal s (Bitset.of_words 130 src 1));
+  check Alcotest.(list int) "tail bits dropped" [ 0; 1 ]
+    (Bitset.elements (Bitset.of_words 2 [| 0b1111 |] 0));
+  check Alcotest.bool "empty universe" true (Bitset.is_empty (Bitset.of_words 0 [| 7 |] 0));
+  check Alcotest.bool "short source" true
+    (match Bitset.of_words 130 src 2 with _ -> false | exception Invalid_argument _ -> true)
+
 let test_nth () =
   let s = Bitset.of_list 150 [ 5; 62; 63; 130 ] in
   check (Alcotest.option Alcotest.int) "0th" (Some 5) (Bitset.nth s 0);
@@ -322,6 +334,7 @@ let () =
           Alcotest.test_case "elements ordered" `Quick test_elements_ordered;
           Alcotest.test_case "nth" `Quick test_nth;
           Alcotest.test_case "word" `Quick test_word;
+          Alcotest.test_case "of_words" `Quick test_of_words;
           Alcotest.test_case "universe mismatch" `Quick test_universe_mismatch;
           Alcotest.test_case "next_set_bit" `Quick test_next_set_bit;
           Alcotest.test_case "iter_from" `Quick test_iter_from;
