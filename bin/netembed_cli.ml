@@ -87,20 +87,37 @@ let load_any path =
     Netembed_topology.Brite_format.read_file path
   else Graphml.read_file path
 
+(* A topology file argument, read while the command line is parsed: a
+   missing, unreadable, empty or malformed file is a usage error (exit
+   124 with a message), not an uncaught exception.  GraphML errors name
+   the file; BRITE errors get it prefixed.  The value keeps the path for
+   messages. *)
+let topology_conv =
+  let parse path =
+    match Arg.conv_parser Arg.file path with
+    | Error _ as e -> e
+    | Ok path -> (
+        match load_any path with
+        | g -> Ok (path, g)
+        | exception Netembed_topology.Brite_format.Error m ->
+            Error (`Msg (Printf.sprintf "%s: %s" path m))
+        | exception (Graphml.Error m | Sys_error m) -> Error (`Msg m))
+  in
+  Arg.conv (parse, fun ppf (path, _) -> Format.pp_print_string ppf path)
+
 let save_any g path =
   if Filename.check_suffix path ".brite" then
     Netembed_topology.Brite_format.write_file g path
   else Graphml.write_file g path
 
-let convert input output =
-  let g = load_any input in
+let convert (input, g) output =
   save_any g output;
   Format.printf "converted %a: %s -> %s@." Graph.pp_summary g input output;
   `Ok ()
 
 let convert_cmd =
   let input =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT"
+    Arg.(required & pos 0 (some topology_conv) None & info [] ~docv:"INPUT"
            ~doc:"Input topology (.graphml or .brite).")
   in
   let output =
@@ -115,8 +132,7 @@ let convert_cmd =
 (* info                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let info_run file =
-  let g = load_any file in
+let info_run (_, g) =
   let stats = Metrics.degree_stats g in
   Format.printf "%a@." Graph.pp_summary g;
   Format.printf "density %.4f, %a@." (Graph.density g) Metrics.pp_degree_stats stats;
@@ -127,7 +143,7 @@ let info_run file =
 
 let info_cmd =
   let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"GraphML file.")
+    Arg.(required & pos 0 (some topology_conv) None & info [] ~docv:"FILE" ~doc:"GraphML file.")
   in
   Cmd.v
     (Cmd.info "info" ~doc:"Summarize a GraphML network")
@@ -146,20 +162,23 @@ let mode_conv =
   in
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Wire.mode_to_string m))
 
-(* The request embed, explain, top and allocate take: the host file
-   and a Request.t built from --query, --constraint (inline, or @FILE
-   read one expression per line), --node-constraint, --algorithm,
-   --mode and --timeout.  allocate's host and query declare capacities
-   and demands, its timeout is per tenant, and it has no --mode. *)
+(* The request embed, explain, top and allocate take: the host graph,
+   a Request.t built from --query, --constraint (inline, or @FILE read
+   one expression per line), --node-constraint, --algorithm, --mode and
+   --timeout, and its parsed edge and node constraints.  Files are read
+   and constraints parsed here, so an unreadable file or a malformed
+   constraint is a usage error (exit 124) in every subcommand.
+   allocate's host and query declare capacities and demands, its
+   timeout is per tenant, and it has no --mode. *)
 let request_term ~allocate =
   let doc plain for_allocate = if allocate then for_allocate else plain in
   let host_file =
-    Arg.(required & opt (some file) None & info [ "host" ] ~docv:"FILE"
+    Arg.(required & opt (some topology_conv) None & info [ "host" ] ~docv:"FILE"
            ~doc:(doc "Hosting network (GraphML)."
                    "Hosting network (GraphML) declaring capacities."))
   in
   let query_file =
-    Arg.(required & opt (some file) None & info [ "query" ] ~docv:"FILE"
+    Arg.(required & opt (some topology_conv) None & info [ "query" ] ~docv:"FILE"
            ~doc:(doc "Query network (GraphML)."
                    "Query network (GraphML) whose attributes are the demand vector."))
   in
@@ -186,23 +205,34 @@ let request_term ~allocate =
     Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
            ~doc:(doc "Search timeout." "Per-tenant search timeout."))
   in
-  let request host_file query_file constraint_arg node_constraint algorithm mode timeout =
-    let query = Graphml.read_file query_file in
+  let request (_, host) (_, query) constraint_arg node_constraint algorithm mode timeout =
     let constraint_text =
       if String.length constraint_arg > 0 && constraint_arg.[0] = '@' then
-        Request.read_constraint_file
-          (String.sub constraint_arg 1 (String.length constraint_arg - 1))
-      else constraint_arg
+        match
+          Request.read_constraint_file
+            (String.sub constraint_arg 1 (String.length constraint_arg - 1))
+        with
+        | text -> Ok text
+        | exception Sys_error m -> Error ("--constraint: " ^ m)
+      else Ok constraint_arg
     in
-    ( host_file,
-      Request.make ?node_constraint ~algorithm ~mode ?timeout ~query constraint_text )
+    let ( let* ) = Result.bind in
+    match
+      let* text = constraint_text in
+      let request = Request.make ?node_constraint ~algorithm ~mode ?timeout ~query text in
+      let* constraints = Request.parse_constraints request in
+      Ok (host, request, constraints)
+    with
+    | Ok parsed -> `Ok parsed
+    | Error m -> `Error (false, m)
   in
   Term.(
-    const request $ host_file $ query_file $ constraint_arg $ node_constraint $ algorithm
-    $ mode $ timeout)
+    ret
+      (const request $ host_file $ query_file $ constraint_arg $ node_constraint
+     $ algorithm $ mode $ timeout))
 
-let embed (host_file, request) path_hops dedupe optimize_cost stats trace_file =
-  let host = Graphml.read_file host_file in
+let embed (host, request, (edge_constraint, _)) path_hops dedupe optimize_cost stats
+    trace_file =
   let host =
     (* --paths K: virtual links may ride host paths of up to K hops
        (the link-to-path extension, realized as a host closure). *)
@@ -241,10 +271,7 @@ let embed (host_file, request) path_hops dedupe optimize_cost stats trace_file =
               | other -> Netembed_core.Optimize.node_attr_sum other
             in
             let result = answer.Service.result in
-            let problem =
-              Netembed_core.Problem.make ~host ~query
-                (Netembed_expr.Expr.parse_exn request.Request.constraint_text)
-            in
+            let problem = Netembed_core.Problem.make ~host ~query edge_constraint in
             let best =
               Netembed_core.Optimize.best_of problem ~cost result.Engine.mappings
             in
@@ -309,8 +336,7 @@ let embed_cmd =
    closest.  Successful runs still print a certificate (hot spot,
    flight-recorder tail) — slow_threshold 0 forces every request into
    the diagnostics log. *)
-let explain_run (host_file, request) json =
-  let host = Graphml.read_file host_file in
+let explain_run (host, request, _) json =
   let service =
     Service.create
       ~registry:(Netembed_telemetry.Telemetry.Registry.create ())
@@ -362,8 +388,7 @@ let explain_cmd =
    went per phase (with sliding-window quantiles) and the slowest
    retained requests with their per-phase breakdowns — the local twin
    of the TOP wire verb. *)
-let top_run (host_file, request) repeat worst =
-  let host = Graphml.read_file host_file in
+let top_run (host, request, _) repeat worst =
   let service =
     (* slow_threshold 0 retains every request, so the worst-requests
        table is populated even for fast runs. *)
@@ -435,13 +460,11 @@ let top_cmd =
    back; `utilization` reports usage.  All three rebuild the ledger by
    syncing it to the residual snapshot. *)
 
-let open_ledger host_file residual_file =
-  let host = Graphml.read_file host_file in
+let open_ledger host residual =
   let ledger = Ledger.of_graph host in
-  (match residual_file with
-  | Some path when Sys.file_exists path ->
-      Ledger.sync_residual ledger (Graphml.read_file path)
-  | Some _ | None -> ());
+  (match residual with
+  | Some (_, Some residual) -> Ledger.sync_residual ledger residual
+  | Some (_, None) | None -> ());
   ledger
 
 let print_utilization rows =
@@ -454,14 +477,10 @@ let print_utilization rows =
         (if cap > 0.0 then 100.0 *. used /. cap else 0.0))
     rows
 
-let allocate_run (host_file, (request : Request.t)) count residual_file =
-  let ledger = open_ledger host_file residual_file in
+let allocate_run (host, (request : Request.t), (edge_constraint, node_expr)) count
+    residual_file =
+  let ledger = open_ledger host residual_file in
   let query = request.Request.query in
-  let parse c =
-    match Netembed_expr.Expr.parse c with Ok e -> e | Error m -> failwith m
-  in
-  let edge_constraint = parse request.Request.constraint_text in
-  let node_expr = Option.map parse request.Request.node_constraint_text in
   let committed = ref 0 in
   let stop = ref None in
   (try
@@ -498,7 +517,7 @@ let allocate_run (host_file, (request : Request.t)) count residual_file =
      done
    with Failure m -> stop := Some m);
   (match residual_file with
-  | Some path when !committed > 0 ->
+  | Some (path, _) when !committed > 0 ->
       Graphml.write_file (Ledger.residual_graph ledger) path;
       Format.printf "residual network written to %s@." path
   | Some _ | None -> ());
@@ -528,34 +547,45 @@ let parse_mapping_arg query text =
       Error "mapping must name every query node exactly once (q<i>->r<j> pairs)"
     else Ok (Mapping.of_array arr)
 
-let free_run host_file residual_file query_file mapping_arg =
-  let ledger = open_ledger host_file (Some residual_file) in
-  if not (Sys.file_exists residual_file) then
-    `Error (false, Printf.sprintf "residual file %s does not exist" residual_file)
-  else
-    let query = Graphml.read_file query_file in
-    match parse_mapping_arg query mapping_arg with
-    | Error m -> `Error (false, m)
-    | Ok mapping -> (
-        match Ledger.charge_of_mapping ledger ~query mapping with
-        | Error m -> `Error (false, m)
-        | Ok charge -> (
-            match Ledger.credit ledger charge with
-            | Error m -> `Error (false, m)
-            | Ok () ->
-                Graphml.write_file (Ledger.residual_graph ledger) residual_file;
-                Format.printf "credited; residual network written to %s@."
-                  residual_file;
-                print_utilization (Ledger.utilization ledger);
-                `Ok ()))
+let free_run (_, host) residual (_, query) mapping_arg =
+  match residual with
+  | residual_file, None ->
+      `Error (false, Printf.sprintf "residual file %s does not exist" residual_file)
+  | residual_file, Some _ -> (
+      let ledger = open_ledger host (Some residual) in
+      match parse_mapping_arg query mapping_arg with
+      | Error m -> `Error (false, m)
+      | Ok mapping -> (
+          match Ledger.charge_of_mapping ledger ~query mapping with
+          | Error m -> `Error (false, m)
+          | Ok charge -> (
+              match Ledger.credit ledger charge with
+              | Error m -> `Error (false, m)
+              | Ok () ->
+                  Graphml.write_file (Ledger.residual_graph ledger) residual_file;
+                  Format.printf "credited; residual network written to %s@."
+                    residual_file;
+                  print_utilization (Ledger.utilization ledger);
+                  `Ok ())))
 
-let utilization_run host_file residual_file =
-  let ledger = open_ledger host_file residual_file in
-  print_utilization (Ledger.utilization ledger);
+let utilization_run (_, host) residual =
+  print_utilization (Ledger.utilization (open_ledger host residual));
   `Ok ()
 
+(* A residual-network file: read when it exists, so that a malformed
+   one is a usage error, and [None] while it does not. *)
+let residual_conv =
+  let parse path =
+    if not (Sys.file_exists path) then Ok (path, None)
+    else
+      match Graphml.read_file path with
+      | g -> Ok (path, Some g)
+      | exception (Graphml.Error m | Sys_error m) -> Error (`Msg m)
+  in
+  Arg.conv (parse, fun ppf (path, _) -> Format.pp_print_string ppf path)
+
 let residual_opt =
-  Arg.(value & opt (some string) None & info [ "residual" ] ~docv:"FILE"
+  Arg.(value & opt (some residual_conv) None & info [ "residual" ] ~docv:"FILE"
          ~doc:"Residual-network GraphML file: read as the starting state when \
                it exists, rewritten after successful commits.  This file is \
                the allocation state between CLI invocations.")
@@ -575,16 +605,16 @@ let allocate_cmd =
 
 let free_cmd =
   let host_file =
-    Arg.(required & opt (some file) None & info [ "host" ] ~docv:"FILE"
+    Arg.(required & opt (some topology_conv) None & info [ "host" ] ~docv:"FILE"
            ~doc:"Hosting network (GraphML) declaring capacities.")
   in
   let residual_file =
-    Arg.(required & opt (some string) None & info [ "residual" ] ~docv:"FILE"
+    Arg.(required & opt (some residual_conv) None & info [ "residual" ] ~docv:"FILE"
            ~doc:"Residual-network GraphML file holding the allocation state; \
                  rewritten after the credit.")
   in
   let query_file =
-    Arg.(required & opt (some file) None & info [ "query" ] ~docv:"FILE"
+    Arg.(required & opt (some topology_conv) None & info [ "query" ] ~docv:"FILE"
            ~doc:"The query network that was allocated.")
   in
   let mapping_arg =
@@ -599,7 +629,7 @@ let free_cmd =
 
 let utilization_cmd =
   let host_file =
-    Arg.(required & opt (some file) None & info [ "host" ] ~docv:"FILE"
+    Arg.(required & opt (some topology_conv) None & info [ "host" ] ~docv:"FILE"
            ~doc:"Hosting network (GraphML) declaring capacities.")
   in
   Cmd.v
