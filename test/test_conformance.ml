@@ -289,12 +289,30 @@ let stamp_edge_values rng host =
         stamp)
     host
 
-let rich_instance seed =
+(* With [unclassified], one host link's avgDelay and one host's [up]
+   become the string "n/a", which no atom can classify: the link is in
+   its plan's admissible set but not in its clean set, and the host
+   leaves an [rSource.up] plan undecided.  Even a complete plan must
+   then evaluate them, and the evaluation raises.  Such instances take
+   a one-atom edge constraint and no node constraint: with a second
+   atom, the pre-filter may drop the pair before the interpreter would
+   raise on it (see {!Prefilter.sets}), so the build and the oracle
+   raise alike only when nothing else rejects the pair. *)
+let unclassified_constraints = [| "rEdge.avgDelay <= vEdge.maxDelay"; "rSource.up" |]
+
+let stamp_unclassified rng host =
+  let n_a = Value.String "n/a" in
+  let e = Rng.int rng (Graph.edge_count host) and v = Rng.int rng (Graph.node_count host) in
+  Graph.set_edge_attrs host e (Attrs.add "avgDelay" n_a (Graph.edge_attrs host e));
+  Graph.set_node_attrs host v (Attrs.add "up" n_a (Graph.node_attrs host v))
+
+let rich_instance ?(unclassified = false) seed =
   let rng = Rng.make (seed * 7919) in
   let shape = Rng.make ((seed * 7919) + 1) in
   let stamped = Rng.int shape 3 = 0 and large = Rng.int shape 5 = 0 in
   let host = rich_host rng (if large then 63 + Rng.int shape 16 else 8 + Rng.int rng 8) in
   if stamped then stamp_edge_values shape host;
+  if unclassified then stamp_unclassified (Rng.make ((seed * 7919) + 2)) host;
   let query_n = 3 + Rng.int rng 3 in
   let tight = Rng.int rng 4 = 0 in
   let query = Graph.create () in
@@ -323,7 +341,9 @@ let rich_instance seed =
     Option.map Expr.parse_exn
       node_constraints.(Rng.int rng (Array.length node_constraints))
   in
-  Problem.make ?node_constraint:node_c ~host ~query edge_c
+  if unclassified then
+    Problem.make ~host ~query (Expr.parse_exn unclassified_constraints.(seed mod 2))
+  else Problem.make ?node_constraint:node_c ~host ~query edge_c
 
 (* A stamped "n/a" cpuMhz makes some node constraints raise; both
    sides must then raise the interpreter's error. *)
@@ -470,6 +490,13 @@ let oracle_rich_test =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
     (fun seed -> against_oracle ~what:(Printf.sprintf "seed %d" seed) (fun () -> rich_instance seed))
 
+let oracle_unclassified_test =
+  QCheck.Test.make ~count:40 ~name:"Filter.build = brute-force F (unclassified values)"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 100_000))
+    (fun seed ->
+      against_oracle ~what:(Printf.sprintf "seed %d, unclassified values" seed) (fun () ->
+          rich_instance ~unclassified:true seed))
+
 (* Tenant-shaped queries on the 100-site trace: wide delay bands admit a
    third of the links, so most cells hold several partners. *)
 let trace100 =
@@ -528,6 +555,7 @@ let () =
       ( "filter oracle",
         [
           QCheck_alcotest.to_alcotest oracle_rich_test;
+          QCheck_alcotest.to_alcotest oracle_unclassified_test;
           QCheck_alcotest.to_alcotest oracle_tenant_test;
           Alcotest.test_case "tenant cells are dense" `Quick test_tenant_density;
         ] );
