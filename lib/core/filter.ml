@@ -61,6 +61,13 @@ let set s r v =
     s.state.(r) <- (if s.state.(r) = -1 then v else -2)
   end
 
+(* A pre-filter plan's verdict on one host node, read from its
+   [admissible] and [clean] sets once per plan instead of per visited
+   host edge. *)
+let inadmissible = 0
+let undecided = 1
+let clean = 2
+
 (* With parallel query edges between the same pair, every edge must be
    satisfiable, so their rows are intersected cell by cell. *)
 
@@ -136,6 +143,17 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
     singletons.(v)
   in
   let fwd = scratch nr and bwd = scratch nr in
+  (* A plan's host-node restriction as one verdict per host; no
+     restriction leaves every host clean. *)
+  let all_clean = Array.make nr clean in
+  let verdicts = function
+    | None -> all_clean
+    | Some { Prefilter.admissible; clean = clean_nodes } ->
+        Array.init nr (fun r ->
+            if Bitset.mem clean_nodes r then clean
+            else if Bitset.mem admissible r then undecided
+            else inadmissible)
+  in
   (* Turn each non-empty scratch row into its cell, clearing the row for
      the next query edge. *)
   let materialize s =
@@ -165,17 +183,24 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
         if bounds.Bounds.atoms = [] && not bounds.Bounds.complete then None
         else Some (plan_of bounds)
     in
+    let complete, src_verdicts, tgt_verdicts =
+      match plan with
+      | None -> (false, all_clean, all_clean)
+      | Some plan ->
+          (plan.Prefilter.complete, verdicts plan.Prefilter.src, verdicts plan.Prefilter.tgt)
+    in
     (* All real evaluations flow through [Problem.edge_pair_ok] and its
        shared telemetry counter; pairs the pre-filter decides never
        reach the evaluator, which is exactly the saving the bench
-       ablation measures. *)
-    let test he u v =
-      match plan with
-      | None -> Problem.edge_pair_ok p ~qe ~q_src:a ~q_dst:b ~he ~r_src:u ~r_dst:v
-      | Some plan ->
-          if not (Prefilter.admits_pair plan ~he ~r_src:u ~r_dst:v) then false
-          else if Prefilter.decides_pair plan ~he ~r_src:u ~r_dst:v then true
-          else Problem.edge_pair_ok p ~qe ~q_src:a ~q_dst:b ~he ~r_src:u ~r_dst:v
+       ablation measures.  [edge_clean] is the host edge's bit in the
+       plan's clean edge set (true without an edge restriction); the
+       walk below visits only edges the plan admits. *)
+    let accepts he edge_clean u v =
+      let src = src_verdicts.(u) and tgt = tgt_verdicts.(v) in
+      src <> inadmissible
+      && tgt <> inadmissible
+      && ((complete && edge_clean && src = clean && tgt = clean)
+         || Problem.edge_pair_ok p ~qe ~q_src:a ~q_dst:b ~he ~r_src:u ~r_dst:v)
     in
     (* If the residual never touches host-endpoint attributes, its value
        cannot depend on the orientation of the host edge, so one
@@ -191,22 +216,22 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
         residual false
     in
     let ok_a = node_ok.(a) and ok_b = node_ok.(b) in
-    let visit he u v =
+    let visit he u v edge_clean =
       let fwd_nodes_ok = ok_a.(u) && ok_b.(v) in
       let bwd_nodes_ok = undirected && ok_a.(v) && ok_b.(u) in
       if orientation_sensitive then begin
         (* Orientation a->u, b->v. *)
-        if fwd_nodes_ok && test he u v then begin
+        if fwd_nodes_ok && accepts he edge_clean u v then begin
           set fwd u v;
           set bwd v u
         end;
         (* Orientation a->v, b->u (undirected hosts only). *)
-        if bwd_nodes_ok && test he v u then begin
+        if bwd_nodes_ok && accepts he edge_clean v u then begin
           set fwd v u;
           set bwd u v
         end
       end
-      else if (fwd_nodes_ok || bwd_nodes_ok) && test he u v then begin
+      else if (fwd_nodes_ok || bwd_nodes_ok) && accepts he edge_clean u v then begin
         if fwd_nodes_ok then begin
           set fwd u v;
           set bwd v u
@@ -217,16 +242,27 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
         end
       end
     in
-    (* A host edge outside the plan's admissible set fails [test], so
-       only admissible edges are walked; an infeasible plan admits
-       none. *)
+    (* A host edge outside the plan's admissible set fails the plan, so
+       only admissible edges are walked, a word of the admissible and
+       clean sets at a time; an infeasible plan admits none. *)
     (match plan with
     | Some { Prefilter.infeasible = true; _ } -> ()
-    | Some { Prefilter.edge = Some { Prefilter.admissible; _ }; _ } ->
-        Bitset.iter
-          (fun he -> visit he (Graph.edge_source p.host he) (Graph.edge_target p.host he))
-          admissible
-    | Some _ | None -> Graph.iter_edges visit p.host);
+    | Some { Prefilter.edge = Some { Prefilter.admissible; clean = clean_edges }; _ } ->
+        let ne = Bitset.universe_size admissible in
+        for w = 0 to ((ne + bits_per_word - 1) / bits_per_word) - 1 do
+          let cleans = Bitset.word clean_edges w in
+          let rest = ref (Bitset.word admissible w) and bit = ref 0 in
+          while !rest <> 0 do
+            if !rest land 1 <> 0 then begin
+              let he = (w * bits_per_word) + !bit in
+              visit he (Graph.edge_source p.host he) (Graph.edge_target p.host he)
+                (cleans land (1 lsl !bit) <> 0)
+            end;
+            rest := !rest lsr 1;
+            incr bit
+          done
+        done
+    | Some _ | None -> Graph.iter_edges (fun he u v -> visit he u v true) p.host);
     (materialize fwd, materialize bwd)
   in
   let rows = Array.make (nq * nq) no_row in
