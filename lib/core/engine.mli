@@ -42,7 +42,9 @@ type options = {
           computation, which attributes a wipeout only when blame is
           on.  The filter's blame pass reads the node constraint's
           verdicts back from the node-candidate bits, so it evaluates
-          no constraint.  Default false. *)
+          no constraint, and classifies each query node's excluded
+          hosts with set operations, recording each (node, cause) once
+          with its count.  Default false. *)
   prefilter : bool;
       (** forwarded to {!Filter.build}: sweep {!Netembed_expr.Bounds}
           atoms over unsorted host attribute columns, word-parallel

@@ -11,9 +11,12 @@
     a {!Netembed_bitset.Bitset.t} over the host-node universe, so a
     lookup is two array reads and the search core intersects cells in
     O(words) ({!Domain_store}).  Empty cells share one sentinel and
-    one-partner cells share one set per partner.  With parallel query
-    edges between a pair, the cell holds the partners that satisfy all
-    of them.  The negative filter F̄ of the paper is implicit:
+    one-partner cells share one set per partner.  The build sets each
+    query edge's partner bits in a scratch matrix of host-node rows of
+    words, then turns every non-empty row into its cell once: the
+    shared singleton for one partner, otherwise one set of exactly the
+    universe's size.  With parallel query edges between a pair, the
+    cell holds the partners that satisfy all of them.  The negative filter F̄ of the paper is implicit:
     candidate sets are intersected, so anything absent from [F] is
     excluded (equivalent to subtracting the union of F̄ for undirected
     problems; for directed problems both lookup directions of each
@@ -46,7 +49,8 @@ val build :
     an unboxed host attribute column, so pairs a single attribute
     comparison already rejects (or, for fully-extracted constraints,
     accepts) never reach the evaluator, and a residual that restricts
-    [rEdge] walks only the host edges it admits.  The node constraint
+    [rEdge] walks only the host edges it admits, reading the plan's
+    admissible and clean edge sets a word at a time.  The node constraint
     takes the same path once per query node: specialized
     ({!Problem.node_residual}), its atoms swept over the host node
     columns, and only the hosts left undecided evaluated (per host, as
@@ -56,11 +60,15 @@ val build :
     Per-query-node [node_ok] verdicts are precomputed once over the host
     universe instead of per incident host edge.
 
-    [blame], when given, receives one elimination per (query node, host)
-    pair excluded from the node's expression-(1) candidate set,
-    attributed to the first filter stage that rejected it (degree
-    filter, node constraint, then the incident query edge with no
-    compatible host edge).  The attribution reads the build's own node
+    [blame], when given, receives the (query node, host) pairs excluded
+    from the node's expression-(1) candidate set, each attributed to the
+    first filter stage that rejected it (degree filter, node constraint,
+    then the first incident query edge with no compatible host edge).
+    Each stage's hosts are classified with set operations and recorded
+    as one {!Netembed_explain.Explain.Blame.record} per (query node,
+    cause) with their count, in the order a host-by-host pass would
+    first meet each cause, so the blame table is the one per-host
+    recording would leave.  The attribution reads the build's own node
     verdicts, so it evaluates no constraint. *)
 
 val universe : t -> int
