@@ -618,6 +618,36 @@ let filter_build_layers () =
     in
     ignore (Filter.build ~prefilter:true p)
   in
+  (* Dense cells: 10-node tenant-shaped queries (svcbench's tenant_churn
+     shape, bands of 10-40% around sampled links' delays) admit about a
+     third of the links per query edge, so most cells hold many
+     partners.  Each sample builds one of [dense_queries] fresh
+     problems, the [_blame] row with explain blame as the service
+     builds. *)
+  let dense_queries =
+    Array.init layer_repeat (fun i ->
+        Netembed_oracle.Filter_cells.tenant_problem (Rng.make (i + 1)) ~host ~n:10)
+  in
+  let dense_build ~blame =
+    let next = ref 0 in
+    fun () ->
+      let p0 = dense_queries.(!next mod layer_repeat) in
+      incr next;
+      let p =
+        Problem.make ?node_constraint:p0.Problem.node_constraint ~host ~query:p0.Problem.query
+          p0.Problem.edge_constraint
+      in
+      let blame = if blame then Some (Netembed_explain.Explain.Blame.create ()) else None in
+      ignore (Filter.build ?blame p)
+  in
+  let dense =
+    List.map
+      (fun (suffix, blame) ->
+        let words = words_per_call ~n:layer_repeat (dense_build ~blame) in
+        layer_row ~words ("evaluator/filter_build/dense_tenant_n10" ^ suffix) "ms"
+          (sample_ms (dense_build ~blame)))
+      [ ("", false); ("_blame", true) ]
+  in
   let builds =
     List.concat_map
       (fun (suffix, node_constraint) ->
@@ -678,11 +708,13 @@ let filter_build_layers () =
       (Printf.sprintf
          "per-sample spread over %d samples: each evaluator row times one Problem.make + \
           Filter.build of clique7_tight (ms), the _warm rows over a service model's \
-          snapshot whose host columns an earlier build filled; each prefilter row one \
+          snapshot whose host columns an earlier build filled, the dense_tenant rows one \
+          build of a 10-node tenant-shaped query per sample (a different query each \
+          sample, with the words one build allocates); each prefilter row one \
           rEdge.avgDelay <= median pass set over the %d-link edge column (us, mean of %d \
           sweeps per sample)"
          layer_repeat m sweeps)
-    (builds @ sweep_rows)
+    (builds @ dense @ sweep_rows)
 
 (* GraphML in, per layer: [Graphml.read_file] of PlanetLab substrates
    at svcbench's 100 sites and the paper's 296 (svcbench's generator:
