@@ -68,9 +68,6 @@ let inadmissible = 0
 let undecided = 1
 let clean = 2
 
-(* With parallel query edges between the same pair, every edge must be
-   satisfiable, so their rows are intersected cell by cell. *)
-
 type ordering = Connected_lemma1 | Lemma1 | Input_order
 
 let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem.t) =
