@@ -552,7 +552,7 @@ let () =
           QCheck_alcotest.to_alcotest prefilter_conformance_test;
           QCheck_alcotest.to_alcotest filter_conformance_test;
         ] );
-      ( "filter oracle",
+      ( "oracle",
         [
           QCheck_alcotest.to_alcotest oracle_rich_test;
           QCheck_alcotest.to_alcotest oracle_unclassified_test;
