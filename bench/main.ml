@@ -164,14 +164,14 @@ let symmetry_tests =
             Engine.RWB p)
            .Engine.mappings
        in
-       let auts = Option.get (Netembed_core.Symmetry.automorphisms case.Query_gen.query) in
+       let auts = Option.get (Netembed_extensions.Symmetry.automorphisms case.Query_gen.query) in
        (auts, ms))
   in
   [
     Test.make ~name:"symmetry/dedupe_clique5"
       (staged (fun () ->
            let auts, ms = Lazy.force clique5 in
-           ignore (Netembed_core.Symmetry.dedupe auts ms)));
+           ignore (Netembed_extensions.Symmetry.dedupe auts ms)));
   ]
 
 let baseline_tests =

@@ -15,7 +15,7 @@
        --algorithm lns --mode first --timeout 30 *)
 
 module Graph = Netembed_graph.Graph
-module Metrics = Netembed_graph.Metrics
+module Metrics = Netembed_topology.Metrics
 module Rng = Netembed_rng.Rng
 module Trace = Netembed_planetlab.Trace
 module Brite = Netembed_topology.Brite
@@ -238,7 +238,7 @@ let embed (host, request, (edge_constraint, _)) path_hops dedupe optimize_cost s
        (the link-to-path extension, realized as a host closure). *)
     match path_hops with
     | None -> host
-    | Some k -> Netembed_core.Path_embed.host (Netembed_core.Path_embed.closure ~max_hops:k host)
+    | Some k -> Netembed_extensions.Path_embed.host (Netembed_extensions.Path_embed.closure ~max_hops:k host)
   in
   let query = request.Request.query in
   let service = Service.create (Model.create host) in
@@ -249,14 +249,14 @@ let embed (host, request, (edge_constraint, _)) path_hops dedupe optimize_cost s
         (* --dedupe-symmetry: collapse orbit-equivalent mappings. *)
         if not dedupe then answer
         else
-          match Netembed_core.Symmetry.automorphisms query with
+          match Netembed_extensions.Symmetry.automorphisms query with
           | None -> answer (* group too large: skip compaction *)
           | Some auts ->
               let result = answer.Service.result in
               { answer with
                 Service.result =
                   { result with
-                    Engine.mappings = Netembed_core.Symmetry.dedupe auts result.Engine.mappings } }
+                    Engine.mappings = Netembed_extensions.Symmetry.dedupe auts result.Engine.mappings } }
       in
       let answer =
         (* --optimize METRIC: keep only the cheapest mapping. *)
@@ -265,15 +265,15 @@ let embed (host, request, (edge_constraint, _)) path_hops dedupe optimize_cost s
         | Some cost_name ->
             let cost =
               match cost_name with
-              | "total-delay" -> Netembed_core.Optimize.total_avg_delay
-              | "max-delay" -> Netembed_core.Optimize.max_avg_delay
-              | "host-degree" -> Netembed_core.Optimize.total_host_degree
-              | other -> Netembed_core.Optimize.node_attr_sum other
+              | "total-delay" -> Netembed_extensions.Optimize.total_avg_delay
+              | "max-delay" -> Netembed_extensions.Optimize.max_avg_delay
+              | "host-degree" -> Netembed_extensions.Optimize.total_host_degree
+              | other -> Netembed_extensions.Optimize.node_attr_sum other
             in
             let result = answer.Service.result in
             let problem = Netembed_core.Problem.make ~host ~query edge_constraint in
             let best =
-              Netembed_core.Optimize.best_of problem ~cost result.Engine.mappings
+              Netembed_extensions.Optimize.best_of problem ~cost result.Engine.mappings
             in
             { answer with
               Service.result =

@@ -22,6 +22,7 @@ module Trace = Netembed_planetlab.Trace
 module Regular = Netembed_topology.Regular
 module Expr = Netembed_expr.Expr
 open Netembed_core
+open Netembed_extensions
 
 let () =
   let rng = Rng.make 4242 in

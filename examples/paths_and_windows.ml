@@ -19,8 +19,8 @@ module Value = Netembed_attr.Value
 module Rng = Netembed_rng.Rng
 module Transit_stub = Netembed_topology.Transit_stub
 module Expr = Netembed_expr.Expr
-module Schedule = Netembed_service.Schedule
 open Netembed_core
+open Netembed_extensions
 
 let band lo hi =
   Attrs.of_list [ ("minDelay", Value.Float lo); ("maxDelay", Value.Float hi) ]

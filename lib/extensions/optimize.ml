@@ -1,4 +1,5 @@
 open Netembed_graph
+open Netembed_core
 module Attrs = Netembed_attr.Attrs
 
 type cost = Problem.t -> Mapping.t -> float

@@ -11,6 +11,8 @@
     Costs are plain functions of a mapping, so applications bring their
     own objective; stock metrics cover the common cases. *)
 
+open Netembed_core
+
 type cost = Problem.t -> Mapping.t -> float
 
 val best_of : Problem.t -> cost:cost -> Mapping.t list -> Mapping.t option

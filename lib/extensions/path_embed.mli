@@ -17,6 +17,7 @@
     link-to-path embedding with stretch <= [max_hops] exists. *)
 
 open Netembed_graph
+open Netembed_core
 
 type closure
 

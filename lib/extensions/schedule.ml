@@ -100,9 +100,23 @@ let book t placement =
     | None -> []
     | Some ledger ->
         (* A lease is an exclusive hold on its hosts for the window:
-           the degenerate full-capacity charge, credited back when the
-           lease is pruned after expiry. *)
-        List.map (Ledger.lock ledger) hosts
+           the whole residual of every tracked node resource, credited
+           back when the lease is pruned after expiry.  A host with no
+           tracked capacity still gets an empty, live allocation. *)
+        let hold h =
+          let target = Ledger.Node h in
+          let charge =
+            List.filter_map
+              (fun resource ->
+                let amount = Ledger.residual ledger target resource in
+                if amount > 0.0 then Some { Ledger.target; resource; amount } else None)
+              (Ledger.node_resources ledger)
+          in
+          match Ledger.try_commit ledger charge with
+          | Ok id -> id
+          | Error f -> invalid_arg ("Schedule.book: " ^ Ledger.failure_to_string f)
+        in
+        List.map hold hosts
   in
   t.lease_list <-
     { hosts; start = placement.start; finish = placement.finish; charges }

@@ -12,9 +12,9 @@
     decision points) and returns the first window in which the query
     embeds on the then-free nodes.
 
-    When created over a resource ledger, every {!book} also takes the
-    degenerate full-capacity charge on the leased hosts
-    ({!Netembed_ledger.Ledger.lock}), and the internal gc — run on each
+    When created over a resource ledger, every {!book} also charges the
+    whole residual of every tracked node resource on the leased hosts,
+    and the internal gc — run on each
     {!earliest} and {!release_expired} — credits those charges back the
     moment a lease expires, so fractional tenants of the same model see
     scheduled capacity come and go. *)

@@ -1,4 +1,5 @@
 open Netembed_graph
+open Netembed_core
 module Attrs = Netembed_attr.Attrs
 
 type t = { n : int; elements : int array list }

@@ -18,6 +18,7 @@
     undirected ones). *)
 
 open Netembed_graph
+open Netembed_core
 
 type t
 (** A computed automorphism group (as an explicit element list). *)

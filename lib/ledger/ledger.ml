@@ -370,21 +370,6 @@ let migrate t id charge' =
               invalid_arg
                 ("Ledger.migrate: rollback failed — " ^ failure_to_string f)))
 
-let lock t v =
-  check_index t (Node v);
-  let charge =
-    List.filter_map
-      (fun p ->
-        let free = p.p_capacity.(v) -. p.p_used.(v) in
-        if p.p_present.(v) && free > 0.0 then
-          Some { target = Node v; resource = p.p_resource; amount = free }
-        else None)
-      t.node_pools
-  in
-  match try_commit t charge with
-  | Ok id -> id
-  | Error f -> invalid_arg ("Ledger.lock: " ^ failure_to_string f)
-
 let credit t charge =
   let agg = aggregate charge in
   match t.external_id with

@@ -148,14 +148,6 @@ val migrate : t -> int -> charge -> (int, failure) result
     is vacating.
     @raise Invalid_argument when [id] is not a live allocation. *)
 
-val lock : t -> Graph.node -> int
-(** The degenerate whole-node charge: the {e entire residual} of every
-    tracked node resource on the node (afterwards nothing fractional
-    fits there).  Always succeeds; release with {!release}.  A node
-    with no tracked capacity yields an empty (but live) allocation, so
-    the caller must exclude such hosts itself, as [Schedule]'s [busy]
-    flag does for its leases. *)
-
 val credit : t -> charge -> (unit, string) result
 (** Reverse a charge that is not held as a live allocation — the
     restore path of the stateless CLI ([netembed free]), where usage

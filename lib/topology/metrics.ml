@@ -1,3 +1,5 @@
+open Netembed_graph
+
 type degree_stats = {
   min_degree : int;
   max_degree : int;

@@ -1,6 +1,8 @@
 (** Structural graph metrics, used to validate the synthetic topologies
     against their models (BRITE power laws, PlanetLab density) and
-    reported by the experiment harness. *)
+    printed by the CLI's [info]. *)
+
+open Netembed_graph
 
 type degree_stats = {
   min_degree : int;

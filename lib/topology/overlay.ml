@@ -2,7 +2,6 @@ open Netembed_graph
 module Attrs = Netembed_attr.Attrs
 module Value = Netembed_attr.Value
 module Rng = Netembed_rng.Rng
-module Paths = Netembed_graph.Paths
 
 type mesh = Full_mesh | Nearest of int
 

@@ -1,3 +1,5 @@
+open Netembed_graph
+
 let hops_from g src =
   let n = Graph.node_count g in
   let dist = Array.make n max_int in

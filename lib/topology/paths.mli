@@ -2,8 +2,9 @@
 
     Used by the topology substrate to derive end-to-end overlay delays
     from router-level links (the synthetic PlanetLab trace measures
-    site-to-site paths, not physical links) and by the future-work
-    link-to-path mapping extension. *)
+    site-to-site paths, not physical links). *)
+
+open Netembed_graph
 
 val hops_from : Graph.t -> Graph.node -> int array
 (** BFS hop counts from the source; [max_int] marks unreachable nodes. *)

@@ -7,8 +7,8 @@ module Attrs = Netembed_attr.Attrs
 module Value = Netembed_attr.Value
 module Expr = Netembed_expr.Expr
 module Rng = Netembed_rng.Rng
-module Schedule = Netembed_service.Schedule
 open Netembed_core
+open Netembed_extensions
 
 let check = Alcotest.check
 
@@ -287,6 +287,63 @@ let test_schedule_gc_releases_charges () =
       (Ledger.residual ledger (Ledger.Node i) "cpuMhz")
   done
 
+(* A booked lease holds the whole residual of every pool on its hosts,
+   including what a fractional tenant left free: nothing more fits
+   there, the other hosts and the links keep theirs, and expiry returns
+   the ledger to pristine. *)
+let test_schedule_book_holds_hosts () =
+  let module Ledger = Netembed_ledger.Ledger in
+  let host = Graph.create () in
+  let node = Attrs.of_list [ ("cpuMhz", Value.Int 1000); ("memMB", Value.Int 1024) ] in
+  let link = Attrs.add "bandwidth" (Value.Float 100.0) (delay 10.0) in
+  let v = Array.init 4 (fun _ -> Graph.add_node host node) in
+  for i = 0 to 3 do
+    ignore (Graph.add_edge host v.(i) v.((i + 1) mod 4) link)
+  done;
+  let ledger = Ledger.of_graph host in
+  let s = Schedule.create ~ledger host in
+  let tenant =
+    Result.get_ok
+      (Ledger.try_commit ledger
+         [ { Ledger.target = Ledger.Node 0; resource = "cpuMhz"; amount = 300.0 } ])
+  in
+  Schedule.book s
+    { Schedule.mapping = Mapping.of_array [| 0; 2 |]; start = 0.0; finish = 100.0 };
+  List.iter
+    (fun h ->
+      List.iter
+        (fun r ->
+          check (Alcotest.float 0.0) "leased pool empty" 0.0
+            (Ledger.residual ledger (Ledger.Node h) r))
+        (Ledger.node_resources ledger))
+    [ 0; 2 ];
+  (match
+     Ledger.try_commit ledger
+       [ { Ledger.target = Ledger.Node 2; resource = "cpuMhz"; amount = 1.0 } ]
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a leased host must take no fractional charge");
+  List.iter
+    (fun h ->
+      check (Alcotest.float 0.0) "other host cpu" 1000.0
+        (Ledger.residual ledger (Ledger.Node h) "cpuMhz");
+      check (Alcotest.float 0.0) "other host mem" 1024.0
+        (Ledger.residual ledger (Ledger.Node h) "memMB"))
+    [ 1; 3 ];
+  for e = 0 to 3 do
+    check (Alcotest.float 0.0) "links untouched" 100.0
+      (Ledger.residual ledger (Ledger.Edge e) "bandwidth")
+  done;
+  check Alcotest.int "expired" 1 (Schedule.release_expired s ~now:100.0);
+  check Alcotest.bool "tenant released" true (Ledger.release ledger tenant);
+  for h = 0 to 3 do
+    check (Alcotest.float 0.0) "cpu pristine" 1000.0
+      (Ledger.residual ledger (Ledger.Node h) "cpuMhz");
+    check (Alcotest.float 0.0) "mem pristine" 1024.0
+      (Ledger.residual ledger (Ledger.Node h) "memMB")
+  done;
+  check Alcotest.int "no allocations" 0 (Ledger.outstanding ledger)
+
 let test_path_embed_decoded_paths_real () =
   (* Property on a real substrate: every decoded path is a genuine host
      walk and its summed delay satisfies the query band. *)
@@ -451,6 +508,7 @@ let () =
           Alcotest.test_case "lease boundary" `Quick test_schedule_lease_boundary;
           Alcotest.test_case "zero duration" `Quick test_schedule_zero_duration;
           Alcotest.test_case "gc releases charges" `Quick test_schedule_gc_releases_charges;
+          Alcotest.test_case "book holds whole hosts" `Quick test_schedule_book_holds_hosts;
           Alcotest.test_case "no double-booking" `Quick test_schedule_no_overlap_property;
         ] );
       ( "symmetry",

@@ -1,7 +1,7 @@
 module Graph = Netembed_graph.Graph
 module Traversal = Netembed_oracle.Traversal
-module Paths = Netembed_graph.Paths
-module Metrics = Netembed_graph.Metrics
+module Paths = Netembed_topology.Paths
+module Metrics = Netembed_topology.Metrics
 module Sample = Netembed_graph.Sample
 module Attrs = Netembed_attr.Attrs
 module Value = Netembed_attr.Value

@@ -239,20 +239,6 @@ let test_admission () =
   | Ok () -> Alcotest.fail "expected admission to see residuals"
   | Error f -> check exact "residual total" 700.0 f.Ledger.available
 
-let test_lock () =
-  let ledger = Ledger.of_graph (host ()) in
-  let id = Ledger.lock ledger 0 in
-  check exact "cpu gone" 0.0 (Ledger.residual ledger (Ledger.Node 0) "cpuMhz");
-  check exact "mem gone" 0.0 (Ledger.residual ledger (Ledger.Node 0) "memMB");
-  (* Nothing fractional fits on a locked node. *)
-  (match Ledger.try_commit ledger [ line (Ledger.Node 0) "cpuMhz" 1.0 ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "lock must exhaust the node");
-  (* Other nodes unaffected. *)
-  check exact "neighbours free" 1000.0 (Ledger.residual ledger (Ledger.Node 1) "cpuMhz");
-  check Alcotest.bool "unlock" true (Ledger.release ledger id);
-  assert_pristine ledger
-
 let test_sync_and_credit () =
   let g = host () in
   let a = Ledger.of_graph g in
@@ -498,7 +484,6 @@ let () =
           Alcotest.test_case "residual search never over-commits" `Quick
             test_residual_search_never_overcommits;
           Alcotest.test_case "admission" `Quick test_admission;
-          Alcotest.test_case "lock" `Quick test_lock;
           Alcotest.test_case "sync + credit" `Quick test_sync_and_credit;
         ] );
     ]

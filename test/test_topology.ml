@@ -1,6 +1,6 @@
 module Graph = Netembed_graph.Graph
 module Traversal = Netembed_oracle.Traversal
-module Metrics = Netembed_graph.Metrics
+module Metrics = Netembed_topology.Metrics
 module Regular = Netembed_topology.Regular
 module Brite = Netembed_topology.Brite
 module Transit_stub = Netembed_topology.Transit_stub
