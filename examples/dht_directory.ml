@@ -32,7 +32,7 @@ let () =
     Regular.ring
       ~edge:
         (Attrs.of_list
-           [ ("minDelay", Value.Float 1.0); ("maxDelay", Value.Float 32.0) ])
+           [ ("minDelay", Value.Float 1.0); ("maxDelay", Value.Float 40.0) ])
       k
   in
   let problem =
@@ -56,6 +56,9 @@ let () =
   let distinct = Symmetry.dedupe auts result.Engine.mappings in
   Format.printf "distinct placements after symmetry compaction: %d@."
     (List.length distinct);
+  (* The group acts freely on injective ring mappings: every orbit of a
+     complete answer set has exactly one member per automorphism. *)
+  assert (List.length result.Engine.mappings = Symmetry.size auts * List.length distinct);
 
   match Optimize.rank problem ~cost:Optimize.total_avg_delay distinct with
   | [] -> Format.printf "no feasible directory ring.@."
