@@ -12,10 +12,8 @@ type t = {
           [r].  Empty cells are [empty_cell]; directions the query does
           not link share [no_row]. *)
   nq : int;
-  nr : int;
   node_cands : Bitset.t array;
   ls_order : int array;
-  nonempty_cells : int;
 }
 
 (* Shared sentinels, compared physically: one empty cell and one empty
@@ -287,12 +285,6 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
       merge ((a * nq) + b) fwd;
       merge ((b * nq) + a) bwd)
     p.query;
-  let nonempty_cells =
-    Array.fold_left
-      (fun acc row ->
-        Array.fold_left (fun acc c -> if c == empty_cell then acc else acc + 1) acc row)
-      0 rows
-  in
   (* The hosts [r] whose cell [F[q, r, w]] is not empty. *)
   let sources q w =
     let out = Bitset.create nr in
@@ -311,16 +303,7 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
               List.iter (fun s -> Bitset.inter_into ~dst:first s) rest;
               first)
   in
-  let t =
-    {
-      rows;
-      nq;
-      nr;
-      node_cands;
-      ls_order = [||];
-      nonempty_cells;
-    }
-  in
+  let t = { rows; nq; node_cands; ls_order = [||] } in
   (* Explain mode: attribute every host excluded from a node's
      expression-(1) candidate set to the filter stage that removed it,
      one set operation per stage.  Precedence mirrors the build: the
@@ -416,20 +399,13 @@ let build ?(ordering = Connected_lemma1) ?(prefilter = true) ?blame (p : Problem
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let universe t = t.nr
-
-let cell_bits t ~q_assigned ~r_assigned ~q_next =
-  let c = cell t q_assigned r_assigned q_next in
-  if c == empty_cell then None else Some c
-
-(* Exception variant for the search hot loop: an array read and a
-   physical comparison, raising the preallocated [Not_found] on a miss,
-   so a hit boxes nothing where [cell_bits] allocates a [Some] per
-   lookup — measurable at millions of visited nodes per second. *)
+(* For the search hot loop: an array read and a physical comparison,
+   raising the preallocated [Not_found] on a miss, so a hit boxes
+   nothing where an option would allocate a [Some] per lookup —
+   measurable at millions of visited nodes per second. *)
 let cell_bits_exn t ~q_assigned ~r_assigned ~q_next =
   let c = cell t q_assigned r_assigned q_next in
   if c == empty_cell then raise Not_found else c
 
 let node_candidates_bits t q = t.node_cands.(q)
 let order t = t.ls_order
-let cell_count t = t.nonempty_cells

@@ -71,25 +71,16 @@ val build :
     recording would leave.  The attribution reads the build's own node
     verdicts, so it evaluates no constraint. *)
 
-val universe : t -> int
-(** Host-node universe size — the width of every cell bitset. *)
-
-val cell_bits :
-  t -> q_assigned:Graph.node -> r_assigned:Graph.node -> q_next:Graph.node ->
-  Netembed_bitset.Bitset.t option
-(** The cell [F[q_assigned, r_assigned, q_next]] as a bitset over the
-    host universe, or [None] when no host edge qualifies.  The returned
-    set is owned by the filter, may be shared with other cells, and must
-    not be mutated — searchers copy it into {!Domain_store} scratch
-    before intersecting. *)
-
 val cell_bits_exn :
   t -> q_assigned:Graph.node -> r_assigned:Graph.node -> q_next:Graph.node ->
   Netembed_bitset.Bitset.t
-(** Like {!cell_bits} but raising [Not_found] for a missing cell instead
-    of boxing an option — the allocation-free lookup (two array reads)
-    the search hot loop uses.  Same ownership rule: the returned set is
-    read-only. *)
+(** The cell [F[q_assigned, r_assigned, q_next]] as a bitset over the
+    host universe, raising [Not_found] when no host edge qualifies
+    instead of boxing an option — the allocation-free lookup (two array
+    reads) the search hot loop uses.  The returned set is owned by the
+    filter, may be shared with other cells, and must not be mutated —
+    searchers copy it into {!Domain_store} scratch before
+    intersecting. *)
 
 val node_candidates_bits : t -> Graph.node -> Netembed_bitset.Bitset.t
 (** Host candidates for a query node irrespective of other assignments
@@ -102,7 +93,3 @@ val order : t -> Graph.node array
     connected: seed = fewest candidates, then greedily the node with
     most edges into the prefix (ties: fewest candidates, then highest
     degree), reseeding by candidate count across query components. *)
-
-val cell_count : t -> int
-(** Number of non-empty cells — the space-cost metric that motivates
-    LNS. *)

@@ -63,7 +63,6 @@ module Blame = struct
     end
 
   let eliminate t ~q cause = record t ~q cause 1
-  let is_empty t = Hashtbl.length t.counts = 0
 
   let desc (_, a) (_, b) = compare (b : int) a
 
@@ -161,7 +160,6 @@ module Recorder = struct
   let backtrack t ~depth = push t Backtrack ~depth ~host:(-1) ~size:0
   let solution t ~depth = push t Solution ~depth ~host:(-1) ~size:0
   let recorded t = t.recorded
-  let sample_every t = t.sample_every
 
   let events t =
     let n = min t.recorded t.capacity in

@@ -60,8 +60,6 @@ module Blame : sig
   val eliminate : t -> q:int -> Cause.t -> unit
   (** [record t ~q cause 1]. *)
 
-  val is_empty : t -> bool
-
   val by_node : t -> int -> (Cause.t * int) list
   (** Causes recorded against one query node, most eliminations first. *)
 
@@ -105,8 +103,6 @@ module Recorder : sig
   val recorded : t -> int
   (** Total events pushed (monotonic; the ring holds the last
       [capacity] of them). *)
-
-  val sample_every : t -> int
 
   val events : t -> event list
   (** Retained events, oldest first. *)

@@ -140,9 +140,6 @@ module Histogram = struct
     t.sum <- 0;
     t.max_o <- 0
 
-  let copy t =
-    { buckets = Array.copy t.buckets; count = t.count; sum = t.sum; max_o = t.max_o }
-
   let merge_into ~dst src =
     for i = 0 to bucket_count - 1 do
       dst.buckets.(i) <- dst.buckets.(i) + src.buckets.(i)

@@ -114,7 +114,6 @@ module Histogram : sig
       @raise Invalid_argument when [q] is outside [0,1]. *)
 
   val reset : t -> unit
-  val copy : t -> t
   val merge_into : dst:t -> t -> unit
 end
 

@@ -24,9 +24,9 @@ let views (p : Problem.t) f =
       (fun (b, _) ->
         cells.((a * nq) + b) <-
           Array.init nr (fun r ->
-              match Filter.cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b with
-              | Some c -> Bitset.to_array c
-              | None -> [||]))
+              match Filter.cell_bits_exn f ~q_assigned:a ~r_assigned:r ~q_next:b with
+              | c -> Bitset.to_array c
+              | exception Not_found -> [||]))
       (Problem.query_neighbours p a)
   done;
   let nodes = Array.init nq (fun q -> Bitset.to_array (Filter.node_candidates_bits f q)) in

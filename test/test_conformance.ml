@@ -22,6 +22,12 @@ open Netembed_core
 
 let delay d = Attrs.of_list [ ("avgDelay", Value.Float d) ]
 
+(* The cell [F[a, r, b]] of a build, [None] when it is empty. *)
+let cell_bits f ~q_assigned ~r_assigned ~q_next =
+  match Filter.cell_bits_exn f ~q_assigned ~r_assigned ~q_next with
+  | c -> Some c
+  | exception Not_found -> None
+
 let band lo hi =
   Attrs.of_list [ ("minDelay", Value.Float lo); ("maxDelay", Value.Float hi) ]
 
@@ -412,7 +418,7 @@ let filter_prop seed =
           QCheck.Test.fail_reportf "seed %d: blame tallies of q%d differ" seed a;
         for b = 0 to nq - 1 do
           for r = 0 to nr - 1 do
-            let cell f = elements (Filter.cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b) in
+            let cell f = elements (cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b) in
             if cell oracle <> cell got then
               QCheck.Test.fail_reportf "seed %d: cell (q%d, r%d, q%d) differs" seed a r b
           done
@@ -454,7 +460,7 @@ let against_oracle ~what p_of =
             for r = 0 to nr - 1 do
               let want = B.elements (Filter_cells.cell oracle ~a ~r ~b) in
               let got =
-                match Filter.cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b with
+                match cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b with
                 | None -> []
                 | Some c -> B.elements c
               in
@@ -526,7 +532,7 @@ let test_tenant_density () =
     for a = 0 to nq - 1 do
       for b = 0 to nq - 1 do
         for r = 0 to nr - 1 do
-          match Filter.cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b with
+          match cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b with
           | None -> ()
           | Some c ->
               incr nonempty;

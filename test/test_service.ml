@@ -1977,7 +1977,9 @@ let columns_prop seed =
           for b = 0 to nq - 1 do
             for r = 0 to nr - 1 do
               let cell f =
-                Option.map Bitset.elements (Filter.cell_bits f ~q_assigned:a ~r_assigned:r ~q_next:b)
+                match Filter.cell_bits_exn f ~q_assigned:a ~r_assigned:r ~q_next:b with
+                | c -> Some (Bitset.elements c)
+                | exception Not_found -> None
               in
               if cell f <> cell f' then fail (Printf.sprintf "cell (q%d, r%d, q%d)" a r b)
             done
